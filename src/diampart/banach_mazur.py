@@ -26,6 +26,7 @@ from .geometry import (
     cube,
     dual_exponent,
     gauge_eval,
+    gauge_facets,
     pnorm_eval,
     vdot,
     vscale,
@@ -124,8 +125,8 @@ def parallelepiped_facets(
     # sanity: each functional is exactly +-1 on every vertex
     for v in parallelepiped(spanning).vertices:
         for g in rows:
-            val = vdot(g, v)
-            assert val in (1, -1), "facet functional is not +-1 at a vertex"
+            if vdot(g, v) not in (1, -1):
+                raise AssertionError("facet functional is not +-1 at a vertex")
     return tuple(rows) + tuple(tuple(-c for c in g) for g in rows)
 
 
@@ -207,7 +208,7 @@ def sandwich_verify(
 
     ``facets`` may supply the inner body's facet functionals (rows f with
     the body equal to {x : f.x <= 1 for all rows}); otherwise they are
-    recovered from a convex hull when needed.
+    taken, exact, from the body's cached facet form.
     """
     if to_float(gamma) < 1 - 1e-12:
         raise ValueError("gamma must be at least 1")
@@ -240,11 +241,10 @@ def sandwich_verify(
             if worst_out_val is None or mu > worst_out_val:
                 worst_out_val, worst_out = mu, w
     elif isinstance(outer, PBall):
-        rows = tuple(tuple(r) for r in facets) if facets is not None else None
-        if rows is None:
-            from .coverings import _gauge_facets
-
-            rows = tuple(tuple(float(c) for c in row) for row in _gauge_facets(body))
+        if facets is None:
+            rows = gauge_facets(body.vertices).functionals()
+        else:
+            rows = tuple(tuple(r) for r in facets)
         worst_out = None
         worst_out_val = None
         for f in rows:
@@ -321,12 +321,14 @@ def lp_parallelepiped_bound(
         # closed form |(1,1,4)|_p * |(3,1,3)|_q / 10 and the claim that the
         # vertex maximum is the (-2,8,-2) orbit, never beaten by (4,4,4)
         closed = _closed_form_gamma(p, q)
-        assert abs(to_float(gamma) - to_float(closed)) <= 1e-10 * to_float(closed)
+        if abs(to_float(gamma) - to_float(closed)) > 1e-10 * to_float(closed):
+            raise AssertionError("gamma %r misses the closed form %r" % (gamma, closed))
         gamma = closed
         special = pnorm_eval((-2, 8, -2), p)
-        assert to_float(R) <= to_float(special) * (1 + 1e-12)
-        if all_rational([special, R]):
-            assert as_fraction(R) == as_fraction(special)
+        if to_float(R) > to_float(special) * (1 + 1e-12) or (
+                all_rational([special, R]) and as_fraction(R) != as_fraction(special)):
+            raise AssertionError("vertex maximum %r is not the (-2,8,-2) orbit %r"
+                                 % (R, special))
 
     cert = sandwich_verify(
         Q, PBall(p=p, dim=len(spanning), radius=R), gamma, facets=rows

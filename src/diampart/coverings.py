@@ -16,6 +16,7 @@ the margin on a 4x finer point set (exactly, when the data allows).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .geometry import (
     PBall,
     Simplex,
     VPolytope,
+    gauge_facets,
     norm_eval,
     polytope_diameter,
     vsub,
@@ -122,8 +124,12 @@ def _piece_box(piece: PartitionPiece, parent) -> tuple:
 # exact grid coverage
 
 
+@functools.lru_cache(maxsize=16)
 def _bary_grid(k: int, N: int) -> np.ndarray:
-    """All integer vectors of length k summing to N (lambda = row/N)."""
+    """All integer vectors of length k summing to N (lambda = row/N).
+
+    Cached and shared by every caller, hence read-only.
+    """
     if k == 3:
         rows = [
             (a, b, N - a - b)
@@ -146,7 +152,9 @@ def _bary_grid(k: int, N: int) -> np.ndarray:
                 yield from rec(prefix + (v,), left - v, slots - 1)
 
         rows = list(rec((), N, k))
-    return np.asarray(rows, dtype=np.int64)
+    grid = np.asarray(rows, dtype=np.int64)
+    grid.flags.writeable = False
+    return grid
 
 
 def _box_mask(grid: np.ndarray, bounds, N: int) -> np.ndarray:
@@ -429,20 +437,10 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
 # ball covering search
 
 
-def _gauge_facets(body: VPolytope):
-    """Facet functionals f_i with gauge(x) = max_i f_i . x (floats)."""
-    from scipy.spatial import ConvexHull
-
-    pts = np.asarray([[to_float(c) for c in v] for v in body.vertices], dtype=float)
-    hull = ConvexHull(pts)
-    eqs = hull.equations  # a.x + b <= 0 on the hull
-    return -eqs[:, :-1] / eqs[:, -1:].clip(max=-1e-300)
-
-
 def _dist_matrix(samples: np.ndarray, centers: np.ndarray, norm: Norm) -> np.ndarray:
     diff = samples[:, None, :] - centers[None, :, :]
     if norm.kind == "gauge":
-        F = _gauge_facets(norm.body)
+        F = np.asarray(gauge_facets(norm.body.vertices).functionals(), dtype=float)
         return np.einsum("fk,smk->smf", F, diff).max(axis=2)
     p = norm.p
     if p == INF:

@@ -8,7 +8,10 @@ never round.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
@@ -18,6 +21,7 @@ import numpy as np
 from .linprog import (
     feasible_point,
     matrix_rank_exact,
+    row_reduce,
     solve_exact_lp,
     solve_float_lp,
     solve_linear_system,
@@ -45,7 +49,7 @@ def vscale(alpha: Scalar, x: Vector) -> Vector:
 
 
 def vdot(x: Vector, y: Vector) -> Scalar:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(operator.mul, x, y))
 
 
 def vneg(x: Vector) -> Vector:
@@ -260,7 +264,8 @@ class Norm:
 
     Gauge bodies must be origin-symmetric (vertex set closed under
     negation) and full-dimensional, so that the Minkowski functional is
-    a genuine norm.
+    a genuine norm.  Gauges are evaluated through the body's cached
+    exact facet list (gauge_facets).
     """
 
     __slots__ = ("kind", "p", "body")
@@ -345,26 +350,190 @@ def _validate_gauge_body(body: VPolytope):
         raise ValueError("gauge body must be symmetric about the origin")
 
 
+@dataclass(frozen=True)
+class FacetForm:
+    """Exact H-form of K = conv(W + {0}) for a gauge body with vertices W.
+
+    With y = scale * x (``scale`` is the lcm of the vertex denominators,
+    so the scaled vertices are integer), K is the set of y with
+    c.y <= d for every (c, d) in ``rows`` and c.y <= 0 for every c in
+    ``cone``.  All entries are integers and d > 0 in ``rows``, so the
+    gauge of x is max_i c_i.(scale * x)/d_i on the cone.  ``cone`` holds
+    the facets through the origin and both signs of a basis of the
+    orthogonal complement of span(W); it is empty exactly when the
+    origin is an interior point of the body.
+    """
+
+    scale: int
+    rows: tuple  # ((c, d), ...) with d > 0
+    cone: tuple  # (c, ...)
+
+    def functionals(self) -> tuple:
+        """Rational rows f_i with gauge(x) = max_i f_i.x (origin interior)."""
+        if self.cone:
+            raise ValueError("the origin is not an interior point of the gauge body")
+        return tuple(tuple(Fraction(self.scale * ci, d) for ci in c)
+                     for c, d in self.rows)
+
+
+# Most n-subsets one facet enumeration may examine, a few seconds of
+# work; larger bodies are refused rather than left running for hours.
+MAX_FACET_SUBSETS = 200_000
+
+
+def _integer_points(points) -> tuple:
+    """(D, P): D is the lcm of every coordinate denominator and P holds
+    the integer tuples D * p, exact for floats too."""
+    fr = [[as_fraction(c) for c in p] for p in points]
+    D = math.lcm(*(c.denominator for p in fr for c in p))
+    return D, tuple(tuple(c.numerator * (D // c.denominator) for c in p) for p in fr)
+
+
+def _det(M) -> int:
+    """Integer determinant by Bareiss fraction-free elimination; M is a
+    list of row lists, overwritten."""
+    n = len(M)
+    if n == 2:  # the minors of every 3-D facet normal: the hot path
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
+def _hull_facets(points) -> list:
+    """Facets (c, d), c.y <= d with gcd 1, of the hull of integer points
+    whose affine hull is the whole space.
+
+    Every facet contains n affinely independent points, so the
+    hyperplanes through all n-subsets, kept when no point lies beyond
+    them, are exactly the facets.
+    """
+    n = len(points[0])
+    seen = set()
+    out = []
+    for sub in itertools.combinations(points, n):
+        base = sub[0]
+        M = [[a - b for a, b in zip(p, base)] for p in sub[1:]]
+        c = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in M]) for j in range(n)]
+        if not any(c):
+            continue  # affinely dependent subset
+        d = vdot(c, base)
+        g = math.gcd(*c, d)
+        c = tuple(v // g for v in c)
+        d //= g
+        if (c, d) in seen:
+            continue
+        seen.add((c, d))
+        seen.add((vneg(c), -d))
+        above = below = False
+        for p in points:
+            v = vdot(c, p)
+            above = above or v > d
+            below = below or v < d
+            if above and below:
+                break
+        else:
+            # the hyperplane passes through base, so it supports from one side
+            out.append((vneg(c), -d) if above else (c, d))
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def gauge_facets(vertices: tuple) -> FacetForm:
+    """The cached exact facet form of conv(vertices + {0}).
+
+    Integer arithmetic throughout; no float hull and no tolerance.  The
+    facets are found among the hyperplanes through n-subsets of the
+    vertices and the origin (after projecting onto span(vertices)), so
+    the cost grows like C(V + 1, n): fine for the small bodies of this
+    library, refused beyond MAX_FACET_SUBSETS.
+    """
+    scale, V = _integer_points(vertices)
+    n = len(V[0])
+    R, pivots = row_reduce(V)
+    cone = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        e = [Fraction(0)] * n
+        e[f] = Fraction(1)
+        for row, p in zip(R, pivots):
+            e[p] = -row[f]
+        _, (e,) = _integer_points((e,))
+        cone += [e, vneg(e)]
+    rows = []
+    if pivots:
+        pts = sorted({tuple(v[j] for j in pivots) for v in V} | {(0,) * len(pivots)})
+        if math.comb(len(pts), len(pivots)) > MAX_FACET_SUBSETS:
+            raise ValueError("gauge body is too large for exact facet enumeration "
+                             "(%d vertices in R^%d)" % (len(V), n))
+        for c, d in _hull_facets(pts):
+            lifted = [0] * n
+            for j, cj in zip(pivots, c):
+                lifted[j] = cj
+            if d > 0:
+                rows.append((tuple(lifted), d))
+            else:
+                cone.append(tuple(lifted))
+    return FacetForm(scale, tuple(rows), tuple(cone))
+
+
 def gauge_eval(x: Vector, body: VPolytope) -> Scalar:
-    """Minkowski functional of the polytope: min sum(mu) with x = sum mu_j w_j."""
-    verts = body.vertices
-    k = len(verts)
-    n = body.dim
-    exact = all_rational(x) and all(all_rational(v) for v in verts)
-    c = [1] * k
-    A = [[verts[j][i] for j in range(k)] for i in range(n)]
-    b = list(x)
-    if exact:
-        res = solve_exact_lp(c, A, b)
-    else:
-        res = solve_float_lp(
-            [to_float(v) for v in c],
-            [[to_float(v) for v in row] for row in A],
-            [to_float(v) for v in b],
-        )
-    if not res.optimal:
+    """Minkowski functional of conv(vertices + {0}): the least sum(mu),
+    mu >= 0, with x = sum mu_j w_j.
+
+    Evaluated as max_i c_i.(L x)/d_i over the cached exact facet list
+    (see gauge_facets), exact for rational input.  Float input is
+    converted exactly and only the result is rounded.  Raises ValueError
+    when x lies outside the cone spanned by the vertices.
+    """
+    if len(x) != body.dim:
+        raise ValueError("point has dimension %d but the gauge body has %d"
+                         % (len(x), body.dim))
+    form = gauge_facets(body.vertices)
+    D, (X,) = _integer_points((x,))
+    if any(vdot(c, X) > 0 for c in form.cone):
         raise ValueError("point is outside the span of the gauge body")
-    return res.value
+    return _facet_max(form, [vdot(c, X) for c, _ in form.rows], D, (x,), body)
+
+
+def _gauge_diameter(points, body: VPolytope) -> Scalar:
+    """Width identity: diam = max_i (max_p c_i.p - min_p c_i.p)/d_i over
+    the facet list of an origin-symmetric body; no pairwise loop."""
+    if any(len(p) != body.dim for p in points):
+        raise ValueError("points and gauge body differ in dimension")
+    form = gauge_facets(body.vertices)
+    D, X = _integer_points(points)
+    widths = []
+    for c, _ in form.rows:
+        vals = [vdot(c, p) for p in X]
+        widths.append(max(vals) - min(vals))
+    return _facet_max(form, widths, D, points, body)
+
+
+def _facet_max(form: FacetForm, nums, D: int, points, body: VPolytope) -> Scalar:
+    """max_i nums_i/d_i back in the caller's units (times scale/D), as a
+    Fraction when points and body are rational and rounded otherwise."""
+    num, den = 0, 1
+    for v, (_, d) in zip(nums, form.rows):
+        if v * den > num * d:
+            num, den = v, d
+    value = Fraction(num * form.scale, den * D)
+    if all(all_rational(p) for p in points) and all(all_rational(v) for v in body.vertices):
+        return value
+    return to_float(value)
 
 
 def norm_eval(x: Vector, norm: Norm) -> Scalar:
@@ -384,6 +553,8 @@ def diameter_finite(points: Sequence[Vector], norm: Norm) -> Scalar:
         raise ValueError("diameter of an empty set is undefined")
     if len(pts) == 1:
         return 0 if all_rational(pts[0]) else 0.0
+    if norm.kind == "gauge":
+        return _gauge_diameter(pts, norm.body)
     if norm.kind == "p" and norm.p == INF:
         # max over pairs of max over coords == max over coords of the range
         best = None

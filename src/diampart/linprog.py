@@ -227,13 +227,17 @@ def solve_linear_system(A: Sequence[Sequence], b: Sequence):
     return [M[i][-1] for i in range(n)]
 
 
-def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix by fraction-free style elimination."""
+def row_reduce(rows: Sequence[Sequence]):
+    """Reduced row echelon form of a rational matrix, exact.
+
+    Returns (R, pivots): the nonzero rows of the reduced matrix and the
+    column index of each row's leading 1.
+    """
     M = [[Fraction(v) for v in row] for row in rows]
     if not M:
-        return 0
+        return [], []
     nrows, ncols = len(M), len(M[0])
-    rank = 0
+    pivots = []
     row = 0
     for col in range(ncols):
         piv = next((r for r in range(row, nrows) if M[r][col] != 0), None)
@@ -246,11 +250,16 @@ def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
             if r != row and M[r][col]:
                 f = M[r][col]
                 M[r] = [a - f * p for a, p in zip(M[r], M[row])]
-        rank += 1
+        pivots.append(col)
         row += 1
         if row == nrows:
             break
-    return rank
+    return M[:row], pivots
+
+
+def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
+    """Rank of a rational matrix by exact elimination."""
+    return len(row_reduce(rows)[1])
 
 
 def solve_float_lp(c, A_eq, b_eq, bounds=None):

@@ -388,7 +388,8 @@ def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
         )
 
     ratio = _SCHEME_RATIO[scheme]
-    assert max(p.ratio_bound for p in pieces) == ratio
+    if max(p.ratio_bound for p in pieces) != ratio:
+        raise AssertionError("%s pieces do not attain the scheme ratio %s" % (scheme, ratio))
     return PartitionCertificate(S, tuple(pieces), ratio, None, scheme)
 
 

@@ -111,7 +111,11 @@ def body_from_spec(spec: dict):
 
 
 def parse_points(rows) -> tuple:
-    return tuple(tuple(parse_scalar(c) for c in row) for row in rows)
+    points = tuple(tuple(parse_scalar(c) for c in row) for row in rows)
+    dims = sorted({len(p) for p in points})
+    if len(dims) > 1:
+        raise ValueError("points have mixed dimensions %s" % dims)
+    return points
 
 
 def load_problem(path: str) -> dict:

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import diampart
 
 from diampart.banach_mazur import (
     BMBoundReport,
@@ -92,7 +97,7 @@ class TestSandwichVerify:
     def test_reverify_emitted_certificate(self):
         rep = lp_parallelepiped_bound(1.5)
         c = rep.certificate
-        again = sandwich_verify(c.inner, c.outer, c.gamma)  # hull-route facets
+        again = sandwich_verify(c.inner, c.outer, c.gamma)  # facet-form route
         assert again.verified
         assert float(again.margin_inner) >= -1e-9
         assert float(again.margin_outer) >= -1e-9
@@ -196,3 +201,38 @@ class TestBMUpper:
             BMBoundReport(p=2, q=2, gamma_bound=0.5, method="exact_formula")
         with pytest.raises(ValueError):
             BMBoundReport(p=2, q=2, gamma_bound=2, method="magic")
+
+
+# Under -O every bare assert vanishes; the certificate checks must not.
+OPTIMIZED_SCRIPT = """
+import sys
+from fractions import Fraction
+from diampart import banach_mazur, partitions
+from diampart.geometry import Simplex
+
+if not sys.flags.optimize:
+    raise SystemExit("expected python -O")
+S = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+print(banach_mazur.lp_parallelepiped_bound(1.5).certificate.verified)
+print(partitions.simplex_partition(S, "m8").ratio)
+partitions._SCHEME_RATIO["m8"] = Fraction(1, 2)
+try:
+    partitions.simplex_partition(S, "m8")
+except AssertionError:
+    print("scheme ratio checked")
+banach_mazur._closed_form_gamma = lambda p, q: 2.0
+try:
+    banach_mazur.lp_parallelepiped_bound(1.5)
+except AssertionError:
+    print("closed form checked")
+"""
+
+
+def test_certificate_checks_run_under_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(diampart.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "True", "9/16", "scheme ratio checked", "closed form checked", ""]

@@ -41,6 +41,16 @@ class TestExitCodes:
         code = main(["oracle", "--points", "/no/such/file.json", "--m", "2"])
         assert code == 1
 
+    def test_ragged_points_are_one(self, capsys, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"points": [[0, 0], [1], [2, 2]]}))
+        code = main(["oracle", "--points", str(path), "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("diampart: error:")
+
 
 class TestEnvelope:
     def test_fields_present(self, capsys):

@@ -72,6 +72,15 @@ class TestSimplexGridCoverage:
             assert rep.covered
             assert rep.resolution == N
 
+    def test_grid_is_cached_and_read_only(self):
+        from diampart.coverings import _bary_grid
+
+        grid = _bary_grid(4, 64)
+        assert grid is _bary_grid(4, 64)
+        assert len(grid) == 47905 and (grid.sum(axis=1) == 64).all()
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1
+
     def test_verify_certificate_attaches_report(self):
         cert = simplex_partition(STD_TETRA, "m5")
         cert2 = verify_certificate(cert, mode="exact_grid", N=16)

@@ -18,6 +18,7 @@ from diampart.geometry import (
     diameter_finite,
     dual_exponent,
     gauge_eval,
+    gauge_facets,
     minkowski_symmetry,
     pnorm_eval,
     point_in_vpolytope,
@@ -96,6 +97,51 @@ class TestGauge:
         with pytest.raises(ValueError):
             Norm.gauge([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)])
 
+    def test_dimension_mismatch_rejected(self):
+        for x in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValueError):
+                gauge_eval(x, cube(3))
+
+    def test_cube_facet_form(self):
+        form = gauge_facets(cube(3, half=F(1, 2)).vertices)
+        assert form.scale == 2 and form.cone == ()
+        assert sorted(form.rows) == sorted(
+            (tuple(s if i == j else 0 for j in range(3)), 1)
+            for i in range(3) for s in (1, -1))
+        assert set(form.functionals()) == {
+            tuple(2 * s if i == j else 0 for j in range(3))
+            for i in range(3) for s in (1, -1)}
+
+    def test_float_vertices_give_float_value(self):
+        assert gauge_eval((1, -2, 0), cube(3, half=1.0)) == 2.0
+        assert isinstance(gauge_eval((1, -2, 0), cube(3, half=1.0)), float)
+        assert isinstance(gauge_eval((1, -2, 0), cube(3)), Fraction)
+
+    def test_flat_body_gauge_on_its_span(self):
+        # conv({(2,0), (-2,0)}) measures the x-axis and nothing else
+        seg = VPolytope(((2, 0), (-2, 0)))
+        assert gauge_eval((3, 0), seg) == F(3, 2)
+        with pytest.raises(ValueError):
+            gauge_eval((3, 1), seg)
+
+    def test_origin_outside_body(self):
+        # conv(W + {0}) for a triangle away from the origin: finite only on
+        # the cone over the triangle
+        tri = VPolytope(((1, 0), (2, 0), (1, 1)))
+        assert gauge_eval((2, 0), tri) == 1
+        assert gauge_eval((1, 1), tri) == 1
+        assert gauge_eval((3, 1), tri) == 2
+        with pytest.raises(ValueError):
+            gauge_eval((-1, 0), tri)
+        with pytest.raises(ValueError):
+            gauge_eval((0, 1), tri)
+        with pytest.raises(ValueError):
+            gauge_eval((1, 2), tri)
+
+    def test_oversized_body_refused(self):
+        with pytest.raises(ValueError):
+            gauge_eval((1,) * 8, cube(8))
+
 
 class TestDiameter:
     def test_cube_linf(self):
@@ -129,6 +175,15 @@ class TestDiameter:
 
     def test_cube_l1(self):
         assert polytope_diameter(cube(3), Norm.lp(1)) == 6
+
+    def test_gauge_width_identity(self):
+        # the l1 ball: diameter of the cube's vertices is 2 * 3
+        d = diameter_finite(cube(3).vertices, Norm.gauge(cross_polytope(3)))
+        assert d == 6 and isinstance(d, Fraction)
+
+    def test_gauge_diameter_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError):
+            diameter_finite([(0, 0, 0), (1, 1)], Norm.gauge(cube(3)))
 
     def test_homothety_scaling_exact(self):
         P = VPolytope(((0, 0), (1, 0), (F(1, 3), F(3, 4))))

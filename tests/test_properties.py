@@ -1,16 +1,23 @@
 """Property-based checks of the algebraic laws the library relies on."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+import diampart
 
 from diampart.bounds import minmax_branches, minmax_epsilon
 from diampart.geometry import (
     Norm,
     Simplex,
     BarycentricPoint,
+    VPolytope,
     barycentric_coords,
     cross_polytope,
     cube,
@@ -21,9 +28,12 @@ from diampart.geometry import (
     pnorm_eval,
     vadd,
     vdot,
+    vneg,
     vscale,
+    vsub,
 )
-from diampart.numbers import INF
+from diampart.linprog import matrix_rank_exact, solve_exact_lp
+from diampart.numbers import INF, as_fraction
 from diampart.oracle import beta_finite_exact
 from diampart.partitions import residual_enclosure, simplex_partition
 from diampart.coverings import partition_diameter_ratio
@@ -81,6 +91,88 @@ class TestNormAxioms:
     @given(vec(2))
     def test_gauge_of_cube_is_linf(self, x):
         assert gauge_eval(x, cube(2)) == pnorm_eval(x, INF)
+
+
+def lp_gauge(x, verts):
+    """Reference gauge: the exact LP min sum(mu), x = sum mu_j w_j, mu >= 0
+    (None when infeasible)."""
+    A = [[w[i] for w in verts] for i in range(len(x))]
+    res = solve_exact_lp([1] * len(verts), A, list(x))
+    return res.value if res.optimal else None
+
+
+def symmetric_bodies(dim):
+    """Vertex tuples of random origin-symmetric bodies; the tests assume
+    full rank."""
+    return st.lists(vec(dim), min_size=dim, max_size=dim + 3).map(
+        lambda half: tuple(half) + tuple(vneg(h) for h in half))
+
+
+# the cube [0,2] x [-1,1]^2 has the origin on a facet, so its gauge is
+# finite only on a half-space; the simplex holds the origin off-centre
+OFF_CENTRE = [
+    tuple((1 + a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)),
+    ((3, 0, 0), (0, 2, 0), (0, 0, 1), (-1, -1, -1)),
+]
+
+
+class TestFacetFormGauge:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([2, 3, 4]).flatmap(
+        lambda n: st.tuples(symmetric_bodies(n), vec(n))))
+    def test_matches_lp_on_symmetric_bodies(self, case):
+        verts, x = case
+        assume(matrix_rank_exact(verts) == len(x))
+        assert gauge_eval(x, VPolytope(verts)) == lp_gauge(x, verts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(OFF_CENTRE), vec(3))
+    def test_matches_lp_off_centre(self, verts, x):
+        want = lp_gauge(x, verts)
+        if want is None:
+            with pytest.raises(ValueError):
+                gauge_eval(x, VPolytope(verts))
+        else:
+            assert gauge_eval(x, VPolytope(verts)) == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(symmetric_bodies(3), st.lists(vec(3), min_size=2, max_size=6))
+    def test_diameter_is_pairwise_max(self, verts, pts):
+        assume(matrix_rank_exact(verts) == 3)
+        body = VPolytope(verts)
+        brute = max(gauge_eval(vsub(p, q), body) for p in pts for q in pts)
+        assert diameter_finite(pts, Norm.gauge(body)) == brute
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_bodies(3), st.tuples(*[st.floats(-8, 8)] * 3))
+    def test_float_input_matches_lp(self, verts, x):
+        assume(matrix_rank_exact(verts) == 3)
+        got = gauge_eval(x, VPolytope(verts))
+        want = float(lp_gauge(tuple(map(as_fraction, x)), verts))
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+def test_gauge_oracle_cli_leaves_scipy_spatial_unimported(tmp_path):
+    problem = tmp_path / "gauge.json"
+    problem.write_text(json.dumps({
+        "norm": {"kind": "gauge",
+                 "vertices": [[2, 0, 1], [-2, 0, -1], [0, 1, 0], [0, -1, 0],
+                              [1, 1, 3], [-1, -1, -3]]},
+        "points": [[0, 0, 0], [1, "1/2", 2], [3, -1, 0], [-2, 2, 1], [1, 1, 1]],
+    }))
+    script = ("import sys\n"
+              "from diampart.cli import main\n"
+              "code = main(['oracle', '--points', sys.argv[1], '--m', '2'])\n"
+              "sys.stderr.write(str('scipy.spatial' in sys.modules))\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(diampart.__file__))
+    proc = subprocess.run([sys.executable, "-c", script, str(problem)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["norm"] == "gauge"
+    assert proc.stderr == "False"
 
 
 class TestDiameterLaws:

@@ -121,6 +121,10 @@ class TestProblemFiles:
         assert got["norm"] is None and got["body"] is None
         assert got["points"] == ((1, 2),)
 
+    def test_parse_points_rejects_ragged_rows(self):
+        with pytest.raises(ValueError):
+            parse_points([[0, 0], [1], [2, 2]])
+
     def test_parse_points_exact(self):
         pts = parse_points([["2/4", "3"], [1.5, "inf"]])
         assert pts[0] == (F(1, 2), 3)
