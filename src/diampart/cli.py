@@ -62,7 +62,7 @@ def _weakest(levels) -> str:
 def _scalar_arg(text):
     try:
         return parse_scalar(text)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 

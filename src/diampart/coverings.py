@@ -268,13 +268,37 @@ def _cube_scheme_coverage(parent: VPolytope, pieces, N: int) -> CoverageReport:
 # sampled coverage
 
 
-def _disk_samples(n_boundary: int, n_interior: int, seed: int):
-    from scipy.stats import qmc
+_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 
-    hb = qmc.Halton(d=1, scramble=False).random(n_boundary)[:, 0]
+
+def _halton(n: int, d: int) -> np.ndarray:
+    """The first n points of the unscrambled Halton sequence in [0, 1)^d.
+
+    Coordinate k is the radical inverse of the index in the k-th prime
+    base (Halton, 1960).  Digits are accumulated low to high with the
+    scale divided by the base each step, the same float operations as
+    scipy.stats.qmc.Halton(scramble=False), so the points match it bit
+    for bit.
+    """
+    if d > len(_HALTON_BASES):
+        raise ValueError("Halton points are limited to dimension <= %d"
+                         % len(_HALTON_BASES))
+    out = np.zeros((n, d))
+    for k, base in enumerate(_HALTON_BASES[:d]):
+        q = np.arange(n)
+        scale = 1.0 / base
+        while q.any():
+            out[:, k] += (q % base) * scale
+            scale /= base
+            q //= base
+    return out
+
+
+def _disk_samples(n_boundary: int, n_interior: int, seed: int):
+    hb = _halton(n_boundary, 1)[:, 0]
     angles = 2 * math.pi * hb
     boundary = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    hi = qmc.Halton(d=2, scramble=False).random(2 * n_interior)
+    hi = _halton(2 * n_interior, 2)
     r = np.sqrt(hi[:, 0])
     th = 2 * math.pi * hi[:, 1]
     interior = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)[:n_interior]
@@ -437,42 +461,47 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
 # ball covering search
 
 
-def _dist_matrix(samples: np.ndarray, centers: np.ndarray, norm: Norm) -> np.ndarray:
-    diff = samples[:, None, :] - centers[None, :, :]
+def _norm_kernel(norm: Norm):
+    """The norm as a numpy map from an (S, m, n) difference array to its
+    (S, m) distances.  Norm set-up (the gauge's functionals as a float
+    array) is done here, once, not once per distance evaluation."""
     if norm.kind == "gauge":
         F = np.asarray(gauge_facets(norm.body.vertices).functionals(), dtype=float)
-        return np.einsum("fk,smk->smf", F, diff).max(axis=2)
+        return lambda diff: np.einsum("fk,smk->smf", F, diff).max(axis=2)
     p = norm.p
     if p == INF:
-        return np.abs(diff).max(axis=2)
+        return lambda diff: np.abs(diff).max(axis=2)
     if p == 1:
-        return np.abs(diff).sum(axis=2)
+        return lambda diff: np.abs(diff).sum(axis=2)
     if p == 2:
-        return np.sqrt((diff * diff).sum(axis=2))
+        return lambda diff: np.sqrt((diff * diff).sum(axis=2))
     pf = to_float(p)
-    return (np.abs(diff) ** pf).sum(axis=2) ** (1.0 / pf)
+    return lambda diff: (np.abs(diff) ** pf).sum(axis=2) ** (1.0 / pf)
+
+
+def _dist_matrix(samples: np.ndarray, centers: np.ndarray, kernel) -> np.ndarray:
+    """S x m matrix of distances from each sample to each center."""
+    return kernel(samples[:, None, :] - centers[None, :, :])
 
 
 def _body_samples(body, n_boundary: int, n_interior: int, seed: int) -> np.ndarray:
     """Deterministic low-discrepancy boundary + interior + random points."""
-    from scipy.stats import qmc
-
     rng = np.random.default_rng(seed)
     if isinstance(body, UnitDisk) or (isinstance(body, PBall) and body.dim == 2):
         p = 2 if isinstance(body, UnitDisk) else body.p
-        hb = qmc.Halton(d=1, scramble=False).random(n_boundary)[:, 0]
+        hb = _halton(n_boundary, 1)[:, 0]
         th = 2 * math.pi * hb
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
         norms = _vec_pnorm(dirs, p)
         boundary = dirs / norms[:, None]
-        ui = qmc.Halton(d=2, scramble=False).random(4 * n_interior) * 2 - 1
+        ui = _halton(4 * n_interior, 2) * 2 - 1
         ui = ui[_vec_pnorm(ui, p) <= 1][:n_interior]
         ur = rng.uniform(-1, 1, size=(2 * n_interior, 2))
         ur = ur[_vec_pnorm(ur, p) <= 1][:n_interior]
-        return np.concatenate([boundary, ui, ur])
+        return np.concatenate([boundary, ui, ur]) * to_float(body.radius)
     if isinstance(body, PBall) and body.dim == 3:
         if body.p == 1:
-            u = qmc.Halton(d=2, scramble=False).random(n_boundary)
+            u = _halton(n_boundary, 2)
             a = u[:, 0]
             b = u[:, 1]
             flip = a + b > 1
@@ -482,28 +511,25 @@ def _body_samples(body, n_boundary: int, n_interior: int, seed: int) -> np.ndarr
                               for sz in (1, -1)], dtype=float)
             boundary = bary * signs[np.arange(n_boundary) % 8]
         else:
-            d = qmc.Halton(d=3, scramble=False).random(2 * n_boundary) * 2 - 1
+            d = _halton(2 * n_boundary, 3) * 2 - 1
             d = d[_vec_pnorm(d, 2) > 1e-9][:n_boundary]
             boundary = d / _vec_pnorm(d, body.p)[:, None]
-        ui = qmc.Halton(d=3, scramble=False).random(10 * n_interior) * 2 - 1
+        ui = _halton(10 * n_interior, 3) * 2 - 1
         ui = ui[_vec_pnorm(ui, body.p) <= 1][:n_interior]
         ur = rng.uniform(-1, 1, size=(8 * n_interior, 3))
         ur = ur[_vec_pnorm(ur, body.p) <= 1][:n_interior]
-        out = np.concatenate([boundary, ui, ur])
-        if body.radius != 1:
-            out = out * to_float(body.radius)
-        return out
+        return np.concatenate([boundary, ui, ur]) * to_float(body.radius)
     if isinstance(body, VPolytope) and _axis_cube_intervals(body):
         n = body.dim
         los, his = _axis_cube_intervals(body)
         los = np.array([to_float(v) for v in los])
         his = np.array([to_float(v) for v in his])
-        u = qmc.Halton(d=n, scramble=False).random(n_boundary)
+        u = _halton(n_boundary, n)
         pts = los + u * (his - los)
         axis = np.arange(n_boundary) % n
         side = (np.arange(n_boundary) // n) % 2
         pts[np.arange(n_boundary), axis] = np.where(side == 0, los[axis], his[axis])
-        ui = qmc.Halton(d=n, scramble=False).random(n_interior)
+        ui = _halton(n_interior, n)
         interior = los + ui * (his - los)
         ur = rng.uniform(los, his, size=(n_interior, n))
         return np.concatenate([pts, interior, ur])
@@ -521,26 +547,32 @@ def _vec_pnorm(arr: np.ndarray, p) -> np.ndarray:
     return (np.abs(arr) ** pf).sum(axis=1) ** (1.0 / pf)
 
 
-def _pattern_search(samples, centers0, norm, r, rng, max_sweeps=60):
-    """Coordinate pattern search with occasional random kicks."""
+def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
+    """Coordinate pattern search with occasional random kicks.
+
+    A coordinate move changes one center j only, so the distance from
+    each sample to its nearest other center stays valid across j's
+    trials, accepted or not.  Each trial then costs one distance column
+    rather than the full S x m matrix; min and max are exact, so the
+    margins are the ones a full recompute gives, bit for bit.
+    """
     centers = centers0.copy()
-
-    def margin(cs):
-        return float(_dist_matrix(samples, cs, norm).min(axis=1).max()) - r
-
-    best = margin(centers)
+    dist = _dist_matrix(samples, centers, kernel)
+    best = float(dist.min(axis=1).max()) - r
     step = 0.25
     sweeps = 0
     while step > 1e-5 and sweeps < max_sweeps:
         improved = False
         for j in range(len(centers)):
+            others = dist[:, np.arange(len(centers)) != j].min(axis=1, initial=np.inf)
             for d in range(centers.shape[1]):
                 for sgn in (1.0, -1.0):
-                    trial = centers.copy()
-                    trial[j, d] += sgn * step
-                    val = margin(trial)
+                    trial = centers[j].copy()
+                    trial[d] += sgn * step
+                    col = _dist_matrix(samples, trial[None, :], kernel)[:, 0]
+                    val = float(np.minimum(others, col).max()) - r
                     if val < best - 1e-12:
-                        centers, best = trial, val
+                        centers[j], dist[:, j], best = trial, col, val
                         improved = True
         sweeps += 1
         if best <= 1e-12 and not improved:
@@ -548,18 +580,19 @@ def _pattern_search(samples, centers0, norm, r, rng, max_sweeps=60):
         if not improved:
             # annealing-style kick: one random center jitter before shrinking
             trial = centers + rng.normal(scale=step / 3, size=centers.shape)
-            val = margin(trial)
+            trial_dist = _dist_matrix(samples, trial, kernel)
+            val = float(trial_dist.min(axis=1).max()) - r
             if val < best - 1e-12:
-                centers, best = trial, val
+                centers, dist, best = trial, trial_dist, val
             else:
                 step *= 0.5
     return centers, best
 
 
-def _greedy_kcenter(samples: np.ndarray, m: int, norm: Norm) -> np.ndarray:
+def _greedy_kcenter(samples: np.ndarray, m: int, kernel) -> np.ndarray:
     centers = [samples.mean(axis=0)]
     while len(centers) < m:
-        d = _dist_matrix(samples, np.asarray(centers), norm).min(axis=1)
+        d = _dist_matrix(samples, np.asarray(centers), kernel).min(axis=1)
         centers.append(samples[int(d.argmax())].copy())
     return np.asarray(centers)
 
@@ -578,70 +611,78 @@ def _body_vertices(body):
     if isinstance(body, (UnitDisk, PBall)):
         k = 8
         th = np.linspace(0, 2 * math.pi, k, endpoint=False)
-        return np.stack([np.cos(th), np.sin(th)], axis=1)
+        return np.stack([np.cos(th), np.sin(th)], axis=1) * to_float(body.radius)
     raise ValueError("no vertex hint for body")
 
 
-def _confirmation_points(body, factor: int = 4):
-    """Denser deterministic point set; exact rationals when possible."""
+# Lattice magnitudes below this keep int64 arithmetic; sums of a few such
+# terms still fit.  Above it the lattice kernels switch to Python ints.
+_INT64_SAFE = 2 ** 62
+
+
+def _int_dtype(bound: int):
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def _confirmation_points(body):
+    """A deterministic point set denser than the search samples.
+
+    Returns (P, D).  For the 3-D l1 ball and axis boxes, P is an integer
+    array and the points are exactly P/D (int64, or Python ints when the
+    magnitudes near the int64 range).  For other bodies D is None and P
+    holds float samples at 4x the default sampling density.
+    """
     if isinstance(body, PBall) and body.p == 1 and body.dim == 3:
-        K = 64  # per-facet barycentric granularity; 8*C(K+2,2) > 4*4096 points
-        pts = []
-        for sx in (1, -1):
-            for sy in (1, -1):
-                for sz in (1, -1):
-                    for i in range(K + 1):
-                        for j in range(K + 1 - i):
-                            k = K - i - j
-                            pts.append((Fraction(sx * i, K), Fraction(sy * j, K),
-                                        Fraction(sz * k, K)))
-        step = Fraction(1, 8)
-        rng_vals = [step * i for i in range(-8, 9)]
-        for x in rng_vals:
-            for y in rng_vals:
-                for z in rng_vals:
-                    if abs(x) + abs(y) + abs(z) <= 1:
-                        pts.append((x, y, z))
-        return pts, True
+        # each facet at barycentric granularity 1/K (8*C(K+2,2) > 4*4096
+        # points), plus the 1/8 grid inside the ball
+        K = 64
+        a, b = np.triu_indices(K + 1)
+        facet = np.stack([a, b - a, K - b], axis=1)
+        signs = np.array([[sx, sy, sz] for sx in (1, -1) for sy in (1, -1)
+                          for sz in (1, -1)])
+        g = np.arange(-8, 9)
+        grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        grid = grid[np.abs(grid).sum(axis=1) <= 8] * (K // 8)
+        P = np.concatenate([(signs[:, None, :] * facet).reshape(-1, 3), grid])
+        rad = as_fraction(body.radius)
+        return P.astype(_int_dtype(K * rad.numerator)) * rad.numerator, K * rad.denominator
     if isinstance(body, VPolytope) and _axis_cube_intervals(body):
         los, his = _axis_cube_intervals(body)
-        n = body.dim
         K = 16
         axes = [[lo + Fraction(i, K) * (hi - lo) for i in range(K + 1)]
                 for lo, hi in zip(map(as_fraction, los), map(as_fraction, his))]
-        pts = [()]
-        for ax in axes:
-            pts = [p + (v,) for p in pts for v in ax]
-        return pts, True
-    # generic float fallback: 4x the default sampling density
-    arr = _body_samples(body, 4 * 4096, 4 * 1024, seed=10**6 + 7)
-    return [tuple(float(c) for c in row) for row in arr], False
+        D = math.lcm(*(v.denominator for ax in axes for v in ax))
+        ints = [[v.numerator * (D // v.denominator) for v in ax] for ax in axes]
+        dtype = _int_dtype(max(abs(v) for ax in ints for v in ax))
+        mesh = np.meshgrid(*(np.asarray(ax, dtype=dtype) for ax in ints), indexing="ij")
+        return np.stack(mesh, axis=-1).reshape(-1, body.dim), D
+    return _body_samples(body, 4 * 4096, 4 * 1024, seed=10**6 + 7), None
 
 
-def _exact_margin(points, centers, r, norm: Norm):
-    """max over points of min over centers of ||x-c|| - r, exactly.
+def _confirmation_floats(P, D) -> np.ndarray:
+    """The confirmation points as floats, each P/D rounded once."""
+    return P if D is None else (P.astype(object) / D).astype(float)
 
-    Uses a common-denominator integer rescale so numpy can do the heavy
-    lifting without leaving exact arithmetic.
+
+def _exact_margin(P, D, centers, r, norm: Norm):
+    """max over the lattice points P/D of min over centers of ||x-c|| - r.
+
+    Exact.  For l1 and l_inf, one rescale to the common denominator of
+    the lattice and the centers turns it into integer arithmetic, in
+    int64 when the magnitudes allow and in Python ints otherwise.
     """
     if norm.kind == "p" and norm.p in (1, INF):
-        dens = {as_fraction(v).denominator for pt in points for v in pt}
-        dens |= {as_fraction(v).denominator for c in centers for v in c}
-        D = 1
-        for d in dens:
-            D = D * d // math.gcd(D, d)
-        P = np.asarray(
-            [[int(as_fraction(v) * D) for v in pt] for pt in points], dtype=np.int64
-        )
-        C = np.asarray(
-            [[int(as_fraction(v) * D) for v in c] for c in centers], dtype=np.int64
-        )
-        diff = np.abs(P[:, None, :] - C[None, :, :])
+        L = math.lcm(D, *(as_fraction(v).denominator for c in centers for v in c))
+        C = [[int(as_fraction(v) * L) for v in c] for c in centers]
+        k = L // D
+        bound = P.shape[1] * (int(np.abs(P).max()) * k + max(abs(v) for c in C for v in c))
+        dtype = _int_dtype(bound)
+        diff = np.abs(P.astype(dtype)[:, None, :] * k - np.asarray(C, dtype=dtype)[None, :, :])
         dist = diff.max(axis=2) if norm.p == INF else diff.sum(axis=2)
-        worst = int(dist.min(axis=1).max())
-        return Fraction(worst, D) - as_fraction(r)
+        return Fraction(int(dist.min(axis=1).max()), L) - as_fraction(r)
     best = None
-    for pt in points:
+    for row in P.tolist():
+        pt = tuple(Fraction(v, D) for v in row)
         d = min(norm_eval(vsub(pt, c), norm) for c in centers)
         best = d if best is None else max(best, d)
     return best - r
@@ -670,13 +711,19 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
     Failure (positive residual margin) is a legitimate outcome and does
     not prove impossibility.
     """
-    if m > 16:
-        raise ValueError("m is capped at 16 (desk scale)")
-    rf = to_float(r)
+    if not 1 <= m <= 16:
+        raise ValueError("m must lie in 1..16 (desk scale), got %s" % (m,))
+    try:
+        rf = to_float(r)
+    except OverflowError:
+        rf = math.inf
+    if not (rf > 0 and math.isfinite(rf)):
+        raise ValueError("r must be finite and positive, got %s" % (r,))
+    if getattr(parent, "dim", 2) > 3:  # UnitDisk carries no dim
+        raise ValueError("search is limited to dimension <= 3")
     samples = _body_samples(parent, n_boundary, n_interior, seed)
     dim = samples.shape[1]
-    if dim > 3:
-        raise ValueError("search is limited to dimension <= 3")
+    kernel = _norm_kernel(norm)
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(8)]
     verts = _body_vertices(parent)
@@ -685,7 +732,7 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
     base = np.zeros((m, dim))
     base[: min(m, len(sv))] = sv[: min(m, len(sv))]
     starts.append(base)
-    starts.append(_greedy_kcenter(samples, m, norm))
+    starts.append(_greedy_kcenter(samples, m, kernel))
     for i in range(2, 8):
         rng = streams[i]
         if i % 2 == 0:
@@ -696,33 +743,32 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
 
     best_centers, best_margin = None, math.inf
     for i, c0 in enumerate(starts):
-        centers, val = _pattern_search(samples, np.asarray(c0, dtype=float), norm,
+        centers, val = _pattern_search(samples, np.asarray(c0, dtype=float), kernel,
                                        rf, streams[i])
         if val < best_margin:
             best_centers, best_margin = centers, val
         if best_margin <= 1e-12:
             break  # a covering is a covering; later starts add nothing
 
-    conf_pts, conf_exact = _confirmation_points(parent)
+    conf_pts, conf_den = _confirmation_points(parent)
     r_exact = as_fraction(r) if all_rational([r]) else rf
 
-    if best_margin <= 1e-9:
-        candidates = _snap_centers(best_centers) if conf_exact else []
-        for snapped in candidates:
-            margin = _exact_margin(conf_pts, snapped, r_exact, norm)
+    if best_margin <= 1e-9 and conf_den is not None:
+        for snapped in _snap_centers(best_centers):
+            margin = _exact_margin(conf_pts, conf_den, snapped, r_exact, norm)
             if margin <= 0:
                 return BallCoveringSolution(snapped, r_exact, norm, margin,
                                             seed, best_margin)
     # no exact confirmation: report the float margin at the 4x resolution
     centers_t = tuple(tuple(float(v) for v in row) for row in best_centers)
-    arr = np.asarray([[to_float(c) for c in p] for p in conf_pts], dtype=float)
     conf_margin = float(
-        _dist_matrix(arr, np.asarray(best_centers), norm).min(axis=1).max()
+        _dist_matrix(_confirmation_floats(conf_pts, conf_den), best_centers,
+                     kernel).min(axis=1).max()
     ) - rf
     return BallCoveringSolution(centers_t, rf, norm, conf_margin, seed, best_margin)
 
 
-def verify_ball_covering(parent, centers, r, norm: Norm, factor: int = 4):
+def verify_ball_covering(parent, centers, r, norm: Norm):
     """Recheck proposed ball centers on a fresh confirmation point set.
 
     Returns the residual margin (worst distance to the nearest center
@@ -730,16 +776,16 @@ def verify_ball_covering(parent, centers, r, norm: Norm, factor: int = 4):
     and norm permit, float otherwise.  Nonpositive means covered at the
     checked resolution.
     """
-    pts, exactable = _confirmation_points(parent, factor=factor)
+    pts, den = _confirmation_points(parent)
     rational = (
-        exactable
+        den is not None
         and all(all_rational(c) for c in centers)
         and all_rational([r])
         and norm.kind == "p"
         and norm.p in (1, INF)
     )
     if rational:
-        return _exact_margin(pts, centers, as_fraction(r), norm)
-    arr = np.asarray([[to_float(c) for c in p] for p in pts], dtype=float)
+        return _exact_margin(pts, den, centers, as_fraction(r), norm)
     cs = np.asarray([[to_float(c) for c in row] for row in centers], dtype=float)
-    return float(_dist_matrix(arr, cs, norm).min(axis=1).max()) - to_float(r)
+    arr = _confirmation_floats(pts, den)
+    return float(_dist_matrix(arr, cs, _norm_kernel(norm)).min(axis=1).max()) - to_float(r)

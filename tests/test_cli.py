@@ -51,6 +51,22 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("diampart: error:")
 
+    @pytest.mark.parametrize("m, r", [("2", "nan"), ("2", "inf"), ("2", "0"),
+                                      ("2", "1e400"), ("0", "1/2"), ("-1", "1/2")])
+    def test_cover_search_bad_m_or_r_is_one(self, capsys, m, r):
+        code = main(["cover", "search", "--body", "cube", "--m", m, "--r", r])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("diampart: error:")
+
+    def test_zero_denominator_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cover", "search", "--body", "cube", "--m", "2", "--r", "1/0"])
+        assert exc.value.code == 1
+        assert "error: argument --r" in capsys.readouterr().err
+
 
 class TestEnvelope:
     def test_fields_present(self, capsys):

@@ -1,14 +1,26 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diampart.geometry import Norm, PBall, Simplex, cube, polytope_diameter
+import diampart
+from diampart.geometry import Norm, PBall, Simplex, VPolytope, cube, polytope_diameter
 from diampart.numbers import INF
 from diampart.coverings import (
+    _confirmation_points,
+    _dist_matrix,
+    _halton,
+    _norm_kernel,
+    _pattern_search,
     partition_diameter_ratio,
     scheme_box_tautology,
     search_ball_covering,
+    verify_ball_covering,
     verify_certificate,
     verify_covering,
 )
@@ -197,3 +209,170 @@ class TestBallCoveringSearch:
     def test_m_cap(self):
         with pytest.raises(ValueError):
             search_ball_covering(cube(2), m=17, r=0.5, norm=Norm.lp(INF))
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_dimension_cap(self, n):
+        with pytest.raises(ValueError, match="dimension <= 3"):
+            search_ball_covering(cube(n), m=2, r=F(1, 2), norm=Norm.lp(INF))
+
+    @pytest.mark.parametrize("m, r", [(0, F(1, 2)), (-2, F(1, 2)), (2, float("nan")),
+                                      (2, INF), (2, 0), (2, F(-1, 2)), (2, 10 ** 400)])
+    def test_rejects_bad_m_and_r(self, m, r):
+        with pytest.raises(ValueError):
+            search_ball_covering(cube(2), m=m, r=r, norm=Norm.lp(INF))
+
+    @pytest.mark.parametrize("body, r, norm", [
+        (PBall(1, 3, radius=2), 1, Norm.lp(1)),
+        (PBall(2, 2, radius=2), 1.0, Norm.lp(2)),
+    ])
+    def test_body_radius_is_not_ignored(self, body, r, norm):
+        # one ball of radius 1 cannot cover a ball of radius 2
+        sol = search_ball_covering(body, m=1, r=r, norm=norm, seed=0,
+                                   n_boundary=256, n_interior=64)
+        assert not sol.success
+        assert sol.residual_margin > 0.9
+
+    def test_exact_margin_beyond_int64(self):
+        # the common denominator 8q pushes the rescaled lattice past 2^63
+        q = int(0.95 * 2 ** 60) | 1
+        margin = verify_ball_covering(cube(1), ((F(q - 1, q),),), F(3, 2), Norm.lp(INF))
+        assert margin == F(q - 2, 2 * q)
+        again = verify_ball_covering(cube(1), ((float(F(q - 1, q)),),), 1.5, Norm.lp(INF))
+        assert again == pytest.approx(0.5)
+
+
+def _lattice_fractions(body):
+    P, D = _confirmation_points(body)
+    return sorted(tuple(Fraction(int(v), D) for v in row) for row in P.tolist())
+
+
+class TestConfirmationLattice:
+    def test_l1_ball_matches_fraction_enumeration(self):
+        K = 64
+        want = []
+        for sx in (1, -1):
+            for sy in (1, -1):
+                for sz in (1, -1):
+                    for i in range(K + 1):
+                        for j in range(K + 1 - i):
+                            want.append((F(sx * i, K), F(sy * j, K), F(sz * (K - i - j), K)))
+        grid = [F(i, 8) for i in range(-8, 9)]
+        want += [(x, y, z) for x in grid for y in grid for z in grid
+                 if abs(x) + abs(y) + abs(z) <= 1]
+        assert len(want) == 17993
+        assert _lattice_fractions(PBall(1, 3)) == sorted(want)
+        assert _lattice_fractions(PBall(1, 3, radius=F(3, 2))) == sorted(
+            tuple(F(3, 2) * v for v in pt) for pt in want)
+
+    def test_box_matches_fraction_enumeration(self):
+        los, his = (F(-1, 3), 0, -2), (F(2, 5), F(7, 4), 2)
+        body = VPolytope(tuple((a, b, c) for a in (los[0], his[0])
+                               for b in (los[1], his[1]) for c in (los[2], his[2])))
+        axes = [[F(lo) + F(i, 16) * (hi - lo) for i in range(17)] for lo, hi in zip(los, his)]
+        want = sorted((x, y, z) for x in axes[0] for y in axes[1] for z in axes[2])
+        assert _lattice_fractions(body) == want
+        assert len(_lattice_fractions(cube(3))) == 17 ** 3
+
+
+class TestHaltonSampler:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 4096, 65536])
+    def test_matches_scipy_bit_for_bit(self, d, n):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        want = qmc.Halton(d=d, scramble=False).random(n)
+        got = _halton(n, d)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_cli_search_leaves_scipy_stats_unimported(self):
+        script = ("import sys\n"
+                  "from diampart.cli import main\n"
+                  "code = main(['cover', 'search', '--body', 'disk', '--m', '3', '--r', '0.9'])\n"
+                  "code |= main(['partition', 'disk', '--samples', '256'])\n"
+                  "sys.stderr.write(str('scipy.stats' in sys.modules))\n"
+                  "sys.exit(code)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(diampart.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "False"
+
+
+GAUGE2 = Norm.gauge(((2, 0), (-2, 0), (0, 1), (0, -1), (1, 1), (-1, -1)))
+GAUGE3 = Norm.gauge(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 2),
+                     (0, 0, -2), (1, 1, 1), (-1, -1, -1)))
+SEARCH_NORMS = [Norm.lp(1), Norm.lp(2), Norm.lp(3), Norm.lp(INF), "gauge"]
+
+
+def _norm_for(norm, dim):
+    if norm == "gauge":
+        return GAUGE2 if dim == 2 else GAUGE3
+    return norm
+
+
+def _reference_pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
+    """The pattern search with a full S x m recompute for every trial."""
+    centers = centers0.copy()
+
+    def margin(cs):
+        return float(_dist_matrix(samples, cs, kernel).min(axis=1).max()) - r
+
+    best = margin(centers)
+    step = 0.25
+    sweeps = 0
+    while step > 1e-5 and sweeps < max_sweeps:
+        improved = False
+        for j in range(len(centers)):
+            for d in range(centers.shape[1]):
+                for sgn in (1.0, -1.0):
+                    trial = centers.copy()
+                    trial[j, d] += sgn * step
+                    val = margin(trial)
+                    if val < best - 1e-12:
+                        centers, best = trial, val
+                        improved = True
+        sweeps += 1
+        if best <= 1e-12 and not improved:
+            break
+        if not improved:
+            trial = centers + rng.normal(scale=step / 3, size=centers.shape)
+            val = margin(trial)
+            if val < best - 1e-12:
+                centers, best = trial, val
+            else:
+                step *= 0.5
+    return centers, best
+
+
+class TestPatternSearchKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(1, 6),
+           st.sampled_from(range(len(SEARCH_NORMS))))
+    def test_one_column_margin_is_full_margin(self, seed, dim, m, which):
+        kernel = _norm_kernel(_norm_for(SEARCH_NORMS[which], dim))
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-1, 1, size=(int(rng.integers(1, 80)), dim))
+        centers = rng.uniform(-1, 1, size=(m, dim))
+        j, d = int(rng.integers(m)), int(rng.integers(dim))
+        dist = _dist_matrix(samples, centers, kernel)
+        others = dist[:, np.arange(m) != j].min(axis=1, initial=np.inf)
+        trial = centers.copy()
+        trial[j, d] += float(rng.choice([-1, 1])) * 2.0 ** -int(rng.integers(2, 18))
+        col = _dist_matrix(samples, trial[j][None, :], kernel)[:, 0]
+        assert np.array_equal(col, _dist_matrix(samples, trial, kernel)[:, j])
+        got = float(np.minimum(others, col).max())
+        assert got == float(_dist_matrix(samples, trial, kernel).min(1).max())
+
+    @pytest.mark.parametrize("which", range(len(SEARCH_NORMS)))
+    @pytest.mark.parametrize("dim, m", [(2, 1), (2, 4), (3, 5)])
+    def test_matches_full_recompute_search(self, which, dim, m):
+        kernel = _norm_kernel(_norm_for(SEARCH_NORMS[which], dim))
+        rng = np.random.default_rng(100 * dim + m)
+        samples = rng.uniform(-1, 1, size=(150, dim))
+        c0 = rng.uniform(-0.5, 0.5, size=(m, dim))
+        got = _pattern_search(samples, c0, kernel, 0.4, np.random.default_rng(3), max_sweeps=12)
+        want = _reference_pattern_search(samples, c0, kernel, 0.4,
+                                         np.random.default_rng(3), max_sweeps=12)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
