@@ -66,7 +66,7 @@ from .partitions import (
     triangle_partition4,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"  # kept equal to pyproject.toml by a test
 
 __all__ = [
     "BMBoundReport",

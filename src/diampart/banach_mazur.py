@@ -373,7 +373,8 @@ def f_scan(lo: float = 1.0, hi: float = 2.0, step: float = 1e-4):
 
     A coarse pass asserts the first differences change sign exactly once
     (decreasing then increasing); golden-section search then refines the
-    bracketing interval.  Returns (p0, f(p0)).
+    bracketing interval.  Returns (p0, f(p0)).  A window in which f only
+    falls or only rises holds no interior minimum: ValueError.
     """
     if not (1 <= lo < hi <= 2 and step > 0):
         raise ValueError("need 1 <= lo < hi <= 2 and a positive step")
@@ -386,7 +387,7 @@ def f_scan(lo: float = 1.0, hi: float = 2.0, step: float = 1e-4):
     if rising != sorted(rising):
         raise AssertionError("f is not decreasing-then-increasing at this step")
     if True not in rising or False not in rising:
-        raise AssertionError("no interior minimum between %g and %g" % (lo, hi))
+        raise ValueError("no interior minimum between %g and %g" % (lo, hi))
     k = rising.index(True)  # vals[k] <= vals[k+1]; minimum in [k-1, k+1]
     a, b = ps[max(k - 1, 0)], ps[min(k + 1, len(ps) - 1)]
 

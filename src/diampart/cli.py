@@ -44,11 +44,11 @@ _LEVELS = ("exact", "grid-certified", "sampled", "cited")
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; we reserve 2 for
-    verification failures, so remap to 1."""
+    verification failures, so remap to 1.  A usage error is reported like
+    any other error: one "diampart: error:" line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
+        sys.stderr.write("diampart: error: %s\n" % message)
         raise SystemExit(1)
 
 
@@ -64,6 +64,16 @@ def _scalar_arg(text):
         return parse_scalar(text)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,))
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %d" % value)
+    return value
 
 
 def _norm_arg(text: str) -> Norm:
@@ -353,7 +363,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--m", type=int, choices=(5, 8, 9), required=True)
     ps.add_argument("--norm", type=_norm_arg, default=None,
                     help="p value or norm-spec file for a diameter ratio")
-    ps.add_argument("--verify", type=int, metavar="N", default=0,
+    ps.add_argument("--verify", type=_positive_int, metavar="N", default=0,
                     help="exact barycentric grid check with divisor N")
     ps.set_defaults(handler=_run_partition_simplex, command="partition simplex")
     pc = psub.add_parser("cube", help="2^n half-cube partition")
@@ -362,7 +372,7 @@ def build_parser() -> _Parser:
     pt = psub.add_parser("triangle", help="midpoint triangle partition")
     pt.set_defaults(handler=_run_partition_triangle, command="partition triangle")
     pd = psub.add_parser("disk", help="disk quadrant partition")
-    pd.add_argument("--samples", type=int, default=2048)
+    pd.add_argument("--samples", type=_positive_int, default=2048)
     pd.add_argument("--seed", type=int, default=0)
     pd.set_defaults(handler=_run_partition_disk, command="partition disk")
 

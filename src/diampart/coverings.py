@@ -36,7 +36,7 @@ from .geometry import (
     vsub,
 )
 from .linprog import solve_linear_system
-from .numbers import INF, all_rational, as_fraction, to_float
+from .numbers import INF, all_rational, as_fraction, is_rational, to_float
 from .partitions import (
     BarycentricRegion,
     PartitionCertificate,
@@ -462,26 +462,40 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
 
 
 def _norm_kernel(norm: Norm):
-    """The norm as a numpy map from an (S, m, n) difference array to its
-    (S, m) distances.  Norm set-up (the gauge's functionals as a float
-    array) is done here, once, not once per distance evaluation."""
+    """The norm as a numpy map from an (n, S) array of difference vectors,
+    one coordinate per row, to their S distances.
+
+    The rows are combined in coordinate order, d0 then d1 then d2, the
+    order in which numpy reduces a short trailing axis, so the distances
+    are bit for bit those of the (S, n) row-vector form.  Norm set-up (the
+    gauge's functionals as a float array) is done here, once, not once
+    per distance evaluation.
+    """
     if norm.kind == "gauge":
         F = np.asarray(gauge_facets(norm.body.vertices).functionals(), dtype=float)
-        return lambda diff: np.einsum("fk,smk->smf", F, diff).max(axis=2)
+        # einsum contracts row-major (S, n) vectors; given the (n, S) rows
+        # it rounds differently in the last bit when n = 3
+        return lambda diff: np.einsum("fk,sk->fs", F, np.ascontiguousarray(diff.T)).max(axis=0)
     p = norm.p
     if p == INF:
-        return lambda diff: np.abs(diff).max(axis=2)
+        return lambda diff: np.abs(diff).max(axis=0)
     if p == 1:
-        return lambda diff: np.abs(diff).sum(axis=2)
+        return lambda diff: functools.reduce(np.add, np.abs(diff))
     if p == 2:
-        return lambda diff: np.sqrt((diff * diff).sum(axis=2))
+        return lambda diff: np.sqrt(functools.reduce(np.add, diff * diff))
     pf = to_float(p)
-    return lambda diff: (np.abs(diff) ** pf).sum(axis=2) ** (1.0 / pf)
+    return lambda diff: functools.reduce(np.add, np.abs(diff) ** pf) ** (1.0 / pf)
 
 
 def _dist_matrix(samples: np.ndarray, centers: np.ndarray, kernel) -> np.ndarray:
-    """S x m matrix of distances from each sample to each center."""
-    return kernel(samples[:, None, :] - centers[None, :, :])
+    """S x m matrix of distances from each sample to each center.
+
+    Built one kernel column per center and stored center-major (the
+    transpose of an m x S array), so reductions over the centers run
+    along long contiguous rows.
+    """
+    rows = np.ascontiguousarray(samples.T)
+    return np.stack([kernel(rows - c[:, None]) for c in centers]).T
 
 
 def _body_samples(body, n_boundary: int, n_interior: int, seed: int) -> np.ndarray:
@@ -552,27 +566,30 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
 
     A coordinate move changes one center j only, so the distance from
     each sample to its nearest other center stays valid across j's
-    trials, accepted or not.  Each trial then costs one distance column
-    rather than the full S x m matrix; min and max are exact, so the
-    margins are the ones a full recompute gives, bit for bit.
+    trials, accepted or not.  Each trial then costs one kernel call on
+    the transposed samples rather than the full S x m matrix; min and
+    max are exact, so the margins are the ones a full recompute gives,
+    bit for bit.  Distances are kept as an m x S array, one row per
+    center.
     """
     centers = centers0.copy()
-    dist = _dist_matrix(samples, centers, kernel)
-    best = float(dist.min(axis=1).max()) - r
+    rows = np.ascontiguousarray(samples.T)
+    dist = _dist_matrix(samples, centers, kernel).T
+    best = float(dist.min(axis=0).max()) - r
     step = 0.25
     sweeps = 0
     while step > 1e-5 and sweeps < max_sweeps:
         improved = False
         for j in range(len(centers)):
-            others = dist[:, np.arange(len(centers)) != j].min(axis=1, initial=np.inf)
+            others = dist[np.arange(len(centers)) != j].min(axis=0, initial=np.inf)
             for d in range(centers.shape[1]):
                 for sgn in (1.0, -1.0):
                     trial = centers[j].copy()
                     trial[d] += sgn * step
-                    col = _dist_matrix(samples, trial[None, :], kernel)[:, 0]
+                    col = kernel(rows - trial[:, None])
                     val = float(np.minimum(others, col).max()) - r
                     if val < best - 1e-12:
-                        centers[j], dist[:, j], best = trial, col, val
+                        centers[j], dist[j], best = trial, col, val
                         improved = True
         sweeps += 1
         if best <= 1e-12 and not improved:
@@ -580,8 +597,8 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
         if not improved:
             # annealing-style kick: one random center jitter before shrinking
             trial = centers + rng.normal(scale=step / 3, size=centers.shape)
-            trial_dist = _dist_matrix(samples, trial, kernel)
-            val = float(trial_dist.min(axis=1).max()) - r
+            trial_dist = _dist_matrix(samples, trial, kernel).T
+            val = float(trial_dist.min(axis=0).max()) - r
             if val < best - 1e-12:
                 centers, dist, best = trial, trial_dist, val
             else:
@@ -598,7 +615,9 @@ def _greedy_kcenter(samples: np.ndarray, m: int, kernel) -> np.ndarray:
 
 
 def _body_vertices(body):
-    if isinstance(body, PBall) and body.p == 1:
+    """Start hints: the 2n points +-radius*e_i for the l1 ball and any 3-D
+    p-ball, the vertex list for a polytope, 8 circle points otherwise."""
+    if isinstance(body, PBall) and (body.p == 1 or body.dim == 3):
         out = []
         for i in range(body.dim):
             for s in (1, -1):
@@ -717,7 +736,9 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
         rf = to_float(r)
     except OverflowError:
         rf = math.inf
-    if not (rf > 0 and math.isfinite(rf)):
+    # a rational radius is tested exactly: its float may underflow to 0
+    positive = r > 0 if is_rational(r) else rf > 0
+    if not (positive and math.isfinite(rf)):
         raise ValueError("r must be finite and positive, got %s" % (r,))
     if getattr(parent, "dim", 2) > 3:  # UnitDisk carries no dim
         raise ValueError("search is limited to dimension <= 3")

@@ -81,19 +81,6 @@ def parse_scalar(value) -> Scalar:
     raise TypeError(f"cannot parse scalar from {type(value).__name__}")
 
 
-def scalar_to_jsonable(x):
-    """Encode a scalar for reports: rationals as "num/den", floats kept."""
-    if isinstance(x, bool):
-        raise TypeError("bool is not a scalar")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return x
-    raise TypeError(f"not a scalar: {type(x).__name__}")
-
-
 def sqrt_exact(x: Fraction):
     """Square root of a nonnegative rational if it is again rational, else None."""
     x = as_fraction(x)

@@ -115,6 +115,8 @@ def parse_points(rows) -> tuple:
     dims = sorted({len(p) for p in points})
     if len(dims) > 1:
         raise ValueError("points have mixed dimensions %s" % dims)
+    if any(isinstance(c, float) and not math.isfinite(c) for p in points for c in p):
+        raise ValueError("point coordinates must be finite")
     return points
 
 

@@ -160,7 +160,7 @@ class TestFProfile:
         assert f0 < 18 < math.sqrt(342)
 
     def test_scan_bad_window(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="no interior minimum"):
             f_scan(1.9, 2.0, 1e-3)  # f is increasing there, no interior min
 
     def test_domain(self):

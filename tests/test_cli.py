@@ -12,6 +12,15 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def run_failing(capsys, argv):
+    """Exit code and captured output of a run that may stop in argparse."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
 def parse(out: str) -> dict:
     return json.loads(out)
 
@@ -60,6 +69,35 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("diampart: error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "simplex", "--m", "8", "--verify", "-3"],
+        ["partition", "simplex", "--m", "8", "--verify", "0"],
+        ["partition", "disk", "--samples", "0"],
+        ["partition", "disk", "--samples", "-5"],
+        ["bm", "scan", "--lo", "1.5", "--hi", "2"],
+    ])
+    def test_bad_input_is_one_error_line(self, capsys, argv):
+        code, captured = run_failing(capsys, argv)
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("diampart: error:")
+
+    @pytest.mark.parametrize("points", [
+        "[[0, 0], [1e400, 0], [0, 1]]",
+        "[[0, 0], [1e400, 0], [0, 1], [1, 1]]",
+        '[[0, 0], ["inf", 0], [0, 1]]',
+    ])
+    def test_non_finite_points_are_one(self, capsys, tmp_path, points):
+        # 1e400 parses as an infinite float: refused, not a wrong answer
+        # with exit 0 or a traceback from the report writer
+        path = tmp_path / "huge.json"
+        path.write_text('{"points": %s}' % points)
+        code, captured = run_failing(capsys, ["oracle", "--points", str(path), "--m", "2"])
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "diampart: error: point coordinates must be finite\n"
 
     def test_zero_denominator_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,9 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diampart
-from diampart.geometry import Norm, PBall, Simplex, VPolytope, cube, polytope_diameter
+from diampart.geometry import (
+    Norm,
+    PBall,
+    Simplex,
+    VPolytope,
+    cube,
+    gauge_facets,
+    polytope_diameter,
+)
 from diampart.numbers import INF
 from diampart.coverings import (
+    BallCoveringSolution,
+    _body_vertices,
     _confirmation_points,
     _dist_matrix,
     _halton,
@@ -221,6 +231,51 @@ class TestBallCoveringSearch:
         with pytest.raises(ValueError):
             search_ball_covering(cube(2), m=m, r=r, norm=Norm.lp(INF))
 
+    @pytest.mark.parametrize("r", [F(1, 10 ** 400), 5e-324])
+    def test_accepts_tiny_positive_r(self, r):
+        # F(1, 10**400) underflows to 0.0 as a float but is positive
+        sol = search_ball_covering(cube(2), m=1, r=r, norm=Norm.lp(INF), seed=0,
+                                   n_boundary=64, n_interior=16)
+        assert not sol.success
+        assert sol.residual_margin == verify_ball_covering(cube(2), sol.centers,
+                                                           sol.radius, Norm.lp(INF))
+
+    @pytest.mark.parametrize("r", [0, F(0), 0.0, -1, F(-1, 10 ** 400), -5e-324,
+                                   float("nan"), INF, -INF, float("1e400"), 10 ** 400,
+                                   F(10 ** 400, 3)])
+    def test_rejects_r_not_finite_and_positive(self, r):
+        with pytest.raises(ValueError, match="finite and positive"):
+            search_ball_covering(cube(2), m=1, r=r, norm=Norm.lp(INF))
+
+    def test_three_dimensional_euclidean_ball(self):
+        body = PBall(2, 3)
+        sol = search_ball_covering(body, 8, F(3, 4), Norm.lp(2))
+        assert isinstance(sol, BallCoveringSolution)
+        assert len(sol.centers) == 8 and all(len(c) == 3 for c in sol.centers)
+        assert sol.residual_margin == verify_ball_covering(body, sol.centers,
+                                                           sol.radius, Norm.lp(2))
+
+    @pytest.mark.parametrize("p", [3, INF])
+    def test_three_dimensional_p_balls(self, p):
+        body = PBall(p, 3, radius=F(3, 2))
+        sol = search_ball_covering(body, 4, 1, Norm.lp(p), seed=1,
+                                   n_boundary=256, n_interior=64)
+        assert sol.residual_margin == verify_ball_covering(body, sol.centers,
+                                                           sol.radius, Norm.lp(p))
+
+    def test_start_vertices(self):
+        axes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+                         [0, 0, -1]], dtype=float)
+        for p in (1, 2, 3, INF):
+            assert np.array_equal(_body_vertices(PBall(p, 3, radius=2)), 2 * axes)
+        th = np.linspace(0, 2 * math.pi, 8, endpoint=False)
+        circle = np.stack([np.cos(th), np.sin(th)], axis=1)
+        assert np.array_equal(_body_vertices(UnitDisk()), circle)
+        assert np.array_equal(_body_vertices(PBall(3, 2)), circle)
+        assert np.array_equal(_body_vertices(PBall(1, 2)), 1.0 * axes[:4, :2])
+        assert np.array_equal(_body_vertices(cube(3)),
+                              np.asarray(cube(3).vertices, dtype=float))
+
     @pytest.mark.parametrize("body, r, norm", [
         (PBall(1, 3, radius=2), 1, Norm.lp(1)),
         (PBall(2, 2, radius=2), 1.0, Norm.lp(2)),
@@ -343,6 +398,37 @@ def _reference_pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
             else:
                 step *= 0.5
     return centers, best
+
+
+def _row_vector_dist_matrix(samples, centers, norm):
+    """Distances from an (S, m, n) difference array reduced over its
+    trailing axis: the reference for the coordinate-row kernel."""
+    diff = samples[:, None, :] - centers[None, :, :]
+    if norm.kind == "gauge":
+        F = np.asarray(gauge_facets(norm.body.vertices).functionals(), dtype=float)
+        return np.einsum("fk,smk->smf", F, diff).max(axis=2)
+    if norm.p == INF:
+        return np.abs(diff).max(axis=2)
+    if norm.p == 1:
+        return np.abs(diff).sum(axis=2)
+    if norm.p == 2:
+        return np.sqrt((diff * diff).sum(axis=2))
+    pf = float(norm.p)
+    return (np.abs(diff) ** pf).sum(axis=2) ** (1.0 / pf)
+
+
+class TestCoordinateRowKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(1, 9),
+           st.sampled_from(range(len(SEARCH_NORMS))))
+    def test_coordinate_rows_match_row_vectors(self, seed, dim, m, which):
+        norm = _norm_for(SEARCH_NORMS[which], dim)
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-2, 2, size=(int(rng.integers(1, 3000)), dim))
+        centers = rng.uniform(-1, 1, size=(m, dim))
+        got = _dist_matrix(samples, centers, _norm_kernel(norm))
+        assert got.shape == (len(samples), m)
+        assert np.array_equal(got, _row_vector_dist_matrix(samples, centers, norm))
 
 
 class TestPatternSearchKernel:

@@ -126,6 +126,15 @@ class TestProblemFiles:
             parse_points([[0, 0], [1], [2, 2]])
 
     def test_parse_points_exact(self):
-        pts = parse_points([["2/4", "3"], [1.5, "inf"]])
+        pts = parse_points([["2/4", "3"], [1.5, "-7/3"]])
         assert pts[0] == (F(1, 2), 3)
-        assert pts[1][0] == 1.5 and pts[1][1] == INF
+        assert pts[1][0] == 1.5 and pts[1][1] == F(-7, 3)
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400", INF, float("nan")])
+    def test_parse_points_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            parse_points([[0, 0], [bad, 1]])
+
+    def test_parse_points_keeps_huge_rationals(self):
+        assert parse_points([[10 ** 400, "1/%d" % 10 ** 400]]) == (
+            (10 ** 400, F(1, 10 ** 400)),)
