@@ -13,12 +13,12 @@ gamma(p) = |(1,1,4)|_p * |(3,1,3)|_q / 10 for p in [1,2].
 """
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from .geometry import (
     PBall,
@@ -171,16 +171,22 @@ def _holder_max(f, p, radius):
     return to_float(radius) * to_float(val), point
 
 
-def _pball_boundary_samples(ball: PBall, count: int) -> np.ndarray:
-    """Deterministic spread of points on the boundary of an l_p ball."""
-    rng = np.random.default_rng(98761234)
-    dirs = rng.standard_normal((count, ball.dim))
-    if ball.p == INF:
-        norms = np.abs(dirs).max(axis=1)
-    else:
-        pf = to_float(ball.p)
-        norms = (np.abs(dirs) ** pf).sum(axis=1) ** (1.0 / pf)
-    return to_float(ball.radius) * dirs / norms[:, None]
+def _pball_boundary_samples(ball: PBall, count: int) -> list:
+    """Deterministic spread of points on the boundary of an l_p ball:
+    Gaussian directions from a fixed seed, scaled onto the sphere."""
+    gauss = random.Random(98761234).gauss
+    radius = to_float(ball.radius)
+    pf = to_float(ball.p)
+    out = []
+    for _ in range(count):
+        d = [gauss(0.0, 1.0) for _ in range(ball.dim)]
+        if ball.p == INF:
+            size = max(map(abs, d))
+        else:
+            size = sum(abs(c) ** pf for c in d) ** (1.0 / pf)
+        scale = radius / size
+        out.append(tuple(c * scale for c in d))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +260,10 @@ def sandwich_verify(
             if worst_out_val is None or sup > worst_out_val:
                 worst_out_val, worst_out = sup, point
         # second route: brute samples on the ball boundary must not beat it
-        pts = _pball_boundary_samples(outer, samples)
-        if shift is not None:
-            pts = pts - np.asarray([to_float(c) for c in shift])[None, :]
-        F = np.asarray([[to_float(c) for c in row] for row in rows], dtype=float)
-        sampled = float((pts @ F.T).max()) if len(pts) else -math.inf
+        F = [([to_float(c) for c in row], to_float(vdot(row, origin))) for row in rows]
+        sampled = max((sum(map(operator.mul, f, x)) - off
+                       for x in _pball_boundary_samples(outer, samples) for f, off in F),
+                      default=-math.inf)
         if sampled > to_float(worst_out_val) + 1e-7:
             raise AssertionError(
                 "sampled gauge %.17g exceeds the analytic maximum %.17g"

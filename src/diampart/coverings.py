@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .geometry import (
     Homothet,
     Norm,
@@ -125,11 +123,13 @@ def _piece_box(piece: PartitionPiece, parent) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _bary_grid(k: int, N: int) -> np.ndarray:
+def _bary_grid(k: int, N: int):
     """All integer vectors of length k summing to N (lambda = row/N).
 
     Cached and shared by every caller, hence read-only.
     """
+    import numpy as np
+
     if k == 3:
         rows = [
             (a, b, N - a - b)
@@ -157,8 +157,10 @@ def _bary_grid(k: int, N: int) -> np.ndarray:
     return grid
 
 
-def _box_mask(grid: np.ndarray, bounds, N: int) -> np.ndarray:
+def _box_mask(grid, bounds, N: int):
     """Exact integer test  lo <= k/N <= hi  per coordinate, all coords."""
+    import numpy as np
+
     mask = np.ones(len(grid), dtype=bool)
     for i, (lo, hi) in enumerate(bounds):
         lo, hi = Fraction(lo), Fraction(hi)
@@ -170,6 +172,8 @@ def _box_mask(grid: np.ndarray, bounds, N: int) -> np.ndarray:
 
 
 def _simplex_grid_coverage(parent: Simplex, pieces, N: int) -> CoverageReport:
+    import numpy as np
+
     k = parent.dim + 1
     grid = _bary_grid(k, N)
     boxes = [_piece_box(p, parent) for p in pieces]
@@ -271,7 +275,7 @@ def _cube_scheme_coverage(parent: VPolytope, pieces, N: int) -> CoverageReport:
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
-def _halton(n: int, d: int) -> np.ndarray:
+def _halton(n: int, d: int):
     """The first n points of the unscrambled Halton sequence in [0, 1)^d.
 
     Coordinate k is the radical inverse of the index in the k-th prime
@@ -280,6 +284,8 @@ def _halton(n: int, d: int) -> np.ndarray:
     scipy.stats.qmc.Halton(scramble=False), so the points match it bit
     for bit.
     """
+    import numpy as np
+
     if d > len(_HALTON_BASES):
         raise ValueError("Halton points are limited to dimension <= %d"
                          % len(_HALTON_BASES))
@@ -295,6 +301,8 @@ def _halton(n: int, d: int) -> np.ndarray:
 
 
 def _disk_samples(n_boundary: int, n_interior: int, seed: int):
+    import numpy as np
+
     hb = _halton(n_boundary, 1)[:, 0]
     angles = 2 * math.pi * hb
     boundary = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -471,6 +479,8 @@ def _norm_kernel(norm: Norm):
     gauge's functionals as a float array) is done here, once, not once
     per distance evaluation.
     """
+    import numpy as np
+
     if norm.kind == "gauge":
         F = np.asarray(gauge_facets(norm.body.vertices).functionals(), dtype=float)
         # einsum contracts row-major (S, n) vectors; given the (n, S) rows
@@ -487,19 +497,23 @@ def _norm_kernel(norm: Norm):
     return lambda diff: functools.reduce(np.add, np.abs(diff) ** pf) ** (1.0 / pf)
 
 
-def _dist_matrix(samples: np.ndarray, centers: np.ndarray, kernel) -> np.ndarray:
+def _dist_matrix(samples, centers, kernel):
     """S x m matrix of distances from each sample to each center.
 
     Built one kernel column per center and stored center-major (the
     transpose of an m x S array), so reductions over the centers run
     along long contiguous rows.
     """
+    import numpy as np
+
     rows = np.ascontiguousarray(samples.T)
     return np.stack([kernel(rows - c[:, None]) for c in centers]).T
 
 
-def _body_samples(body, n_boundary: int, n_interior: int, seed: int) -> np.ndarray:
+def _body_samples(body, n_boundary: int, n_interior: int, seed: int):
     """Deterministic low-discrepancy boundary + interior + random points."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     if isinstance(body, UnitDisk) or (isinstance(body, PBall) and body.dim == 2):
         p = 2 if isinstance(body, UnitDisk) else body.p
@@ -550,7 +564,9 @@ def _body_samples(body, n_boundary: int, n_interior: int, seed: int) -> np.ndarr
     raise ValueError("no sampler for body %r" % (type(body).__name__,))
 
 
-def _vec_pnorm(arr: np.ndarray, p) -> np.ndarray:
+def _vec_pnorm(arr, p):
+    import numpy as np
+
     if p == INF:
         return np.abs(arr).max(axis=1)
     pf = to_float(p)
@@ -572,6 +588,8 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
     bit for bit.  Distances are kept as an m x S array, one row per
     center.
     """
+    import numpy as np
+
     centers = centers0.copy()
     rows = np.ascontiguousarray(samples.T)
     dist = _dist_matrix(samples, centers, kernel).T
@@ -606,7 +624,9 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
     return centers, best
 
 
-def _greedy_kcenter(samples: np.ndarray, m: int, kernel) -> np.ndarray:
+def _greedy_kcenter(samples, m: int, kernel):
+    import numpy as np
+
     centers = [samples.mean(axis=0)]
     while len(centers) < m:
         d = _dist_matrix(samples, np.asarray(centers), kernel).min(axis=1)
@@ -617,6 +637,8 @@ def _greedy_kcenter(samples: np.ndarray, m: int, kernel) -> np.ndarray:
 def _body_vertices(body):
     """Start hints: the 2n points +-radius*e_i for the l1 ball and any 3-D
     p-ball, the vertex list for a polytope, 8 circle points otherwise."""
+    import numpy as np
+
     if isinstance(body, PBall) and (body.p == 1 or body.dim == 3):
         out = []
         for i in range(body.dim):
@@ -640,6 +662,8 @@ _INT64_SAFE = 2 ** 62
 
 
 def _int_dtype(bound: int):
+    import numpy as np
+
     return np.int64 if bound < _INT64_SAFE else object
 
 
@@ -651,6 +675,8 @@ def _confirmation_points(body):
     magnitudes near the int64 range).  For other bodies D is None and P
     holds float samples at 4x the default sampling density.
     """
+    import numpy as np
+
     if isinstance(body, PBall) and body.p == 1 and body.dim == 3:
         # each facet at barycentric granularity 1/K (8*C(K+2,2) > 4*4096
         # points), plus the 1/8 grid inside the ball
@@ -678,7 +704,7 @@ def _confirmation_points(body):
     return _body_samples(body, 4 * 4096, 4 * 1024, seed=10**6 + 7), None
 
 
-def _confirmation_floats(P, D) -> np.ndarray:
+def _confirmation_floats(P, D):
     """The confirmation points as floats, each P/D rounded once."""
     return P if D is None else (P.astype(object) / D).astype(float)
 
@@ -686,28 +712,48 @@ def _confirmation_floats(P, D) -> np.ndarray:
 def _exact_margin(P, D, centers, r, norm: Norm):
     """max over the lattice points P/D of min over centers of ||x-c|| - r.
 
-    Exact.  For l1 and l_inf, one rescale to the common denominator of
-    the lattice and the centers turns it into integer arithmetic, in
-    int64 when the magnitudes allow and in Python ints otherwise.
+    Exact.  For l1, l_inf and gauges, one rescale to the common
+    denominator L of the lattice and the centers turns it into integer
+    arithmetic, in int64 when the magnitudes allow and in Python ints
+    otherwise.  A gauge with facet rows (c_i, d_i) and scale s measures
+    y as max_i c_i.(s*y)/d_i (see gauge_facets); with M = lcm(d_i) and
+    integer rows W_i = (M/d_i)*c_i, the distance from P/D to C/L is
+    max_i W_i.(P*k - C) divided by M*L/s, where k = L/D.
     """
-    if norm.kind == "p" and norm.p in (1, INF):
-        L = math.lcm(D, *(as_fraction(v).denominator for c in centers for v in c))
-        C = [[int(as_fraction(v) * L) for v in c] for c in centers]
-        k = L // D
-        bound = P.shape[1] * (int(np.abs(P).max()) * k + max(abs(v) for c in C for v in c))
-        dtype = _int_dtype(bound)
-        diff = np.abs(P.astype(dtype)[:, None, :] * k - np.asarray(C, dtype=dtype)[None, :, :])
-        dist = diff.max(axis=2) if norm.p == INF else diff.sum(axis=2)
-        return Fraction(int(dist.min(axis=1).max()), L) - as_fraction(r)
-    best = None
-    for row in P.tolist():
-        pt = tuple(Fraction(v, D) for v in row)
-        d = min(norm_eval(vsub(pt, c), norm) for c in centers)
-        best = d if best is None else max(best, d)
-    return best - r
+    if norm.kind == "p" and norm.p not in (1, INF):
+        best = None
+        for row in P.tolist():
+            pt = tuple(Fraction(v, D) for v in row)
+            d = min(norm_eval(vsub(pt, c), norm) for c in centers)
+            best = d if best is None else max(best, d)
+        return best - r
+    import numpy as np
+
+    L = math.lcm(D, *(as_fraction(v).denominator for c in centers for v in c))
+    C = [[int(as_fraction(v) * L) for v in c] for c in centers]
+    k = L // D
+    reach = int(np.abs(P).max()) * k + max(abs(v) for c in C for v in c)
+    if norm.kind == "gauge":
+        # Norm.gauge admits only symmetric full-dimensional bodies, so the
+        # facet form has no cone rows
+        form = gauge_facets(norm.body.vertices)
+        M = math.lcm(*(d for _, d in form.rows))
+        W = [[M // d * ci for ci in c] for c, d in form.rows]
+        dtype = _int_dtype(max(sum(map(abs, w)) for w in W) * reach)
+        Wt = np.asarray(W, dtype=dtype).T
+        PW = (P.astype(dtype) * k) @ Wt
+        dist = np.stack([(PW - cw).max(axis=1) for cw in np.asarray(C, dtype=dtype) @ Wt])
+        value = Fraction(int(dist.min(axis=0).max()) * form.scale, M * L)
+        if not all(all_rational(v) for v in norm.body.vertices):
+            value = to_float(value)  # as gauge_eval rounds for a float body
+        return value - r
+    dtype = _int_dtype(P.shape[1] * reach)
+    diff = np.abs(P.astype(dtype)[:, None, :] * k - np.asarray(C, dtype=dtype)[None, :, :])
+    dist = diff.max(axis=2) if norm.p == INF else diff.sum(axis=2)
+    return Fraction(int(dist.min(axis=1).max()), L) - as_fraction(r)
 
 
-def _snap_centers(centers: np.ndarray):
+def _snap_centers(centers):
     """Successively coarser rational snaps of the center coordinates."""
     outs = []
     for den in (3, 6, 12, 24, 48):
@@ -742,6 +788,8 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
         raise ValueError("r must be finite and positive, got %s" % (r,))
     if getattr(parent, "dim", 2) > 3:  # UnitDisk carries no dim
         raise ValueError("search is limited to dimension <= 3")
+    import numpy as np
+
     samples = _body_samples(parent, n_boundary, n_interior, seed)
     dim = samples.shape[1]
     kernel = _norm_kernel(norm)
@@ -807,6 +855,8 @@ def verify_ball_covering(parent, centers, r, norm: Norm):
     )
     if rational:
         return _exact_margin(pts, den, centers, as_fraction(r), norm)
+    import numpy as np
+
     cs = np.asarray([[to_float(c) for c in row] for row in centers], dtype=float)
     arr = _confirmation_floats(pts, den)
     return float(_dist_matrix(arr, cs, _norm_kernel(norm)).min(axis=1).max()) - to_float(r)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .linprog import (
     feasible_point,
     matrix_rank_exact,
@@ -75,6 +73,8 @@ def affine_rank(points: Sequence[Vector]) -> int:
     rows = [vsub(p, points[0]) for p in points[1:]]
     if all(all_rational(r) for r in rows):
         return matrix_rank_exact(rows)
+    import numpy as np
+
     arr = np.asarray([[to_float(v) for v in r] for r in rows], dtype=float)
     return int(np.linalg.matrix_rank(arr, tol=1e-11))
 
@@ -341,6 +341,8 @@ def _validate_gauge_body(body: VPolytope):
         vert_set = set(verts)
         sym = all(vneg(v) in vert_set for v in verts)
     else:
+        import numpy as np
+
         arr = np.asarray([[to_float(c) for c in v] for v in verts], dtype=float)
         sym = all(
             np.min(np.max(np.abs(arr + arr[i]), axis=1)) <= 1e-9
@@ -565,6 +567,8 @@ def diameter_finite(points: Sequence[Vector], norm: Norm) -> Scalar:
                 best = spread
         return best
     if norm.kind == "p" and norm.p != 1 and not all(all_rational(p) for p in pts):
+        import numpy as np
+
         arr = np.asarray([[to_float(c) for c in p] for p in pts], dtype=float)
         diff = arr[:, None, :] - arr[None, :, :]
         pf = to_float(norm.p)
@@ -605,6 +609,8 @@ def barycentric_coords(S: Simplex, x: Vector) -> tuple:
         if sol is None:
             raise ValueError("degenerate simplex")
         return tuple(sol)
+    import numpy as np
+
     arr = np.asarray([[to_float(v) for v in row] for row in A], dtype=float)
     rhs = np.asarray([to_float(v) for v in b], dtype=float)
     return tuple(float(v) for v in np.linalg.solve(arr, rhs))
@@ -729,6 +735,7 @@ def _circumradius_columns(verts, ball_verts):
 
 def _circumradius_smooth(verts, p, tol=1e-9):
     """Minimax by SLSQP from the centroid plus deterministic restarts."""
+    import numpy as np
     from scipy.optimize import minimize
 
     arr = np.asarray([[to_float(v) for v in vert] for vert in verts], dtype=float)

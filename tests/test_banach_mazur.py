@@ -8,9 +8,11 @@ import pytest
 
 import diampart
 
+from diampart import banach_mazur
 from diampart.banach_mazur import (
     BMBoundReport,
     SandwichCertificate,
+    _pball_boundary_samples,
     bm_upper,
     f_eval,
     f_scan,
@@ -101,6 +103,43 @@ class TestSandwichVerify:
         assert again.verified
         assert float(again.margin_inner) >= -1e-9
         assert float(again.margin_outer) >= -1e-9
+
+
+class TestBoundarySweep:
+    @pytest.mark.parametrize("p", [1, F(3, 2), 2, 3, INF])
+    @pytest.mark.parametrize("radius", [1, F(7, 3)])
+    def test_samples_lie_on_the_sphere(self, p, radius):
+        pts = _pball_boundary_samples(PBall(p=p, dim=3, radius=radius), 512)
+        assert len(pts) == 512
+        for x in pts:
+            assert len(x) == 3
+            assert abs(pnorm_eval(x, p) - float(radius)) <= 1e-12 * float(radius)
+
+    def test_samples_repeat(self):
+        ball = PBall(p=F(3, 2), dim=3)
+        assert _pball_boundary_samples(ball, 64) == _pball_boundary_samples(ball, 64)
+
+    def test_no_samples(self):
+        rep = lp_parallelepiped_bound(1.5)
+        c = rep.certificate
+        cert = sandwich_verify(c.inner, c.outer, c.gamma, samples=0)
+        assert cert.verified
+        assert cert.margins == c.margins
+
+    def test_translated_outer(self):
+        # the sweep measures x - shift: 2*|x_1 - 1/4| <= 5/2 on the unit ball
+        rows = [tuple(2 * s if j == i else 0 for j in range(3))
+                for i in range(3) for s in (1, -1)]
+        cert = sandwich_verify(cube(3, half=F(1, 2)), PBall(p=2, dim=3), 3,
+                               translation=(F(1, 4), 0, 0), facets=rows)
+        assert cert.verified
+        assert float(cert.margin_outer) == pytest.approx(0.5, abs=1e-12)
+
+    def test_sweep_catches_an_underreported_maximum(self, monkeypatch):
+        monkeypatch.setattr(banach_mazur, "_holder_max",
+                            lambda f, p, radius: (F(1, 2), (0, 0, 0)))
+        with pytest.raises(AssertionError, match="sampled gauge .* exceeds"):
+            sandwich_verify(cube(3, half=F(1, 2)), PBall(p=2, dim=3), 2)
 
 
 class TestParallelepipedBound:
@@ -225,6 +264,11 @@ try:
     banach_mazur.lp_parallelepiped_bound(1.5)
 except AssertionError:
     print("closed form checked")
+banach_mazur._holder_max = lambda f, p, radius: (Fraction(1, 2), (0, 0, 0))
+try:
+    banach_mazur.bm_upper(3)
+except AssertionError as exc:
+    print("sample sweep checked" if "exceeds" in str(exc) else exc)
 """
 
 
@@ -235,4 +279,5 @@ def test_certificate_checks_run_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
-        "True", "9/16", "scheme ratio checked", "closed form checked", ""]
+        "True", "9/16", "scheme ratio checked", "closed form checked",
+        "sample sweep checked", ""]

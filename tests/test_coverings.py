@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diampart
+from diampart import coverings
 from diampart.geometry import (
     Norm,
     PBall,
@@ -16,7 +17,9 @@ from diampart.geometry import (
     VPolytope,
     cube,
     gauge_facets,
+    norm_eval,
     polytope_diameter,
+    vsub,
 )
 from diampart.numbers import INF
 from diampart.coverings import (
@@ -24,6 +27,7 @@ from diampart.coverings import (
     _body_vertices,
     _confirmation_points,
     _dist_matrix,
+    _exact_margin,
     _halton,
     _norm_kernel,
     _pattern_search,
@@ -462,3 +466,64 @@ class TestPatternSearchKernel:
                                          np.random.default_rng(3), max_sweeps=12)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
+
+
+def _reference_margin(P, D, centers, r, norm):
+    """The exact margin by one norm_eval per lattice point and center."""
+    best = None
+    for row in P.tolist():
+        pt = tuple(Fraction(v, D) for v in row)
+        d = min(norm_eval(vsub(pt, c), norm) for c in centers)
+        best = d if best is None else max(best, d)
+    return best - r
+
+
+# facet offsets 9, 27 and 81 at scale 3, so the rows are reweighted to lcm 81
+SKEW_GAUGE3 = Norm.gauge(tuple(v for h in ((3, 1, 0), (0, F(2, 3), 1), (1, 0, 4), (1, 1, 1))
+                               for v in (h, tuple(-c for c in h))))
+
+
+class TestExactGaugeMargin:
+    @pytest.mark.parametrize("norm", [GAUGE3, SKEW_GAUGE3])
+    @pytest.mark.parametrize("body", [PBall(1, 3), cube(3), PBall(1, 3, radius=F(3, 2))])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_norm_eval_reference(self, norm, body, seed):
+        rng = np.random.default_rng(seed)
+        P, D = _confirmation_points(body)
+        P = P[rng.choice(len(P), size=300, replace=False)]
+        m = int(rng.integers(1, 5))
+        centers = tuple(tuple(F(int(rng.integers(-12, 13)), int(rng.integers(1, 13)))
+                              for _ in range(3)) for _ in range(m))
+        got = _exact_margin(P, D, centers, F(1, 2), norm)
+        assert isinstance(got, Fraction)
+        assert got == _reference_margin(P, D, centers, F(1, 2), norm)
+
+    @pytest.mark.parametrize("norm", [GAUGE3, SKEW_GAUGE3])
+    def test_beyond_int64(self, norm):
+        # the center denominator pushes W.(P*k - C) past the int64 range
+        q = int(0.95 * 2 ** 60) | 1
+        P, D = _confirmation_points(PBall(1, 3))
+        P = P[::97]
+        centers = ((F(q - 1, q), F(1, 3), 0), (F(-1, 7), F(-q + 2, q), F(1, q)))
+        got = _exact_margin(P, D, centers, 1, norm)
+        assert got == _reference_margin(P, D, centers, 1, norm)
+
+    def test_float_body_rounds_like_gauge_eval(self):
+        norm = Norm.gauge(((0.5, 0, 0), (-0.5, 0, 0), (0, 1, 0), (0, -1, 0),
+                           (0, 0, 1.25), (0, 0, -1.25)))
+        P, D = _confirmation_points(cube(3))
+        P = P[::41]
+        centers = ((F(1, 3), 0, F(-1, 4)),)
+        got = _exact_margin(P, D, centers, F(1, 3), norm)
+        assert isinstance(got, float)
+        assert got == _reference_margin(P, D, centers, F(1, 3), norm)
+
+    def test_search_confirms_without_norm_eval(self, monkeypatch):
+        def refuse(x, norm):
+            raise AssertionError("the gauge margin went through norm_eval")
+
+        monkeypatch.setattr(coverings, "norm_eval", refuse)
+        sol = search_ball_covering(PBall(1, 3), 6, F(2, 3), GAUGE3,
+                                   n_boundary=256, n_interior=64)
+        assert sol.success
+        assert sol.residual_margin == F(-7, 128)

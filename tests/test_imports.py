@@ -1,0 +1,89 @@
+"""numpy and scipy are imports of the array code, not of the package.
+
+`import diampart` and the commands that do exact or Hoelder work load
+neither, so a fresh CLI process does not pay for them.
+"""
+import ast
+import json
+import os
+import subprocess
+import sys
+
+import diampart
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(diampart.__file__))
+HEAVY = ("numpy", "scipy")
+
+
+def test_no_module_level_numpy_or_scipy():
+    found = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        # module level is anything outside a function body, including
+        # if/try blocks and class bodies
+        stack = list(tree.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                stack.extend(ast.iter_child_nodes(node))
+                continue
+            for mod in mods:
+                if mod.split(".")[0] in HEAVY:
+                    found.append("%s:%d imports %s" % (name, node.lineno, mod))
+    assert not found, "module-level heavy imports: " + "; ".join(found)
+
+
+NUMPY_FREE_COMMANDS = (
+    ["partition", "cube", "--n", "3"],
+    ["bm", "bound", "--p", "1.5"],
+    ["bm", "scan", "--lo", "1.0", "--hi", "2.0", "--step", "1e-4"],
+    ["beta", "table", "--p-list", "1,1.5,2,3,inf"],
+    ["beta", "minmax", "--eta", "9/16", "--ball", "2/3"],
+    ["check", "corollary-221-328"],
+    ["oracle", "--points", None, "--m", "4"],
+)
+
+SCRIPT = """
+import json, sys
+import diampart
+import diampart.cli
+codes = [diampart.cli.main(argv) for argv in json.loads(sys.argv[1])]
+sys.stderr.write(json.dumps({
+    "codes": codes,
+    "numpy": "numpy" in sys.modules,
+    "modules": sorted(m for m in sys.modules if m.split(".")[0] == "diampart"),
+}))
+"""
+
+
+def test_exact_commands_never_import_numpy(tmp_path):
+    problem = tmp_path / "gauge.json"
+    problem.write_text(json.dumps({
+        "norm": {"kind": "gauge",
+                 "vertices": [[2, 0, 1], [-2, 0, -1], [0, 1, 0], [0, -1, 0],
+                              [1, 1, 3], [-1, -1, -3]]},
+        "points": [[0, 0, 0], [1, "1/2", 2], [3, -1, 0], [-2, 2, 1], [1, 1, 1]],
+    }))
+    commands = [[str(problem) if a is None else a for a in argv]
+                for argv in NUMPY_FREE_COMMANDS]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(PACKAGE_DIR)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stderr)
+    assert seen["codes"] == [0] * len(commands)
+    assert seen["numpy"] is False
+    # every module stays loaded, so tracing from outside still finds each layer
+    want = sorted(["diampart"] + ["diampart." + name[:-3] for name in os.listdir(PACKAGE_DIR)
+                                  if name.endswith(".py") and name != "__init__.py"])
+    assert seen["modules"] == want
