@@ -43,12 +43,10 @@ from .geometry import (
     VPolytope,
     apply_homothet,
     barycentric_coords,
-    circumradius,
     cube,
     cross_polytope,
     diameter_finite,
     dual_exponent,
-    minkowski_symmetry,
     norm_eval,
     pnorm_eval,
     point_in_vpolytope,
@@ -86,7 +84,6 @@ __all__ = [
     "barycentric_coords",
     "beta_finite_exact",
     "bm_upper",
-    "circumradius",
     "corollary_threshold_check",
     "cross_polytope",
     "cube",
@@ -100,7 +97,6 @@ __all__ = [
     "lp_beta8_table",
     "lp_parallelepiped_bound",
     "m_colorable",
-    "minkowski_symmetry",
     "minmax_epsilon",
     "norm_eval",
     "partition_diameter_ratio",

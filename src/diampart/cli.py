@@ -26,7 +26,6 @@ from .geometry import Homothet, Norm, PBall, Simplex, cube
 from .numbers import INF, is_rational, parse_scalar, to_float
 from .oracle import beta_finite_exact
 from .partitions import (
-    BarycentricRegion,
     SectorRegion,
     UnitDisk,
     cube_partition,
@@ -81,9 +80,15 @@ def _norm_arg(text: str) -> Norm:
     if os.path.exists(text):
         import json
 
-        with open(text, "r", encoding="ascii") as fh:
-            raw = json.load(fh)
-        return norm_from_spec(raw.get("norm", raw))
+        try:
+            with open(text, "r", encoding="ascii") as fh:
+                raw = json.load(fh)
+            # a file holds either a bare norm spec or a problem with a "norm" section
+            if isinstance(raw, dict) and "norm" in raw:
+                raw = raw["norm"]
+            return norm_from_spec(raw)
+        except (ValueError, OSError, KeyError) as exc:
+            raise argparse.ArgumentTypeError("%s: %s" % (text, exc))
     return Norm.lp(_scalar_arg(text))
 
 
@@ -355,10 +360,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings (report is then "
                              "no longer byte-stable)")
-    sub = parser.add_subparsers(dest="group")
+    sub = parser.add_subparsers(required=True)
 
     part = sub.add_parser("partition", help="build and verify a partition")
-    psub = part.add_subparsers(dest="shape")
+    psub = part.add_subparsers(required=True)
     ps = psub.add_parser("simplex", help="tetrahedron scheme with 5/8/9 pieces")
     ps.add_argument("--m", type=int, choices=(5, 8, 9), required=True)
     ps.add_argument("--norm", type=_norm_arg, default=None,
@@ -377,7 +382,7 @@ def build_parser() -> _Parser:
     pd.set_defaults(handler=_run_partition_disk, command="partition disk")
 
     cover = sub.add_parser("cover", help="ball-covering search")
-    csub = cover.add_subparsers(dest="action")
+    csub = cover.add_subparsers(required=True)
     cs = csub.add_parser("search", help="cover a body by m balls of radius r")
     cs.add_argument("--body", choices=sorted(_SEARCH_BODIES), required=True)
     cs.add_argument("--m", type=int, required=True)
@@ -386,7 +391,7 @@ def build_parser() -> _Parser:
     cs.set_defaults(handler=_run_cover_search, command="cover search")
 
     bm = sub.add_parser("bm", help="Banach-Mazur upper bounds")
-    bsub = bm.add_subparsers(dest="action")
+    bsub = bm.add_subparsers(required=True)
     bb = bsub.add_parser("bound", help="distance bound for l_p^3 vs l_inf^3")
     bb.add_argument("--p", type=_scalar_arg, required=True)
     bb.set_defaults(handler=_run_bm_bound, command="bm bound")
@@ -397,7 +402,7 @@ def build_parser() -> _Parser:
     bs.set_defaults(handler=_run_bm_scan, command="bm scan")
 
     beta = sub.add_parser("beta", help="combined diameter-partition bounds")
-    tsub = beta.add_subparsers(dest="action")
+    tsub = beta.add_subparsers(required=True)
     bt = tsub.add_parser("table", help="the piecewise beta(l_p^3, 8) table")
     bt.add_argument("--space", default="lp3")
     bt.add_argument("--m", type=int, default=8)
@@ -424,29 +429,26 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = getattr(args, "handler", None)
-    if handler is None:
-        parser.print_usage(sys.stderr)
-        return 1
     started = time.perf_counter()
     try:
-        inputs, results, evidence, ok = handler(args)
+        inputs, results, evidence, ok = args.handler(args)
+        elapsed = time.perf_counter() - started
+        envelope = {
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+            "evidence_level": evidence,
+            "timings": {"total_s": elapsed} if args.timings else None,
+        }
+        text = canonical_json(envelope) + "\n"
+        # the file is written first, so a bad path leaves stdout empty
+        if args.out:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
     except (ValueError, OSError, KeyError) as exc:
         sys.stderr.write("diampart: error: %s\n" % exc)
         return 1
-    elapsed = time.perf_counter() - started
-    envelope = {
-        "command": args.command,
-        "inputs": inputs,
-        "results": results,
-        "evidence_level": evidence,
-        "timings": {"total_s": elapsed} if args.timings else None,
-    }
-    text = canonical_json(envelope) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
     return 0 if ok else 2
 
 

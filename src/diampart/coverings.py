@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .geometry import (
     Homothet,
@@ -29,9 +29,7 @@ from .geometry import (
     Simplex,
     VPolytope,
     gauge_facets,
-    norm_eval,
     polytope_diameter,
-    vsub,
 )
 from .linprog import solve_linear_system
 from .numbers import INF, all_rational, as_fraction, is_rational, to_float
@@ -365,12 +363,6 @@ def verify_covering(parent, pieces: Sequence, mode: str = "auto",
             return _cube_scheme_coverage(parent, pieces, N)
         raise ValueError("no exact grid form for this parent")
     return _sampled_coverage(parent, pieces, N, tol, seed)
-
-
-def verify_certificate(cert: PartitionCertificate, mode: str = "auto",
-                       N: int = 64) -> PartitionCertificate:
-    report = verify_covering(cert.parent, cert.pieces, mode=mode, N=N)
-    return cert.with_coverage(report)
 
 
 def scheme_box_tautology(cert: PartitionCertificate):
@@ -712,21 +704,14 @@ def _confirmation_floats(P, D):
 def _exact_margin(P, D, centers, r, norm: Norm):
     """max over the lattice points P/D of min over centers of ||x-c|| - r.
 
-    Exact.  For l1, l_inf and gauges, one rescale to the common
-    denominator L of the lattice and the centers turns it into integer
-    arithmetic, in int64 when the magnitudes allow and in Python ints
-    otherwise.  A gauge with facet rows (c_i, d_i) and scale s measures
+    Exact, for polyhedral norms only (l1, l_inf and gauges): one rescale
+    to the common denominator L of the lattice and the centers turns it
+    into integer arithmetic, in int64 when the magnitudes allow and in
+    Python ints otherwise.  A gauge with facet rows (c_i, d_i) and scale s measures
     y as max_i c_i.(s*y)/d_i (see gauge_facets); with M = lcm(d_i) and
     integer rows W_i = (M/d_i)*c_i, the distance from P/D to C/L is
     max_i W_i.(P*k - C) divided by M*L/s, where k = L/D.
     """
-    if norm.kind == "p" and norm.p not in (1, INF):
-        best = None
-        for row in P.tolist():
-            pt = tuple(Fraction(v, D) for v in row)
-            d = min(norm_eval(vsub(pt, c), norm) for c in centers)
-            best = d if best is None else max(best, d)
-        return best - r
     import numpy as np
 
     L = math.lcm(D, *(as_fraction(v).denominator for c in centers for v in c))
@@ -822,7 +807,7 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
     conf_pts, conf_den = _confirmation_points(parent)
     r_exact = as_fraction(r) if all_rational([r]) else rf
 
-    if best_margin <= 1e-9 and conf_den is not None:
+    if best_margin <= 1e-9 and conf_den is not None and norm.is_polyhedral:
         for snapped in _snap_centers(best_centers):
             margin = _exact_margin(conf_pts, conf_den, snapped, r_exact, norm)
             if margin <= 0:
@@ -850,8 +835,7 @@ def verify_ball_covering(parent, centers, r, norm: Norm):
         den is not None
         and all(all_rational(c) for c in centers)
         and all_rational([r])
-        and norm.kind == "p"
-        and norm.p in (1, INF)
+        and norm.is_polyhedral
     )
     if rational:
         return _exact_margin(pts, den, centers, as_fraction(r), norm)

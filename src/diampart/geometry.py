@@ -20,10 +20,7 @@ from .linprog import (
     feasible_point,
     matrix_rank_exact,
     row_reduce,
-    solve_exact_lp,
-    solve_float_lp,
     solve_linear_system,
-    verify_lp_certificate,
 )
 from .numbers import INF, Scalar, all_rational, as_fraction, is_rational, to_float
 
@@ -616,251 +613,15 @@ def barycentric_coords(S: Simplex, x: Vector) -> tuple:
     return tuple(float(v) for v in np.linalg.solve(arr, rhs))
 
 
-def point_in_vpolytope(P: VPolytope, x: Vector, mode: str = "auto") -> bool:
-    """Is x a convex combination of P's vertices?"""
+def point_in_vpolytope(P: VPolytope, x: Vector) -> bool:
+    """Is x a convex combination of P's vertices?  Exact; a float
+    coordinate is read as the rational it denotes."""
     verts = P.vertices
     k = len(verts)
     n = P.dim
     if len(x) != n:
         raise ValueError("dimension mismatch")
-    if mode == "auto":
-        exact = all_rational(x) and all(all_rational(v) for v in verts)
-        mode = "exact" if exact else "float"
     A = [[verts[j][i] for j in range(k)] for i in range(n)]
     A.append([1] * k)
     b = list(x) + [1]
-    if mode == "exact":
-        return feasible_point(A, b) is not None
-    res = solve_float_lp(
-        [0.0] * k,
-        [[to_float(v) for v in row] for row in A],
-        [to_float(v) for v in b],
-    )
-    return res.optimal
-
-
-# ---------------------------------------------------------------------------
-# circumradius
-
-
-@dataclass(frozen=True)
-class CircumradiusResult:
-    radius: Scalar
-    center: tuple
-    certified: bool
-    method: str
-
-    def __iter__(self):
-        # allow  R, c = circumradius(...)
-        return iter((self.radius, self.center))
-
-
-def _ball_vertices(norm: Norm, n: int):
-    if norm.kind == "gauge":
-        return norm.body.vertices
-    if norm.p == 1:
-        return cross_polytope(n).vertices
-    raise ValueError("no vertex description for this norm")
-
-
-def _circumradius_linf(verts):
-    """Exact slab LP: min R with |v_ik - c_k| <= R for all i, k."""
-    k = len(verts)
-    n = len(verts[0])
-    # columns: c+ (n), c- (n), R, slacks (2kn)
-    ncols = 2 * n + 1 + 2 * k * n
-    A, b = [], []
-    c = [Fraction(0)] * ncols
-    c[2 * n] = Fraction(1)
-    srow = 0
-    for i in range(k):
-        for d in range(n):
-            row = [Fraction(0)] * ncols
-            row[d] = 1
-            row[n + d] = -1
-            row[2 * n] = -1
-            row[2 * n + 1 + srow] = 1
-            A.append(row)
-            b.append(verts[i][d])
-            srow += 1
-            row = [Fraction(0)] * ncols
-            row[d] = 1
-            row[n + d] = -1
-            row[2 * n] = 1
-            row[2 * n + 1 + srow] = -1
-            A.append(row)
-            b.append(verts[i][d])
-            srow += 1
-    res = solve_exact_lp(c, A, b)
-    if not res.optimal:
-        raise RuntimeError("circumradius LP failed: %s" % res.status)
-    cert = verify_lp_certificate(c, A, b, res)
-    center = tuple(res.x[d] - res.x[n + d] for d in range(n))
-    return CircumradiusResult(res.value, center, cert, "lp")
-
-
-def _circumradius_columns(verts, ball_verts):
-    """Exact LP over ball-vertex columns: v_i - c = sum_j mu_ij w_j, sum mu_ij = R."""
-    k = len(verts)
-    n = len(verts[0])
-    nb = len(ball_verts)
-    # columns: c+ (n), c- (n), R, mu (k*nb)
-    ncols = 2 * n + 1 + k * nb
-    A, b = [], []
-    c = [Fraction(0)] * ncols
-    c[2 * n] = Fraction(1)
-    for i in range(k):
-        base = 2 * n + 1 + i * nb
-        for d in range(n):
-            row = [Fraction(0)] * ncols
-            row[d] = 1
-            row[n + d] = -1
-            for j in range(nb):
-                row[base + j] = ball_verts[j][d]
-            A.append(row)
-            b.append(verts[i][d])
-        row = [Fraction(0)] * ncols
-        row[2 * n] = -1
-        for j in range(nb):
-            row[base + j] = 1
-        A.append(row)
-        b.append(0)
-    res = solve_exact_lp(c, A, b)
-    if not res.optimal:
-        raise RuntimeError("circumradius LP failed: %s" % res.status)
-    cert = verify_lp_certificate(c, A, b, res)
-    center = tuple(res.x[d] - res.x[n + d] for d in range(n))
-    return CircumradiusResult(res.value, center, cert, "lp")
-
-
-def _circumradius_smooth(verts, p, tol=1e-9):
-    """Minimax by SLSQP from the centroid plus deterministic restarts."""
-    import numpy as np
-    from scipy.optimize import minimize
-
-    arr = np.asarray([[to_float(v) for v in vert] for vert in verts], dtype=float)
-    k, n = arr.shape
-    pf = to_float(p)
-
-    def maxdist(cc):
-        return float(np.max(np.sum(np.abs(arr - cc) ** pf, axis=1) ** (1.0 / pf)))
-
-    def run(c0):
-        t0 = maxdist(c0) + 1e-3
-        z0 = np.concatenate([c0, [t0]])
-        cons = [
-            {
-                "type": "ineq",
-                "fun": (lambda z, i=i: z[n] - np.sum(np.abs(arr[i] - z[:n]) ** pf) ** (1.0 / pf)),
-            }
-            for i in range(k)
-        ]
-        out = minimize(lambda z: z[n], z0, method="SLSQP", constraints=cons,
-                       options={"maxiter": 400, "ftol": 1e-13})
-        cc = out.x[:n]
-        return cc, maxdist(cc)
-
-    center0 = arr.mean(axis=0)
-    spread = max(1e-6, float(np.max(arr) - np.min(arr)))
-    rng = np.random.default_rng(0)
-    best_c, best_r = run(center0)
-    for _ in range(8):
-        c0 = center0 + rng.normal(scale=0.25 * spread, size=n)
-        cc, r = run(c0)
-        if r < best_r:
-            best_c, best_r = cc, r
-    # one polish pass from the winner
-    cc, r = run(best_c)
-    if r < best_r:
-        best_c, best_r = cc, r
-    recheck = maxdist(best_c)
-    if not math.isfinite(best_r) or abs(recheck - best_r) > tol * max(1.0, best_r):
-        raise RuntimeError("circumradius minimax did not converge to tolerance")
-    return CircumradiusResult(float(best_r), tuple(float(v) for v in best_c),
-                              False, "minimax")
-
-
-def circumradius(P: Union[VPolytope, Simplex], norm: Norm) -> CircumradiusResult:
-    """Least R such that some ball of radius R contains P.
-
-    Solved exactly by LP for polyhedral norms, and by a convex minimax
-    method (tolerance 1e-9 relative) for smooth p.
-    """
-    verts = P.vertices
-    n = len(verts[0])
-    if affine_rank(verts) != n:
-        raise ValueError("circumradius requires a full-dimensional body")
-    exact = all(all_rational(v) for v in verts)
-    if norm.is_polyhedral and exact:
-        if norm.kind == "p" and norm.p == INF:
-            return _circumradius_linf(verts)
-        return _circumradius_columns(verts, _ball_vertices(norm, n))
-    if norm.is_polyhedral:
-        # float data under a polyhedral norm: snapless float LP
-        if norm.kind == "p" and norm.p == INF:
-            fr = _circumradius_linf([tuple(map(to_float, v)) for v in verts])
-            return fr
-        return _circumradius_columns(
-            [tuple(map(to_float, v)) for v in verts],
-            [tuple(map(to_float, w)) for w in _ball_vertices(norm, n)],
-        )
-    return _circumradius_smooth(verts, norm.p)
-
-
-# ---------------------------------------------------------------------------
-# Minkowski measure of symmetry
-
-
-def _symmetry_feasible(verts, lam: Fraction) -> bool:
-    """Is there x with  v + x in -lam*conv(verts)  for every vertex v?"""
-    k = len(verts)
-    n = len(verts[0])
-    # columns: x+ (n), x- (n), mu (k per vertex)
-    ncols = 2 * n + k * k
-    A, b = [], []
-    for i in range(k):
-        base = 2 * n + i * k
-        for d in range(n):
-            row = [Fraction(0)] * ncols
-            row[d] = 1
-            row[n + d] = -1
-            for j in range(k):
-                row[base + j] = lam * verts[j][d]
-            A.append(row)
-            b.append(-verts[i][d])
-        row = [Fraction(0)] * ncols
-        for j in range(k):
-            row[base + j] = 1
-        A.append(row)
-        b.append(1)
     return feasible_point(A, b) is not None
-
-
-def minkowski_symmetry(P: Union[VPolytope, Simplex], tol: float = 1e-9) -> Scalar:
-    """Least lambda such that a translate of P fits inside -lambda*P.
-
-    Always lies in [1, n]; equals 1 iff P is centrally symmetric and n
-    iff P is a simplex.  Computed by bisection with an exact feasibility
-    program inside, then snapped to a nearby small rational when that
-    rational is itself feasible.
-    """
-    verts = tuple(tuple(as_fraction(c) for c in v) for v in P.vertices)
-    n = len(verts[0])
-    if affine_rank(verts) != n:
-        raise ValueError("symmetry measure requires a full-dimensional body")
-    if _symmetry_feasible(verts, Fraction(1)):
-        return Fraction(1)
-    lo, hi = Fraction(1), Fraction(n)
-    if not _symmetry_feasible(verts, hi):  # cannot happen for convex bodies
-        raise RuntimeError("symmetry bisection lost its upper bracket")
-    while hi - lo > Fraction(tol).limit_denominator(10**12) * hi:
-        mid = (lo + hi) / 2
-        if _symmetry_feasible(verts, mid):
-            hi = mid
-        else:
-            lo = mid
-    for den in (1, 2, 3, 4, 6, 8, 12, 16, 24):
-        cand = Fraction(round(to_float(hi) * den), den)
-        if lo < cand <= hi and _symmetry_feasible(verts, cand):
-            return cand
-    return to_float(hi)

@@ -5,16 +5,12 @@ method and Bland's anti-cycling rule, pivoting over fractions.Fraction.
 Instances in this library stay tiny (tens of rows, at most a few
 hundred columns), so a dense tableau is entirely adequate and the
 results are exact.
-
-Float-valued instances are delegated to scipy.optimize.linprog.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-from .numbers import all_rational
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -260,31 +256,3 @@ def row_reduce(rows: Sequence[Sequence]):
 def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
     """Rank of a rational matrix by exact elimination."""
     return len(row_reduce(rows)[1])
-
-
-def solve_float_lp(c, A_eq, b_eq, bounds=None):
-    """Float fallback via scipy (HiGHS); same standard form as solve_exact_lp."""
-    import numpy as np
-    from scipy.optimize import linprog as _linprog
-
-    if bounds is None:
-        bounds = (0, None)
-    res = _linprog(np.asarray(c, dtype=float),
-                   A_eq=np.asarray(A_eq, dtype=float),
-                   b_eq=np.asarray(b_eq, dtype=float),
-                   bounds=bounds, method="highs")
-    if res.status == 2:
-        return LPResult(status=INFEASIBLE)
-    if res.status == 3:
-        return LPResult(status=UNBOUNDED)
-    if not res.success:
-        return LPResult(status=INFEASIBLE)
-    return LPResult(status=OPTIMAL, x=tuple(float(v) for v in res.x),
-                    value=float(res.fun))
-
-
-def solve_lp(c, A, b):
-    """Dispatch on arithmetic mode: exact rational data stays exact."""
-    if all_rational(c) and all(all_rational(row) for row in A) and all_rational(b):
-        return solve_exact_lp(c, A, b)
-    return solve_float_lp(c, A, b)

@@ -73,8 +73,14 @@ def norm_to_spec(norm: Norm) -> dict:
     return {"kind": "gauge", "vertices": [list(v) for v in norm.body.vertices]}
 
 
+def _require_object(spec, what: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ValueError("%s must be a JSON object, got %s" % (what, type(spec).__name__))
+    return spec
+
+
 def norm_from_spec(spec: dict) -> Norm:
-    kind = spec.get("kind")
+    kind = _require_object(spec, "a norm spec").get("kind")
     if kind == "p":
         return Norm.lp(parse_scalar(spec["p"]))
     if kind == "gauge":
@@ -93,7 +99,7 @@ def body_to_spec(body) -> dict:
 
 
 def body_from_spec(spec: dict):
-    kind = spec.get("kind")
+    kind = _require_object(spec, "a body spec").get("kind")
     if kind == "simplex":
         return Simplex(parse_points(spec["vertices"]))
     if kind == "vpolytope":
@@ -123,7 +129,7 @@ def parse_points(rows) -> tuple:
 def load_problem(path: str) -> dict:
     """Read a body/norm/points file; missing sections come back as None."""
     with open(path, "r", encoding="ascii") as fh:
-        raw = json.load(fh)
+        raw = _require_object(json.load(fh), "a problem file")
     out = {}
     out["norm"] = norm_from_spec(raw["norm"]) if "norm" in raw else None
     out["body"] = body_from_spec(raw["body"]) if "body" in raw else None

@@ -44,7 +44,11 @@ class TestExitCodes:
         assert exc.value.code == 1
 
     def test_no_subcommand_is_one(self, capsys):
-        assert main([]) == 1
+        code, captured = run_failing(capsys, [])
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("diampart: error:")
 
     def test_missing_file_is_one(self, capsys):
         code = main(["oracle", "--points", "/no/such/file.json", "--m", "2"])
@@ -76,9 +80,31 @@ class TestExitCodes:
         ["partition", "disk", "--samples", "0"],
         ["partition", "disk", "--samples", "-5"],
         ["bm", "scan", "--lo", "1.5", "--hi", "2"],
+        ["partition"],
+        ["beta"],
+        ["--out", "/nonexistent/dir/x.json", "check", "corollary-221-328"],
     ])
     def test_bad_input_is_one_error_line(self, capsys, argv):
         code, captured = run_failing(capsys, argv)
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("diampart: error:")
+
+    @pytest.mark.parametrize("text, argv", [
+        # a norm file whose top level is not an object
+        ("[1, 2]", ["partition", "simplex", "--m", "8", "--norm", "FILE"]),
+        # a norm file without the "p" its kind needs
+        ('{"kind": "p"}', ["partition", "simplex", "--m", "8", "--norm", "FILE"]),
+        # a problem file whose norm section is not an object
+        ('{"points": [[0, 0], [1, 0]], "norm": 5}', ["oracle", "--points", "FILE", "--m", "2"]),
+        # a problem file that is not an object
+        ("5", ["oracle", "--points", "FILE", "--m", "2"]),
+    ])
+    def test_bad_spec_file_is_one_error_line(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code, captured = run_failing(capsys, [str(path) if a == "FILE" else a for a in argv])
         assert code == 1
         assert captured.out == ""
         lines = captured.err.splitlines()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diampart
-from diampart import coverings
+from diampart import geometry
 from diampart.geometry import (
     Norm,
     PBall,
@@ -18,7 +18,6 @@ from diampart.geometry import (
     cube,
     gauge_facets,
     norm_eval,
-    polytope_diameter,
     vsub,
 )
 from diampart.numbers import INF
@@ -35,7 +34,6 @@ from diampart.coverings import (
     scheme_box_tautology,
     search_ball_covering,
     verify_ball_covering,
-    verify_certificate,
     verify_covering,
 )
 from diampart.partitions import (
@@ -106,12 +104,6 @@ class TestSimplexGridCoverage:
         assert len(grid) == 47905 and (grid.sum(axis=1) == 64).all()
         with pytest.raises(ValueError):
             grid[0, 0] = 1
-
-    def test_verify_certificate_attaches_report(self):
-        cert = simplex_partition(STD_TETRA, "m5")
-        cert2 = verify_certificate(cert, mode="exact_grid", N=16)
-        assert cert2.coverage_evidence.covered
-        assert cert.coverage_evidence is None  # original untouched
 
 
 class TestCubeCoverage:
@@ -519,11 +511,28 @@ class TestExactGaugeMargin:
         assert got == _reference_margin(P, D, centers, F(1, 3), norm)
 
     def test_search_confirms_without_norm_eval(self, monkeypatch):
-        def refuse(x, norm):
-            raise AssertionError("the gauge margin went through norm_eval")
+        def refuse(*args):
+            raise AssertionError("the gauge margin went through a pointwise norm")
 
-        monkeypatch.setattr(coverings, "norm_eval", refuse)
+        monkeypatch.setattr(geometry, "norm_eval", refuse)
+        monkeypatch.setattr(geometry, "gauge_eval", refuse)
         sol = search_ball_covering(PBall(1, 3), 6, F(2, 3), GAUGE3,
                                    n_boundary=256, n_interior=64)
         assert sol.success
         assert sol.residual_margin == F(-7, 128)
+        # the recheck takes the same exact lattice path as the search
+        again = verify_ball_covering(PBall(1, 3), sol.centers, F(2, 3), GAUGE3)
+        assert isinstance(again, Fraction) and again == sol.residual_margin
+
+    def test_smooth_norm_confirms_in_floats(self, monkeypatch):
+        # l2 distances are irrational, so the lattice is checked in floats
+        # and never walked one Fraction point at a time
+        def refuse(*args):
+            raise AssertionError("the l2 margin went through a pointwise norm")
+
+        monkeypatch.setattr(geometry, "norm_eval", refuse)
+        monkeypatch.setattr(geometry, "pnorm_eval", refuse)
+        sol = search_ball_covering(PBall(1, 3), 6, F(3, 4), Norm.lp(2),
+                                   n_boundary=256, n_interior=64)
+        assert sol.success
+        assert isinstance(sol.residual_margin, float)

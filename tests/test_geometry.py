@@ -12,14 +12,12 @@ from diampart.geometry import (
     apply_homothet,
     barycentric_coords,
     centroid,
-    circumradius,
     cross_polytope,
     cube,
     diameter_finite,
     dual_exponent,
     gauge_eval,
     gauge_facets,
-    minkowski_symmetry,
     pnorm_eval,
     point_in_vpolytope,
     polytope_diameter,
@@ -28,12 +26,6 @@ from diampart.geometry import (
 from diampart.numbers import INF
 
 F = Fraction
-
-
-def regular_tetrahedron_edge1():
-    s = 1.0 / (2.0 * math.sqrt(2.0))
-    pts = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    return Simplex(tuple(tuple(s * c for c in p) for p in pts))
 
 
 class TestPNorm:
@@ -236,72 +228,7 @@ class TestContainment:
         assert not point_in_vpolytope(cube(3), (1.0001, 0.0, 0.0))
 
     def test_exact_boundary(self):
-        assert point_in_vpolytope(cube(3), (1, 1, F(1, 3)), mode="exact")
-
-
-class TestCircumradius:
-    def test_cube_linf(self):
-        res = circumradius(cube(3), Norm.lp(INF))
-        assert res.radius == 1
-        assert res.center == (0, 0, 0)
-        assert res.certified
-
-    def test_unpacks(self):
-        R, c = circumradius(cube(2), Norm.lp(INF))
-        assert R == 1 and c == (0, 0)
-
-    def test_cross_polytope_l1(self):
-        res = circumradius(cross_polytope(3), Norm.lp(1))
-        assert res.radius == 1
-        assert res.certified
-
-    def test_regular_tetrahedron_l2(self):
-        res = circumradius(regular_tetrahedron_edge1(), Norm.lp(2))
-        assert res.radius == pytest.approx(math.sqrt(3.0 / 8.0), rel=1e-9)
-        for v in regular_tetrahedron_edge1().vertices:
-            d = pnorm_eval(vsub(v, res.center), 2)
-            assert d <= res.radius + 1e-9
-
-    def test_degenerate_rejected(self):
-        flat = VPolytope(((0, 0, 0), (1, 0, 0), (0, 1, 0)))
-        with pytest.raises(ValueError):
-            circumradius(flat, Norm.lp(2))
-
-    def test_gauge_norm(self):
-        T = Simplex(((0, 0), (1, 0), (0, 1)))
-        res = circumradius(T.as_polytope(), Norm.gauge(cube(2)))
-        # under l_inf the optimal center is (1/2, 1/2) with radius 1/2
-        assert res.radius == F(1, 2)
-        assert res.certified
-
-
-class TestSymmetry:
-    def test_cube_symmetric(self):
-        assert minkowski_symmetry(cube(2)) == 1
-
-    def test_triangle(self):
-        T = Simplex(((0, 0), (1, 0), (0, 1)))
-        s = minkowski_symmetry(T)
-        assert s == 2
-
-    def test_tetrahedron(self):
-        T = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        s = minkowski_symmetry(T)
-        assert s == 3
-
-    def test_range_invariant(self):
-        P = VPolytope(((0, 0), (2, 0), (1, 3), (-1, 1)))
-        s = minkowski_symmetry(P)
-        assert 1 <= s <= 2
-
-    def test_completeness_identity_for_cube(self):
-        # for the cube under l_inf: s = 1 and R/d = 1/2, s = (R/d)/(1-R/d)
-        P = cube(3)
-        s = minkowski_symmetry(P)
-        R = circumradius(P, Norm.lp(INF)).radius
-        d = polytope_diameter(P, Norm.lp(INF))
-        ratio = F(R) / F(d)
-        assert s == ratio / (1 - ratio) == 1
+        assert point_in_vpolytope(cube(3), (1, 1, F(1, 3)))
 
 
 class TestHomothet:

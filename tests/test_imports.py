@@ -1,27 +1,46 @@
-"""numpy and scipy are imports of the array code, not of the package.
+"""numpy is an import of the array code, not of the package, and scipy
+is no import of the package at all.
 
-`import diampart` and the commands that do exact or Hoelder work load
-neither, so a fresh CLI process does not pay for them.
+`import diampart` and the commands that do exact or Hoelder work do not
+load numpy, so a fresh CLI process does not pay for it.  scipy is a
+test-only reference (the Halton sampler is checked against it).
 """
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+
+import pytest
 
 import diampart
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(diampart.__file__))
+PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "pyproject.toml")
 HEAVY = ("numpy", "scipy")
 
 
-def test_no_module_level_numpy_or_scipy():
-    found = []
+def _package_trees():
     for name in sorted(os.listdir(PACKAGE_DIR)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), name)
+            yield name, ast.parse(fh.read(), name)
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return None
+
+
+def test_no_module_level_numpy_or_scipy():
+    found = []
+    for name, tree in _package_trees():
         # module level is anything outside a function body, including
         # if/try blocks and class bodies
         stack = list(tree.body)
@@ -29,17 +48,32 @@ def test_no_module_level_numpy_or_scipy():
             node = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if isinstance(node, ast.Import):
-                mods = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                mods = [node.module or ""]
-            else:
+            mods = _imported_modules(node)
+            if mods is None:
                 stack.extend(ast.iter_child_nodes(node))
                 continue
             for mod in mods:
                 if mod.split(".")[0] in HEAVY:
                     found.append("%s:%d imports %s" % (name, node.lineno, mod))
     assert not found, "module-level heavy imports: " + "; ".join(found)
+
+
+def test_no_scipy_import_at_any_depth():
+    found = ["%s:%d imports %s" % (name, node.lineno, mod)
+             for name, tree in _package_trees()
+             for node in ast.walk(tree)
+             for mod in _imported_modules(node) or ()
+             if mod.split(".")[0] == "scipy"]
+    assert not found, "scipy imports in the package: " + "; ".join(found)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.match(r"[\w.-]+", dep).group(0) for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 NUMPY_FREE_COMMANDS = (

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from diampart.linprog import (
     INFEASIBLE,
     OPTIMAL,
@@ -9,9 +7,7 @@ from diampart.linprog import (
     feasible_point,
     matrix_rank_exact,
     solve_exact_lp,
-    solve_float_lp,
     solve_linear_system,
-    solve_lp,
     verify_lp_certificate,
 )
 
@@ -110,21 +106,3 @@ def test_matrix_rank():
     assert matrix_rank_exact([[1, 2], [2, 4]]) == 1
     assert matrix_rank_exact([]) == 0
     assert matrix_rank_exact([[0, 0]]) == 0
-
-
-def test_float_path_matches_exact():
-    c = [2, 3, 0]
-    A = [[1, 1, 1], [1, 3, 0]]
-    b = [4, 6]
-    exact = solve_exact_lp(c, A, b)
-    fl = solve_float_lp(c, A, b)
-    assert fl.optimal
-    assert fl.value == pytest.approx(float(exact.value), abs=1e-9)
-
-
-def test_dispatch_on_mode():
-    res = solve_lp([1.0, 1.0], [[1.0, 2.0]], [4.0])
-    assert res.optimal
-    assert isinstance(res.value, float)
-    res2 = solve_lp([1, 1], [[1, 2]], [4])
-    assert isinstance(res2.value, Fraction)
