@@ -16,7 +16,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
@@ -29,11 +28,10 @@ from .geometry import (
     gauge_facets,
     pnorm_eval,
     vdot,
-    vscale,
     vsub,
 )
-from .linprog import solve_linear_system
-from .numbers import INF, Scalar, all_rational, as_fraction, to_float
+from .linprog import matrix_rank_exact
+from .numbers import INF, Scalar, all_rational, as_fraction, golden_section_min, to_float
 
 SPANNING_DEFAULT: Tuple[tuple, ...] = ((3, 3, -2), (-2, 3, 3), (3, -2, 3))
 
@@ -100,34 +98,6 @@ def parallelepiped(spanning: Sequence[Sequence[Scalar]] = SPANNING_DEFAULT) -> V
         )
         verts.append(v)
     return VPolytope(tuple(verts))
-
-
-def parallelepiped_facets(
-    spanning: Sequence[Sequence[Scalar]] = SPANNING_DEFAULT,
-) -> Tuple[tuple, ...]:
-    """The 2k facet functionals +-g_i of the spanned box, exact.
-
-    g_i is dual to the spanning vectors: g_i(c_j) = delta_ij, so the box
-    is {x : |g_i(x)| <= 1 for all i} and its gauge is max_i |g_i(x)|.
-    """
-    k = len(spanning)
-    if any(len(c) != k for c in spanning):
-        raise ValueError("spanning vectors must form a square system")
-    rows = []
-    for i in range(k):
-        # solve g . c_j = delta_ij for g
-        A = [[as_fraction(spanning[j][l]) for l in range(k)] for j in range(k)]
-        b = [Fraction(1) if j == i else Fraction(0) for j in range(k)]
-        g = solve_linear_system(A, b)
-        if g is None:
-            raise ValueError("spanning vectors are linearly dependent")
-        rows.append(tuple(g))
-    # sanity: each functional is exactly +-1 on every vertex
-    for v in parallelepiped(spanning).vertices:
-        for g in rows:
-            if vdot(g, v) not in (1, -1):
-                raise AssertionError("facet functional is not +-1 at a vertex")
-    return tuple(rows) + tuple(tuple(-c for c in g) for g in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +169,6 @@ def sandwich_verify(
     gamma: Scalar,
     transform: Optional[Sequence[Sequence[Scalar]]] = None,
     translation: Optional[Sequence[Scalar]] = None,
-    facets: Optional[Sequence[Sequence[Scalar]]] = None,
     tol: float = 1e-9,
     samples: int = 512,
 ) -> SandwichCertificate:
@@ -208,13 +177,11 @@ def sandwich_verify(
     The inner inclusion is tested at every vertex of the (optionally
     transformed) inner polytope.  The outer inclusion is tested at the
     vertices of a polytopal outer body; for an l_p-ball outer body each
-    facet functional of the inner polytope is maximized analytically over
-    the ball (Hoelder), and a deterministic boundary sample sweep
-    double-checks the analytic maxima.
-
-    ``facets`` may supply the inner body's facet functionals (rows f with
-    the body equal to {x : f.x <= 1 for all rows}); otherwise they are
-    taken, exact, from the body's cached facet form.
+    facet functional of the inner polytope, taken exact from its cached
+    facet form, is maximized analytically over the ball (Hoelder), and a
+    deterministic boundary sample sweep double-checks the analytic maxima.
+    Of tied maximizers the lexicographically largest is the witness, so
+    the facet order cannot change it.
     """
     if to_float(gamma) < 1 - 1e-12:
         raise ValueError("gamma must be at least 1")
@@ -247,17 +214,15 @@ def sandwich_verify(
             if worst_out_val is None or mu > worst_out_val:
                 worst_out_val, worst_out = mu, w
     elif isinstance(outer, PBall):
-        if facets is None:
-            rows = gauge_facets(body.vertices).functionals()
-        else:
-            rows = tuple(tuple(r) for r in facets)
+        rows = gauge_facets(body.vertices).functionals()
         worst_out = None
         worst_out_val = None
         for f in rows:
             sup, point = _holder_max(f, outer.p, outer.radius)
             if shift is not None:
                 sup = sup - vdot(f, shift)
-            if worst_out_val is None or sup > worst_out_val:
+            if (worst_out_val is None or sup > worst_out_val
+                    or (sup == worst_out_val and point > worst_out)):
                 worst_out_val, worst_out = sup, point
         # second route: brute samples on the ball boundary must not beat it
         F = [([to_float(c) for c in row], to_float(vdot(row, origin))) for row in rows]
@@ -311,8 +276,13 @@ def lp_parallelepiped_bound(
     q = dual_exponent(p)
     custom = spanning is not None
     spanning = tuple(tuple(c) for c in (spanning or SPANNING_DEFAULT))
+    k = len(spanning)
+    if any(len(c) != k for c in spanning):
+        raise ValueError("spanning vectors must form a square system")
+    if matrix_rank_exact(spanning) < k:
+        raise ValueError("spanning vectors are linearly dependent")
     Q = parallelepiped(spanning)
-    rows = parallelepiped_facets(spanning)
+    rows = gauge_facets(Q.vertices).functionals()
 
     vertex_norms = [pnorm_eval(v, p) for v in Q.vertices]
     R = max(vertex_norms, key=to_float)
@@ -335,9 +305,7 @@ def lp_parallelepiped_bound(
             raise AssertionError("vertex maximum %r is not the (-2,8,-2) orbit %r"
                                  % (R, special))
 
-    cert = sandwich_verify(
-        Q, PBall(p=p, dim=len(spanning), radius=R), gamma, facets=rows
-    )
+    cert = sandwich_verify(Q, PBall(p=p, dim=k, radius=R), gamma)
     return BMBoundReport(
         p=p, q=q, gamma_bound=gamma, method="parallelepiped", certificate=cert
     )
@@ -395,22 +363,7 @@ def f_scan(lo: float = 1.0, hi: float = 2.0, step: float = 1e-4):
         raise ValueError("no interior minimum between %g and %g" % (lo, hi))
     k = rising.index(True)  # vals[k] <= vals[k+1]; minimum in [k-1, k+1]
     a, b = ps[max(k - 1, 0)], ps[min(k + 1, len(ps) - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = to_float(f_eval(c)), to_float(f_eval(d))
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = to_float(f_eval(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = to_float(f_eval(d))
-    p0 = (a + b) / 2.0
-    return p0, to_float(f_eval(p0))
+    return golden_section_min(lambda p: to_float(f_eval(p)), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +389,7 @@ def bm_upper(p: Scalar) -> BMBoundReport:
         else:
             gamma = 3.0 ** (1.0 / pf)
             half = 1.0 / gamma
-        inner = cube(3, half=half)
-        rows = []
-        for i in range(3):
-            for s in (1, -1):
-                row = [0] * 3
-                row[i] = s * (Fraction(1) if half == 1 else 1.0 / to_float(half))
-                rows.append(tuple(row))
-        cert = sandwich_verify(inner, PBall(p=p, dim=3, radius=1), gamma, facets=rows)
+        cert = sandwich_verify(cube(3, half=half), PBall(p=p, dim=3, radius=1), gamma)
         return BMBoundReport(
             p=p, q=q, gamma_bound=gamma, method="exact_formula", certificate=cert
         )
@@ -453,7 +399,6 @@ def bm_upper(p: Scalar) -> BMBoundReport:
             report.certificate.inner,
             report.certificate.outer,
             SQRT342_OVER_10,
-            facets=None,
         )
         return BMBoundReport(
             p=report.p,

@@ -15,12 +15,20 @@ being informative (equals 1) when the simplex constant is 9/16.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .banach_mazur import SandwichCertificate, bm_upper, sandwich_verify
+from .banach_mazur import bm_upper
 from .coverings import partition_diameter_ratio, verify_covering
 from .geometry import Norm
-from .numbers import INF, Scalar, all_rational, as_fraction, sqrt_exact, to_float
+from .numbers import (
+    INF,
+    Scalar,
+    all_rational,
+    as_fraction,
+    golden_section_min,
+    sqrt_exact,
+    to_float,
+)
 from .partitions import cube_partition
 
 BALL_THRESHOLD = Fraction(221, 328)  # ball-branch value with eta = 9/16
@@ -177,7 +185,9 @@ def minmax_epsilon(eta: Scalar, beta_ball: Scalar) -> EpsilonOptResult:
     b1, b2 = minmax_branches(eta, beta_ball, eps)
     bound = max(b1, b2, key=to_float)
 
-    golden = _golden_minmax(to_float(eta), to_float(beta_ball))
+    h, b = to_float(eta), to_float(beta_ball)
+    _, golden = golden_section_min(lambda e: max(minmax_branches(h, b, e)),
+                                   _EDGE, 1.0 / 3.0 - _EDGE)
     if abs(golden - to_float(bound)) > 1e-10:
         raise AssertionError(
             "closed form %.17g disagrees with golden section %.17g"
@@ -207,28 +217,6 @@ def _crossing_eps(eta, beta_ball, exact: bool):
     disc = mid * mid - 4.0 * a * c
     eps = (mid - math.sqrt(disc)) / (2.0 * a)
     return min(max(eps, _EDGE), 1.0 / 3.0 - _EDGE)
-
-
-def _golden_minmax(eta: float, beta_ball: float) -> float:
-    def g(e):
-        b1, b2 = minmax_branches(eta, beta_ball, e)
-        return max(b1, b2)
-
-    a, b = _EDGE, 1.0 / 3.0 - _EDGE
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > 1e-12:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = g(d)
-    return g((a + b) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +249,7 @@ def corollary_threshold_check(ball_beta: Scalar = BALL_THRESHOLD) -> bool:
 
 def _cube_halving_step() -> ProvenanceStep:
     cert = cube_partition(3)
-    report = verify_covering(cert.parent, cert.pieces, mode="exact_grid", N=64)
+    report = verify_covering(cert.parent, cert.pieces, N=64)
     if not report.covered:
         raise AssertionError("the half-cube pieces failed to cover the cube")
     ratio = partition_diameter_ratio(cert, Norm.lp(INF))

@@ -161,8 +161,7 @@ def _run_partition_simplex(args):
     }
     evidence = "exact"
     if args.verify:
-        report = verify_covering(cert.parent, cert.pieces, mode="exact_grid",
-                                 N=args.verify)
+        report = verify_covering(cert.parent, cert.pieces, N=args.verify)
         results["coverage"] = _coverage_payload(report)
         ok = ok and report.covered
         evidence = "grid-certified"
@@ -176,7 +175,7 @@ def _run_partition_simplex(args):
 
 def _run_partition_cube(args):
     cert = cube_partition(args.n)
-    report = verify_covering(cert.parent, cert.pieces, mode="exact_grid", N=64)
+    report = verify_covering(cert.parent, cert.pieces, N=64)
     ratio = partition_diameter_ratio(cert, Norm.lp(INF))
     ok = report.covered and ratio == Fraction(1, 2)
     results = {
@@ -192,7 +191,7 @@ def _run_partition_cube(args):
 def _run_partition_triangle(args):
     cert = triangle_partition4(STD_TRIANGLE)
     ok, conditions = scheme_box_tautology(cert)
-    report = verify_covering(cert.parent, cert.pieces, mode="exact_grid", N=64)
+    report = verify_covering(cert.parent, cert.pieces, N=64)
     results = {
         "scheme": cert.scheme,
         "m": cert.m,
@@ -206,8 +205,7 @@ def _run_partition_triangle(args):
 
 def _run_partition_disk(args):
     cert = disk_partition4()
-    report = verify_covering(cert.parent, cert.pieces, mode="sampled",
-                             N=args.samples, seed=args.seed)
+    report = verify_covering(cert.parent, cert.pieces, N=args.samples, seed=args.seed)
     ratio = partition_diameter_ratio(cert, Norm.lp(2))
     results = {
         "scheme": cert.scheme,

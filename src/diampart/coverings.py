@@ -34,7 +34,6 @@ from .geometry import (
 from .linprog import solve_linear_system
 from .numbers import INF, all_rational, as_fraction, is_rational, to_float
 from .partitions import (
-    BarycentricRegion,
     PartitionCertificate,
     PartitionPiece,
     SectorRegion,
@@ -74,16 +73,11 @@ def _as_piece(obj, parent) -> PartitionPiece:
     if isinstance(obj, PartitionPiece):
         return obj
     if isinstance(obj, Homothet):
-        piece = PartitionPiece(description=obj, ratio_bound=abs(obj.ratio))
-        if isinstance(parent, Simplex):
-            bounds = _homothet_bary_bounds(obj, parent)
-            piece = PartitionPiece(description=obj, ratio_bound=abs(obj.ratio),
-                                   bary_bounds=bounds)
-        return piece
-    if isinstance(obj, (BarycentricRegion, SectorRegion)):
-        bounds = obj.bounds if isinstance(obj, BarycentricRegion) else None
-        return PartitionPiece(description=obj, ratio_bound=None,
+        bounds = _homothet_bary_bounds(obj, parent) if isinstance(parent, Simplex) else None
+        return PartitionPiece(description=obj, ratio_bound=abs(obj.ratio),
                               bary_bounds=bounds)
+    if isinstance(obj, SectorRegion):
+        return PartitionPiece(description=obj, ratio_bound=None)
     raise ValueError("unknown piece kind %r" % (type(obj).__name__,))
 
 
@@ -108,12 +102,10 @@ def _homothet_bary_bounds(h: Homothet, parent: Simplex) -> tuple:
     return tuple((Fraction(0), min(e, Fraction(1))) for e in eta)
 
 
-def _piece_box(piece: PartitionPiece, parent) -> tuple:
-    if piece.bary_bounds is not None:
-        return piece.bary_bounds
-    if isinstance(piece.description, Homothet) and isinstance(parent, Simplex):
-        return _homothet_bary_bounds(piece.description, parent)
-    raise ValueError("piece has no barycentric-box form")
+def _piece_box(piece: PartitionPiece) -> tuple:
+    if piece.bary_bounds is None:
+        raise ValueError("piece has no barycentric-box form")
+    return piece.bary_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +166,7 @@ def _simplex_grid_coverage(parent: Simplex, pieces, N: int) -> CoverageReport:
 
     k = parent.dim + 1
     grid = _bary_grid(k, N)
-    boxes = [_piece_box(p, parent) for p in pieces]
+    boxes = [_piece_box(p) for p in pieces]
     covered = np.zeros(len(grid), dtype=bool)
     for box in boxes:
         covered |= _box_mask(grid, box, N)
@@ -223,7 +215,7 @@ def _cube_scheme_coverage(parent: VPolytope, pieces, N: int) -> CoverageReport:
     """
     box = _axis_cube_intervals(parent)
     if box is None:
-        raise ValueError("cube-mode coverage needs an axis-aligned box parent")
+        raise ValueError("interval-product coverage needs an axis-aligned box parent")
     los, his = box
     n = parent.dim
     piece_ivals = []
@@ -316,7 +308,7 @@ def _disk_samples(n_boundary: int, n_interior: int, seed: int):
 
 def _sampled_coverage(parent, pieces, N: int, tol: float, seed: int) -> CoverageReport:
     if isinstance(parent, UnitDisk):
-        pts = _disk_samples(max(N, 256), max(N // 4, 64), seed)
+        pts = _disk_samples(N, N // 4, seed)
     else:
         raise ValueError("sampled coverage implemented for the disk only")
     uncovered = []
@@ -335,33 +327,21 @@ def _sampled_coverage(parent, pieces, N: int, tol: float, seed: int) -> Coverage
 # public verification entry points
 
 
-def verify_covering(parent, pieces: Sequence, mode: str = "auto",
-                    N: int = 64, tol: float = 1e-9, seed: int = 0) -> CoverageReport:
+def verify_covering(parent, pieces: Sequence, N: int = 64, tol: float = 1e-9,
+                    seed: int = 0) -> CoverageReport:
     """Check that the union of the pieces covers the parent body.
 
-    exact_grid tests every rational grid point of granularity 1/N in
-    integer arithmetic (simplex parents), or runs the exact
-    interval-product argument (axis-cube parents, valid for all N).
-    sampled mode checks low-discrepancy and random points to tolerance.
+    The parent decides the method.  A simplex is checked on every rational
+    grid point of granularity 1/N in integer arithmetic; any other polytope
+    must be an axis box and gets the exact interval-product argument (valid
+    for all N); the disk is checked on N boundary and N//4 interior
+    low-discrepancy points plus random ones, to tolerance.
     """
     pieces = [_as_piece(p, parent) for p in pieces]
-    if mode == "auto":
-        if isinstance(parent, Simplex):
-            mode = "exact_grid"
-        elif isinstance(parent, VPolytope) and _axis_cube_intervals(parent):
-            mode = "exact_grid"
-        else:
-            mode = "sampled"
-    if mode == "exact_grid":
-        if isinstance(parent, Simplex):
-            for p in pieces:
-                desc = p.description
-                if isinstance(desc, SectorRegion):
-                    raise ValueError("sector pieces have no exact grid form")
-            return _simplex_grid_coverage(parent, pieces, N)
-        if isinstance(parent, VPolytope):
-            return _cube_scheme_coverage(parent, pieces, N)
-        raise ValueError("no exact grid form for this parent")
+    if isinstance(parent, Simplex):
+        return _simplex_grid_coverage(parent, pieces, N)
+    if isinstance(parent, VPolytope):
+        return _cube_scheme_coverage(parent, pieces, N)
     return _sampled_coverage(parent, pieces, N, tol, seed)
 
 
@@ -377,7 +357,7 @@ def scheme_box_tautology(cert: PartitionCertificate):
         raise ValueError("tautology check applies to the simplex schemes")
     parent = cert.parent
     k = parent.dim + 1
-    boxes = [_piece_box(p, cert.parent) for p in cert.pieces]
+    boxes = [_piece_box(p) for p in cert.pieces]
     vertex_caps = {}
     residual_boxes = []
     for box in boxes:
@@ -446,8 +426,6 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
             d = polytope_diameter(p.realized_hull, norm)
         elif isinstance(p.description, Homothet):
             d = abs(p.description.ratio) * parent_diam
-        elif p.enclosure is not None:
-            d = abs(p.enclosure.ratio) * parent_diam
         else:
             raise ValueError("piece is not realizable as a polytope")
         if best is None or d > best:
@@ -508,18 +486,18 @@ def _body_samples(body, n_boundary: int, n_interior: int, seed: int):
 
     rng = np.random.default_rng(seed)
     if isinstance(body, UnitDisk) or (isinstance(body, PBall) and body.dim == 2):
-        p = 2 if isinstance(body, UnitDisk) else body.p
+        norm = _norm_kernel(Norm.lp(2 if isinstance(body, UnitDisk) else body.p))
         hb = _halton(n_boundary, 1)[:, 0]
         th = 2 * math.pi * hb
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        norms = _vec_pnorm(dirs, p)
-        boundary = dirs / norms[:, None]
+        boundary = dirs / norm(dirs.T)[:, None]
         ui = _halton(4 * n_interior, 2) * 2 - 1
-        ui = ui[_vec_pnorm(ui, p) <= 1][:n_interior]
+        ui = ui[norm(ui.T) <= 1][:n_interior]
         ur = rng.uniform(-1, 1, size=(2 * n_interior, 2))
-        ur = ur[_vec_pnorm(ur, p) <= 1][:n_interior]
+        ur = ur[norm(ur.T) <= 1][:n_interior]
         return np.concatenate([boundary, ui, ur]) * to_float(body.radius)
     if isinstance(body, PBall) and body.dim == 3:
+        norm = _norm_kernel(Norm.lp(body.p))
         if body.p == 1:
             u = _halton(n_boundary, 2)
             a = u[:, 0]
@@ -532,12 +510,12 @@ def _body_samples(body, n_boundary: int, n_interior: int, seed: int):
             boundary = bary * signs[np.arange(n_boundary) % 8]
         else:
             d = _halton(2 * n_boundary, 3) * 2 - 1
-            d = d[_vec_pnorm(d, 2) > 1e-9][:n_boundary]
-            boundary = d / _vec_pnorm(d, body.p)[:, None]
+            d = d[_norm_kernel(Norm.lp(2))(d.T) > 1e-9][:n_boundary]
+            boundary = d / norm(d.T)[:, None]
         ui = _halton(10 * n_interior, 3) * 2 - 1
-        ui = ui[_vec_pnorm(ui, body.p) <= 1][:n_interior]
+        ui = ui[norm(ui.T) <= 1][:n_interior]
         ur = rng.uniform(-1, 1, size=(8 * n_interior, 3))
-        ur = ur[_vec_pnorm(ur, body.p) <= 1][:n_interior]
+        ur = ur[norm(ur.T) <= 1][:n_interior]
         return np.concatenate([boundary, ui, ur]) * to_float(body.radius)
     if isinstance(body, VPolytope) and _axis_cube_intervals(body):
         n = body.dim
@@ -554,19 +532,6 @@ def _body_samples(body, n_boundary: int, n_interior: int, seed: int):
         ur = rng.uniform(los, his, size=(n_interior, n))
         return np.concatenate([pts, interior, ur])
     raise ValueError("no sampler for body %r" % (type(body).__name__,))
-
-
-def _vec_pnorm(arr, p):
-    import numpy as np
-
-    if p == INF:
-        return np.abs(arr).max(axis=1)
-    pf = to_float(p)
-    if pf == 1.0:
-        return np.abs(arr).sum(axis=1)
-    if pf == 2.0:
-        return np.sqrt((arr * arr).sum(axis=1))
-    return (np.abs(arr) ** pf).sum(axis=1) ** (1.0 / pf)
 
 
 def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):

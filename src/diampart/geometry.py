@@ -563,14 +563,6 @@ def diameter_finite(points: Sequence[Vector], norm: Norm) -> Scalar:
             if best is None or spread > best:
                 best = spread
         return best
-    if norm.kind == "p" and norm.p != 1 and not all(all_rational(p) for p in pts):
-        import numpy as np
-
-        arr = np.asarray([[to_float(c) for c in p] for p in pts], dtype=float)
-        diff = arr[:, None, :] - arr[None, :, :]
-        pf = to_float(norm.p)
-        dists = np.sum(np.abs(diff) ** pf, axis=2) ** (1.0 / pf)
-        return float(dists.max())
     best = None
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):

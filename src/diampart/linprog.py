@@ -79,14 +79,11 @@ def _simplex(tab, basis, ncols):
         obj = tab[-1]
 
 
-def solve_exact_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
-    """Exact rational solve of min c.x s.t. A x = b, x >= 0."""
-    m = len(A)
-    n = len(c)
-    cost = [Fraction(v) for v in c]
-    rows = []
-    rhs = []
-    for i in range(m):
+def _oriented(A: Sequence[Sequence], b: Sequence):
+    """Rows of A and entries of b as Fractions, each row negated where its
+    b is negative, so that every right-hand side is nonnegative."""
+    rows, rhs = [], []
+    for i in range(len(A)):
         row = [Fraction(v) for v in A[i]]
         bi = Fraction(b[i])
         if bi < 0:
@@ -94,6 +91,15 @@ def solve_exact_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
             bi = -bi
         rows.append(row)
         rhs.append(bi)
+    return rows, rhs
+
+
+def solve_exact_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
+    """Exact rational solve of min c.x s.t. A x = b, x >= 0."""
+    m = len(A)
+    n = len(c)
+    cost = [Fraction(v) for v in c]
+    rows, rhs = _oriented(A, b)
 
     # Phase 1: minimize the sum of artificial variables.
     width = n + m
@@ -166,22 +172,13 @@ def _dual_from_basis(cost, rows, basis):
 def verify_lp_certificate(c, A, b, result: LPResult) -> bool:
     """Exact optimality check: primal feasible, dual feasible, equal objectives.
 
-    Uses the same orientation as solve_exact_lp (rows with negative b are
-    sign-flipped before the dual is formed), so pass the original data.
+    Orients the rows as solve_exact_lp does (_oriented) before the dual is
+    checked, so pass the original data.
     """
     if not result.optimal or result.dual is None:
         return False
     m, n = len(A), len(c)
-    rows = []
-    rhs = []
-    for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-        rows.append(row)
-        rhs.append(bi)
+    rows, rhs = _oriented(A, b)
     x = result.x
     if any(xi < 0 for xi in x):
         return False
@@ -206,21 +203,11 @@ def feasible_point(A: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
 
 
 def solve_linear_system(A: Sequence[Sequence], b: Sequence):
-    """Exact Gaussian elimination for square systems; None if singular."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = _ONE / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [a - f * p for a, p in zip(M[r], M[col])]
-    return [M[i][-1] for i in range(n)]
+    """Exact solution of a square system; None if singular."""
+    R, pivots = row_reduce([list(row) + [rhs] for row, rhs in zip(A, b)])
+    if pivots != list(range(len(A))):
+        return None
+    return [row[-1] for row in R]
 
 
 def row_reduce(rows: Sequence[Sequence]):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 INF = math.inf
 
@@ -91,3 +91,26 @@ def sqrt_exact(x: Fraction):
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
+
+
+def golden_section_min(g: Callable[[float], float], a: float, b: float):
+    """Golden-section search for the minimum of a unimodal g on [a, b].
+
+    Shrinks the bracket until it is at most 1e-12 wide and returns
+    (x, g(x)) at its midpoint.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    gc, gd = g(c), g(d)
+    while b - a > 1e-12:
+        if gc < gd:
+            b, d, gd = d, c, gc
+            c = b - invphi * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + invphi * (b - a)
+            gd = g(d)
+    x = (a + b) / 2.0
+    return x, g(x)

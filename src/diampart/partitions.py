@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .geometry import (
     Homothet,
@@ -34,7 +34,6 @@ from .geometry import (
     apply_homothet,
     barycentric_coords,
     centroid,
-    point_in_vpolytope,
     vscale,
 )
 from .numbers import INF, all_rational, as_fraction, to_float
@@ -58,11 +57,6 @@ class BarycentricRegion:
         if any(lo > hi or lo < 0 or hi > 1 for lo, hi in bounds):
             raise ValueError("bounds must satisfy 0 <= lo <= hi <= 1")
         object.__setattr__(self, "bounds", bounds)
-
-    def contains_lambda(self, lam: Sequence, tol=0) -> bool:
-        return all(
-            lo - tol <= v <= hi + tol for v, (lo, hi) in zip(lam, self.bounds)
-        )
 
     def vertices_lambda(self) -> tuple:
         return _bary_box_vertices(self.bounds)
@@ -180,34 +174,16 @@ class PartitionCertificate:
 
 
 def piece_contains(piece: PartitionPiece, x, parent, tol=0) -> bool:
-    """Membership of a point in a piece (exact when tol=0 and data rational)."""
-    desc = piece.description
+    """Membership of a point in a piece: the barycentric-box test for a
+    simplex parent (exact when tol=0 and the data are rational), or the
+    sector test."""
     if piece.bary_bounds is not None and isinstance(parent, Simplex):
         lam = barycentric_coords(parent, x)
-        box = all(
-            lo - tol <= v <= hi + tol
-            for v, (lo, hi) in zip(lam, piece.bary_bounds)
-        )
-        return box
-    if isinstance(desc, SectorRegion):
-        return desc.contains(x, tol=max(tol, 1e-12))
-    if isinstance(desc, BarycentricRegion):
-        lam = barycentric_coords(desc.simplex, x)
-        return desc.contains_lambda(lam, tol)
-    if isinstance(desc, Homothet):
-        inv = tuple((xi - ti) / desc.ratio for xi, ti in zip(x, desc.translation))
-        base = desc.base
-        if isinstance(base, Simplex):
-            lam = barycentric_coords(base, inv)
-            ok = all(v >= -tol for v in lam)
-        else:
-            ok = point_in_vpolytope(base if isinstance(base, VPolytope)
-                                    else VPolytope(base.vertices), inv)
-        if ok and piece.clip is not None:
-            lam = barycentric_coords(piece.clip.simplex, x)
-            ok = piece.clip.contains_lambda(lam, tol)
-        return ok
-    raise ValueError("unknown piece description %r" % (type(desc).__name__,))
+        return all(lo - tol <= v <= hi + tol
+                   for v, (lo, hi) in zip(lam, piece.bary_bounds))
+    if isinstance(piece.description, SectorRegion):
+        return piece.description.contains(x, tol=max(tol, 1e-12))
+    raise ValueError("no membership test for a %s piece" % (type(piece.description).__name__,))
 
 
 # ---------------------------------------------------------------------------

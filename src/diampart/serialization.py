@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .geometry import Norm, PBall, Simplex, VPolytope, cube
-from .numbers import INF, parse_scalar
+from .numbers import parse_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +79,19 @@ def _require_object(spec, what: str) -> dict:
     return spec
 
 
+def _field(spec: dict, what: str, key: str):
+    """spec[key], or a ValueError naming the spec's kind and the key."""
+    if key not in spec:
+        raise ValueError('a "%s" %s spec needs "%s"' % (spec["kind"], what, key))
+    return spec[key]
+
+
 def norm_from_spec(spec: dict) -> Norm:
     kind = _require_object(spec, "a norm spec").get("kind")
     if kind == "p":
-        return Norm.lp(parse_scalar(spec["p"]))
+        return Norm.lp(parse_scalar(_field(spec, "norm", "p")))
     if kind == "gauge":
-        return Norm.gauge(VPolytope(parse_points(spec["vertices"])))
+        return Norm.gauge(VPolytope(parse_points(_field(spec, "norm", "vertices"))))
     raise ValueError("unknown norm kind %r" % (kind,))
 
 
@@ -101,16 +108,16 @@ def body_to_spec(body) -> dict:
 def body_from_spec(spec: dict):
     kind = _require_object(spec, "a body spec").get("kind")
     if kind == "simplex":
-        return Simplex(parse_points(spec["vertices"]))
+        return Simplex(parse_points(_field(spec, "body", "vertices")))
     if kind == "vpolytope":
-        return VPolytope(parse_points(spec["vertices"]))
+        return VPolytope(parse_points(_field(spec, "body", "vertices")))
     if kind == "cube":
         half = parse_scalar(spec.get("half", 1))
-        return cube(int(spec["n"]), half=half)
+        return cube(int(_field(spec, "body", "n")), half=half)
     if kind == "pball":
         return PBall(
-            p=parse_scalar(spec["p"]),
-            dim=int(spec["dim"]),
+            p=parse_scalar(_field(spec, "body", "p")),
+            dim=int(_field(spec, "body", "dim")),
             radius=parse_scalar(spec.get("radius", 1)),
         )
     raise ValueError("unknown body kind %r" % (kind,))

@@ -12,16 +12,16 @@ from diampart import banach_mazur
 from diampart.banach_mazur import (
     BMBoundReport,
     SandwichCertificate,
+    _holder_max,
     _pball_boundary_samples,
     bm_upper,
     f_eval,
     f_scan,
     lp_parallelepiped_bound,
     parallelepiped,
-    parallelepiped_facets,
     sandwich_verify,
 )
-from diampart.geometry import PBall, cube, pnorm_eval
+from diampart.geometry import PBall, cube, gauge_facets, pnorm_eval
 from diampart.numbers import INF
 
 F = Fraction
@@ -38,9 +38,10 @@ class TestParallelepiped:
         assert (-4, -4, -4) in vs
 
     def test_facet_functionals_exact(self):
-        rows = parallelepiped_facets()
-        assert (F(3, 20), F(-1, 20), F(3, 20)) in rows  # (15,-5,15)/100
         Q = parallelepiped()
+        rows = gauge_facets(Q.vertices).functionals()
+        assert len(rows) == 6
+        assert (F(3, 20), F(-1, 20), F(3, 20)) in rows  # (15,-5,15)/100
         for g in rows:
             vals = [sum(gc * vc for gc, vc in zip(g, v)) for v in Q.vertices]
             assert set(vals) == {F(1), F(-1)}
@@ -48,8 +49,10 @@ class TestParallelepiped:
             assert vals.count(F(1)) == 4
 
     def test_dependent_spanning_rejected(self):
-        with pytest.raises(ValueError):
-            parallelepiped_facets(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+        with pytest.raises(ValueError, match="linearly dependent"):
+            lp_parallelepiped_bound(2, spanning=((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+        with pytest.raises(ValueError, match="square system"):
+            lp_parallelepiped_bound(2, spanning=((1, 0), (0, 1), (1, 1)))
 
 
 class TestSandwichVerify:
@@ -85,13 +88,7 @@ class TestSandwichVerify:
     def test_pball_outer_analytic(self):
         # half cube inside the euclidean ball: vertices at distance sqrt(3)/2
         inner = cube(3, half=F(1, 2))
-        rows = []
-        for i in range(3):
-            for s in (1, -1):
-                row = [0] * 3
-                row[i] = 2 * s
-                rows.append(tuple(row))
-        cert = sandwich_verify(inner, PBall(p=2, dim=3), 2, facets=rows)
+        cert = sandwich_verify(inner, PBall(p=2, dim=3), 2)
         assert cert.verified
         assert float(cert.margin_inner) == pytest.approx(1 - math.sqrt(3) / 2)
         assert float(cert.margin_outer) == pytest.approx(0.0, abs=1e-12)
@@ -128,10 +125,8 @@ class TestBoundarySweep:
 
     def test_translated_outer(self):
         # the sweep measures x - shift: 2*|x_1 - 1/4| <= 5/2 on the unit ball
-        rows = [tuple(2 * s if j == i else 0 for j in range(3))
-                for i in range(3) for s in (1, -1)]
         cert = sandwich_verify(cube(3, half=F(1, 2)), PBall(p=2, dim=3), 3,
-                               translation=(F(1, 4), 0, 0), facets=rows)
+                               translation=(F(1, 4), 0, 0))
         assert cert.verified
         assert float(cert.margin_outer) == pytest.approx(0.5, abs=1e-12)
 
@@ -234,6 +229,24 @@ class TestBMUpper:
     def test_below_one_rejected(self):
         with pytest.raises(ValueError):
             bm_upper(0.99)
+
+    @pytest.mark.parametrize("p, witness", [
+        (F(3, 2), (5.7769336396244659, 5.7769336396244659, -0.64188151551382966)),
+        (2, (1.0, 0.0, 0.0)),
+        (3, (1.0, 0.0, 0.0)),
+        (INF, (1, 1, 1)),
+    ])
+    def test_witness_outer_is_the_largest_tied_maximizer(self, p, witness):
+        cert = bm_upper(p).certificate
+        maxima = [_holder_max(f, cert.outer.p, cert.outer.radius)
+                  for f in gauge_facets(cert.inner.vertices).functionals()]
+        top = max(sup for sup, _ in maxima)
+        tied = [point for sup, point in maxima if sup == top]
+        assert cert.witness_outer == max(tied) == witness
+        # re-verifying the emitted certificate names the same witness
+        again = sandwich_verify(cert.inner, cert.outer, cert.gamma)
+        assert again.witness_outer == cert.witness_outer
+        assert again.margins == cert.margins
 
     def test_report_invariants(self):
         with pytest.raises(ValueError):

@@ -163,8 +163,7 @@ class TestLpTable:
                     assert float(again.margin_inner) >= -1e-9
                     assert float(again.margin_outer) >= -1e-9
                 else:  # partition certificate with coverage
-                    rep = verify_covering(cert.parent, cert.pieces,
-                                          mode="exact_grid", N=32)
+                    rep = verify_covering(cert.parent, cert.pieces, N=32)
                     assert rep.covered
 
     def test_monotone_for_large_p(self):

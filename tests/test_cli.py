@@ -21,6 +21,14 @@ def run_failing(capsys, argv):
     return code, capsys.readouterr()
 
 
+# spec files that lack a key their kind needs, and what the error must name
+MISSING_KEY = {
+    '{"kind": "p"}': 'a "p" norm spec needs "p"',
+    '{"points": [[0, 0], [1, 0]], "norm": {"kind": "gauge"}}':
+        'a "gauge" norm spec needs "vertices"',
+}
+
+
 def parse(out: str) -> dict:
     return json.loads(out)
 
@@ -100,6 +108,9 @@ class TestExitCodes:
         ('{"points": [[0, 0], [1, 0]], "norm": 5}', ["oracle", "--points", "FILE", "--m", "2"]),
         # a problem file that is not an object
         ("5", ["oracle", "--points", "FILE", "--m", "2"]),
+        # a problem file whose gauge norm has no vertices
+        ('{"points": [[0, 0], [1, 0]], "norm": {"kind": "gauge"}}',
+         ["oracle", "--points", "FILE", "--m", "2"]),
     ])
     def test_bad_spec_file_is_one_error_line(self, capsys, tmp_path, text, argv):
         path = tmp_path / "spec.json"
@@ -109,6 +120,8 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("diampart: error:")
+        if text in MISSING_KEY:
+            assert MISSING_KEY[text] in lines[0]
 
     @pytest.mark.parametrize("points", [
         "[[0, 0], [1e400, 0], [0, 1]]",
@@ -241,6 +254,14 @@ class TestCommands:
         doc = parse(out)
         assert doc["results"]["ratio"] == pytest.approx(math.sqrt(2) / 2)
         assert doc["evidence_level"] == "sampled"
+
+    def test_partition_disk_checks_the_samples_asked_for(self, capsys):
+        # 8 boundary and 2 interior points plus the random ones: no floor
+        code, out = run_cli(capsys, "partition", "disk", "--samples", "8")
+        assert code == 0
+        doc = parse(out)
+        assert doc["inputs"]["samples"] == 8
+        assert doc["results"]["coverage"]["resolution"] < 256
 
     def test_cover_search_cube(self, capsys):
         code, out = run_cli(capsys, "cover", "search", "--body", "cube",

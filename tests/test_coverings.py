@@ -54,7 +54,7 @@ SKEW_TETRA = Simplex(((0, 0, 0), (3, 1, 0), (-1, 4, 1), (F(1, 2), 1, 5)))
 class TestSimplexGridCoverage:
     def test_triangle4_exact(self):
         cert = triangle_partition4(Simplex(((0, 0), (2, 0), (0, 2))))
-        rep = verify_covering(cert.parent, cert.pieces, mode="exact_grid", N=64)
+        rep = verify_covering(cert.parent, cert.pieces, N=64)
         assert rep.covered
         assert rep.mode == "exact_grid"
         assert rep.tolerance == 0
@@ -62,12 +62,12 @@ class TestSimplexGridCoverage:
     @pytest.mark.parametrize("scheme", ["m5", "m8", "m9"])
     def test_tetra_schemes_exact(self, scheme):
         cert = simplex_partition(SKEW_TETRA, scheme)
-        rep = verify_covering(cert.parent, cert.pieces, mode="exact_grid", N=64)
+        rep = verify_covering(cert.parent, cert.pieces, N=64)
         assert rep.covered, rep.worst_witness
 
     def test_raw_homothets_cover_at_three_quarters(self):
         hs = simplex_vertex_homothets(STD_TETRA, F(3, 4))
-        rep = verify_covering(STD_TETRA, hs, mode="exact_grid", N=32)
+        rep = verify_covering(STD_TETRA, hs, N=32)
         assert rep.covered
 
     def test_vertex_pieces_alone_fail(self):
@@ -78,7 +78,7 @@ class TestSimplexGridCoverage:
         mu = F(9, 16)
         hs = [Homothet(mu, vscale(1 - mu, v), STD_TETRA)
               for v in STD_TETRA.vertices]
-        rep = verify_covering(STD_TETRA, hs, mode="exact_grid", N=16)
+        rep = verify_covering(STD_TETRA, hs, N=16)
         assert not rep.covered
         assert rep.worst_witness is not None
         w, _margin = rep.worst_witness
@@ -92,7 +92,7 @@ class TestSimplexGridCoverage:
     def test_divisor_monotone(self):
         cert = simplex_partition(STD_TETRA, "m8")
         for N in (8, 16, 32, 64):
-            rep = verify_covering(cert.parent, cert.pieces, mode="exact_grid", N=N)
+            rep = verify_covering(cert.parent, cert.pieces, N=N)
             assert rep.covered
             assert rep.resolution == N
 
@@ -110,13 +110,13 @@ class TestCubeCoverage:
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_halving_covers(self, n):
         cert = cube_partition(n)
-        rep = verify_covering(cert.parent, cert.pieces, mode="exact_grid", N=64)
+        rep = verify_covering(cert.parent, cert.pieces, N=64)
         assert rep.covered
         assert rep.tolerance == 0
 
     def test_missing_piece_detected(self):
         cert = cube_partition(2)
-        rep = verify_covering(cert.parent, cert.pieces[:-1], mode="exact_grid", N=8)
+        rep = verify_covering(cert.parent, cert.pieces[:-1], N=8)
         assert not rep.covered
         assert rep.worst_witness is not None
 
@@ -169,13 +169,13 @@ class TestDiameterRatio:
 class TestSampledCoverage:
     def test_disk_quadrants_sampled(self):
         cert = disk_partition4()
-        rep = verify_covering(cert.parent, cert.pieces, mode="sampled", N=256)
+        rep = verify_covering(cert.parent, cert.pieces, N=256)
         assert rep.covered
         assert rep.mode == "sampled"
 
     def test_two_sectors_fail(self):
         cert = disk_partition4()
-        rep = verify_covering(cert.parent, cert.pieces[:2], mode="sampled", N=256)
+        rep = verify_covering(cert.parent, cert.pieces[:2], N=256)
         assert not rep.covered
 
 

@@ -38,23 +38,24 @@ def _imported_modules(node):
     return None
 
 
+def _module_level(tree):
+    """Every node outside a function body: if/try blocks and class bodies
+    count as module level."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
 def test_no_module_level_numpy_or_scipy():
-    found = []
-    for name, tree in _package_trees():
-        # module level is anything outside a function body, including
-        # if/try blocks and class bodies
-        stack = list(tree.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            mods = _imported_modules(node)
-            if mods is None:
-                stack.extend(ast.iter_child_nodes(node))
-                continue
-            for mod in mods:
-                if mod.split(".")[0] in HEAVY:
-                    found.append("%s:%d imports %s" % (name, node.lineno, mod))
+    found = ["%s:%d imports %s" % (name, node.lineno, mod)
+             for name, tree in _package_trees()
+             for node in _module_level(tree)
+             for mod in _imported_modules(node) or ()
+             if mod.split(".")[0] in HEAVY]
     assert not found, "module-level heavy imports: " + "; ".join(found)
 
 
@@ -65,6 +66,23 @@ def test_no_scipy_import_at_any_depth():
              for mod in _imported_modules(node) or ()
              if mod.split(".")[0] == "scipy"]
     assert not found, "scipy imports in the package: " + "; ".join(found)
+
+
+def test_no_unused_module_level_imports():
+    found = []
+    for name, tree in _package_trees():
+        if name == "__init__.py":
+            continue  # its imports are the package's exports
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in _module_level(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += ["%s:%d imports %s" % (name, node.lineno, b) for b in bound if b not in used]
+    assert not found, "unused imports: " + "; ".join(sorted(found))
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -99,6 +99,15 @@ class TestBodySpecs:
         with pytest.raises(ValueError):
             body_from_spec({"kind": "torus"})
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "cube"}, 'a "cube" body spec needs "n"'),
+        ({"kind": "pball", "p": 2}, 'a "pball" body spec needs "dim"'),
+        ({"kind": "simplex"}, 'a "simplex" body spec needs "vertices"'),
+    ])
+    def test_missing_key_names_kind_and_key(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            body_from_spec(spec)
+
 
 class TestProblemFiles:
     def test_load(self, tmp_path):
