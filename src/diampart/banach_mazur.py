@@ -1,7 +1,7 @@
 """Sandwich certificates for multiplicative Banach-Mazur upper bounds.
 
-A sandwich certificate witnesses T(K) <= L <= gamma*T(K) + v for convex
-bodies K (the inner polytope) and L (the outer body).  Both inclusions
+A sandwich certificate witnesses K <= L <= gamma*K for convex bodies K
+(the inner polytope) and L (the outer body).  Both inclusions
 are checked at extreme points: the first at the vertices of the inner
 polytope, the second either at the vertices of a polytopal outer body or
 -- for an l_p ball -- analytically through the Hoelder maximizer of each
@@ -27,8 +27,6 @@ from .geometry import (
     gauge_eval,
     gauge_facets,
     pnorm_eval,
-    vdot,
-    vsub,
 )
 from .linprog import matrix_rank_exact
 from .numbers import INF, Scalar, all_rational, as_fraction, golden_section_min, to_float
@@ -37,6 +35,11 @@ SPANNING_DEFAULT: Tuple[tuple, ...] = ((3, 3, -2), (-2, 3, 3), (3, -2, 3))
 
 SQRT342_OVER_10 = math.sqrt(342) / 10.0
 
+# a sandwich holds when both margins are at least -SANDWICH_TOL
+SANDWICH_TOL = 1e-9
+# boundary points of the sample sweep that backs each Hoelder maximum
+SWEEP_SAMPLES = 512
+
 
 # ---------------------------------------------------------------------------
 # certificate types
@@ -44,10 +47,10 @@ SQRT342_OVER_10 = math.sqrt(342) / 10.0
 
 @dataclass(frozen=True)
 class SandwichCertificate:
-    """Witness for inner <= outer <= gamma*inner + translation.
+    """Witness for inner <= outer <= gamma*inner.
 
     ``margin_inner`` is 1 minus the largest outer-gauge value seen at a
-    vertex of the (transformed) inner body; ``margin_outer`` is gamma
+    vertex of the inner body; ``margin_outer`` is gamma
     minus the largest inner-gauge value found over the outer body.
     Nonnegative margins (up to tolerance) mean the sandwich holds.
     """
@@ -55,8 +58,6 @@ class SandwichCertificate:
     inner: VPolytope
     outer: object  # VPolytope or PBall
     gamma: Scalar
-    transform: Optional[tuple] = None  # matrix rows; None means identity
-    translation: Optional[tuple] = None  # None means the origin
     verified: bool = False
     margin_inner: Scalar = 0
     margin_outer: Scalar = 0
@@ -163,72 +164,51 @@ def _pball_boundary_samples(ball: PBall, count: int) -> list:
 # the sandwich check itself
 
 
-def sandwich_verify(
-    inner: VPolytope,
-    outer,
-    gamma: Scalar,
-    transform: Optional[Sequence[Sequence[Scalar]]] = None,
-    translation: Optional[Sequence[Scalar]] = None,
-    tol: float = 1e-9,
-    samples: int = 512,
-) -> SandwichCertificate:
-    """Check inner <= outer <= gamma*inner + translation and record margins.
+def sandwich_verify(inner: VPolytope, outer, gamma: Scalar) -> SandwichCertificate:
+    """Check inner <= outer <= gamma*inner and record margins.
 
-    The inner inclusion is tested at every vertex of the (optionally
-    transformed) inner polytope.  The outer inclusion is tested at the
-    vertices of a polytopal outer body; for an l_p-ball outer body each
-    facet functional of the inner polytope, taken exact from its cached
-    facet form, is maximized analytically over the ball (Hoelder), and a
-    deterministic boundary sample sweep double-checks the analytic maxima.
+    The inner inclusion is tested at every vertex of the inner polytope.
+    The outer inclusion is tested at the vertices of a polytopal outer
+    body; for an l_p-ball outer body each facet functional of the inner
+    polytope, taken exact from its cached facet form, is maximized
+    analytically over the ball (Hoelder), and a deterministic sweep of
+    SWEEP_SAMPLES boundary points double-checks the analytic maxima.
     Of tied maximizers the lexicographically largest is the witness, so
     the facet order cannot change it.
     """
     if to_float(gamma) < 1 - 1e-12:
         raise ValueError("gamma must be at least 1")
-    t_rows = tuple(tuple(r) for r in transform) if transform is not None else None
-    shift = tuple(translation) if translation is not None else None
 
-    if t_rows is None:
-        body = inner
-    else:
-        body = VPolytope(
-            tuple(tuple(vdot(row, v) for row in t_rows) for v in inner.vertices)
-        )
-
-    # --- inner inclusion: every vertex of body lies in outer
+    # --- inner inclusion: every vertex of inner lies in outer
     worst_in = None
     worst_in_val = None
-    for v in body.vertices:
+    for v in inner.vertices:
         mu = _outer_gauge(v, outer)
         if worst_in_val is None or mu > worst_in_val:
             worst_in_val, worst_in = mu, v
     margin_inner = 1 - worst_in_val
 
-    # --- outer inclusion: gauge of body at outer's extreme points <= gamma
-    origin = (0,) * body.dim if shift is None else shift
+    # --- outer inclusion: gauge of inner at outer's extreme points <= gamma
     if isinstance(outer, VPolytope):
         worst_out = None
         worst_out_val = None
         for w in outer.vertices:
-            mu = gauge_eval(vsub(w, origin), body)
+            mu = gauge_eval(w, inner)
             if worst_out_val is None or mu > worst_out_val:
                 worst_out_val, worst_out = mu, w
     elif isinstance(outer, PBall):
-        rows = gauge_facets(body.vertices).functionals()
+        rows = gauge_facets(inner.vertices).functionals()
         worst_out = None
         worst_out_val = None
         for f in rows:
             sup, point = _holder_max(f, outer.p, outer.radius)
-            if shift is not None:
-                sup = sup - vdot(f, shift)
             if (worst_out_val is None or sup > worst_out_val
                     or (sup == worst_out_val and point > worst_out)):
                 worst_out_val, worst_out = sup, point
         # second route: brute samples on the ball boundary must not beat it
-        F = [([to_float(c) for c in row], to_float(vdot(row, origin))) for row in rows]
-        sampled = max((sum(map(operator.mul, f, x)) - off
-                       for x in _pball_boundary_samples(outer, samples) for f, off in F),
-                      default=-math.inf)
+        F = [[to_float(c) for c in row] for row in rows]
+        sampled = max(sum(map(operator.mul, f, x))
+                      for x in _pball_boundary_samples(outer, SWEEP_SAMPLES) for f in F)
         if sampled > to_float(worst_out_val) + 1e-7:
             raise AssertionError(
                 "sampled gauge %.17g exceeds the analytic maximum %.17g"
@@ -241,13 +221,11 @@ def sandwich_verify(
     else:
         margin_outer = to_float(gamma) - to_float(worst_out_val)
 
-    ok = to_float(margin_inner) >= -tol and to_float(margin_outer) >= -tol
+    ok = to_float(margin_inner) >= -SANDWICH_TOL and to_float(margin_outer) >= -SANDWICH_TOL
     return SandwichCertificate(
         inner=inner,
         outer=outer,
         gamma=gamma,
-        transform=t_rows,
-        translation=shift,
         verified=ok,
         margin_inner=margin_inner,
         margin_outer=margin_outer,

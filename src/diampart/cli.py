@@ -61,7 +61,7 @@ def _weakest(levels) -> str:
 def _scalar_arg(text):
     try:
         return parse_scalar(text)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 

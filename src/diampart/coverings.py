@@ -17,6 +17,7 @@ the margin on a 4x finer point set (exactly, when the data allows).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,6 @@ from .geometry import (
     gauge_facets,
     polytope_diameter,
 )
-from .linprog import solve_linear_system
 from .numbers import INF, all_rational, as_fraction, is_rational, to_float
 from .partitions import (
     PartitionCertificate,
@@ -66,40 +66,7 @@ class BallCoveringSolution:
 
 
 # ---------------------------------------------------------------------------
-# piece normalization
-
-
-def _as_piece(obj, parent) -> PartitionPiece:
-    if isinstance(obj, PartitionPiece):
-        return obj
-    if isinstance(obj, Homothet):
-        bounds = _homothet_bary_bounds(obj, parent) if isinstance(parent, Simplex) else None
-        return PartitionPiece(description=obj, ratio_bound=abs(obj.ratio),
-                              bary_bounds=bounds)
-    if isinstance(obj, SectorRegion):
-        return PartitionPiece(description=obj, ratio_bound=None)
-    raise ValueError("unknown piece kind %r" % (type(obj).__name__,))
-
-
-def _homothet_bary_bounds(h: Homothet, parent: Simplex) -> tuple:
-    """Barycentric box equivalent to a homothet of the parent simplex.
-
-    Writing the translation as sum eta_i v_i with sum eta_i = 1 - r, a
-    point with coordinates lambda lies in the homothet iff
-    (lambda_i - eta_i)/r >= 0 for every i.
-    """
-    if getattr(h.base, "vertices", None) != parent.vertices:
-        raise ValueError("piece homothet must be based on the parent simplex")
-    n = parent.dim
-    verts = parent.vertices
-    A = [[verts[j][i] for j in range(n + 1)] for i in range(n)]
-    A.append([1] * (n + 1))
-    r = as_fraction(h.ratio)
-    b = [as_fraction(c) for c in h.translation] + [1 - r]
-    eta = solve_linear_system(A, b)
-    if r > 0:
-        return tuple((max(e, Fraction(0)), Fraction(1)) for e in eta)
-    return tuple((Fraction(0), min(e, Fraction(1))) for e in eta)
+# exact grid coverage
 
 
 def _piece_box(piece: PartitionPiece) -> tuple:
@@ -108,41 +75,25 @@ def _piece_box(piece: PartitionPiece) -> tuple:
     return piece.bary_bounds
 
 
-# ---------------------------------------------------------------------------
-# exact grid coverage
-
-
 @functools.lru_cache(maxsize=16)
 def _bary_grid(k: int, N: int):
-    """All integer vectors of length k summing to N (lambda = row/N).
+    """All integer vectors of length k summing to N (lambda = row/N), in
+    lexicographic order.
 
-    Cached and shared by every caller, hence read-only.
+    Stars and bars: each choice of k-1 bar positions among N+k-1 slots
+    gives one vector, the gaps between consecutive bars (with bars at -1
+    and N+k-1 closing the ends).  Cached and shared by every caller,
+    hence read-only.
     """
     import numpy as np
 
-    if k == 3:
-        rows = [
-            (a, b, N - a - b)
-            for a in range(N + 1)
-            for b in range(N + 1 - a)
-        ]
-    elif k == 4:
-        rows = [
-            (a, b, c, N - a - b - c)
-            for a in range(N + 1)
-            for b in range(N + 1 - a)
-            for c in range(N + 1 - a - b)
-        ]
-    else:
-        def rec(prefix, left, slots):
-            if slots == 1:
-                yield prefix + (left,)
-                return
-            for v in range(left + 1):
-                yield from rec(prefix + (v,), left - v, slots - 1)
-
-        rows = list(rec((), N, k))
-    grid = np.asarray(rows, dtype=np.int64)
+    count = math.comb(N + k - 1, k - 1)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(N + k - 1), k - 1))
+    bars = np.empty((count, k + 1), dtype=np.int64)
+    bars[:, 0], bars[:, -1] = -1, N + k - 1
+    bars[:, 1:-1] = np.fromiter(flat, dtype=np.int64, count=count * (k - 1)).reshape(count, k - 1)
+    grid = np.diff(bars, axis=1)
+    grid -= 1
     grid.flags.writeable = False
     return grid
 
@@ -264,6 +215,9 @@ def _cube_scheme_coverage(parent: VPolytope, pieces, N: int) -> CoverageReport:
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 
+# sampled coverage: a sample within this distance of a piece counts as in it
+SAMPLED_TOL = 1e-9
+
 
 def _halton(n: int, d: int):
     """The first n points of the unscrambled Halton sequence in [0, 1)^d.
@@ -306,7 +260,7 @@ def _disk_samples(n_boundary: int, n_interior: int, seed: int):
     return np.concatenate([boundary, interior, extra])
 
 
-def _sampled_coverage(parent, pieces, N: int, tol: float, seed: int) -> CoverageReport:
+def _sampled_coverage(parent, pieces, N: int, seed: int) -> CoverageReport:
     if isinstance(parent, UnitDisk):
         pts = _disk_samples(N, N // 4, seed)
     else:
@@ -314,20 +268,20 @@ def _sampled_coverage(parent, pieces, N: int, tol: float, seed: int) -> Coverage
     uncovered = []
     for row in pts:
         x = (float(row[0]), float(row[1]))
-        if not any(piece_contains(p, x, parent, tol=tol) for p in pieces):
+        if not any(piece_contains(p, x, parent, tol=SAMPLED_TOL) for p in pieces):
             uncovered.append(x)
     if not uncovered:
-        return CoverageReport("sampled", len(pts), True, None, tol)
+        return CoverageReport("sampled", len(pts), True, None, SAMPLED_TOL)
     worst = max(uncovered, key=lambda x: math.hypot(*x))
     margin = math.hypot(*worst) - 1.0
-    return CoverageReport("sampled", len(pts), False, (worst, margin), tol)
+    return CoverageReport("sampled", len(pts), False, (worst, margin), SAMPLED_TOL)
 
 
 # ---------------------------------------------------------------------------
 # public verification entry points
 
 
-def verify_covering(parent, pieces: Sequence, N: int = 64, tol: float = 1e-9,
+def verify_covering(parent, pieces: Sequence[PartitionPiece], N: int = 64,
                     seed: int = 0) -> CoverageReport:
     """Check that the union of the pieces covers the parent body.
 
@@ -335,14 +289,13 @@ def verify_covering(parent, pieces: Sequence, N: int = 64, tol: float = 1e-9,
     grid point of granularity 1/N in integer arithmetic; any other polytope
     must be an axis box and gets the exact interval-product argument (valid
     for all N); the disk is checked on N boundary and N//4 interior
-    low-discrepancy points plus random ones, to tolerance.
+    low-discrepancy points plus random ones, to SAMPLED_TOL.
     """
-    pieces = [_as_piece(p, parent) for p in pieces]
     if isinstance(parent, Simplex):
         return _simplex_grid_coverage(parent, pieces, N)
     if isinstance(parent, VPolytope):
         return _cube_scheme_coverage(parent, pieces, N)
-    return _sampled_coverage(parent, pieces, N, tol, seed)
+    return _sampled_coverage(parent, pieces, N, seed)
 
 
 def scheme_box_tautology(cert: PartitionCertificate):
@@ -724,7 +677,8 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
     centers are snapped to small rationals and the margin is confirmed
     on a 4x denser point set (exact arithmetic when data permits).
     Failure (positive residual margin) is a legitimate outcome and does
-    not prove impossibility.
+    not prove impossibility.  Either way the solution's radius is r as
+    given, a Fraction when r is rational.
     """
     if not 1 <= m <= 16:
         raise ValueError("m must lie in 1..16 (desk scale), got %s" % (m,))
@@ -769,22 +723,19 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
         if best_margin <= 1e-12:
             break  # a covering is a covering; later starts add nothing
 
-    conf_pts, conf_den = _confirmation_points(parent)
     r_exact = as_fraction(r) if all_rational([r]) else rf
-
-    if best_margin <= 1e-9 and conf_den is not None and norm.is_polyhedral:
-        for snapped in _snap_centers(best_centers):
-            margin = _exact_margin(conf_pts, conf_den, snapped, r_exact, norm)
-            if margin <= 0:
-                return BallCoveringSolution(snapped, r_exact, norm, margin,
-                                            seed, best_margin)
+    if best_margin <= 1e-9 and norm.is_polyhedral:
+        conf_pts, conf_den = _confirmation_points(parent)
+        if conf_den is not None:
+            for snapped in _snap_centers(best_centers):
+                margin = _exact_margin(conf_pts, conf_den, snapped, r_exact, norm)
+                if margin <= 0:
+                    return BallCoveringSolution(snapped, r_exact, norm, margin,
+                                                seed, best_margin)
     # no exact confirmation: report the float margin at the 4x resolution
     centers_t = tuple(tuple(float(v) for v in row) for row in best_centers)
-    conf_margin = float(
-        _dist_matrix(_confirmation_floats(conf_pts, conf_den), best_centers,
-                     kernel).min(axis=1).max()
-    ) - rf
-    return BallCoveringSolution(centers_t, rf, norm, conf_margin, seed, best_margin)
+    conf_margin = verify_ball_covering(parent, centers_t, r, norm)
+    return BallCoveringSolution(centers_t, r_exact, norm, conf_margin, seed, best_margin)
 
 
 def verify_ball_covering(parent, centers, r, norm: Norm):

@@ -160,31 +160,6 @@ def apply_homothet(h: Homothet) -> VPolytope:
 
 
 @dataclass(frozen=True)
-class BarycentricPoint:
-    """Convex coefficients over simplex vertices: lambda >= 0, sum = 1."""
-
-    lambdas: tuple
-
-    def __post_init__(self):
-        lam = tuple(self.lambdas)
-        object.__setattr__(self, "lambdas", lam)
-        if any(v < 0 for v in lam):
-            raise ValueError("barycentric coordinates must be nonnegative")
-        s = sum(lam)
-        if all_rational(lam):
-            if s != 1:
-                raise ValueError("barycentric coordinates must sum to 1")
-        elif abs(to_float(s) - 1.0) > 1e-12:
-            raise ValueError("barycentric coordinates must sum to 1")
-
-    def realize(self, simplex: Simplex) -> Vector:
-        acc = vscale(self.lambdas[0], simplex.vertices[0])
-        for lam, v in zip(self.lambdas[1:], simplex.vertices[1:]):
-            acc = vadd(acc, vscale(lam, v))
-        return acc
-
-
-@dataclass(frozen=True)
 class PBall:
     """The ball {x : ||x||_p <= radius} in R^dim."""
 

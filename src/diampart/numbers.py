@@ -52,6 +52,8 @@ def _rational_from_string(text: str) -> Fraction:
     s = text.strip()
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise ValueError("zero denominator in %r" % (text,))
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 
@@ -61,6 +63,7 @@ def parse_scalar(value) -> Scalar:
 
     Accepted forms: int, float, "num/den", "inf"/"+inf", decimal strings.
     Rational strings and integers stay exact; everything else is float.
+    Other values, and a zero denominator, raise ValueError.
     """
     if isinstance(value, bool):
         raise ValueError("bool is not a scalar")
@@ -78,7 +81,7 @@ def parse_scalar(value) -> Scalar:
             return int(s)
         except ValueError:
             return float(s)
-    raise TypeError(f"cannot parse scalar from {type(value).__name__}")
+    raise ValueError(f"cannot parse a scalar from {type(value).__name__}")
 
 
 def sqrt_exact(x: Fraction):

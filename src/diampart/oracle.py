@@ -25,22 +25,6 @@ MAX_PARTS = 9
 
 
 @dataclass(frozen=True)
-class DistanceGraph:
-    """Points plus the edges at distance strictly above a threshold."""
-
-    points: tuple
-    threshold: object
-    edges: frozenset  # pairs (i, j) with i < j
-
-    def adjacency(self) -> List[set]:
-        adj = [set() for _ in self.points]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-
-@dataclass(frozen=True)
 class ExactBetaResult:
     value: object
     witness_partition: tuple  # m tuples of point indices (some may be empty)
@@ -48,25 +32,18 @@ class ExactBetaResult:
     diameter: object
 
 
-def distance_graph(points: Sequence, threshold, norm: Norm) -> DistanceGraph:
-    pts = tuple(tuple(p) for p in points)
-    edges = set()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if norm_eval(vsub(pts[i], pts[j]), norm) > threshold:
-                edges.add((i, j))
-    return DistanceGraph(pts, threshold, frozenset(edges))
-
-
-def m_colorable(G: DistanceGraph, m: int) -> Tuple[bool, Optional[tuple]]:
-    """Exact backtracking m-coloring; returns (ok, colors) with colors
-    indexed like G.points when ok."""
-    n = len(G.points)
+def m_colorable(n: int, edges, m: int) -> Tuple[bool, Optional[tuple]]:
+    """Exact backtracking m-coloring of the graph on vertices 0..n-1 with
+    the given (i, j) edges; returns (ok, colors) with colors indexed by
+    vertex when ok."""
     if n > MAX_POINTS:
         raise ValueError("colorability budget is %d vertices" % MAX_POINTS)
     if m <= 0:
         return (n == 0, () if n == 0 else None)
-    adj = G.adjacency()
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     colors = [-1] * n
 
@@ -157,8 +134,8 @@ def beta_finite_exact(points: Sequence, m: int, norm: Norm) -> ExactBetaResult:
         if idx in colorings:
             return colorings[idx] is not None
         delta = candidates[idx]
-        edges = frozenset(k for k, d in dist.items() if d > delta)
-        ok, cols = m_colorable(DistanceGraph(tuple(pts), delta, edges), m)
+        edges = [k for k, d in dist.items() if d > delta]
+        ok, cols = m_colorable(n, edges, m)
         colorings[idx] = cols if ok else None
         return ok
 

@@ -22,7 +22,7 @@ hold for EVERY norm, not just the one they are later verified under.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -139,18 +139,15 @@ class PartitionPiece:
 
     description is the defining object (a Homothet of the parent, a
     BarycentricRegion, or a SectorRegion).  bary_bounds, when present,
-    is the equivalent barycentric box (used for exact membership and
-    coverage); clip restricts an overhanging homothet back to the
-    parent's residual region; enclosure is the homothet that certifies
-    ratio_bound when the description itself is not a homothet.
+    is the barycentric box that exact membership and coverage are checked
+    on; it lies inside the description, cut back to the residual region
+    where a reflected piece overhangs the parent.
     """
 
     description: object
     ratio_bound: object
     realized_hull: Optional[VPolytope] = None
     bary_bounds: Optional[tuple] = None
-    clip: Optional[BarycentricRegion] = None
-    enclosure: Optional[Homothet] = None
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,6 @@ class PartitionCertificate:
     ratio: object
     norm: Optional[Norm]  # None: the ratio claim is norm-independent
     scheme: str
-    coverage_evidence: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
@@ -168,9 +164,6 @@ class PartitionCertificate:
     @property
     def m(self) -> int:
         return len(self.pieces)
-
-    def with_coverage(self, report) -> "PartitionCertificate":
-        return replace(self, coverage_evidence=report)
 
 
 def piece_contains(piece: PartitionPiece, x, parent, tol=0) -> bool:
@@ -207,8 +200,8 @@ def _vertex_piece(S: Simplex, i: int, mu: Fraction) -> PartitionPiece:
     )
 
 
-def simplex_vertex_homothets(S: Simplex, mu) -> Tuple[Homothet, ...]:
-    """The n+1 homothets (1-mu)v_i + mu*S; their union covers S.
+def simplex_vertex_homothets(S: Simplex, mu) -> Tuple[PartitionPiece, ...]:
+    """The n+1 pieces (1-mu)v_i + mu*S; their union covers S.
 
     Coverage needs mu >= n/(n+1): every barycentric point has some
     lambda_i >= 1/(n+1), so lambda_i >= 1-mu puts it in piece i.  Below
@@ -223,9 +216,7 @@ def simplex_vertex_homothets(S: Simplex, mu) -> Tuple[Homothet, ...]:
             "mu=%s < %d/%d leaves the centroid uncovered (all lambda_i = 1/%d > 1-mu)"
             % (mu, n, n + 1, n + 1)
         )
-    return tuple(
-        Homothet(mu, vscale(1 - mu, v), S) for v in S.vertices
-    )
+    return tuple(_vertex_piece(S, i, mu) for i in range(n + 1))
 
 
 def residual_enclosure(S: Simplex, t) -> Homothet:
@@ -272,7 +263,6 @@ def triangle_partition4(T: Simplex) -> PartitionCertificate:
             ratio_bound=half,
             realized_hull=region.realize(),
             bary_bounds=region.bounds,
-            enclosure=mid,
         )
     )
     return PartitionCertificate(T, tuple(pieces), half, None, "triangle4")
@@ -299,26 +289,27 @@ def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
     t = _SCHEME_T[scheme]
     mu = 1 - t
     pieces = [_vertex_piece(S, i, mu) for i in range(4)]
-    clip = BarycentricRegion(S, ((Fraction(0), t),) * 4)
     refl = residual_enclosure(S, t)  # -(4t-1)S + 4t*g
     gamma = -refl.ratio
 
     if scheme == "m5":
+        clip = BarycentricRegion(S, ((Fraction(0), t),) * 4)
         pieces.append(
             PartitionPiece(
                 description=clip,
                 ratio_bound=gamma,
                 realized_hull=clip.realize(),
                 bary_bounds=clip.bounds,
-                enclosure=refl,
             )
         )
-    elif scheme == "m8":
+    else:
+        # vertex homothets of ratio 1-t2 of the reflected copy: 3/4 (m8),
+        # or the m5 pattern again (m9)
         refl_sx = Simplex(apply_homothet(refl).vertices)
-        mu2 = Fraction(3, 4)
-        cap = t - gamma * (1 - mu2)  # lambda_i <= cap inside piece i
+        t2 = Fraction(1, 4) if scheme == "m8" else Fraction(2, 5)
+        cap = t - gamma * t2  # lambda_i <= cap inside piece i
         for i in range(4):
-            outer = Homothet(mu2, vscale(1 - mu2, refl_sx.vertices[i]), refl_sx)
+            outer = Homothet(1 - t2, vscale(t2, refl_sx.vertices[i]), refl_sx)
             comp = outer.compose(refl)
             bounds = [(Fraction(0), t)] * 4
             bounds[i] = (Fraction(0), cap)
@@ -328,40 +319,20 @@ def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
                     ratio_bound=abs(comp.ratio),
                     realized_hull=apply_homothet(comp),
                     bary_bounds=tuple(bounds),
-                    clip=clip,
                 )
             )
-    else:  # m9: run the m5 pattern on the reflected copy
-        refl_sx = Simplex(apply_homothet(refl).vertices)
-        t2 = Fraction(2, 5)
-        mu2 = 1 - t2
-        cap = t - gamma * (1 - mu2)
-        for i in range(4):
-            outer = Homothet(mu2, vscale(1 - mu2, refl_sx.vertices[i]), refl_sx)
-            comp = outer.compose(refl)
-            bounds = [(Fraction(0), t)] * 4
-            bounds[i] = (Fraction(0), cap)
+        if scheme == "m9":
+            # lambda_i >= cap on the residual of the residual
+            core = BarycentricRegion(S, ((cap, t),) * 4)
+            enc = residual_enclosure(refl_sx, t2).compose(refl)
             pieces.append(
                 PartitionPiece(
-                    description=comp,
-                    ratio_bound=abs(comp.ratio),
-                    realized_hull=apply_homothet(comp),
-                    bary_bounds=tuple(bounds),
-                    clip=clip,
+                    description=core,
+                    ratio_bound=abs(enc.ratio),
+                    realized_hull=core.realize(),
+                    bary_bounds=core.bounds,
                 )
             )
-        lo = t - gamma * t2  # lambda_i >= lo on the residual of the residual
-        core = BarycentricRegion(S, ((lo, t),) * 4)
-        enc = residual_enclosure(refl_sx, t2).compose(refl)
-        pieces.append(
-            PartitionPiece(
-                description=core,
-                ratio_bound=abs(enc.ratio),
-                realized_hull=core.realize(),
-                bary_bounds=core.bounds,
-                enclosure=enc,
-            )
-        )
 
     ratio = _SCHEME_RATIO[scheme]
     if max(p.ratio_bound for p in pieces) != ratio:

@@ -124,6 +124,8 @@ def body_from_spec(spec: dict):
 
 
 def parse_points(rows) -> tuple:
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError("points must be a list of coordinate lists")
     points = tuple(tuple(parse_scalar(c) for c in row) for row in rows)
     dims = sorted({len(p) for p in points})
     if len(dims) > 1:

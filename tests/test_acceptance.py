@@ -23,7 +23,7 @@ from diampart.coverings import (
     search_ball_covering,
     verify_covering,
 )
-from diampart.geometry import BarycentricPoint, Norm, PBall, Simplex, VPolytope
+from diampart.geometry import Norm, PBall, Simplex, VPolytope
 from diampart.numbers import INF, to_float
 from diampart.oracle import beta_finite_exact
 from diampart.partitions import cube_partition, simplex_partition
@@ -35,6 +35,11 @@ SQRT342 = math.sqrt(342)
 def _report(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num} failed: {detail}"
+
+
+def _weighted_sum(lam, verts):
+    """The point sum_i lam_i * verts_i."""
+    return tuple(sum(l * v[k] for l, v in zip(lam, verts)) for k in range(len(verts[0])))
 
 
 def _random_tetrahedron(rng):
@@ -86,9 +91,7 @@ def test_criterion_2_lp_table():
             if cert is None:
                 continue
             if hasattr(cert, "gamma"):
-                again = sandwich_verify(cert.inner, cert.outer, cert.gamma,
-                                        transform=cert.transform,
-                                        translation=cert.translation)
+                again = sandwich_verify(cert.inner, cert.outer, cert.gamma)
                 ok = ok and again.verified and min(map(to_float, again.margins)) >= -1e-9
             else:
                 rep = verify_covering(cert.parent, cert.pieces, N=32)
@@ -197,7 +200,7 @@ def test_criterion_8_oracle_cross_checks():
             w = rng.integers(0, 7, size=4)
             total = int(w.sum()) or 1
             lam = tuple(F(int(x), total) for x in (w if w.sum() else [1, 0, 0, 0]))
-            pts.append(BarycentricPoint(lam).realize(S))
+            pts.append(_weighted_sum(lam, S.vertices))
         val = beta_finite_exact(pts, 8, norms[trial % 3]).value
         ok = ok and to_float(val) <= 9 / 16 + 1e-12
     elapsed = time.perf_counter() - t0

@@ -111,6 +111,16 @@ class TestExitCodes:
         # a problem file whose gauge norm has no vertices
         ('{"points": [[0, 0], [1, 0]], "norm": {"kind": "gauge"}}',
          ["oracle", "--points", "FILE", "--m", "2"]),
+        # malformed numbers: a zero denominator, a list, null, a bare number
+        # where points belong
+        ('{"points": [["1/0", 0], [0, 0]]}', ["oracle", "--points", "FILE", "--m", "2"]),
+        ('{"kind": "p", "p": "1/0"}', ["partition", "simplex", "--m", "8", "--norm", "FILE"]),
+        ('{"points": [[[1], 2], [0, 0]]}', ["oracle", "--points", "FILE", "--m", "2"]),
+        ('{"points": [[0, 0], [1, 0]], "norm": {"kind": "p", "p": [2]}}',
+         ["oracle", "--points", "FILE", "--m", "2"]),
+        ('{"points": [[0, 0], [1, 0]], "norm": {"kind": "gauge", "vertices": 5}}',
+         ["oracle", "--points", "FILE", "--m", "2"]),
+        ('{"kind": "p", "p": null}', ["partition", "simplex", "--m", "8", "--norm", "FILE"]),
     ])
     def test_bad_spec_file_is_one_error_line(self, capsys, tmp_path, text, argv):
         path = tmp_path / "spec.json"
@@ -120,6 +130,7 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("diampart: error:")
+        assert "_norm_arg" not in lines[0]  # the cause, not argparse's fallback
         if text in MISSING_KEY:
             assert MISSING_KEY[text] in lines[0]
 

@@ -71,23 +71,19 @@ class TestSimplexGridCoverage:
         assert rep.covered
 
     def test_vertex_pieces_alone_fail(self):
-        # mu = 9/16 is below the 3/4 coverage threshold, so build the
-        # homothets by hand and watch the grid catch the gap
-        from diampart.geometry import Homothet, vscale
+        # the m8 vertex pieces have mu = 9/16, below the 3/4 coverage
+        # threshold: without the residual pieces the grid catches the gap
+        from diampart.partitions import piece_contains
 
-        mu = F(9, 16)
-        hs = [Homothet(mu, vscale(1 - mu, v), STD_TETRA)
-              for v in STD_TETRA.vertices]
-        rep = verify_covering(STD_TETRA, hs, N=16)
+        pieces = simplex_partition(STD_TETRA, "m8").pieces[:4]
+        assert all(p.ratio_bound == F(9, 16) for p in pieces)
+        rep = verify_covering(STD_TETRA, pieces, N=16)
         assert not rep.covered
         assert rep.worst_witness is not None
         w, _margin = rep.worst_witness
         # soundness: the witness really avoids every piece
-        from diampart.partitions import piece_contains
-        from diampart.coverings import _as_piece
-
-        for h in hs:
-            assert not piece_contains(_as_piece(h, STD_TETRA), w, STD_TETRA)
+        for p in pieces:
+            assert not piece_contains(p, w, STD_TETRA)
 
     def test_divisor_monotone(self):
         cert = simplex_partition(STD_TETRA, "m8")
@@ -104,6 +100,20 @@ class TestSimplexGridCoverage:
         assert len(grid) == 47905 and (grid.sum(axis=1) == 64).all()
         with pytest.raises(ValueError):
             grid[0, 0] = 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_grid_matches_brute_force(self, k):
+        # every row summing to N, in lexicographic order, and nothing else
+        import itertools
+
+        from diampart.coverings import _bary_grid
+
+        for N in (0, 1, 2, 5):
+            want = [row for row in itertools.product(range(N + 1), repeat=k) if sum(row) == N]
+            grid = _bary_grid(k, N)
+            assert grid.dtype == np.int64 and grid.shape == (len(want), k)
+            assert [tuple(map(int, row)) for row in grid] == want
+            assert not grid.flags.writeable
 
 
 class TestCubeCoverage:
@@ -233,6 +243,7 @@ class TestBallCoveringSearch:
         sol = search_ball_covering(cube(2), m=1, r=r, norm=Norm.lp(INF), seed=0,
                                    n_boundary=64, n_interior=16)
         assert not sol.success
+        assert sol.radius == r  # a failed search reports r as given
         assert sol.residual_margin == verify_ball_covering(cube(2), sol.centers,
                                                            sol.radius, Norm.lp(INF))
 

@@ -85,6 +85,43 @@ def test_no_unused_module_level_imports():
     assert not found, "unused imports: " + "; ".join(sorted(found))
 
 
+def _private_definitions(tree):
+    """(name, node) for each module-level _name function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node):
+    """The names a subtree reads: bare names, attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_no_orphan_private_helpers():
+    trees = list(_package_trees())
+    reads = [(top, set(_references(top))) for _, tree in trees for top in tree.body]
+    found = ["%s:%d defines %s" % (name, definition.lineno, helper)
+             for name, tree in trees
+             for helper, definition in _private_definitions(tree)
+             if not any(helper in names for top, names in reads if top is not definition)]
+    assert not found, "private helpers nothing uses: " + "; ".join(found)
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:

@@ -3,14 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from diampart.geometry import Norm
+from diampart.geometry import Norm, norm_eval, vsub
 from diampart.numbers import INF
-from diampart.oracle import (
-    DistanceGraph,
-    beta_finite_exact,
-    distance_graph,
-    m_colorable,
-)
+from diampart.oracle import beta_finite_exact, m_colorable
 
 F = Fraction
 
@@ -21,41 +16,44 @@ def triangle_with_midpoints():
     return [a, b, c, mid(a, b), mid(b, c), mid(a, c)]
 
 
+def far_pairs(pts, threshold, norm):
+    """The edges (i, j), i < j, of points at distance strictly above the
+    threshold."""
+    return [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+            if norm_eval(vsub(pts[i], pts[j]), norm) > threshold]
+
+
 class TestColorability:
     def test_complete_graph_needs_n_colors(self):
-        pts = tuple((float(i),) for i in range(4))
-        edges = frozenset((i, j) for i in range(4) for j in range(i + 1, 4))
-        G = DistanceGraph(pts, 0.0, edges)
-        ok3, _ = m_colorable(G, 3)
+        edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        ok3, _ = m_colorable(4, edges, 3)
         assert not ok3
-        ok4, cols = m_colorable(G, 4)
+        ok4, cols = m_colorable(4, edges, 4)
         assert ok4 and len(set(cols)) == 4
 
     def test_edgeless_one_color(self):
-        G = DistanceGraph(((0.0,), (1.0,), (2.0,)), 99.0, frozenset())
-        ok, cols = m_colorable(G, 1)
+        ok, cols = m_colorable(3, [], 1)
         assert ok and set(cols) == {0}
 
     def test_triangle_config_below_half_not_4_colorable(self):
-        G = distance_graph(triangle_with_midpoints(), 0.499, Norm.lp(2))
-        ok, _ = m_colorable(G, 4)
+        edges = far_pairs(triangle_with_midpoints(), 0.499, Norm.lp(2))
+        ok, _ = m_colorable(6, edges, 4)
         assert not ok
 
     def test_triangle_config_at_half_4_colorable(self):
-        G = distance_graph(triangle_with_midpoints(), 0.5, Norm.lp(2))
-        ok, cols = m_colorable(G, 4)
+        edges = far_pairs(triangle_with_midpoints(), 0.5, Norm.lp(2))
+        ok, cols = m_colorable(6, edges, 4)
         assert ok
-        adj = G.adjacency()
-        for i, j in G.edges:
+        for i, j in edges:
             assert cols[i] != cols[j]
-        assert all(len(adj[i]) >= 1 for i in range(3))
+        assert all(any(i in e for e in edges) for i in range(3))
 
     def test_coloring_always_proper(self):
         pts = [(0, 0), (3, 0), (0, 4), (3, 4), (1, 1)]
-        G = distance_graph(pts, 3, Norm.lp(1))
-        ok, cols = m_colorable(G, 3)
+        edges = far_pairs(pts, 3, Norm.lp(1))
+        ok, cols = m_colorable(5, edges, 3)
         if ok:
-            for i, j in G.edges:
+            for i, j in edges:
                 assert cols[i] != cols[j]
 
 

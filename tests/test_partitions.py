@@ -65,18 +65,20 @@ class TestTrianglePartition:
 
 class TestVertexHomothets:
     def test_four_pieces_at_three_quarters(self):
-        hs = simplex_vertex_homothets(STD_TETRA, F(3, 4))
-        assert len(hs) == 4
-        for h, v in zip(hs, STD_TETRA.vertices):
-            assert h.ratio == F(3, 4)
+        pieces = simplex_vertex_homothets(STD_TETRA, F(3, 4))
+        assert len(pieces) == 4
+        for i, (piece, v) in enumerate(zip(pieces, STD_TETRA.vertices)):
+            h = piece.description
+            assert h.ratio == piece.ratio_bound == F(3, 4)
+            assert piece.bary_bounds[i] == (F(1, 4), 1)
+            assert piece.realized_hull == apply_homothet(h)
             assert apply_homothet(h).vertices != STD_TETRA.vertices
             # the marked vertex is a fixed point
             assert h.apply_point(v) == v
 
     def test_mu_one_is_identity(self):
-        hs = simplex_vertex_homothets(STD_TETRA, 1)
-        for h in hs:
-            assert apply_homothet(h).vertices == STD_TETRA.vertices
+        for piece in simplex_vertex_homothets(STD_TETRA, 1):
+            assert apply_homothet(piece.description).vertices == STD_TETRA.vertices
 
     def test_rejects_below_threshold_with_centroid_witness(self):
         with pytest.raises(ValueError, match="centroid"):
@@ -138,26 +140,32 @@ class TestSimplexSchemes:
         cert = simplex_partition(STD_TETRA, "m8")
         tails = cert.pieces[4:]
         assert all(p.description.ratio == F(-9, 16) for p in tails)
-        assert all(p.clip is not None for p in tails)
+        # each overhanging tail is clipped back to the residual box [0, 7/16]^4,
+        # with its own coordinate capped at 1/4
+        for i, p in enumerate(tails):
+            want = [(F(0), F(7, 16))] * 4
+            want[i] = (F(0), F(1, 4))
+            assert p.bary_bounds == tuple(want)
 
     def test_m9_core_enclosure(self):
         cert = simplex_partition(STD_TETRA, "m9")
         core = cert.pieces[8]
-        assert core.enclosure.ratio == F(9, 17)
+        assert core.ratio_bound == F(9, 17)
         assert core.bary_bounds == ((F(2, 17), F(8, 17)),) * 4
 
     def test_pieces_inside_parent(self):
-        # every realized piece vertex has nonnegative barycentric coords
+        # every realized piece vertex lies in the piece's barycentric box,
+        # hence in the parent
         from diampart.geometry import barycentric_coords
 
         for scheme in ("m5", "m8", "m9"):
             cert = simplex_partition(SKEW_TETRA, scheme)
             for p in cert.pieces:
-                if p.realized_hull is None or p.clip is not None:
-                    continue
+                if isinstance(p.description, Homothet) and p.description.ratio < 0:
+                    continue  # a reflected tail overhangs; its box clips it
                 for v in p.realized_hull.vertices:
                     lam = barycentric_coords(SKEW_TETRA, v)
-                    assert all(c >= 0 for c in lam)
+                    assert all(lo <= c <= hi for c, (lo, hi) in zip(lam, p.bary_bounds))
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):

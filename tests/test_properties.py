@@ -16,7 +16,6 @@ from diampart.bounds import minmax_branches, minmax_epsilon
 from diampart.geometry import (
     Norm,
     Simplex,
-    BarycentricPoint,
     VPolytope,
     barycentric_coords,
     cross_polytope,
@@ -185,6 +184,11 @@ class TestDiameterLaws:
             assert diameter_finite(moved, norm) == abs(lam) * base
 
 
+def _weighted_sum(lam, verts):
+    """The point sum_i lam_i * verts_i."""
+    return tuple(sum(l * v[k] for l, v in zip(lam, verts)) for k in range(len(verts[0])))
+
+
 class TestBarycentric:
     @settings(max_examples=40, deadline=None)
     @given(st.tuples(st.integers(0, 9), st.integers(0, 9),
@@ -195,7 +199,7 @@ class TestBarycentric:
             weights = (1, 0, 0, 0)
             total = 1
         lam = tuple(F(w, total) for w in weights)
-        point = BarycentricPoint(lam).realize(SKEW_TETRA)
+        point = _weighted_sum(lam, SKEW_TETRA.vertices)
         assert barycentric_coords(SKEW_TETRA, point) == lam
 
 
@@ -211,7 +215,7 @@ class TestOracleAgainstConstruction:
         for w in raw:
             total = sum(w) or 1
             lam = tuple(F(c, total) for c in (w if sum(w) else (1, 0, 0, 0)))
-            pts.append(BarycentricPoint(lam).realize(SKEW_TETRA))
+            pts.append(_weighted_sum(lam, SKEW_TETRA.vertices))
         res = beta_finite_exact(pts, 8, norm)
         assert float(res.value) <= 9 / 16 + 1e-12
 
