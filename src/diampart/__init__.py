@@ -52,7 +52,7 @@ from .geometry import (
     point_in_vpolytope,
     polytope_diameter,
 )
-from .numbers import INF
+from .numbers import INF, VerificationError
 from .oracle import beta_finite_exact, m_colorable
 from .partitions import (
     PartitionCertificate,
@@ -80,6 +80,7 @@ __all__ = [
     "SandwichCertificate",
     "Simplex",
     "VPolytope",
+    "VerificationError",
     "apply_homothet",
     "barycentric_coords",
     "beta_finite_exact",

@@ -29,7 +29,15 @@ from .geometry import (
     pnorm_eval,
 )
 from .linprog import matrix_rank_exact
-from .numbers import INF, Scalar, all_rational, as_fraction, golden_section_min, to_float
+from .numbers import (
+    INF,
+    Scalar,
+    VerificationError,
+    all_rational,
+    as_fraction,
+    golden_section_min,
+    to_float,
+)
 
 SPANNING_DEFAULT: Tuple[tuple, ...] = ((3, 3, -2), (-2, 3, 3), (3, -2, 3))
 
@@ -210,7 +218,7 @@ def sandwich_verify(inner: VPolytope, outer, gamma: Scalar) -> SandwichCertifica
         sampled = max(sum(map(operator.mul, f, x))
                       for x in _pball_boundary_samples(outer, SWEEP_SAMPLES) for f in F)
         if sampled > to_float(worst_out_val) + 1e-7:
-            raise AssertionError(
+            raise VerificationError(
                 "sampled gauge %.17g exceeds the analytic maximum %.17g"
                 % (sampled, to_float(worst_out_val))
             )
@@ -275,12 +283,12 @@ def lp_parallelepiped_bound(
         # vertex maximum is the (-2,8,-2) orbit, never beaten by (4,4,4)
         closed = _closed_form_gamma(p, q)
         if abs(to_float(gamma) - to_float(closed)) > 1e-10 * to_float(closed):
-            raise AssertionError("gamma %r misses the closed form %r" % (gamma, closed))
+            raise VerificationError("gamma %r misses the closed form %r" % (gamma, closed))
         gamma = closed
         special = pnorm_eval((-2, 8, -2), p)
         if to_float(R) > to_float(special) * (1 + 1e-12) or (
                 all_rational([special, R]) and as_fraction(R) != as_fraction(special)):
-            raise AssertionError("vertex maximum %r is not the (-2,8,-2) orbit %r"
+            raise VerificationError("vertex maximum %r is not the (-2,8,-2) orbit %r"
                                  % (R, special))
 
     cert = sandwich_verify(Q, PBall(p=p, dim=k, radius=R), gamma)
@@ -336,7 +344,7 @@ def f_scan(lo: float = 1.0, hi: float = 2.0, step: float = 1e-4):
     vals = [to_float(f_eval(p)) for p in ps]
     rising = [vals[i + 1] >= vals[i] for i in range(len(vals) - 1)]
     if rising != sorted(rising):
-        raise AssertionError("f is not decreasing-then-increasing at this step")
+        raise VerificationError("f is not decreasing-then-increasing at this step")
     if True not in rising or False not in rising:
         raise ValueError("no interior minimum between %g and %g" % (lo, hi))
     k = rising.index(True)  # vals[k] <= vals[k+1]; minimum in [k-1, k+1]

@@ -23,6 +23,7 @@ from .geometry import Norm
 from .numbers import (
     INF,
     Scalar,
+    VerificationError,
     all_rational,
     as_fraction,
     golden_section_min,
@@ -189,7 +190,7 @@ def minmax_epsilon(eta: Scalar, beta_ball: Scalar) -> EpsilonOptResult:
     _, golden = golden_section_min(lambda e: max(minmax_branches(h, b, e)),
                                    _EDGE, 1.0 / 3.0 - _EDGE)
     if abs(golden - to_float(bound)) > 1e-10:
-        raise AssertionError(
+        raise VerificationError(
             "closed form %.17g disagrees with golden section %.17g"
             % (to_float(bound), golden)
         )
@@ -251,10 +252,10 @@ def _cube_halving_step() -> ProvenanceStep:
     cert = cube_partition(3)
     report = verify_covering(cert.parent, cert.pieces, N=64)
     if not report.covered:
-        raise AssertionError("the half-cube pieces failed to cover the cube")
+        raise VerificationError("the half-cube pieces failed to cover the cube")
     ratio = partition_diameter_ratio(cert, Norm.lp(INF))
     if ratio != Fraction(1, 2):
-        raise AssertionError("the half-cube diameter ratio is not 1/2")
+        raise VerificationError("the half-cube diameter ratio is not 1/2")
     return ProvenanceStep(
         formula="beta(l_inf^3, 8) = 1/2 by the 2^3 half-cube partition",
         inputs=(("n", 3), ("m", 8)),
@@ -282,7 +283,7 @@ def lp_beta8_table(p_values: Sequence[Scalar]) -> List[BetaBound]:
         chain = [base]
         report = bm_upper(p)
         if not report.certificate.verified:
-            raise AssertionError("sandwich certificate failed at p=%r" % (p,))
+            raise VerificationError("sandwich certificate failed at p=%r" % (p,))
         chain.append(
             ProvenanceStep(
                 formula="d_BM(l_p^3, l_inf^3) <= gamma via sandwich",
@@ -295,7 +296,7 @@ def lp_beta8_table(p_values: Sequence[Scalar]) -> List[BetaBound]:
         if pf < 2:
             # the parallelepiped factor is uniform on [1,2): cap at p=2
             if to_float(report.gamma_bound) > cap + 1e-9:
-                raise AssertionError("parallelepiped factor exceeded its cap")
+                raise VerificationError("parallelepiped factor exceeded its cap")
             chain.append(
                 ProvenanceStep(
                     formula="gamma(p) <= sqrt(342)/10 on [1,2)",

@@ -5,7 +5,9 @@ echoed inputs, the results payload, an evidence level (exact |
 grid-certified | sampled | cited), and optional timings.  Reports are
 byte-stable for fixed inputs and seeds; timings are off by default for
 exactly that reason.  Exit status: 0 on success, 2 when a verification
-fails, 1 on usage errors.
+fails, 1 on usage errors.  A failed certificate check (VerificationError)
+also exits 2, with the message as the results and null inputs and
+evidence level.
 """
 
 import argparse
@@ -23,7 +25,7 @@ from .coverings import (
     verify_covering,
 )
 from .geometry import Homothet, Norm, PBall, Simplex, cube
-from .numbers import INF, is_rational, parse_scalar, to_float
+from .numbers import INF, VerificationError, is_rational, parse_scalar, to_float
 from .oracle import beta_finite_exact
 from .partitions import (
     SectorRegion,
@@ -429,7 +431,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        inputs, results, evidence, ok = args.handler(args)
+        try:
+            inputs, results, evidence, ok = args.handler(args)
+        except VerificationError as exc:
+            inputs, results, evidence, ok = None, {"verification_error": str(exc)}, None, False
         elapsed = time.perf_counter() - started
         envelope = {
             "command": args.command,

@@ -77,13 +77,14 @@ def _piece_box(piece: PartitionPiece) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _bary_grid(k: int, N: int):
-    """All integer vectors of length k summing to N (lambda = row/N), in
-    lexicographic order.
+    """All integer vectors of length k summing to N (lambda = column/N),
+    in lexicographic order, one vector per column: shape (k, P).
 
     Stars and bars: each choice of k-1 bar positions among N+k-1 slots
     gives one vector, the gaps between consecutive bars (with bars at -1
-    and N+k-1 closing the ends).  Cached and shared by every caller,
-    hence read-only.
+    and N+k-1 closing the ends).  Stored coordinate-major, so each
+    coordinate is one contiguous row, in the narrowest unsigned dtype
+    that holds N.  Cached and shared by every caller, hence read-only.
     """
     import numpy as np
 
@@ -92,23 +93,28 @@ def _bary_grid(k: int, N: int):
     bars = np.empty((count, k + 1), dtype=np.int64)
     bars[:, 0], bars[:, -1] = -1, N + k - 1
     bars[:, 1:-1] = np.fromiter(flat, dtype=np.int64, count=count * (k - 1)).reshape(count, k - 1)
-    grid = np.diff(bars, axis=1)
-    grid -= 1
+    gaps = np.diff(bars, axis=1)
+    gaps -= 1
+    grid = np.ascontiguousarray(gaps.T, dtype=np.min_scalar_type(N))
     grid.flags.writeable = False
     return grid
 
 
 def _box_mask(grid, bounds, N: int):
-    """Exact integer test  lo <= k/N <= hi  per coordinate, all coords."""
+    """Exact test  lo <= row/N <= hi  on every coordinate row of the grid.
+
+    The rows hold integers, so each bound is one comparison against an
+    integer threshold: row >= ceil(lo*N) and row <= floor(hi*N).
+    """
     import numpy as np
 
-    mask = np.ones(len(grid), dtype=bool)
-    for i, (lo, hi) in enumerate(bounds):
-        lo, hi = Fraction(lo), Fraction(hi)
+    mask = np.ones(grid.shape[1], dtype=bool)
+    for row, (lo, hi) in zip(grid, bounds):
+        lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > 0:
-            mask &= grid[:, i] * lo.denominator >= lo.numerator * N
+            mask &= row >= -(-lo.numerator * N // lo.denominator)
         if hi < 1:
-            mask &= grid[:, i] * hi.denominator <= hi.numerator * N
+            mask &= row <= hi.numerator * N // hi.denominator
     return mask
 
 
@@ -118,7 +124,7 @@ def _simplex_grid_coverage(parent: Simplex, pieces, N: int) -> CoverageReport:
     k = parent.dim + 1
     grid = _bary_grid(k, N)
     boxes = [_piece_box(p) for p in pieces]
-    covered = np.zeros(len(grid), dtype=bool)
+    covered = np.zeros(grid.shape[1], dtype=bool)
     for box in boxes:
         covered |= _box_mask(grid, box, N)
     if bool(covered.all()):
@@ -127,7 +133,7 @@ def _simplex_grid_coverage(parent: Simplex, pieces, N: int) -> CoverageReport:
     bad = np.nonzero(~covered)[0]
     worst_pt, worst_margin = None, None
     for idx in bad[: min(len(bad), 2048)]:
-        lam = [Fraction(int(v), N) for v in grid[idx]]
+        lam = [Fraction(int(v), N) for v in grid[:, idx]]
         best = None
         for box in boxes:
             viol = max(
@@ -647,7 +653,7 @@ def _exact_margin(P, D, centers, r, norm: Norm):
         PW = (P.astype(dtype) * k) @ Wt
         dist = np.stack([(PW - cw).max(axis=1) for cw in np.asarray(C, dtype=dtype) @ Wt])
         value = Fraction(int(dist.min(axis=0).max()) * form.scale, M * L)
-        if not all(all_rational(v) for v in norm.body.vertices):
+        if not norm.body.rational:
             value = to_float(value)  # as gauge_eval rounds for a float body
         return value - r
     dtype = _int_dtype(P.shape[1] * reach)

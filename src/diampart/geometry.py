@@ -99,6 +99,12 @@ class VPolytope:
     def dim(self) -> int:
         return len(self.vertices[0])
 
+    @functools.cached_property
+    def rational(self) -> bool:
+        """Every vertex coordinate is an int or a Fraction; computed once,
+        since a gauge of a float body rounds each value it returns."""
+        return all(all_rational(v) for v in self.vertices)
+
     def translate(self, t: Vector) -> "VPolytope":
         return VPolytope(tuple(vadd(v, t) for v in self.vertices))
 
@@ -209,7 +215,7 @@ def pnorm_eval(x: Sequence[Scalar], p: Scalar) -> Scalar:
         raise ValueError("p must be >= 1")
     if p == 1:
         return sum(abs(v) for v in x)
-    xs = [abs(to_float(v)) for v in x]
+    xs = [abs(float(v)) for v in x]
     m = max(xs) if xs else 0.0
     if m == 0.0:
         return 0.0
@@ -309,7 +315,7 @@ def _validate_gauge_body(body: VPolytope):
     verts = body.vertices
     if affine_rank(verts) != body.dim:
         raise ValueError("gauge body must be full-dimensional")
-    if all(all_rational(v) for v in verts):
+    if body.rational:
         vert_set = set(verts)
         sym = all(vneg(v) in vert_set for v in verts)
     else:
@@ -355,12 +361,22 @@ class FacetForm:
 MAX_FACET_SUBSETS = 200_000
 
 
+# the coordinate types the integer kernels take as they are
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _coordinate_types(points) -> set:
+    return {type(c) for p in points for c in p}
+
+
 def _integer_points(points) -> tuple:
     """(D, P): D is the lcm of every coordinate denominator and P holds
     the integer tuples D * p, exact for floats too."""
-    fr = [[as_fraction(c) for c in p] for p in points]
-    D = math.lcm(*(c.denominator for p in fr for c in p))
-    return D, tuple(tuple(c.numerator * (D // c.denominator) for c in p) for p in fr)
+    if not _coordinate_types(points) <= _EXACT_TYPES:
+        points = [[as_fraction(c) for c in p] for p in points]
+    ratios = [[c.as_integer_ratio() for c in p] for p in points]
+    D = math.lcm(*(d for p in ratios for _, d in p))
+    return D, tuple(tuple(n * (D // d) for n, d in p) for p in ratios)
 
 
 def _det(M) -> int:
@@ -480,34 +496,40 @@ def gauge_eval(x: Vector, body: VPolytope) -> Scalar:
     D, (X,) = _integer_points((x,))
     if any(vdot(c, X) > 0 for c in form.cone):
         raise ValueError("point is outside the span of the gauge body")
-    return _facet_max(form, [vdot(c, X) for c, _ in form.rows], D, (x,), body)
+    return _facet_max(form, [vdot(c, X) for c, _ in form.rows], D,
+                      all_rational(x) and body.rational)
 
 
-def _gauge_diameter(points, body: VPolytope) -> Scalar:
+def _widths(X, functionals) -> list:
+    """max c.p - min c.p over the integer points X, per functional c."""
+    out = []
+    for c in functionals:
+        vals = [sum(map(operator.mul, c, p)) for p in X]
+        out.append(max(vals) - min(vals))
+    return out
+
+
+def _gauge_diameter(points, rational: bool, body: VPolytope) -> Scalar:
     """Width identity: diam = max_i (max_p c_i.p - min_p c_i.p)/d_i over
     the facet list of an origin-symmetric body; no pairwise loop."""
     if any(len(p) != body.dim for p in points):
         raise ValueError("points and gauge body differ in dimension")
     form = gauge_facets(body.vertices)
     D, X = _integer_points(points)
-    widths = []
-    for c, _ in form.rows:
-        vals = [vdot(c, p) for p in X]
-        widths.append(max(vals) - min(vals))
-    return _facet_max(form, widths, D, points, body)
+    return _facet_max(form, _widths(X, [c for c, _ in form.rows]), D,
+                      rational and body.rational)
 
 
-def _facet_max(form: FacetForm, nums, D: int, points, body: VPolytope) -> Scalar:
+def _facet_max(form: FacetForm, nums, D: int, exact: bool) -> Scalar:
     """max_i nums_i/d_i back in the caller's units (times scale/D), as a
-    Fraction when points and body are rational and rounded otherwise."""
+    Fraction when ``exact`` (points and body rational), rounded
+    otherwise."""
     num, den = 0, 1
     for v, (_, d) in zip(nums, form.rows):
         if v * den > num * d:
             num, den = v, d
     value = Fraction(num * form.scale, den * D)
-    if all(all_rational(p) for p in points) and all(all_rational(v) for v in body.vertices):
-        return value
-    return to_float(value)
+    return value if exact else to_float(value)
 
 
 def norm_eval(x: Vector, norm: Norm) -> Scalar:
@@ -520,31 +542,49 @@ def norm_eval(x: Vector, norm: Norm) -> Scalar:
 # diameters
 
 
+@functools.lru_cache(maxsize=16)
+def _polyhedral_functionals(p: Scalar, n: int) -> tuple:
+    """Rows c with ||x||_p = max_c |c.x| for p in {1, inf}: the sign
+    vectors (1, +-1, ..., +-1) for l1 and the unit axes for l_inf."""
+    if p == 1:
+        return tuple((1,) + s for s in itertools.product((1, -1), repeat=n - 1))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def diameter_finite(points: Sequence[Vector], norm: Norm) -> Scalar:
-    """sup of pairwise distances of a finite set (0 for a single point)."""
+    """sup of pairwise distances of a finite set (0 for a single point).
+
+    Rational points are scaled once to integer tuples over a common
+    denominator D.  A polyhedral norm then needs no pairwise loop: the
+    diameter is the largest width max c.p - min c.p over its functionals
+    c (the gauge's facet rows, the l1 sign vectors, the l_inf axes),
+    exact: a Fraction for a gauge, and for l1 and l_inf an int exactly
+    when every coordinate is an int.  Other l_p norms walk the pairs on
+    integer differences, each divided by D: int/int division rounds
+    correctly, as Fraction.__float__ does, so the floats are those of
+    the Fraction differences bit for bit.  Points with a float
+    coordinate walk the pairs as given.
+    """
     pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("diameter of an empty set is undefined")
+    types = _coordinate_types(pts)
+    rational = types <= _EXACT_TYPES
     if len(pts) == 1:
-        return 0 if all_rational(pts[0]) else 0.0
+        return 0 if rational else 0.0
     if norm.kind == "gauge":
-        return _gauge_diameter(pts, norm.body)
-    if norm.kind == "p" and norm.p == INF:
-        # max over pairs of max over coords == max over coords of the range
-        best = None
-        for k in range(len(pts[0])):
-            col = [p[k] for p in pts]
-            spread = max(col) - min(col)
-            if best is None or spread > best:
-                best = spread
-        return best
-    best = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = norm_eval(vsub(pts[i], pts[j]), norm)
-            if best is None or d > best:
-                best = d
-    return best
+        return _gauge_diameter(pts, rational, norm.body)
+    p = norm.p
+    if not rational:
+        return max(pnorm_eval(vsub(a, b), p) for a, b in itertools.combinations(pts, 2))
+    D, X = _integer_points(pts)
+    if p == 1 or p == INF:
+        width = max(_widths(X, _polyhedral_functionals(p, len(X[0]))))
+        if types <= {int}:
+            return width
+        return Fraction(width, D)
+    return max(pnorm_eval([(u - v) / D for u, v in zip(a, b)], p)
+               for a, b in itertools.combinations(X, 2))
 
 
 def polytope_diameter(P: Union[VPolytope, Simplex], norm: Norm) -> Scalar:

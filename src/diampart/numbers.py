@@ -1,4 +1,4 @@
-"""Scalar utilities shared by every module.
+"""Scalar utilities and the verification error shared by every module.
 
 Two arithmetic modes coexist throughout the library: exact rationals
 (int / fractions.Fraction) for polyhedral data, and binary floats for
@@ -16,6 +16,13 @@ from typing import Callable, Iterable, Union
 INF = math.inf
 
 Scalar = Union[int, Fraction, float]
+
+
+class VerificationError(AssertionError):
+    """A certificate check failed: the computed object does not have the
+    property it was built to have.  Raised explicitly, so the checks run
+    under ``python -O`` too; an AssertionError, so callers that catch
+    those still see it.  The CLI reports it with exit status 2."""
 
 
 def is_rational(x) -> bool:

@@ -21,6 +21,7 @@ hold for EVERY norm, not just the one they are later verified under.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,12 +32,13 @@ from .geometry import (
     Norm,
     Simplex,
     VPolytope,
+    _integer_points,
     apply_homothet,
     barycentric_coords,
     centroid,
     vscale,
 )
-from .numbers import INF, all_rational, as_fraction, to_float
+from .numbers import INF, VerificationError, all_rational, as_fraction, to_float
 
 
 # ---------------------------------------------------------------------------
@@ -102,31 +104,27 @@ class UnitDisk:
 
 
 def _bary_box_vertices(bounds) -> tuple:
-    """Vertices of {lo <= lambda <= hi, sum lambda = 1}.
+    """Vertices of {lo <= lambda <= hi, sum lambda = 1}, in sorted order.
 
     Every vertex has at most one coordinate strictly between its bounds,
     so enumerating one free coordinate against all lo/hi patterns of the
-    rest is exhaustive.
+    rest is exhaustive.  The enumeration runs on the integers lo*L and
+    hi*L, L the lcm of the bound denominators, where sum lambda = 1
+    reads sum = L; Fractions are built only for the vertices returned.
     """
-    k = len(bounds)
-    if sum(lo for lo, _ in bounds) > 1 or sum(hi for _, hi in bounds) < 1:
+    L, ints = _integer_points(bounds)
+    k = len(ints)
+    if sum(lo for lo, _ in ints) > L or sum(hi for _, hi in ints) < L:
         return ()
     out = set()
     for free in range(k):
-        others = [i for i in range(k) if i != free]
-        for mask in range(1 << (k - 1)):
-            lam = [None] * k
-            s = Fraction(0)
-            for b, i in enumerate(others):
-                val = bounds[i][1] if (mask >> b) & 1 else bounds[i][0]
-                lam[i] = val
-                s += val
-            rest = 1 - s
-            lo, hi = bounds[free]
+        others = [ints[i] for i in range(k) if i != free]
+        lo, hi = ints[free]
+        for pattern in itertools.product(*others):
+            rest = L - sum(pattern)
             if lo <= rest <= hi:
-                lam[free] = rest
-                out.add(tuple(lam))
-    return tuple(sorted(out))
+                out.add(pattern[:free] + (rest,) + pattern[free:])
+    return tuple(tuple(Fraction(v, L) for v in lam) for lam in sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +238,7 @@ def residual_enclosure(S: Simplex, t) -> Homothet:
     for lam in region.vertices_lambda():
         pre = [(t - li) / gamma for li in lam]
         if any(v < 0 for v in pre) or sum(pre) != 1:
-            raise AssertionError("residual enclosure verification failed")
+            raise VerificationError("residual enclosure verification failed")
     return h
 
 
@@ -336,7 +334,7 @@ def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
 
     ratio = _SCHEME_RATIO[scheme]
     if max(p.ratio_bound for p in pieces) != ratio:
-        raise AssertionError("%s pieces do not attain the scheme ratio %s" % (scheme, ratio))
+        raise VerificationError("%s pieces do not attain the scheme ratio %s" % (scheme, ratio))
     return PartitionCertificate(S, tuple(pieces), ratio, None, scheme)
 
 

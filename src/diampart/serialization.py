@@ -86,6 +86,16 @@ def _field(spec: dict, what: str, key: str):
     return spec[key]
 
 
+def _int_field(spec: dict, what: str, key: str) -> int:
+    """spec[key] as a JSON integer; a list, float, bool or string is a
+    ValueError naming the spec's kind and the key."""
+    value = _field(spec, what, key)
+    if type(value) is not int:
+        raise ValueError('a "%s" %s spec needs an integer "%s", got %s'
+                         % (spec["kind"], what, key, type(value).__name__))
+    return value
+
+
 def norm_from_spec(spec: dict) -> Norm:
     kind = _require_object(spec, "a norm spec").get("kind")
     if kind == "p":
@@ -113,11 +123,11 @@ def body_from_spec(spec: dict):
         return VPolytope(parse_points(_field(spec, "body", "vertices")))
     if kind == "cube":
         half = parse_scalar(spec.get("half", 1))
-        return cube(int(_field(spec, "body", "n")), half=half)
+        return cube(_int_field(spec, "body", "n"), half=half)
     if kind == "pball":
         return PBall(
             p=parse_scalar(_field(spec, "body", "p")),
-            dim=int(_field(spec, "body", "dim")),
+            dim=_int_field(spec, "body", "dim"),
             radius=parse_scalar(spec.get("radius", 1)),
         )
     raise ValueError("unknown body kind %r" % (kind,))

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -21,11 +22,25 @@ def run_failing(capsys, argv):
     return code, capsys.readouterr()
 
 
-# spec files that lack a key their kind needs, and what the error must name
-MISSING_KEY = {
+# body sections whose integer field is not a JSON integer, and the error
+BAD_INTEGER_FIELDS = [
+    ('"cube", "n": [3]', 'a "cube" body spec needs an integer "n", got list'),
+    ('"cube", "n": 2.5', 'a "cube" body spec needs an integer "n", got float'),
+    ('"cube", "n": true', 'a "cube" body spec needs an integer "n", got bool'),
+    ('"cube", "n": "3"', 'a "cube" body spec needs an integer "n", got str'),
+    ('"cube", "n": 1e400', 'a "cube" body spec needs an integer "n", got float'),
+    ('"pball", "p": 2, "dim": [3]', 'a "pball" body spec needs an integer "dim", got list'),
+    ('"pball", "p": 2, "dim": 2.5', 'a "pball" body spec needs an integer "dim", got float'),
+]
+BAD_BODY_PROBLEM = '{"points": [[0, 0], [1, 0]], "body": {"kind": %s}}'
+
+# spec files that lack a key their kind needs, or hold a malformed
+# integer field, and what the error must name
+NAMED_CAUSE = {
     '{"kind": "p"}': 'a "p" norm spec needs "p"',
     '{"points": [[0, 0], [1, 0]], "norm": {"kind": "gauge"}}':
         'a "gauge" norm spec needs "vertices"',
+    **{BAD_BODY_PROBLEM % body: message for body, message in BAD_INTEGER_FIELDS},
 }
 
 
@@ -121,6 +136,10 @@ class TestExitCodes:
         ('{"points": [[0, 0], [1, 0]], "norm": {"kind": "gauge", "vertices": 5}}',
          ["oracle", "--points", "FILE", "--m", "2"]),
         ('{"kind": "p", "p": null}', ["partition", "simplex", "--m", "8", "--norm", "FILE"]),
+    ] + [
+        # a body section whose integer field is not a JSON integer
+        (BAD_BODY_PROBLEM % body, ["oracle", "--points", "FILE", "--m", "2"])
+        for body, _ in BAD_INTEGER_FIELDS
     ])
     def test_bad_spec_file_is_one_error_line(self, capsys, tmp_path, text, argv):
         path = tmp_path / "spec.json"
@@ -131,8 +150,8 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("diampart: error:")
         assert "_norm_arg" not in lines[0]  # the cause, not argparse's fallback
-        if text in MISSING_KEY:
-            assert MISSING_KEY[text] in lines[0]
+        if text in NAMED_CAUSE:
+            assert NAMED_CAUSE[text] in lines[0]
 
     @pytest.mark.parametrize("points", [
         "[[0, 0], [1e400, 0], [0, 1]]",
@@ -148,6 +167,19 @@ class TestExitCodes:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "diampart: error: point coordinates must be finite\n"
+
+    def test_failed_certificate_check_is_two_with_a_report(self, capsys, monkeypatch):
+        from diampart import partitions
+
+        monkeypatch.setitem(partitions._SCHEME_RATIO, "m8", Fraction(1, 2))
+        code, captured = run_failing(capsys, ["partition", "simplex", "--m", "8"])
+        assert code == 2
+        assert captured.err == ""
+        doc = parse(captured.out)
+        assert doc["command"] == "partition simplex"
+        assert doc["inputs"] is None and doc["evidence_level"] is None
+        assert doc["results"] == {
+            "verification_error": "m8 pieces do not attain the scheme ratio 1/2"}
 
     def test_zero_denominator_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

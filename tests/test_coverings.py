@@ -97,23 +97,76 @@ class TestSimplexGridCoverage:
 
         grid = _bary_grid(4, 64)
         assert grid is _bary_grid(4, 64)
-        assert len(grid) == 47905 and (grid.sum(axis=1) == 64).all()
+        assert grid.shape == (4, 47905) and grid.dtype == np.uint8
+        assert grid.flags.c_contiguous and (grid.sum(axis=0) == 64).all()
         with pytest.raises(ValueError):
             grid[0, 0] = 1
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_grid_matches_brute_force(self, k):
-        # every row summing to N, in lexicographic order, and nothing else
+        # every vector summing to N, one per column in lexicographic
+        # order, and nothing else, in the narrowest dtype that holds N
         import itertools
 
         from diampart.coverings import _bary_grid
 
-        for N in (0, 1, 2, 5):
+        for N in (0, 1, 2, 5, 256):
+            if N == 256 and k > 2:
+                continue
             want = [row for row in itertools.product(range(N + 1), repeat=k) if sum(row) == N]
             grid = _bary_grid(k, N)
-            assert grid.dtype == np.int64 and grid.shape == (len(want), k)
-            assert [tuple(map(int, row)) for row in grid] == want
+            assert grid.dtype == np.min_scalar_type(N) and grid.shape == (k, len(want))
+            assert [tuple(map(int, col)) for col in grid.T] == want
             assert not grid.flags.writeable
+
+
+def multiply_form_mask(rows, bounds, N):
+    """The grid test _box_mask ran before it compared against integer
+    thresholds: row-major int64 rows, lo <= k/N <= hi as k*den vs num*N."""
+    mask = np.ones(len(rows), dtype=bool)
+    for i, (lo, hi) in enumerate(bounds):
+        lo, hi = F(lo), F(hi)
+        if lo > 0:
+            mask &= rows[:, i] * lo.denominator >= lo.numerator * N
+        if hi < 1:
+            mask &= rows[:, i] * hi.denominator <= hi.numerator * N
+    return mask
+
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=40)
+
+
+def unit_boxes(k):
+    return st.lists(st.tuples(unit_fractions, unit_fractions).map(sorted),
+                    min_size=k, max_size=k)
+
+
+class TestGridKernel:
+    """The coordinate-major threshold test against the multiply form."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(3, 1), (3, 7), (3, 64), (3, 255), (3, 256), (3, 300),
+                            (4, 1), (4, 7), (4, 64)]).flatmap(
+        lambda kn: st.tuples(st.just(kn), unit_boxes(kn[0]))))
+    def test_threshold_test_matches_multiply_form(self, case):
+        from diampart.coverings import _bary_grid, _box_mask
+
+        (k, N), box = case
+        grid = _bary_grid(k, N)
+        assert grid.dtype == (np.uint8 if N < 256 else np.uint16)
+        want = multiply_form_mask(grid.T.astype(np.int64), box, N)
+        assert np.array_equal(_box_mask(grid, box, N), want)
+
+    @pytest.mark.parametrize("N, point, margin", [
+        # what the row-major multiply form reported for these grids
+        (7, (F(3, 2), F(9, 7)), 0.07142857142857142),
+        (300, (F(413, 300), F(59, 50)), 0.10666666666666667),
+    ])
+    def test_uncovered_witness_unchanged(self, N, point, margin):
+        T = Simplex(((0, 0), (3, 1), (F(1, 2), 2)))
+        rep = verify_covering(T, triangle_partition4(T).pieces[:3], N=N)
+        assert not rep.covered
+        assert rep.worst_witness == (point, margin)
 
 
 class TestCubeCoverage:

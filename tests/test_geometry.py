@@ -172,6 +172,16 @@ class TestDiameter:
         d = diameter_finite(cube(3).vertices, Norm.gauge(cross_polytope(3)))
         assert d == 6 and isinstance(d, Fraction)
 
+    def test_lp_differences_round_once(self):
+        # (2^60 + 21)/21 is not a float: the kernel's int/int division
+        # rounds it once, as float(Fraction) does; float(u - v)/D would
+        # round twice and land one ulp lower
+        far = F(2 ** 60 + 21, 21)
+        pts = [(0, F(1, 3)), (far, F(1, 3))]
+        for p in (2, 3):
+            d = diameter_finite(pts, Norm.lp(p))
+            assert d.hex() == float(far).hex() == "0x1.8618618618619p+55"
+
     def test_gauge_diameter_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
             diameter_finite([(0, 0, 0), (1, 1)], Norm.gauge(cube(3)))

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diampart.geometry import (
     Homothet,
@@ -17,6 +18,7 @@ from diampart.partitions import (
     BarycentricRegion,
     SectorRegion,
     UnitDisk,
+    _bary_box_vertices,
     cube_partition,
     disk_partition4,
     piece_contains,
@@ -253,3 +255,45 @@ class TestPieceMembership:
         cert = simplex_partition(STD_TETRA, "m5")
         g = (0.25, 0.25, 0.25)
         assert any(piece_contains(p, g, STD_TETRA, tol=1e-9) for p in cert.pieces)
+
+
+def fraction_box_vertices(bounds):
+    """The Fraction enumerator _bary_box_vertices replaced: one free
+    coordinate against every lo/hi pattern of the rest."""
+    k = len(bounds)
+    if sum(lo for lo, _ in bounds) > 1 or sum(hi for _, hi in bounds) < 1:
+        return ()
+    out = set()
+    for free in range(k):
+        others = [i for i in range(k) if i != free]
+        for mask in range(1 << (k - 1)):
+            lam = [None] * k
+            s = Fraction(0)
+            for b, i in enumerate(others):
+                val = bounds[i][1] if (mask >> b) & 1 else bounds[i][0]
+                lam[i] = val
+                s += val
+            rest = 1 - s
+            lo, hi = bounds[free]
+            if lo <= rest <= hi:
+                lam[free] = rest
+                out.add(tuple(lam))
+    return tuple(sorted(out))
+
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=17)
+
+
+class TestBoxVertices:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda k: st.lists(
+        st.tuples(unit_fractions, unit_fractions).map(lambda b: tuple(sorted(b))),
+        min_size=k, max_size=k)))
+    @example([(F(0), F(1, 5))] * 4)  # sum of his below 1: empty
+    @example([(F(2, 5), F(1))] * 3)  # sum of los above 1: empty
+    @example([(F(0), F(7, 16))] * 4)  # the m8 residual box
+    @example([(F(0), F(1, 4))] * 4)  # one vertex, every coordinate at hi
+    def test_integer_enumeration_matches_fractions(self, bounds):
+        got = _bary_box_vertices(bounds)
+        assert got == fraction_box_vertices(bounds)
+        assert all(type(v) is Fraction for lam in got for v in lam)

@@ -184,6 +184,65 @@ class TestDiameterLaws:
             assert diameter_finite(moved, norm) == abs(lam) * base
 
 
+def pairwise_diameter(pts, norm):
+    """The pairwise loop diameter_finite ran before its integer width
+    kernel: the largest norm of a difference of two points."""
+    best = None
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = norm_eval(vsub(pts[i], pts[j]), norm)
+            if best is None or d > best:
+                best = d
+    return best
+
+
+def kernel_gauge(dim):
+    """A skew symmetric gauge body in R^dim: +-e_i and +-(1, 2, ..., dim)."""
+    ends = tuple(range(1, dim + 1))
+    verts = cross_polytope(dim).vertices + (ends, vneg(ends))
+    return Norm.gauge(tuple(dict.fromkeys(verts)))
+
+
+coordinates = {
+    "int": st.integers(-20, 20),
+    "fraction": st.fractions(min_value=-8, max_value=8, max_denominator=24),
+    "mixed": st.one_of(st.integers(-20, 20),
+                       st.fractions(min_value=-8, max_value=8, max_denominator=24)),
+}
+
+
+def point_sets(kind):
+    return st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.tuples(*[coordinates[kind]] * dim), min_size=2, max_size=9))
+
+
+class TestDiameterKernel:
+    """diameter_finite's integer kernels against the pairwise loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(coordinates)).flatmap(point_sets))
+    def test_matches_pairwise_reference(self, pts):
+        all_int = all(type(c) is int for p in pts for c in p)
+        norms = [Norm.lp(1), Norm.lp(INF), Norm.lp(2), Norm.lp(3), kernel_gauge(len(pts[0]))]
+        for norm in norms:
+            got, want = diameter_finite(pts, norm), pairwise_diameter(pts, norm)
+            assert got == want, norm
+            if norm.kind == "gauge":
+                assert type(got) is Fraction
+            elif norm.is_polyhedral:
+                assert type(got) is (int if all_int else Fraction), norm
+            else:  # the same float, bit for bit
+                assert type(got) is float and got.hex() == want.hex(), norm
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.tuples(*[st.one_of(st.integers(-20, 20), st.floats(-8, 8))] * dim),
+        min_size=2, max_size=6)))
+    def test_float_points_keep_the_pairwise_loop(self, pts):
+        for norm in (Norm.lp(1), Norm.lp(INF), Norm.lp(2), Norm.lp(3)):
+            assert diameter_finite(pts, norm) == pairwise_diameter(pts, norm)
+
+
 def _weighted_sum(lam, verts):
     """The point sum_i lam_i * verts_i."""
     return tuple(sum(l * v[k] for l, v in zip(lam, verts)) for k in range(len(verts[0])))

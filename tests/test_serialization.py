@@ -108,6 +108,17 @@ class TestBodySpecs:
         with pytest.raises(ValueError, match=message):
             body_from_spec(spec)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("cube", "n", [3]), ("cube", "n", 2.5), ("cube", "n", 2.0), ("cube", "n", True),
+        ("cube", "n", "3"), ("cube", "n", math.inf), ("pball", "dim", [3]),
+        ("pball", "dim", 3.0), ("pball", "dim", False), ("pball", "dim", "2"),
+    ])
+    def test_integer_field_must_be_an_integer(self, kind, key, value):
+        spec = {"kind": kind, "p": 2, key: value}
+        with pytest.raises(ValueError, match='a "%s" body spec needs an integer "%s", got %s'
+                           % (kind, key, type(value).__name__)):
+            body_from_spec(spec)
+
 
 class TestProblemFiles:
     def test_load(self, tmp_path):
