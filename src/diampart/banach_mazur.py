@@ -327,6 +327,10 @@ def f_eval(p: Scalar) -> Scalar:
     return first * second
 
 
+# Most points one f_scan pass may evaluate; the cost grows like 1/step.
+MAX_SCAN_POINTS = 10 ** 6
+
+
 def f_scan(lo: float = 1.0, hi: float = 2.0, step: float = 1e-4):
     """Locate the interior minimizer of f on [lo, hi].
 
@@ -335,8 +339,9 @@ def f_scan(lo: float = 1.0, hi: float = 2.0, step: float = 1e-4):
     bracketing interval.  Returns (p0, f(p0)).  A window in which f only
     falls or only rises holds no interior minimum: ValueError.
     """
-    if not (1 <= lo < hi <= 2 and step > 0):
-        raise ValueError("need 1 <= lo < hi <= 2 and a positive step")
+    if not (1 <= lo < hi <= 2 and step > 0 and (hi - lo) / step <= MAX_SCAN_POINTS - 1):
+        raise ValueError("need 1 <= lo < hi <= 2 and a positive step giving at most %d "
+                         "scan points" % MAX_SCAN_POINTS)
     count = int(math.ceil((hi - lo) / step)) + 1
     ps = [min(lo + k * step, hi) for k in range(count)]
     if ps[-1] < hi:

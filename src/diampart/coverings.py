@@ -30,6 +30,7 @@ from .geometry import (
     Simplex,
     VPolytope,
     gauge_facets,
+    norm_facets,
     polytope_diameter,
 )
 from .numbers import INF, all_rational, as_fraction, is_rational, to_float
@@ -75,6 +76,11 @@ def _piece_box(piece: PartitionPiece) -> tuple:
     return piece.bary_bounds
 
 
+# Most points one barycentric grid may hold (N = 256 on a tetrahedron
+# has 2,862,209); the cost grows like N^(k-1), so larger grids are refused.
+MAX_GRID_POINTS = 3_000_000
+
+
 @functools.lru_cache(maxsize=16)
 def _bary_grid(k: int, N: int):
     """All integer vectors of length k summing to N (lambda = column/N),
@@ -89,6 +95,9 @@ def _bary_grid(k: int, N: int):
     import numpy as np
 
     count = math.comb(N + k - 1, k - 1)
+    if count > MAX_GRID_POINTS:
+        raise ValueError("a barycentric grid of granularity 1/%d has %d points, more than %d"
+                         % (N, count, MAX_GRID_POINTS))
     flat = itertools.chain.from_iterable(itertools.combinations(range(N + k - 1), k - 1))
     bars = np.empty((count, k + 1), dtype=np.int64)
     bars[:, 0], bars[:, -1] = -1, N + k - 1
@@ -130,25 +139,20 @@ def _simplex_grid_coverage(parent: Simplex, pieces, N: int) -> CoverageReport:
     if bool(covered.all()):
         return CoverageReport("exact_grid", N, True, None, 0)
     # most-uncovered grid point: largest violation of its best piece
-    bad = np.nonzero(~covered)[0]
-    worst_pt, worst_margin = None, None
-    for idx in bad[: min(len(bad), 2048)]:
-        lam = [Fraction(int(v), N) for v in grid[:, idx]]
-        best = None
-        for box in boxes:
-            viol = max(
-                max(lo - lv, lv - hi, Fraction(0))
-                for lv, (lo, hi) in zip(lam, box)
-            )
-            best = viol if best is None else min(best, viol)
-        if worst_margin is None or best > worst_margin:
-            worst_margin = best
-            worst_pt = lam
-    point = tuple(
-        sum(lv * v[i] for lv, v in zip(worst_pt, parent.vertices))
-        for i in range(parent.dim)
-    )
-    return CoverageReport("exact_grid", N, False, (point, to_float(worst_margin)), 0)
+    bad = np.nonzero(~covered)[0][:2048]
+    lam = max(([Fraction(int(v), N) for v in grid[:, idx]] for idx in bad),
+              key=lambda x: _box_violation(x, boxes))
+    point = tuple(sum(lv * v[i] for lv, v in zip(lam, parent.vertices))
+                  for i in range(parent.dim))
+    return CoverageReport("exact_grid", N, False,
+                          (point, to_float(_box_violation(lam, boxes))), 0)
+
+
+def _box_violation(x, boxes):
+    """Smallest, over the boxes, of the largest per-coordinate distance
+    from x to the box's interval: how far x is from the nearest box."""
+    return min(max(max(lo - v, v - hi, 0) for v, (lo, hi) in zip(x, box))
+               for box in boxes)
 
 
 def _axis_cube_intervals(P: VPolytope):
@@ -211,7 +215,8 @@ def _cube_scheme_coverage(parent: VPolytope, pieces, N: int) -> CoverageReport:
     if set(piece_ivals) != want:
         missing = next(iter(want - set(piece_ivals)))
         pt = tuple(Fraction(lo + hi, 2) for lo, hi in missing)
-        return CoverageReport("exact_grid", N, False, (pt, float("nan")), 0)
+        return CoverageReport("exact_grid", N, False,
+                              (pt, to_float(_box_violation(pt, piece_ivals))), 0)
     return CoverageReport("exact_grid", N, True, None, 0)
 
 
@@ -620,21 +625,17 @@ def _confirmation_points(body):
     return _body_samples(body, 4 * 4096, 4 * 1024, seed=10**6 + 7), None
 
 
-def _confirmation_floats(P, D):
-    """The confirmation points as floats, each P/D rounded once."""
-    return P if D is None else (P.astype(object) / D).astype(float)
-
-
 def _exact_margin(P, D, centers, r, norm: Norm):
     """max over the lattice points P/D of min over centers of ||x-c|| - r.
 
     Exact, for polyhedral norms only (l1, l_inf and gauges): one rescale
     to the common denominator L of the lattice and the centers turns it
     into integer arithmetic, in int64 when the magnitudes allow and in
-    Python ints otherwise.  A gauge with facet rows (c_i, d_i) and scale s measures
-    y as max_i c_i.(s*y)/d_i (see gauge_facets); with M = lcm(d_i) and
-    integer rows W_i = (M/d_i)*c_i, the distance from P/D to C/L is
-    max_i W_i.(P*k - C) divided by M*L/s, where k = L/D.
+    Python ints otherwise.  With the norm's facet form (integer rows W
+    over den at scale s, see norm_facets) the distance from P/D to C/L
+    is max_w w.(P*k - C) * s/(den*L), where k = L/D.  The projections
+    W.(P*k) are kept one contiguous row per facet, so each center costs
+    one subtraction and one reduction over the facet rows.
     """
     import numpy as np
 
@@ -642,24 +643,16 @@ def _exact_margin(P, D, centers, r, norm: Norm):
     C = [[int(as_fraction(v) * L) for v in c] for c in centers]
     k = L // D
     reach = int(np.abs(P).max()) * k + max(abs(v) for c in C for v in c)
-    if norm.kind == "gauge":
-        # Norm.gauge admits only symmetric full-dimensional bodies, so the
-        # facet form has no cone rows
-        form = gauge_facets(norm.body.vertices)
-        M = math.lcm(*(d for _, d in form.rows))
-        W = [[M // d * ci for ci in c] for c, d in form.rows]
-        dtype = _int_dtype(max(sum(map(abs, w)) for w in W) * reach)
-        Wt = np.asarray(W, dtype=dtype).T
-        PW = (P.astype(dtype) * k) @ Wt
-        dist = np.stack([(PW - cw).max(axis=1) for cw in np.asarray(C, dtype=dtype) @ Wt])
-        value = Fraction(int(dist.min(axis=0).max()) * form.scale, M * L)
-        if not norm.body.rational:
-            value = to_float(value)  # as gauge_eval rounds for a float body
-        return value - r
-    dtype = _int_dtype(P.shape[1] * reach)
-    diff = np.abs(P.astype(dtype)[:, None, :] * k - np.asarray(C, dtype=dtype)[None, :, :])
-    dist = diff.max(axis=2) if norm.p == INF else diff.sum(axis=2)
-    return Fraction(int(dist.min(axis=1).max()), L) - as_fraction(r)
+    form = norm_facets(norm, P.shape[1])
+    dtype = _int_dtype(max(sum(map(abs, w)) for w in form.rows) * reach)
+    W = np.asarray(form.rows, dtype=dtype)
+    WP = W @ (P.T.astype(dtype) * k)
+    dist = functools.reduce(np.minimum, [np.max(WP - cw[:, None], axis=0)
+                                         for cw in np.asarray(C, dtype=dtype) @ W.T])
+    value = Fraction(int(dist.max()) * form.scale, form.den * L)
+    if norm.kind == "gauge" and not norm.body.rational:
+        value = to_float(value)  # as gauge_eval rounds for a float body
+    return value - as_fraction(r)
 
 
 def _snap_centers(centers):
@@ -764,5 +757,5 @@ def verify_ball_covering(parent, centers, r, norm: Norm):
     import numpy as np
 
     cs = np.asarray([[to_float(c) for c in row] for row in centers], dtype=float)
-    arr = _confirmation_floats(pts, den)
+    arr = pts if den is None else (pts.astype(object) / den).astype(float)  # P/D rounded once
     return float(_dist_matrix(arr, cs, _norm_kernel(norm)).min(axis=1).max()) - to_float(r)

@@ -332,28 +332,28 @@ def _validate_gauge_body(body: VPolytope):
 
 @dataclass(frozen=True)
 class FacetForm:
-    """Exact H-form of K = conv(W + {0}) for a gauge body with vertices W.
+    """Exact H-form of a polyhedral norm's unit ball, all rows over one
+    denominator (see norm_facets).
 
-    With y = scale * x (``scale`` is the lcm of the vertex denominators,
-    so the scaled vertices are integer), K is the set of y with
-    c.y <= d for every (c, d) in ``rows`` and c.y <= 0 for every c in
-    ``cone``.  All entries are integers and d > 0 in ``rows``, so the
-    gauge of x is max_i c_i.(scale * x)/d_i on the cone.  ``cone`` holds
-    the facets through the origin and both signs of a basis of the
-    orthogonal complement of span(W); it is empty exactly when the
-    origin is an interior point of the body.
+    With y = scale * x, the ball is the set of y with w.y <= den for
+    every w in ``rows`` and c.y <= 0 for every c in ``cone``; all entries
+    are integers, so the norm of x is max_w w.(scale * x)/den on the
+    cone.  A gauge body's ``cone`` holds the facets through the origin
+    and both signs of a basis of the orthogonal complement of span(W); it
+    is empty exactly when the origin is an interior point of the body.
     """
 
     scale: int
-    rows: tuple  # ((c, d), ...) with d > 0
+    den: int
+    rows: tuple  # (w, ...)
     cone: tuple  # (c, ...)
 
     def functionals(self) -> tuple:
-        """Rational rows f_i with gauge(x) = max_i f_i.x (origin interior)."""
+        """Rational rows f_i with norm(x) = max_i f_i.x (origin interior)."""
         if self.cone:
             raise ValueError("the origin is not an interior point of the gauge body")
-        return tuple(tuple(Fraction(self.scale * ci, d) for ci in c)
-                     for c, d in self.rows)
+        return tuple(tuple(Fraction(self.scale * wi, self.den) for wi in w)
+                     for w in self.rows)
 
 
 # Most n-subsets one facet enumeration may examine, a few seconds of
@@ -442,7 +442,10 @@ def _hull_facets(points) -> list:
 
 @functools.lru_cache(maxsize=256)
 def gauge_facets(vertices: tuple) -> FacetForm:
-    """The cached exact facet form of conv(vertices + {0}).
+    """The cached exact facet form of conv(vertices + {0}): ``scale`` is
+    the lcm of the vertex denominators, ``den`` the lcm of the facet
+    offsets d of the scaled body, and each facet c.y <= d becomes the row
+    (den/d)*c.
 
     Integer arithmetic throughout; no float hull and no tolerance.  The
     facets are found among the hyperplanes through n-subsets of the
@@ -463,7 +466,7 @@ def gauge_facets(vertices: tuple) -> FacetForm:
             e[p] = -row[f]
         _, (e,) = _integer_points((e,))
         cone += [e, vneg(e)]
-    rows = []
+    facets = []
     if pivots:
         pts = sorted({tuple(v[j] for j in pivots) for v in V} | {(0,) * len(pivots)})
         if math.comb(len(pts), len(pivots)) > MAX_FACET_SUBSETS:
@@ -474,17 +477,37 @@ def gauge_facets(vertices: tuple) -> FacetForm:
             for j, cj in zip(pivots, c):
                 lifted[j] = cj
             if d > 0:
-                rows.append((tuple(lifted), d))
+                facets.append((lifted, d))
             else:
                 cone.append(tuple(lifted))
-    return FacetForm(scale, tuple(rows), tuple(cone))
+    den = math.lcm(*(d for _, d in facets))
+    rows = tuple(tuple(den // d * ci for ci in c) for c, d in facets)
+    return FacetForm(scale, den, rows, tuple(cone))
+
+
+@functools.lru_cache(maxsize=64)
+def norm_facets(norm: Norm, n: int) -> FacetForm:
+    """The facet form of a polyhedral norm on R^n: a gauge's cached
+    gauge_facets, the 2^n sign vectors for l1, the 2n signed axes for
+    l_inf."""
+    if norm.kind == "gauge":
+        if n != norm.body.dim:
+            raise ValueError("points and gauge body differ in dimension")
+        return gauge_facets(norm.body.vertices)
+    if norm.p == 1:
+        rows = itertools.product((1, -1), repeat=n)
+    elif norm.p == INF:
+        rows = (tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1))
+    else:
+        raise ValueError("%s is not a polyhedral norm" % norm.label())
+    return FacetForm(1, 1, tuple(rows), ())
 
 
 def gauge_eval(x: Vector, body: VPolytope) -> Scalar:
     """Minkowski functional of conv(vertices + {0}): the least sum(mu),
     mu >= 0, with x = sum mu_j w_j.
 
-    Evaluated as max_i c_i.(L x)/d_i over the cached exact facet list
+    Evaluated as max_w w.(scale * x)/den over the cached exact facet form
     (see gauge_facets), exact for rational input.  Float input is
     converted exactly and only the result is rounded.  Raises ValueError
     when x lies outside the cone spanned by the vertices.
@@ -496,40 +519,8 @@ def gauge_eval(x: Vector, body: VPolytope) -> Scalar:
     D, (X,) = _integer_points((x,))
     if any(vdot(c, X) > 0 for c in form.cone):
         raise ValueError("point is outside the span of the gauge body")
-    return _facet_max(form, [vdot(c, X) for c, _ in form.rows], D,
-                      all_rational(x) and body.rational)
-
-
-def _widths(X, functionals) -> list:
-    """max c.p - min c.p over the integer points X, per functional c."""
-    out = []
-    for c in functionals:
-        vals = [sum(map(operator.mul, c, p)) for p in X]
-        out.append(max(vals) - min(vals))
-    return out
-
-
-def _gauge_diameter(points, rational: bool, body: VPolytope) -> Scalar:
-    """Width identity: diam = max_i (max_p c_i.p - min_p c_i.p)/d_i over
-    the facet list of an origin-symmetric body; no pairwise loop."""
-    if any(len(p) != body.dim for p in points):
-        raise ValueError("points and gauge body differ in dimension")
-    form = gauge_facets(body.vertices)
-    D, X = _integer_points(points)
-    return _facet_max(form, _widths(X, [c for c, _ in form.rows]), D,
-                      rational and body.rational)
-
-
-def _facet_max(form: FacetForm, nums, D: int, exact: bool) -> Scalar:
-    """max_i nums_i/d_i back in the caller's units (times scale/D), as a
-    Fraction when ``exact`` (points and body rational), rounded
-    otherwise."""
-    num, den = 0, 1
-    for v, (_, d) in zip(nums, form.rows):
-        if v * den > num * d:
-            num, den = v, d
-    value = Fraction(num * form.scale, den * D)
-    return value if exact else to_float(value)
+    value = Fraction(max(0, *(vdot(w, X) for w in form.rows)) * form.scale, form.den * D)
+    return value if all_rational(x) and body.rational else to_float(value)
 
 
 def norm_eval(x: Vector, norm: Norm) -> Scalar:
@@ -542,47 +533,41 @@ def norm_eval(x: Vector, norm: Norm) -> Scalar:
 # diameters
 
 
-@functools.lru_cache(maxsize=16)
-def _polyhedral_functionals(p: Scalar, n: int) -> tuple:
-    """Rows c with ||x||_p = max_c |c.x| for p in {1, inf}: the sign
-    vectors (1, +-1, ..., +-1) for l1 and the unit axes for l_inf."""
-    if p == 1:
-        return tuple((1,) + s for s in itertools.product((1, -1), repeat=n - 1))
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 def diameter_finite(points: Sequence[Vector], norm: Norm) -> Scalar:
     """sup of pairwise distances of a finite set (0 for a single point).
 
     Rational points are scaled once to integer tuples over a common
     denominator D.  A polyhedral norm then needs no pairwise loop: the
-    diameter is the largest width max c.p - min c.p over its functionals
-    c (the gauge's facet rows, the l1 sign vectors, the l_inf axes),
-    exact: a Fraction for a gauge, and for l1 and l_inf an int exactly
-    when every coordinate is an int.  Other l_p norms walk the pairs on
-    integer differences, each divided by D: int/int division rounds
-    correctly, as Fraction.__float__ does, so the floats are those of
-    the Fraction differences bit for bit.  Points with a float
-    coordinate walk the pairs as given.
+    diameter is the largest width max w.p - min w.p over the rows w of
+    its facet form (see norm_facets), exact: for a gauge a Fraction,
+    rounded for a float body or float points, and for l1 and l_inf an
+    int exactly when every coordinate is an int.  Other l_p norms walk
+    the pairs on integer differences, each divided by D: int/int
+    division rounds correctly, as Fraction.__float__ does, so the floats
+    are those of the Fraction differences bit for bit.  Points with a
+    float coordinate under an l_p norm walk the pairs as given.
     """
     pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("diameter of an empty set is undefined")
     types = _coordinate_types(pts)
     rational = types <= _EXACT_TYPES
+    if len({len(p) for p in pts}) > 1:
+        raise ValueError("points differ in dimension")
     if len(pts) == 1:
         return 0 if rational else 0.0
-    if norm.kind == "gauge":
-        return _gauge_diameter(pts, rational, norm.body)
+    if norm.kind == "gauge" or (rational and norm.is_polyhedral):
+        form = norm_facets(norm, len(pts[0]))
+        D, X = _integer_points(pts)
+        values = ([sum(map(operator.mul, w, p)) for p in X] for w in form.rows)
+        diam = Fraction(max(max(v) - min(v) for v in values) * form.scale, form.den * D)
+        if norm.kind == "p":
+            return diam.numerator if types <= {int} else diam
+        return diam if rational and norm.body.rational else to_float(diam)
     p = norm.p
     if not rational:
         return max(pnorm_eval(vsub(a, b), p) for a, b in itertools.combinations(pts, 2))
     D, X = _integer_points(pts)
-    if p == 1 or p == INF:
-        width = max(_widths(X, _polyhedral_functionals(p, len(X[0]))))
-        if types <= {int}:
-            return width
-        return Fraction(width, D)
     return max(pnorm_eval([(u - v) / D for u, v in zip(a, b)], p)
                for a, b in itertools.combinations(X, 2))
 

@@ -21,6 +21,7 @@ hold for EVERY norm, not just the one they are later verified under.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -221,25 +222,29 @@ def residual_enclosure(S: Simplex, t) -> Homothet:
     """Homothet -((n+1)t - 1)*S + c containing {sum lambda_i v_i : lambda <= t}.
 
     The centre of the enclosure is forced by centroid normalization:
-    c = (1 + gamma) * centroid(S).  The enclosure is re-verified on the
-    residual region's vertex set in rational arithmetic before being
-    returned.
+    c = (1 + gamma) * centroid(S).  The enclosure is verified on the
+    residual region's vertex set in rational arithmetic, once per (n, t),
+    before being returned.
     """
     n = S.dim
     t = as_fraction(t)
     if not Fraction(1, n + 1) < t <= Fraction(1, 2):
         raise ValueError("t must lie in (1/%d, 1/2]" % (n + 1,))
+    gamma = _enclosure_ratio(n, t)
+    return Homothet(-gamma, vscale(1 + gamma, centroid(S.vertices)), S)
+
+
+@functools.lru_cache(maxsize=32)
+def _enclosure_ratio(n: int, t: Fraction) -> Fraction:
+    """gamma = (n+1)t - 1, verified: every vertex lambda of the residual
+    box [0, t]^(n+1) maps into the simplex under the enclosure's inverse,
+    (t - lambda_i)/gamma >= 0 with sum 1.  Depends on (n, t) only."""
     gamma = (n + 1) * t - 1
-    g = centroid(S.vertices)
-    h = Homothet(-gamma, vscale(1 + gamma, g), S)
-    # verify: residual vertex lambda maps into S under the inverse of h,
-    # i.e. (t - lambda_i)/gamma >= 0 for all i
-    region = BarycentricRegion(S, ((Fraction(0), t),) * (n + 1))
-    for lam in region.vertices_lambda():
+    for lam in _bary_box_vertices(((Fraction(0), t),) * (n + 1)):
         pre = [(t - li) / gamma for li in lam]
         if any(v < 0 for v in pre) or sum(pre) != 1:
             raise VerificationError("residual enclosure verification failed")
-    return h
+    return gamma
 
 
 def triangle_partition4(T: Simplex) -> PartitionCertificate:
@@ -338,11 +343,16 @@ def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
     return PartitionCertificate(S, tuple(pieces), ratio, None, scheme)
 
 
+# Largest n a cube partition or a problem file's cube body accepts: the
+# 2^n vertices are built eagerly, so memory grows exponentially in n.
+MAX_CUBE_DIM = 8
+
+
 def cube_partition(n: int) -> PartitionCertificate:
     """[-1,1]^n split into the 2^n half-cubes (1/2)B + (1/2)v; ratio 1/2
     under l_inf."""
-    if not 1 <= n <= 8:
-        raise ValueError("dimension must lie in [1, 8]")
+    if not 1 <= n <= MAX_CUBE_DIM:
+        raise ValueError("dimension must lie in [1, %d]" % MAX_CUBE_DIM)
     from .geometry import cube
 
     parent = cube(n)

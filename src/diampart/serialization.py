@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .geometry import Norm, PBall, Simplex, VPolytope, cube
 from .numbers import parse_scalar
+from .partitions import MAX_CUBE_DIM
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +124,10 @@ def body_from_spec(spec: dict):
         return VPolytope(parse_points(_field(spec, "body", "vertices")))
     if kind == "cube":
         half = parse_scalar(spec.get("half", 1))
-        return cube(_int_field(spec, "body", "n"), half=half)
+        n = _int_field(spec, "body", "n")
+        if not 1 <= n <= MAX_CUBE_DIM:
+            raise ValueError('a "cube" body spec needs "n" in 1..%d, got %d' % (MAX_CUBE_DIM, n))
+        return cube(n, half=half)
     if kind == "pball":
         return PBall(
             p=parse_scalar(_field(spec, "body", "p")),

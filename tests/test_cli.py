@@ -22,7 +22,8 @@ def run_failing(capsys, argv):
     return code, capsys.readouterr()
 
 
-# body sections whose integer field is not a JSON integer, and the error
+# body sections whose integer field is not a JSON integer or lies out of
+# range, and the error
 BAD_INTEGER_FIELDS = [
     ('"cube", "n": [3]', 'a "cube" body spec needs an integer "n", got list'),
     ('"cube", "n": 2.5', 'a "cube" body spec needs an integer "n", got float'),
@@ -31,6 +32,8 @@ BAD_INTEGER_FIELDS = [
     ('"cube", "n": 1e400', 'a "cube" body spec needs an integer "n", got float'),
     ('"pball", "p": 2, "dim": [3]', 'a "pball" body spec needs an integer "dim", got list'),
     ('"pball", "p": 2, "dim": 2.5', 'a "pball" body spec needs an integer "dim", got float'),
+    # 2^24 vertices would be built before the oracle starts
+    ('"cube", "n": 24', 'a "cube" body spec needs "n" in 1..8, got 24'),
 ]
 BAD_BODY_PROBLEM = '{"points": [[0, 0], [1, 0]], "body": {"kind": %s}}'
 
@@ -106,6 +109,11 @@ class TestExitCodes:
         ["partition"],
         ["beta"],
         ["--out", "/nonexistent/dir/x.json", "check", "corollary-221-328"],
+        # inputs whose work has no bound: a 167,668,501-point grid, a
+        # 1,000,001-point scan, a scan whose point count overflows a float
+        ["partition", "simplex", "--m", "8", "--verify", "1000"],
+        ["bm", "scan", "--step", "1e-6"],
+        ["bm", "scan", "--step", "1e-320"],
     ])
     def test_bad_input_is_one_error_line(self, capsys, argv):
         code, captured = run_failing(capsys, argv)

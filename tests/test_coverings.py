@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -20,7 +21,9 @@ from diampart.geometry import (
     norm_eval,
     vsub,
 )
+from diampart.cli import _coverage_payload
 from diampart.numbers import INF
+from diampart.serialization import canonical_json
 from diampart.coverings import (
     BallCoveringSolution,
     _body_vertices,
@@ -181,7 +184,10 @@ class TestCubeCoverage:
         cert = cube_partition(2)
         rep = verify_covering(cert.parent, cert.pieces[:-1], N=8)
         assert not rep.covered
-        assert rep.worst_witness is not None
+        # the nearest piece is half an axis away from the missing corner's centre
+        assert rep.worst_witness == ((F(1, 2), F(1, 2)), 0.5)
+        doc = json.loads(canonical_json(_coverage_payload(rep)))
+        assert doc["worst_witness"] == {"point": ["1/2", "1/2"], "margin": 0.5}
 
 
 class TestTautologies:
@@ -539,8 +545,12 @@ SKEW_GAUGE3 = Norm.gauge(tuple(v for h in ((3, 1, 0), (0, F(2, 3), 1), (1, 0, 4)
                                for v in (h, tuple(-c for c in h))))
 
 
+# l1 and l_inf take the same facet-form path as the gauges
+FACET_NORMS = [GAUGE3, SKEW_GAUGE3, Norm.lp(1), Norm.lp(INF)]
+
+
 class TestExactGaugeMargin:
-    @pytest.mark.parametrize("norm", [GAUGE3, SKEW_GAUGE3])
+    @pytest.mark.parametrize("norm", FACET_NORMS)
     @pytest.mark.parametrize("body", [PBall(1, 3), cube(3), PBall(1, 3, radius=F(3, 2))])
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_norm_eval_reference(self, norm, body, seed):
@@ -554,7 +564,7 @@ class TestExactGaugeMargin:
         assert isinstance(got, Fraction)
         assert got == _reference_margin(P, D, centers, F(1, 2), norm)
 
-    @pytest.mark.parametrize("norm", [GAUGE3, SKEW_GAUGE3])
+    @pytest.mark.parametrize("norm", FACET_NORMS)
     def test_beyond_int64(self, norm):
         # the center denominator pushes W.(P*k - C) past the int64 range
         q = int(0.95 * 2 ** 60) | 1
@@ -587,6 +597,18 @@ class TestExactGaugeMargin:
         # the recheck takes the same exact lattice path as the search
         again = verify_ball_covering(PBall(1, 3), sol.centers, F(2, 3), GAUGE3)
         assert isinstance(again, Fraction) and again == sol.residual_margin
+
+    def test_float_radius_gets_its_exact_margin(self):
+        # a float r is the rational it denotes: the confirmed margin is
+        # exact, as it is for l1 and l_inf
+        rf = 2 / 3
+        sol = search_ball_covering(PBall(1, 3), 6, rf, GAUGE3,
+                                   n_boundary=256, n_interior=64)
+        assert sol.success and sol.radius == rf
+        assert isinstance(sol.residual_margin, Fraction)
+        assert sol.residual_margin == F(-7, 128) + F(2, 3) - Fraction(rf)
+        P, D = _confirmation_points(PBall(1, 3))
+        assert sol.residual_margin == _reference_margin(P, D, sol.centers, Fraction(rf), GAUGE3)
 
     def test_smooth_norm_confirms_in_floats(self, monkeypatch):
         # l2 distances are irrational, so the lattice is checked in floats

@@ -95,9 +95,9 @@ class TestGauge:
 
     def test_cube_facet_form(self):
         form = gauge_facets(cube(3, half=F(1, 2)).vertices)
-        assert form.scale == 2 and form.cone == ()
+        assert form.scale == 2 and form.den == 1 and form.cone == ()
         assert sorted(form.rows) == sorted(
-            (tuple(s if i == j else 0 for j in range(3)), 1)
+            tuple(s if i == j else 0 for j in range(3))
             for i in range(3) for s in (1, -1))
         assert set(form.functionals()) == {
             tuple(2 * s if i == j else 0 for j in range(3))

@@ -140,7 +140,16 @@ class TestFacetFormGauge:
         assume(matrix_rank_exact(verts) == 3)
         body = VPolytope(verts)
         brute = max(gauge_eval(vsub(p, q), body) for p in pts for q in pts)
-        assert diameter_finite(pts, Norm.gauge(body)) == brute
+        got = diameter_finite(pts, Norm.gauge(body))
+        assert got == brute and type(got) is Fraction
+        # l1 and l_inf take the same width kernel: an int exactly when
+        # every coordinate is an int
+        ints = [tuple(c.numerator for c in p) for p in pts]
+        for p in (1, INF):
+            for points, kind in ((pts, Fraction), (ints, int)):
+                brute = max(pnorm_eval(vsub(a, b), p) for a in points for b in points)
+                got = diameter_finite(points, Norm.lp(p))
+                assert got == brute and type(got) is kind
 
     @settings(max_examples=40, deadline=None)
     @given(symmetric_bodies(3), st.tuples(*[st.floats(-8, 8)] * 3))
