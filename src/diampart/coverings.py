@@ -194,20 +194,15 @@ def _cube_scheme_coverage(parent: VPolytope, pieces, N: int) -> CoverageReport:
     per_axis = [sorted(set(iv[i] for iv in piece_ivals)) for i in range(n)]
     # every axis family must cover [lo_i, hi_i] with no gap
     for i in range(n):
-        reach = None
+        reach = los[i]
         for lo, hi in per_axis[i]:
-            if reach is None:
-                if lo > los[i]:
-                    break
-                reach = hi
-            elif lo <= reach:
+            if lo <= reach:
                 reach = max(reach, hi)
-        if reach is None or reach < his[i]:
-            gap_from = los[i] if reach is None else reach
+        if reach < his[i]:
             pt = [Fraction(lo + hi, 2) for lo, hi in zip(los, his)]
-            pt[i] = gap_from + (his[i] - gap_from) / 2
+            pt[i] = reach + (his[i] - reach) / 2
             return CoverageReport("exact_grid", N, False,
-                                  (tuple(pt), to_float(his[i] - gap_from)), 0)
+                                  (tuple(pt), to_float(his[i] - reach)), 0)
     # and the pieces must realize the full product of the axis families
     want = {()}
     for i in range(n):
@@ -379,9 +374,7 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
             raise ValueError("disk certificates are Euclidean only")
         parent_diam = 2.0
     else:
-        parent_diam = polytope_diameter(
-            parent if isinstance(parent, VPolytope) else parent.as_polytope(), norm
-        )
+        parent_diam = polytope_diameter(parent, norm)
     best = None
     for p in cert.pieces:
         if isinstance(p.description, SectorRegion):

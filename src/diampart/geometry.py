@@ -105,6 +105,9 @@ class VPolytope:
         since a gauge of a float body rounds each value it returns."""
         return all(all_rational(v) for v in self.vertices)
 
+    # (D, P) of _integer_points(vertices), computed once per polytope
+    integer_vertices = functools.cached_property(lambda self: _integer_points(self.vertices))
+
     def translate(self, t: Vector) -> "VPolytope":
         return VPolytope(tuple(vadd(v, t) for v in self.vertices))
 
@@ -131,8 +134,7 @@ class Simplex:
     def dim(self) -> int:
         return len(self.vertices[0])
 
-    def as_polytope(self) -> VPolytope:
-        return VPolytope(self.vertices)
+    integer_vertices = VPolytope.integer_vertices
 
 
 @dataclass(frozen=True)
@@ -356,11 +358,6 @@ class FacetForm:
                      for w in self.rows)
 
 
-# Most n-subsets one facet enumeration may examine, a few seconds of
-# work; larger bodies are refused rather than left running for hours.
-MAX_FACET_SUBSETS = 200_000
-
-
 # the coordinate types the integer kernels take as they are
 _EXACT_TYPES = frozenset((int, Fraction))
 
@@ -402,45 +399,59 @@ def _det(M) -> int:
     return sign * M[-1][-1]
 
 
-def _hull_facets(points) -> list:
-    """Facets (c, d), c.y <= d with gcd 1, of the hull of integer points
-    whose affine hull is the whole space.
+def _hull_facets(points) -> set:
+    """Facets (c, d), c.y <= d with gcd 1, of the hull of distinct integer
+    points whose affine hull is the whole space.
 
-    Every facet contains n affinely independent points, so the
-    hyperplanes through all n-subsets, kept when no point lies beyond
-    them, are exactly the facets.
+    Beneath-beyond on a simplicial boundary (Clarkson and Shor 1989; Barber,
+    Dobkin and Huhdanpaa 1996): from n+1 affinely independent points, each
+    later point replaces the facets it lies strictly beyond by cones to
+    their horizon ridges.  Planes face away from the start simplex's
+    centroid; coplanar simplices share one normalised (c, d).
     """
     n = len(points[0])
-    seen = set()
-    out = []
-    for sub in itertools.combinations(points, n):
-        base = sub[0]
-        M = [[a - b for a, b in zip(p, base)] for p in sub[1:]]
+    start, basis = [points[0]], []
+    for p in points[1:]:  # keep each point that raises the affine rank
+        if len(start) > n:
+            break
+        v = [a - b for a, b in zip(p, points[0])]
+        for j, b in basis:
+            v = [x * b[j] - v[j] * y for x, y in zip(v, b)] if v[j] else v
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is not None:
+            basis.append((j, v))
+            start.append(p)
+    pts = start + [p for p in points if p not in start]
+    inner = [sum(c) for c in zip(*start)]  # (n + 1) times the centroid
+    facets, ridges = {}, {}
+
+    def add(verts):
+        base = pts[verts[0]]
+        M = [[a - b for a, b in zip(pts[i], base)] for i in verts[1:]]
         c = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in M]) for j in range(n)]
-        if not any(c):
-            continue  # affinely dependent subset
         d = vdot(c, base)
-        g = math.gcd(*c, d)
-        c = tuple(v // g for v in c)
-        d //= g
-        if (c, d) in seen:
-            continue
-        seen.add((c, d))
-        seen.add((vneg(c), -d))
-        above = below = False
-        for p in points:
-            v = vdot(c, p)
-            above = above or v > d
-            below = below or v < d
-            if above and below:
-                break
-        else:
-            # the hyperplane passes through base, so it supports from one side
-            out.append((vneg(c), -d) if above else (c, d))
-    return out
+        g = math.gcd(*c, d) if vdot(c, inner) < (n + 1) * d else -math.gcd(*c, d)
+        facets[verts] = (tuple(v // g for v in c), d // g)
+        for i in range(n):
+            ridges.setdefault(verts[:i] + verts[i + 1:], []).append(verts)
+
+    for i in range(n + 1):
+        add(tuple(j for j in range(n + 1) if j != i))
+    for k in range(n + 1, len(pts)):
+        seen = {f for f, (c, d) in facets.items() if vdot(c, pts[k]) > d}
+        horizon = []
+        for f in seen:
+            del facets[f]
+            for ridge in (f[:i] + f[i + 1:] for i in range(n)):
+                ridges[ridge].remove(f)
+                if ridges[ridge] and ridges[ridge][0] not in seen:
+                    horizon.append(ridge)
+        for ridge in horizon:
+            add(ridge + (k,))
+    return set(facets.values())
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=64)
 def gauge_facets(vertices: tuple) -> FacetForm:
     """The cached exact facet form of conv(vertices + {0}): ``scale`` is
     the lcm of the vertex denominators, ``den`` the lcm of the facet
@@ -448,10 +459,10 @@ def gauge_facets(vertices: tuple) -> FacetForm:
     (den/d)*c.
 
     Integer arithmetic throughout; no float hull and no tolerance.  The
-    facets are found among the hyperplanes through n-subsets of the
-    vertices and the origin (after projecting onto span(vertices)), so
-    the cost grows like C(V + 1, n): fine for the small bodies of this
-    library, refused beyond MAX_FACET_SUBSETS.
+    vertices and the origin are projected onto span(vertices) and their
+    hull is built incrementally (_hull_facets), so the work is polynomial
+    in the number of vertices.  ``rows`` and ``cone`` are sorted, which
+    makes the form canonical.
     """
     scale, V = _integer_points(vertices)
     n = len(V[0])
@@ -469,20 +480,15 @@ def gauge_facets(vertices: tuple) -> FacetForm:
     facets = []
     if pivots:
         pts = sorted({tuple(v[j] for j in pivots) for v in V} | {(0,) * len(pivots)})
-        if math.comb(len(pts), len(pivots)) > MAX_FACET_SUBSETS:
-            raise ValueError("gauge body is too large for exact facet enumeration "
-                             "(%d vertices in R^%d)" % (len(V), n))
         for c, d in _hull_facets(pts):
-            lifted = [0] * n
-            for j, cj in zip(pivots, c):
-                lifted[j] = cj
+            lifted = tuple(dict(zip(pivots, c)).get(j, 0) for j in range(n))
             if d > 0:
                 facets.append((lifted, d))
             else:
-                cone.append(tuple(lifted))
+                cone.append(lifted)
     den = math.lcm(*(d for _, d in facets))
-    rows = tuple(tuple(den // d * ci for ci in c) for c, d in facets)
-    return FacetForm(scale, den, rows, tuple(cone))
+    rows = tuple(sorted(tuple(den // d * ci for ci in c) for c, d in facets))
+    return FacetForm(scale, den, rows, tuple(sorted(cone)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -533,7 +539,7 @@ def norm_eval(x: Vector, norm: Norm) -> Scalar:
 # diameters
 
 
-def diameter_finite(points: Sequence[Vector], norm: Norm) -> Scalar:
+def diameter_finite(points: Sequence[Vector], norm: Norm, scaled=None) -> Scalar:
     """sup of pairwise distances of a finite set (0 for a single point).
 
     Rational points are scaled once to integer tuples over a common
@@ -545,7 +551,9 @@ def diameter_finite(points: Sequence[Vector], norm: Norm) -> Scalar:
     the pairs on integer differences, each divided by D: int/int
     division rounds correctly, as Fraction.__float__ does, so the floats
     are those of the Fraction differences bit for bit.  Points with a
-    float coordinate under an l_p norm walk the pairs as given.
+    float coordinate under an l_p norm walk the pairs as given.  A single
+    point counts as two copies.  ``scaled`` is _integer_points(points)
+    when the caller already has it.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -555,26 +563,24 @@ def diameter_finite(points: Sequence[Vector], norm: Norm) -> Scalar:
     if len({len(p) for p in pts}) > 1:
         raise ValueError("points differ in dimension")
     if len(pts) == 1:
-        return 0 if rational else 0.0
-    if norm.kind == "gauge" or (rational and norm.is_polyhedral):
+        return diameter_finite(pts * 2, norm)
+    if norm.kind == "p" and not rational:
+        return max(pnorm_eval(vsub(a, b), norm.p) for a, b in itertools.combinations(pts, 2))
+    D, X = scaled or _integer_points(pts)
+    if norm.is_polyhedral:
         form = norm_facets(norm, len(pts[0]))
-        D, X = _integer_points(pts)
         values = ([sum(map(operator.mul, w, p)) for p in X] for w in form.rows)
         diam = Fraction(max(max(v) - min(v) for v in values) * form.scale, form.den * D)
         if norm.kind == "p":
             return diam.numerator if types <= {int} else diam
         return diam if rational and norm.body.rational else to_float(diam)
-    p = norm.p
-    if not rational:
-        return max(pnorm_eval(vsub(a, b), p) for a, b in itertools.combinations(pts, 2))
-    D, X = _integer_points(pts)
-    return max(pnorm_eval([(u - v) / D for u, v in zip(a, b)], p)
+    return max(pnorm_eval([(u - v) / D for u, v in zip(a, b)], norm.p)
                for a, b in itertools.combinations(X, 2))
 
 
 def polytope_diameter(P: Union[VPolytope, Simplex], norm: Norm) -> Scalar:
     """Diameter of a polytope = diameter of its vertex set."""
-    return diameter_finite(P.vertices, norm)
+    return diameter_finite(P.vertices, norm, P.integer_vertices)
 
 
 # ---------------------------------------------------------------------------

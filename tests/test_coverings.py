@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import diampart
 from diampart import geometry
 from diampart.geometry import (
+    Homothet,
     Norm,
     PBall,
     Simplex,
@@ -40,6 +41,7 @@ from diampart.coverings import (
     verify_covering,
 )
 from diampart.partitions import (
+    PartitionPiece,
     UnitDisk,
     cube_partition,
     disk_partition4,
@@ -179,6 +181,14 @@ class TestCubeCoverage:
         rep = verify_covering(cert.parent, cert.pieces, N=64)
         assert rep.covered
         assert rep.tolerance == 0
+
+    def test_interval_ending_below_the_box(self):
+        # [-3, -2] ends below [-1, 1]; [-3/2, 1] alone covers it
+        parent = cube(1)
+        pieces = [PartitionPiece(Homothet(r, (t,), parent), r)
+                  for r, t in ((F(1, 2), F(-5, 2)), (F(5, 4), F(-1, 4)))]
+        rep = verify_covering(parent, pieces)
+        assert rep.covered and rep.worst_witness is None
 
     def test_missing_piece_detected(self):
         cert = cube_partition(2)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from diampart.geometry import (
     pnorm_eval,
     point_in_vpolytope,
     polytope_diameter,
+    vneg,
     vsub,
 )
 from diampart.numbers import INF
@@ -129,9 +131,14 @@ class TestGauge:
         with pytest.raises(ValueError):
             gauge_eval((1, 2), tri)
 
-    def test_oversized_body_refused(self):
-        with pytest.raises(ValueError):
-            gauge_eval((1,) * 8, cube(8))
+    def test_large_body_evaluated(self):
+        # 60 antipodal pairs in R^3: C(121, 3) hyperplanes, more than the
+        # old brute-force facet search would examine
+        rng = random.Random(60)
+        half = [tuple(rng.randint(-20, 20) for _ in range(3)) for _ in range(60)]
+        body = VPolytope(tuple(dict.fromkeys(half + [vneg(v) for v in half])))
+        values = [gauge_eval(v, body) for v in body.vertices]
+        assert max(values) == 1 and len(gauge_facets(body.vertices).rows) > 20
 
 
 class TestDiameter:
@@ -159,6 +166,15 @@ class TestDiameter:
 
     def test_single_point(self):
         assert diameter_finite([(1, 2, 3)], Norm.lp(1)) == 0
+
+    @pytest.mark.parametrize("point", [(1, 2), (F(1, 2), 3), (0.5, 1), (1, 0.5)])
+    @pytest.mark.parametrize("norm", [Norm.lp(1), Norm.lp(INF), Norm.lp(2), Norm.lp(3),
+                                      Norm.gauge(cube(2)), Norm.gauge(cube(2, half=1.0))],
+                             ids=["l1", "linf", "l2", "l3", "gauge", "float-gauge"])
+    def test_single_point_types_as_two_copies(self, point, norm):
+        one = diameter_finite([point], norm)
+        two = diameter_finite([point, point], norm)
+        assert one == two == 0 and type(one) is type(two)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -246,9 +262,7 @@ class TestHomothet:
         H = Homothet(F(9, 16), tuple(F(7, 16) * c for c in v1), T)
         img = apply_homothet(H)
         assert img.vertices[1] == v1  # fixed point of the homothety
-        assert polytope_diameter(img, Norm.lp(1)) == F(9, 16) * polytope_diameter(
-            T.as_polytope(), Norm.lp(1)
-        )
+        assert polytope_diameter(img, Norm.lp(1)) == F(9, 16) * polytope_diameter(T, Norm.lp(1))
 
     def test_negative_ratio_diameter(self):
         P = cube(2)

@@ -1,0 +1,109 @@
+"""The incremental hull behind gauge_facets against a brute-force oracle."""
+
+import itertools
+import math
+import random
+import time
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import assume, given, settings, strategies as st
+
+from diampart import geometry
+from diampart.geometry import _det, _hull_facets, gauge_facets, vdot, vneg
+from diampart.linprog import matrix_rank_exact
+
+
+def brute_hull_facets(points) -> set:
+    """Facets (c, d), c.y <= d with gcd 1, of the hull of integer points
+    whose affine hull is the whole space.
+
+    Every facet contains n affinely independent points, so the
+    hyperplanes through all n-subsets, kept when no point lies beyond
+    them, are exactly the facets: C(V, n) hyperplanes, each tested
+    against every point.
+    """
+    n = len(points[0])
+    out = set()
+    for sub in itertools.combinations(points, n):
+        base = sub[0]
+        M = [[a - b for a, b in zip(p, base)] for p in sub[1:]]
+        c = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in M]) for j in range(n)]
+        if not any(c):
+            continue  # affinely dependent subset
+        d = vdot(c, base)
+        g = math.gcd(*c, d)
+        c, d = tuple(v // g for v in c), d // g
+        values = [vdot(c, p) for p in points]
+        if max(values) <= d:
+            out.add((c, d))
+        elif min(values) >= d:
+            out.add((vneg(c), -d))
+    return out
+
+
+def brute_gauge_facets(vertices):
+    """gauge_facets with the brute-force hull in place of the incremental one."""
+    with mock.patch.object(geometry, "_hull_facets", brute_hull_facets):
+        return gauge_facets.__wrapped__(vertices)
+
+
+def _points(n, lo, hi, max_size):
+    return st.lists(st.tuples(*[st.integers(lo, hi)] * n), min_size=1, max_size=max_size)
+
+
+@st.composite
+def bodies(draw):
+    """Vertex tuples in R^2..R^4: symmetric, off-centre (the origin on the
+    boundary of conv(W + {0})), flat, and coplanar-heavy lattice bodies,
+    some over a common denominator."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["symmetric", "off-centre", "flat", "lattice"]))
+    if kind == "symmetric":
+        half = draw(_points(n, -6, 6, 6))
+        pts = half + [vneg(v) for v in half]
+    elif kind == "off-centre":  # x_0 >= 0 on every vertex
+        pts = draw(st.lists(st.tuples(st.integers(0, 6), *[st.integers(-6, 6)] * (n - 1)),
+                            min_size=1, max_size=10))
+    elif kind == "flat":  # integer combinations of fewer than n directions
+        basis = draw(_points(n, -4, 4, n - 1))
+        coeffs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * len(basis)),
+                               min_size=1, max_size=8))
+        pts = [tuple(sum(a * b[i] for a, b in zip(co, basis)) for i in range(n))
+               for co in coeffs]
+    else:  # many lattice points on each facet plane
+        pts = draw(_points(n, -1, 2, 12))
+    den = draw(st.sampled_from([1, 1, 2, 6]))
+    return tuple(dict.fromkeys(tuple(Fraction(c, den) if den > 1 else c for c in p)
+                               for p in pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bodies())
+def test_gauge_facets_match_brute_force(vertices):
+    new, old = gauge_facets.__wrapped__(vertices), brute_gauge_facets(vertices)
+    assert (new.scale, new.den) == (old.scale, old.den)
+    assert set(new.rows) == set(old.rows) and set(new.cone) == set(old.cone)
+    assert new.rows == tuple(sorted(new.rows)) and new.cone == tuple(sorted(new.cone))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: _points(n, -3, 3, 14)))
+def test_hull_matches_brute_force_off_the_origin(points):
+    pts = sorted(set(points))
+    n = len(pts[0])
+    assume(matrix_rank_exact([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == n)
+    assert _hull_facets(pts) == brute_hull_facets(pts)
+
+
+def test_thirty_pair_gauge_ceiling():
+    rng = random.Random(30)
+    half = [tuple(rng.randint(-20, 20) for _ in range(3)) for _ in range(30)]
+    vertices = tuple(dict.fromkeys(half + [vneg(v) for v in half]))
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        form = gauge_facets.__wrapped__(vertices)
+        times.append(time.perf_counter() - t0)
+    assert form.rows and not form.cone
+    assert min(times) < 0.25, "30-pair gauge_facets took %.3f s" % min(times)
