@@ -26,9 +26,9 @@ from .geometry import (
     dual_exponent,
     gauge_eval,
     gauge_facets,
+    matrix_rank_exact,
     pnorm_eval,
 )
-from .linprog import matrix_rank_exact
 from .numbers import (
     INF,
     Scalar,

@@ -448,7 +448,7 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w", encoding="ascii") as fh:
                 fh.write(text)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
         sys.stderr.write("diampart: error: %s\n" % exc)
         return 1
     sys.stdout.write(text)

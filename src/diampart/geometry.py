@@ -5,6 +5,11 @@ operations run in one of two arithmetic modes: exact rational arithmetic
 whenever every input is rational and the norm is polyhedral (p in {1, inf}
 or an explicit gauge body), floating point otherwise.  Exact-mode results
 never round.
+
+Exact elimination (row_reduce, matrix_rank_exact, solve_linear_system)
+and polytope membership both live here: a point lies in a V-polytope
+exactly when it satisfies the integer facet form of the translated
+vertices (see gauge_facets and point_in_vpolytope).
 """
 from __future__ import annotations
 
@@ -16,12 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .linprog import (
-    feasible_point,
-    matrix_rank_exact,
-    row_reduce,
-    solve_linear_system,
-)
 from .numbers import INF, Scalar, all_rational, as_fraction, is_rational, to_float
 
 Vector = Tuple[Scalar, ...]
@@ -399,6 +398,49 @@ def _det(M) -> int:
     return sign * M[-1][-1]
 
 
+def row_reduce(rows: Sequence[Sequence]):
+    """Reduced row echelon form of a rational matrix, exact.
+
+    Returns (R, pivots): the nonzero rows of the reduced matrix and the
+    column index of each row's leading 1.
+    """
+    M = [[Fraction(v) for v in row] for row in rows]
+    if not M:
+        return [], []
+    nrows, ncols = len(M), len(M[0])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if M[r][col] != 0), None)
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        inv = 1 / M[row][col]
+        M[row] = [v * inv for v in M[row]]
+        for r in range(nrows):
+            if r != row and M[r][col]:
+                f = M[r][col]
+                M[r] = [a - f * p for a, p in zip(M[r], M[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return M[:row], pivots
+
+
+def solve_linear_system(A: Sequence[Sequence], b: Sequence):
+    """Exact solution of a square system; None if singular."""
+    R, pivots = row_reduce([list(row) + [rhs] for row, rhs in zip(A, b)])
+    if pivots != list(range(len(A))):
+        return None
+    return [row[-1] for row in R]
+
+
+def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
+    """Rank of a rational matrix by exact elimination."""
+    return len(row_reduce(rows)[1])
+
+
 def _hull_facets(points) -> set:
     """Facets (c, d), c.y <= d with gcd 1, of the hull of distinct integer
     points whose affine hull is the whole space.
@@ -613,13 +655,21 @@ def barycentric_coords(S: Simplex, x: Vector) -> tuple:
 
 def point_in_vpolytope(P: VPolytope, x: Vector) -> bool:
     """Is x a convex combination of P's vertices?  Exact; a float
-    coordinate is read as the rational it denotes."""
-    verts = P.vertices
-    k = len(verts)
-    n = P.dim
-    if len(x) != n:
+    coordinate is read as the rational it denotes.
+
+    Every coordinate is read exactly before the translation by the first
+    vertex, which puts the origin among the vertices: x is then inside
+    exactly when it satisfies every row of the facet form of the
+    translated vertices (see gauge_facets).
+    """
+    if len(x) != P.dim:
         raise ValueError("dimension mismatch")
-    A = [[verts[j][i] for j in range(k)] for i in range(n)]
-    A.append([1] * k)
-    b = list(x) + [1]
-    return feasible_point(A, b) is not None
+    base = [as_fraction(c) for c in P.vertices[0]]
+
+    def shift(p):
+        return tuple(as_fraction(c) - b for c, b in zip(p, base))
+
+    form = gauge_facets(tuple(map(shift, P.vertices)))
+    D, (X,) = _integer_points((shift(x),))
+    return (all(vdot(c, X) <= 0 for c in form.cone)
+            and all(vdot(w, X) * form.scale <= form.den * D for w in form.rows))

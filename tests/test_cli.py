@@ -114,6 +114,12 @@ class TestExitCodes:
         ["partition", "simplex", "--m", "8", "--verify", "1000"],
         ["bm", "scan", "--step", "1e-6"],
         ["bm", "scan", "--step", "1e-320"],
+        # integers too large for a float
+        ["bm", "bound", "--p", str(10 ** 400)],
+        ["beta", "minmax", "--eta", str(10 ** 400), "--ball", "1/2"],
+        ["beta", "minmax", "--eta", "1/2", "--ball", str(10 ** 400)],
+        ["beta", "table", "--p-list", str(10 ** 400)],
+        ["partition", "simplex", "--m", "5", "--norm", str(10 ** 400)],
     ])
     def test_bad_input_is_one_error_line(self, capsys, argv):
         code, captured = run_failing(capsys, argv)

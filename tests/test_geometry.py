@@ -18,9 +18,11 @@ from diampart.geometry import (
     dual_exponent,
     gauge_eval,
     gauge_facets,
+    matrix_rank_exact,
     pnorm_eval,
     point_in_vpolytope,
     polytope_diameter,
+    solve_linear_system,
     vneg,
     vsub,
 )
@@ -236,6 +238,19 @@ class TestBarycentric:
             Simplex(((0, 0), (1, 0), (2, 0)))
 
 
+def test_linear_system():
+    sol = solve_linear_system([[2, 1], [1, 3]], [5, 10])
+    assert sol == [F(1), F(3)]
+    assert solve_linear_system([[1, 2], [2, 4]], [1, 2]) is None
+
+
+def test_matrix_rank():
+    assert matrix_rank_exact([[1, 0], [0, 1]]) == 2
+    assert matrix_rank_exact([[1, 2], [2, 4]]) == 1
+    assert matrix_rank_exact([]) == 0
+    assert matrix_rank_exact([[0, 0]]) == 0
+
+
 class TestContainment:
     def test_vertices_and_centroid(self):
         P = cube(3)
@@ -248,6 +263,25 @@ class TestContainment:
 
     def test_exact_boundary(self):
         assert point_in_vpolytope(cube(3), (1, 1, F(1, 3)))
+
+    def test_float_read_exactly_on_one_vertex(self):
+        # the float 2/3 is a binary fraction just off the rational 2/3
+        P = VPolytope(((F(2, 3),),))
+        assert not point_in_vpolytope(P, (2 / 3,))
+        assert point_in_vpolytope(P, (F(2, 3),))
+        Q = VPolytope(((2 / 3,),))  # and a float vertex the same way
+        assert not point_in_vpolytope(Q, (F(2, 3),))
+        assert point_in_vpolytope(Q, (2 / 3,))
+
+    def test_flat_triangle_in_space(self):
+        P = VPolytope(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert point_in_vpolytope(P, (F(1, 3), F(1, 3), F(1, 3)))
+        assert not point_in_vpolytope(P, (F(1, 3), F(1, 3), F(1, 4)))
+        assert not point_in_vpolytope(P, (2, -1, 0))  # on the plane, off the triangle
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            point_in_vpolytope(cube(2), (0, 0, 0))
 
 
 class TestHomothet:

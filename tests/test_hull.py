@@ -10,8 +10,7 @@ from unittest import mock
 from hypothesis import assume, given, settings, strategies as st
 
 from diampart import geometry
-from diampart.geometry import _det, _hull_facets, gauge_facets, vdot, vneg
-from diampart.linprog import matrix_rank_exact
+from diampart.geometry import _det, _hull_facets, gauge_facets, matrix_rank_exact, vdot, vneg
 
 
 def brute_hull_facets(points) -> set:

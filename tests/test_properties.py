@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic laws the library relies on."""
 
+import itertools
 import json
 import math
 import os
@@ -23,15 +24,17 @@ from diampart.geometry import (
     diameter_finite,
     dual_exponent,
     gauge_eval,
+    matrix_rank_exact,
     norm_eval,
     pnorm_eval,
+    point_in_vpolytope,
+    solve_linear_system,
     vadd,
     vdot,
     vneg,
     vscale,
     vsub,
 )
-from diampart.linprog import matrix_rank_exact, solve_exact_lp
 from diampart.numbers import INF, as_fraction
 from diampart.oracle import beta_finite_exact
 from diampart.partitions import residual_enclosure, simplex_partition
@@ -93,11 +96,18 @@ class TestNormAxioms:
 
 
 def lp_gauge(x, verts):
-    """Reference gauge: the exact LP min sum(mu), x = sum mu_j w_j, mu >= 0
-    (None when infeasible)."""
-    A = [[w[i] for w in verts] for i in range(len(x))]
-    res = solve_exact_lp([1] * len(verts), A, list(x))
-    return res.value if res.optimal else None
+    """Reference gauge: the LP min sum(mu), x = sum mu_j w_j, mu >= 0
+    (None when infeasible), by brute force.
+
+    An LP optimum sits at a basic solution, so it is the least sum(mu)
+    over the n-subsets of the vertices that give x uniquely with mu >= 0.
+    """
+    best = None
+    for sub in itertools.combinations(verts, len(x)):
+        mu = solve_linear_system([[w[i] for w in sub] for i in range(len(x))], x)
+        if mu is not None and min(mu) >= 0 and (best is None or sum(mu) < best):
+            best = sum(mu)
+    return best
 
 
 def symmetric_bodies(dim):
@@ -269,6 +279,43 @@ class TestBarycentric:
         lam = tuple(F(w, total) for w in weights)
         point = _weighted_sum(lam, SKEW_TETRA.vertices)
         assert barycentric_coords(SKEW_TETRA, point) == lam
+
+
+def simplex_queries(dim):
+    """(vertices, x): a random rational simplex and a point that is
+    random or an affine combination of the vertices with small integer
+    weights, which puts many points on the boundary."""
+    def with_point(verts):
+        weights = st.tuples(*[st.integers(-1, 3)] * (dim + 1))
+        combos = weights.filter(lambda w: sum(w) != 0).map(
+            lambda w: _weighted_sum([F(wi, sum(w)) for wi in w], verts))
+        return st.tuples(st.just(verts), st.one_of(vec(dim), combos))
+    return st.lists(vec(dim), min_size=dim + 1, max_size=dim + 1).flatmap(with_point)
+
+
+def cube_queries():
+    """(n, half, x) with coordinates random, float or on a cube face."""
+    def with_point(n, half):
+        coord = st.one_of(rationals, st.floats(-5, 5), st.sampled_from([half, -half]))
+        return st.tuples(st.just(n), st.just(half), st.tuples(*[coord] * n))
+    halves = st.fractions(min_value=F(1, 8), max_value=4, max_denominator=12)
+    return st.tuples(st.integers(1, 4), halves).flatmap(lambda nh: with_point(*nh))
+
+
+class TestPolytopeMembership:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(simplex_queries))
+    def test_simplex_matches_barycentric(self, case):
+        verts, x = case
+        assume(matrix_rank_exact([vsub(v, verts[0]) for v in verts[1:]]) == len(x))
+        inside = min(barycentric_coords(Simplex(verts), x)) >= 0
+        assert point_in_vpolytope(VPolytope(verts), x) == inside
+
+    @settings(max_examples=60, deadline=None)
+    @given(cube_queries())
+    def test_cube_matches_coordinate_bounds(self, case):
+        n, half, x = case
+        assert point_in_vpolytope(cube(n, half), x) == all(abs(c) <= half for c in x)
 
 
 class TestOracleAgainstConstruction:
