@@ -279,6 +279,8 @@ def _run_beta_table(args):
     if args.m != 8:
         raise ValueError("the table is built for m = 8")
     p_values = [parse_scalar(tok) for tok in args.p_list.split(",") if tok]
+    if not p_values:
+        raise ValueError("--p-list names no p")
     table = lp_beta8_table(p_values)
     rows = []
     levels = []

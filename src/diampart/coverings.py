@@ -29,6 +29,7 @@ from .geometry import (
     PBall,
     Simplex,
     VPolytope,
+    _width,
     gauge_facets,
     norm_facets,
     polytope_diameter,
@@ -366,9 +367,17 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
 
     Pieces carrying a realized hull use its exact polytope diameter;
     bare homothets use the scaling law |ratio|*diam(parent); sectors use
-    the analytic sqrt(2) (l_2 only).
+    the analytic sqrt(2) (l_2 only).  Under a polyhedral norm with rational
+    hulls, the diameters are integer widths over one lcm denominator.
     """
     parent = cert.parent
+    hulls = [p.realized_hull for p in cert.pieces]
+    if (norm.is_polyhedral and None not in hulls and parent.rational
+            and all(h.rational for h in hulls) and (norm.kind == "p" or norm.body.rational)):
+        rows = norm_facets(norm, parent.dim).width_rows
+        L = math.lcm(*(P.integer_vertices[0] for P in (parent, *hulls)))
+        w = [_width(rows, X) * (L // D) for D, X in (P.integer_vertices for P in (*hulls, parent))]
+        return Fraction(max(w[:-1]), w[-1])
     if isinstance(parent, UnitDisk):
         if norm.kind != "p" or norm.p != 2:
             raise ValueError("disk certificates are Euclidean only")

@@ -9,7 +9,10 @@ never round.
 Exact elimination (row_reduce, matrix_rank_exact, solve_linear_system)
 and polytope membership both live here: a point lies in a V-polytope
 exactly when it satisfies the integer facet form of the translated
-vertices (see gauge_facets and point_in_vpolytope).
+vertices (see gauge_facets and point_in_vpolytope).  Rational hulls are
+integer rows over one denominator (apply_homothet), a width takes one
+facet row of each +-pair (_width), and _distance_keys is the oracle's
+one-pass integer distance table.
 """
 from __future__ import annotations
 
@@ -66,9 +69,9 @@ def affine_rank(points: Sequence[Vector]) -> int:
     """Dimension of the affine hull of the given points."""
     if len(points) <= 1:
         return 0
+    if all(all_rational(p) for p in points):
+        return len(_affine_basis(_integer_points(points)[1])) - 1
     rows = [vsub(p, points[0]) for p in points[1:]]
-    if all(all_rational(r) for r in rows):
-        return matrix_rank_exact(rows)
     import numpy as np
 
     arr = np.asarray([[to_float(v) for v in r] for r in rows], dtype=float)
@@ -134,6 +137,7 @@ class Simplex:
         return len(self.vertices[0])
 
     integer_vertices = VPolytope.integer_vertices
+    rational = VPolytope.rational
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,20 @@ class Homothet:
 
 
 def apply_homothet(h: Homothet) -> VPolytope:
-    verts = getattr(h.base, "vertices")
-    return VPolytope(tuple(h.apply_point(v) for v in verts))
+    """The image of h.base, as integer rows for a Fraction ratio and rational data."""
+    if not (isinstance(h.ratio, Fraction) and h.base.rational and all_rational(h.translation)):
+        return VPolytope(tuple(h.apply_point(v) for v in h.base.vertices))
+    (D, P), (E, ((a, *T),)) = h.base.integer_vertices, _integer_points(((h.ratio, *h.translation),))
+    return _rows_polytope(E * D, [[a * x + D * y for x, y in zip(p, T)] for p in P])
+
+
+def _rows_polytope(L: int, rows) -> VPolytope:
+    """The polytope of the points row/L, integer_vertices seeded."""
+    g = math.gcd(L, *itertools.chain.from_iterable(rows))
+    P = VPolytope(tuple(tuple(Fraction(c, L) for c in r) for r in rows))
+    P.__dict__.update(rational=True,
+                      integer_vertices=(L // g, tuple(tuple(c // g for c in r) for r in rows)))
+    return P
 
 
 @dataclass(frozen=True)
@@ -356,6 +372,16 @@ class FacetForm:
         return tuple(tuple(Fraction(self.scale * wi, self.den) for wi in w)
                      for w in self.rows)
 
+    @functools.cached_property
+    def width_rows(self) -> tuple:
+        """One row of each +-pair, since the width along w is that along -w."""
+        return tuple(w for w in self.rows if w > vneg(w) or vneg(w) not in self.rows)
+
+
+def _width(rows, X) -> int:
+    """max over the rows w of max w.x - min w.x over the integer points X."""
+    return max(max(v) - min(v) for v in ([sum(map(operator.mul, w, x)) for x in X] for w in rows))
+
 
 # the coordinate types the integer kernels take as they are
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -441,6 +467,21 @@ def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
     return len(row_reduce(rows)[1])
 
 
+def _affine_basis(points) -> list:
+    """The integer points, in order, that raise the affine rank of those
+    before them (the first always does), by fraction-free elimination."""
+    start, basis = [points[0]], []
+    for p in points[1:]:
+        v = [a - b for a, b in zip(p, points[0])]
+        for j, b in basis:
+            v = [x * b[j] - v[j] * y for x, y in zip(v, b)] if v[j] else v
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is not None:
+            basis.append((j, v))
+            start.append(p)
+    return start
+
+
 def _hull_facets(points) -> set:
     """Facets (c, d), c.y <= d with gcd 1, of the hull of distinct integer
     points whose affine hull is the whole space.
@@ -452,17 +493,7 @@ def _hull_facets(points) -> set:
     centroid; coplanar simplices share one normalised (c, d).
     """
     n = len(points[0])
-    start, basis = [points[0]], []
-    for p in points[1:]:  # keep each point that raises the affine rank
-        if len(start) > n:
-            break
-        v = [a - b for a, b in zip(p, points[0])]
-        for j, b in basis:
-            v = [x * b[j] - v[j] * y for x, y in zip(v, b)] if v[j] else v
-        j = next((j for j, x in enumerate(v) if x), None)
-        if j is not None:
-            basis.append((j, v))
-            start.append(p)
+    start = _affine_basis(points)
     pts = start + [p for p in points if p not in start]
     inner = [sum(c) for c in zip(*start)]  # (n + 1) times the centroid
     facets, ridges = {}, {}
@@ -508,7 +539,7 @@ def gauge_facets(vertices: tuple) -> FacetForm:
     """
     scale, V = _integer_points(vertices)
     n = len(V[0])
-    R, pivots = row_reduce(V)
+    R, pivots = ([], range(n)) if len(_affine_basis([(0,) * n, *V])) > n else row_reduce(V)
     cone = []
     for f in range(n):
         if f in pivots:
@@ -587,7 +618,7 @@ def diameter_finite(points: Sequence[Vector], norm: Norm, scaled=None) -> Scalar
     Rational points are scaled once to integer tuples over a common
     denominator D.  A polyhedral norm then needs no pairwise loop: the
     diameter is the largest width max w.p - min w.p over the rows w of
-    its facet form (see norm_facets), exact: for a gauge a Fraction,
+    its facet form (see norm_facets, _width), exact: for a gauge a Fraction,
     rounded for a float body or float points, and for l1 and l_inf an
     int exactly when every coordinate is an int.  Other l_p norms walk
     the pairs on integer differences, each divided by D: int/int
@@ -611,13 +642,30 @@ def diameter_finite(points: Sequence[Vector], norm: Norm, scaled=None) -> Scalar
     D, X = scaled or _integer_points(pts)
     if norm.is_polyhedral:
         form = norm_facets(norm, len(pts[0]))
-        values = ([sum(map(operator.mul, w, p)) for p in X] for w in form.rows)
-        diam = Fraction(max(max(v) - min(v) for v in values) * form.scale, form.den * D)
+        diam = Fraction(_width(form.width_rows, X) * form.scale, form.den * D)
         if norm.kind == "p":
             return diam.numerator if types <= {int} else diam
         return diam if rational and norm.body.rational else to_float(diam)
     return max(pnorm_eval([(u - v) / D for u, v in zip(a, b)], norm.p)
                for a, b in itertools.combinations(X, 2))
+
+
+def _distance_keys(pts: list, norm: Norm) -> dict:
+    """{(i, j): key}, i < j, keys ordered as norm_eval(vsub(pts[i], pts[j]), norm):
+    for rational points under a polyhedral norm, the integers max(0, row
+    differences) of each point's facet-row values, computed once (a cone
+    row raises gauge_eval's ValueError); elsewhere the distances."""
+    dim, pairs = len(pts[0]), list(itertools.combinations(range(len(pts)), 2))
+    if not (dim and norm.is_polyhedral and _coordinate_types(pts) <= _EXACT_TYPES
+            and {len(p) for p in pts} == {dim}
+            and (norm.kind == "p" or norm.body.dim == dim and norm.body.rational)):
+        return {(i, j): norm_eval(vsub(pts[i], pts[j]), norm) for i, j in pairs}
+    form, (_, X) = norm_facets(norm, dim), _integer_points(pts)
+    V = [[vdot(w, x) for w in form.rows] for x in X]
+    C = [[vdot(c, x) for c in form.cone] for x in X]
+    if any(any(map(operator.gt, C[i], C[j])) for i, j in pairs):
+        raise ValueError("point is outside the span of the gauge body")
+    return {(i, j): max(0, *map(operator.sub, V[i], V[j])) for i, j in pairs}
 
 
 def polytope_diameter(P: Union[VPolytope, Simplex], norm: Norm) -> Scalar:

@@ -6,7 +6,9 @@ given delta is graph m-colorability: draw an edge between points at
 distance strictly greater than delta, and ask for a proper coloring
 with at most m colors (color classes = parts).  Candidate deltas are
 the pairwise distances themselves (plus 0), so a binary search over the
-sorted candidates pins down the exact optimum.
+sorted candidates pins down the exact optimum.  The search runs on keys
+ordered as the distances (integers, made in one pass, for rational
+points under a polyhedral norm; see geometry._distance_keys).
 
 Strict ">" in the edge rule makes parts of diameter exactly delta
 feasible, which is the right semantics for an infimum.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .geometry import Norm, norm_eval, vsub
+from .geometry import Norm, _distance_keys, norm_eval, vsub
 from .numbers import all_rational
 
 MAX_POINTS = 14
@@ -105,28 +107,26 @@ def beta_finite_exact(points: Sequence, m: int, norm: Norm) -> ExactBetaResult:
     if not 1 <= m <= MAX_PARTS:
         raise ValueError("m must lie in [1, %d]" % MAX_PARTS)
 
-    dist = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = norm_eval(vsub(pts[i], pts[j]), norm)
-
-    exact = all_rational(dist.values())
+    keys = _distance_keys(pts, norm)
+    exact = all_rational(keys.values())
     if not exact:
-        rep = _cluster_floats([float(v) for v in dist.values()])
-        dist = {k: rep[float(v)] for k, v in dist.items()}
+        rep = _cluster_floats([float(v) for v in keys.values()])
+        keys = {k: rep[float(v)] for k, v in keys.items()}
+    # the distance a key stands for, as norm_eval gives it
+    distance = (lambda k: norm_eval(vsub(pts[k[0]], pts[k[1]]), norm)) if exact else keys.get
 
     zero = Fraction(0) if exact else 0.0
-    if m >= n or not dist:
+    if m >= n or not keys:
         parts = [(i,) for i in range(n)] + [()] * (m - n)
         return ExactBetaResult(zero, tuple(parts[:m]), zero,
-                               max(dist.values(), default=zero))
+                               distance(max(keys, key=keys.get)) if keys else zero)
 
-    diam = max(dist.values())
+    diam = distance(max(keys, key=keys.get))
     if diam == 0:
         parts = [tuple(range(n))] + [()] * (m - 1)
         return ExactBetaResult(zero, tuple(parts), zero, zero)
 
-    candidates = [zero] + sorted(set(dist.values()))
+    candidates = [0] + sorted(set(keys.values()))
 
     colorings = {}
 
@@ -134,7 +134,7 @@ def beta_finite_exact(points: Sequence, m: int, norm: Norm) -> ExactBetaResult:
         if idx in colorings:
             return colorings[idx] is not None
         delta = candidates[idx]
-        edges = [k for k, d in dist.items() if d > delta]
+        edges = [k for k, d in keys.items() if d > delta]
         ok, cols = m_colorable(n, edges, m)
         colorings[idx] = cols if ok else None
         return ok
@@ -153,6 +153,6 @@ def beta_finite_exact(points: Sequence, m: int, norm: Norm) -> ExactBetaResult:
     parts: List[List[int]] = [[] for _ in range(m)]
     for i, c in enumerate(cols):
         parts[c].append(i)
-    delta = candidates[hi]
+    delta = distance(next(k for k, d in keys.items() if d == candidates[hi])) if hi else zero
     value = Fraction(delta, diam) if exact else delta / diam
     return ExactBetaResult(value, tuple(tuple(p) for p in parts), delta, diam)

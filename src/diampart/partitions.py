@@ -13,7 +13,8 @@ Every simplex-scheme piece is, in barycentric coordinates, a box
 {lo_i <= lambda_i <= hi_i}: a vertex homothet (1-mu)v_i + mu*S is the
 set {lambda_i >= 1-mu}, and the residual pieces come out as boxes after
 inverting the reflected enclosure.  That makes membership and coverage
-checks exact interval arithmetic.
+checks exact interval arithmetic, and a rational box's hull the integer
+barycentric vertices times the simplex's integer vertices.
 
 Diameter ratios are certified through enclosing homothets — a homothet
 of ratio r scales every norm's diameters by |r| — so the certificates
@@ -34,9 +35,12 @@ from .geometry import (
     Simplex,
     VPolytope,
     _integer_points,
+    _rows_polytope,
     apply_homothet,
     barycentric_coords,
     centroid,
+    vadd,
+    vdot,
     vscale,
 )
 from .numbers import INF, VerificationError, all_rational, as_fraction, to_float
@@ -61,17 +65,14 @@ class BarycentricRegion:
             raise ValueError("bounds must satisfy 0 <= lo <= hi <= 1")
         object.__setattr__(self, "bounds", bounds)
 
-    def vertices_lambda(self) -> tuple:
-        return _bary_box_vertices(self.bounds)
-
     def realize(self) -> VPolytope:
-        verts = []
-        for lam in self.vertices_lambda():
-            acc = vscale(lam[0], self.simplex.vertices[0])
-            for li, vi in zip(lam[1:], self.simplex.vertices[1:]):
-                acc = tuple(a + li * b for a, b in zip(acc, vi))
-            verts.append(acc)
-        return VPolytope(tuple(verts))
+        """The region's vertices: integer rows for a rational simplex."""
+        S, (L, lams) = self.simplex, _bary_box_vertices(self.bounds)
+        if S.rational:
+            D, P = S.integer_vertices
+            return _rows_polytope(L * D, [[vdot(lam, col) for col in zip(*P)] for lam in lams])
+        return VPolytope(tuple(functools.reduce(vadd, map(vscale, (Fraction(v, L) for v in lam),
+                                                          S.vertices)) for lam in lams))
 
 
 @dataclass(frozen=True)
@@ -105,18 +106,17 @@ class UnitDisk:
 
 
 def _bary_box_vertices(bounds) -> tuple:
-    """Vertices of {lo <= lambda <= hi, sum lambda = 1}, in sorted order.
+    """(L, V): the vertices of {lo <= lambda <= hi, sum lambda = 1} are
+    the sorted integer rows of V over L, the lcm of the bound denominators.
 
     Every vertex has at most one coordinate strictly between its bounds,
     so enumerating one free coordinate against all lo/hi patterns of the
-    rest is exhaustive.  The enumeration runs on the integers lo*L and
-    hi*L, L the lcm of the bound denominators, where sum lambda = 1
-    reads sum = L; Fractions are built only for the vertices returned.
+    rest is exhaustive.
     """
     L, ints = _integer_points(bounds)
     k = len(ints)
     if sum(lo for lo, _ in ints) > L or sum(hi for _, hi in ints) < L:
-        return ()
+        return L, ()
     out = set()
     for free in range(k):
         others = [ints[i] for i in range(k) if i != free]
@@ -125,7 +125,7 @@ def _bary_box_vertices(bounds) -> tuple:
             rest = L - sum(pattern)
             if lo <= rest <= hi:
                 out.add(pattern[:free] + (rest,) + pattern[free:])
-    return tuple(tuple(Fraction(v, L) for v in lam) for lam in sorted(out))
+    return L, tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +240,9 @@ def _enclosure_ratio(n: int, t: Fraction) -> Fraction:
     box [0, t]^(n+1) maps into the simplex under the enclosure's inverse,
     (t - lambda_i)/gamma >= 0 with sum 1.  Depends on (n, t) only."""
     gamma = (n + 1) * t - 1
-    for lam in _bary_box_vertices(((Fraction(0), t),) * (n + 1)):
-        pre = [(t - li) / gamma for li in lam]
+    L, lams = _bary_box_vertices(((Fraction(0), t),) * (n + 1))
+    for lam in lams:
+        pre = [(t - Fraction(li, L)) / gamma for li in lam]
         if any(v < 0 for v in pre) or sum(pre) != 1:
             raise VerificationError("residual enclosure verification failed")
     return gamma

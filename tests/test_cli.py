@@ -120,6 +120,9 @@ class TestExitCodes:
         ["beta", "minmax", "--eta", "1/2", "--ball", str(10 ** 400)],
         ["beta", "table", "--p-list", str(10 ** 400)],
         ["partition", "simplex", "--m", "5", "--norm", str(10 ** 400)],
+        # a p-list with no p checks nothing
+        ["beta", "table", "--p-list", ""],
+        ["beta", "table", "--p-list", ","],
     ])
     def test_bad_input_is_one_error_line(self, capsys, argv):
         code, captured = run_failing(capsys, argv)

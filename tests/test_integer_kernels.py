@@ -1,0 +1,240 @@
+"""The integer kernels of the exact path against Fraction references.
+
+Scheme hulls are built as integer rows over one denominator, a
+certificate's diameter ratio compares integer widths, the oracle orders
+its pairs by integer keys and affine_rank eliminates without fractions.
+Each is checked here against the Fraction arithmetic it replaced, in
+value and, where a report prints it, in type.
+"""
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from diampart.coverings import partition_diameter_ratio
+from diampart.geometry import (
+    Homothet,
+    Norm,
+    Simplex,
+    VPolytope,
+    _distance_keys,
+    _integer_points,
+    affine_rank,
+    apply_homothet,
+    cross_polytope,
+    cube,
+    diameter_finite,
+    matrix_rank_exact,
+    norm_eval,
+    polytope_diameter,
+    vsub,
+)
+from diampart.numbers import INF
+from diampart.oracle import beta_finite_exact
+from diampart.partitions import (
+    BarycentricRegion,
+    _bary_box_vertices,
+    cube_partition,
+    simplex_partition,
+    triangle_partition4,
+)
+
+F = Fraction
+
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+# ints and Fractions mixed, Fractions with denominator 1 among them
+scalars = st.one_of(st.integers(-6, 6), fractions)
+
+
+def vec(dim):
+    return st.tuples(*([scalars] * dim))
+
+
+def rank(points):
+    return matrix_rank_exact([vsub(p, points[0]) for p in points[1:]]) if len(points) > 1 else 0
+
+
+def simplices(dim):
+    return st.lists(vec(dim), min_size=dim + 1, max_size=dim + 1).filter(
+        lambda v: rank(v) == dim).map(lambda v: Simplex(tuple(v)))
+
+
+def unchecked_gauge(vertices):
+    """A gauge norm on a body that Norm.gauge would refuse (origin off
+    centre), to reach the cone rows."""
+    norm = Norm.__new__(Norm)
+    norm.kind, norm.p, norm.body = "gauge", None, VPolytope(vertices)
+    return norm
+
+
+LOPSIDED = ((1, 2, 0), (-1, -2, 0), (0, 1, 3), (0, -1, -3), (F(1, 2), 0, 1), (F(-1, 2), 0, -1))
+NORMS_3D = [Norm.lp(1), Norm.lp(INF), Norm.gauge(cube(3)), Norm.gauge(cross_polytope(3)),
+            Norm.gauge(LOPSIDED), Norm.gauge(cube(3, half=F(2, 3)))]
+# the origin on a facet (the gauge is finite on a half-space only), and
+# the origin inside but off centre
+OFF_CENTRE = [unchecked_gauge(tuple((1 + a, b, c) for a in (-1, 1) for b in (-1, 1)
+                                    for c in (-1, 1))),
+              unchecked_gauge(((3, 0, 0), (0, 2, 0), (0, 0, 1), (-1, -1, -1)))]
+
+
+def fraction_image(h):
+    """apply_homothet in plain Fraction arithmetic: ratio * v + t."""
+    return tuple(tuple(h.ratio * x + t for x, t in zip(v, h.translation))
+                 for v in h.base.vertices)
+
+
+def fraction_realize(region):
+    """BarycentricRegion.realize in plain Fraction arithmetic."""
+    L, rows = _bary_box_vertices(region.bounds)
+    verts = region.simplex.vertices
+    return tuple(tuple(sum((F(l, L) * v[i] for l, v in zip(lam, verts)), F(0))
+                       for i in range(region.simplex.dim)) for lam in rows)
+
+
+def assert_seeded(P):
+    assert P.integer_vertices == _integer_points(P.vertices)
+    assert P.rational
+
+
+class TestIntegerHulls:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(vec(n), min_size=n + 1, max_size=6), vec(n))),
+        st.one_of(fractions.filter(bool), st.sampled_from([-2, 1, 3])), st.booleans())
+    def test_homothet_image(self, case, ratio, as_simplex):
+        verts, t = case
+        base = VPolytope(tuple(verts))
+        if as_simplex:
+            verts = verts[:len(t) + 1]
+            assume(rank(verts) == len(t))
+            base = Simplex(tuple(verts))
+        h = Homothet(ratio, t, base)
+        got = apply_homothet(h)
+        # repr compares the types too: an int ratio with int data gives ints
+        assert repr(got.vertices) == repr(fraction_image(h))
+        assert_seeded(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3).flatmap(simplices),
+           st.lists(st.tuples(st.fractions(0, 1, max_denominator=17),
+                              st.fractions(0, 1, max_denominator=17)), min_size=4, max_size=4))
+    def test_barycentric_region(self, S, pairs):
+        bounds = tuple(tuple(sorted(b)) for b in pairs[:S.dim + 1])
+        region = BarycentricRegion(S, bounds)
+        assume(_bary_box_vertices(bounds)[1])
+        got = region.realize()
+        assert repr(got.vertices) == repr(fraction_realize(region))
+        assert_seeded(got)
+
+    def test_scheme_hulls(self):
+        S = Simplex(((0, 0, 0), (3, 1, 0), (-1, 4, 1), (F(1, 2), 1, 5)))
+        for scheme in ("m5", "m8", "m9"):
+            for piece in simplex_partition(S, scheme).pieces:
+                assert_seeded(piece.realized_hull)
+                assert all(type(c) is Fraction for v in piece.realized_hull.vertices for c in v)
+
+    def test_float_data_map_point_by_point(self):
+        S = Simplex(((0.0, 0.0), (1.0, 0.0), (0.5, 0.75)))
+        h = Homothet(F(1, 2), (0.25, 0), S)
+        assert apply_homothet(h).vertices == tuple(map(h.apply_point, S.vertices))
+        hull = BarycentricRegion(S, ((0, F(1, 2)),) * 3).realize()
+        assert all(type(c) is float for v in hull.vertices for c in v)
+
+
+def reference_ratio(cert, norm):
+    best = max(polytope_diameter(p.realized_hull, norm) for p in cert.pieces)
+    return Fraction(best, polytope_diameter(cert.parent, norm))
+
+
+class TestCertificateRatio:
+    @settings(max_examples=30, deadline=None)
+    @given(simplices(3), st.sampled_from(NORMS_3D))
+    def test_tetrahedron_schemes(self, S, norm):
+        for scheme in ("m5", "m8", "m9"):
+            cert = simplex_partition(S, scheme)
+            got = partition_diameter_ratio(cert, norm)
+            assert type(got) is Fraction and got == reference_ratio(cert, norm) == cert.ratio
+
+    @settings(max_examples=30, deadline=None)
+    @given(simplices(2), st.sampled_from([Norm.lp(1), Norm.lp(INF), Norm.gauge(cube(2)),
+                                          Norm.gauge(((2, 1), (-2, -1), (0, F(1, 3)),
+                                                      (0, F(-1, 3))))]))
+    def test_triangle(self, T, norm):
+        cert = triangle_partition4(T)
+        got = partition_diameter_ratio(cert, norm)
+        assert type(got) is Fraction and got == reference_ratio(cert, norm) == F(1, 2)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_cube(self, n):
+        cert = cube_partition(n)
+        for norm in (Norm.lp(1), Norm.lp(INF), Norm.gauge(cube(n)), Norm.gauge(cross_polytope(n))):
+            got = partition_diameter_ratio(cert, norm)
+            assert type(got) is Fraction and got == reference_ratio(cert, norm) == F(1, 2)
+
+
+def norm_eval_table(pts, norm):
+    """The per-pair table beta_finite_exact built before its integer keys."""
+    return {(i, j): norm_eval(vsub(pts[i], pts[j]), norm)
+            for i, j in itertools.combinations(range(len(pts)), 2)}
+
+
+class TestWidthRows:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(vec(3), min_size=1, max_size=6), st.sampled_from(NORMS_3D + OFF_CENTRE[1:]))
+    def test_diameter_is_the_ordered_pairwise_max(self, pts, norm):
+        """One row of each +-pair, and every row without its negative (the
+        off-centre body has such rows)."""
+        want = max(norm_eval(vsub(p, q), norm) for p in pts for q in pts)
+        assert diameter_finite(pts, norm) == want
+
+
+class TestDistanceKeys:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(vec(3), min_size=2, max_size=7), st.sampled_from(NORMS_3D + OFF_CENTRE))
+    @example([(-1, 0, 0), (0, 0, 0)], OFF_CENTRE[0])  # leaves the half-space
+    def test_keys_are_proportional_to_the_distances(self, pts, norm):
+        try:
+            dist = norm_eval_table(pts, norm)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                _distance_keys(pts, norm)
+            return
+        keys = _distance_keys(pts, norm)
+        assert list(keys) == list(dist)
+        assert all(type(k) is int for k in keys.values())
+        top = max(dist, key=dist.get)
+        assert (keys[top] == 0) == (dist[top] == 0)
+        assert all(keys[k] * dist[top] == dist[k] * keys[top] for k in dist)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(vec(3), min_size=2, max_size=7), st.sampled_from(NORMS_3D),
+           st.integers(1, 8))
+    @example([(F(3), 3, 0), (0, 0, 0), (F(1, 2), 0, 0), (3, F(3), 0)], Norm.lp(INF), 2)
+    @example([(0, 0, 0), (0, 0, 0), (1, 0, 0)], Norm.lp(1), 2)  # threshold 0
+    def test_reported_distances_keep_their_type(self, pts, norm, m):
+        assume(len(set(pts)) > 1)
+        res = beta_finite_exact(pts, m, norm)
+        dist = norm_eval_table(pts, norm)
+        # the old table's values as they were printed: the first pair's
+        # value among equals (l1 and l_inf give ints on int coordinates)
+        assert repr(res.diameter) == repr(max(dist.values()))
+        candidates = [F(0)] + sorted(set(dist.values()))
+        assert repr(res.threshold) == repr(next(c for c in candidates if c == res.threshold))
+        assert res.value == F(res.threshold, res.diameter)
+
+
+class TestAffineRank:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        vec(n), st.lists(vec(n), max_size=n),
+        st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=1, max_size=7))),
+        st.integers(0, 3))
+    def test_matches_rank_of_difference_rows(self, case, repeats):
+        """Points origin + sum c_k d_k over fewer directions than the
+        dimension lie on a line or a plane; repeats add copies."""
+        origin, dirs, coeffs = case
+        pts = [tuple(o + sum((c * d[i] for c, d in zip(cs, dirs)), 0) for i, o in enumerate(origin))
+               for cs in coeffs]
+        pts += pts[:repeats]
+        assert affine_rank(pts) == rank(pts)

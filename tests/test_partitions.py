@@ -294,6 +294,7 @@ class TestBoxVertices:
     @example([(F(0), F(7, 16))] * 4)  # the m8 residual box
     @example([(F(0), F(1, 4))] * 4)  # one vertex, every coordinate at hi
     def test_integer_enumeration_matches_fractions(self, bounds):
-        got = _bary_box_vertices(bounds)
-        assert got == fraction_box_vertices(bounds)
-        assert all(type(v) is Fraction for lam in got for v in lam)
+        L, rows = _bary_box_vertices(bounds)
+        assert L == math.lcm(*(v.denominator for b in bounds for v in b))
+        assert tuple(tuple(F(v, L) for v in lam) for lam in rows) == fraction_box_vertices(bounds)
+        assert all(type(v) is int for lam in rows for v in lam)
