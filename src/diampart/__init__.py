@@ -22,7 +22,6 @@ from .bounds import (
     BetaBound,
     EpsilonOptResult,
     corollary_threshold_check,
-    homothety_transfer,
     lp_beta8_table,
     minmax_epsilon,
     stability_transfer,
@@ -94,7 +93,6 @@ __all__ = [
     "dual_exponent",
     "f_eval",
     "f_scan",
-    "homothety_transfer",
     "lp_beta8_table",
     "lp_parallelepiped_bound",
     "m_colorable",

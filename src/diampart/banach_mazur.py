@@ -34,8 +34,8 @@ from .numbers import (
     Scalar,
     VerificationError,
     all_rational,
-    as_fraction,
     golden_section_min,
+    same_mode,
     to_float,
 )
 
@@ -115,10 +115,8 @@ def parallelepiped(spanning: Sequence[Sequence[Scalar]] = SPANNING_DEFAULT) -> V
 
 def _outer_gauge(x, outer) -> Scalar:
     if isinstance(outer, PBall):
-        val = pnorm_eval(x, outer.p)
-        if all_rational([val, outer.radius]):
-            return as_fraction(val) / as_fraction(outer.radius)
-        return to_float(val) / to_float(outer.radius)
+        val, radius = same_mode(pnorm_eval(x, outer.p), outer.radius)
+        return val / radius
     return gauge_eval(x, outer)
 
 
@@ -145,9 +143,7 @@ def _holder_max(f, p, radius):
                 * math.copysign(abs(to_float(c) / nf) ** (qf - 1.0), to_float(c))
                 for c in f
             )
-    if all_rational([val, radius]):
-        return as_fraction(radius) * as_fraction(val), point
-    return to_float(radius) * to_float(val), point
+    return math.prod(same_mode(radius, val)), point
 
 
 def _pball_boundary_samples(ball: PBall, count: int) -> list:
@@ -224,10 +220,8 @@ def sandwich_verify(inner: VPolytope, outer, gamma: Scalar) -> SandwichCertifica
             )
     else:
         raise TypeError("outer body must be a VPolytope or a PBall")
-    if all_rational([gamma, worst_out_val]):
-        margin_outer = as_fraction(gamma) - as_fraction(worst_out_val)
-    else:
-        margin_outer = to_float(gamma) - to_float(worst_out_val)
+    g, w = same_mode(gamma, worst_out_val)
+    margin_outer = g - w
 
     ok = to_float(margin_inner) >= -SANDWICH_TOL and to_float(margin_outer) >= -SANDWICH_TOL
     return SandwichCertificate(
@@ -273,10 +267,7 @@ def lp_parallelepiped_bound(
     vertex_norms = [pnorm_eval(v, p) for v in Q.vertices]
     R = max(vertex_norms, key=to_float)
     alpha = max((pnorm_eval(g, q) for g in rows), key=to_float)
-    if all_rational([R, alpha]):
-        gamma = as_fraction(R) * as_fraction(alpha)
-    else:
-        gamma = to_float(R) * to_float(alpha)
+    gamma = math.prod(same_mode(R, alpha))
 
     if not custom:
         # closed form |(1,1,4)|_p * |(3,1,3)|_q / 10 and the claim that the
@@ -287,7 +278,7 @@ def lp_parallelepiped_bound(
         gamma = closed
         special = pnorm_eval((-2, 8, -2), p)
         if to_float(R) > to_float(special) * (1 + 1e-12) or (
-                all_rational([special, R]) and as_fraction(R) != as_fraction(special)):
+                all_rational([special, R]) and R != special):
             raise VerificationError("vertex maximum %r is not the (-2,8,-2) orbit %r"
                                  % (R, special))
 
@@ -298,11 +289,7 @@ def lp_parallelepiped_bound(
 
 
 def _closed_form_gamma(p, q):
-    a = pnorm_eval((1, 1, 4), p)
-    b = pnorm_eval((3, 1, 3), q)
-    if all_rational([a, b]):
-        return as_fraction(a) * as_fraction(b) / 10
-    return to_float(a) * to_float(b) / 10.0
+    return math.prod(same_mode(pnorm_eval((1, 1, 4), p), pnorm_eval((3, 1, 3), q))) / 10
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Combining certified ingredients into diameter-partition bounds.
 
-Two transfer laws scale a known bound by a body-approximation factor
+A transfer law scales a known bound by a body-approximation factor
 gamma, the epsilon min-max optimizer balances a simplex branch against a
 ball branch, and the l_p^3 table chains the cube construction with the
 sandwich certificates into the piecewise bound
@@ -24,9 +24,10 @@ from .numbers import (
     INF,
     Scalar,
     VerificationError,
-    all_rational,
     as_fraction,
     golden_section_min,
+    is_rational,
+    same_mode,
     sqrt_exact,
     to_float,
 )
@@ -88,32 +89,15 @@ class EpsilonOptResult:
 # transfer laws
 
 
-def homothety_transfer(beta_K: Scalar, gamma: Scalar, chain: Optional[list] = None) -> Scalar:
-    """If K <= L <= gamma*K + c then a bound for K scales to gamma times
-    the bound for L, clamped at the trivial bound 1."""
-    if to_float(gamma) < 1:
-        raise ValueError("a homothety factor below 1 is meaningless here")
-    if not 0 < to_float(beta_K) <= 1:
-        raise ValueError("beta_K must lie in (0, 1]")
-    value = _clamped_product(beta_K, gamma)
-    if chain is not None:
-        chain.append(
-            ProvenanceStep(
-                formula="min(1, gamma*beta_K)",
-                inputs=(("beta_K", beta_K), ("gamma", gamma)),
-                value=value,
-                kind="exact",
-            )
-        )
-    return value
-
-
 def stability_transfer(beta_Y: Scalar, gamma: Scalar, chain: Optional[list] = None) -> Scalar:
     """A Banach-Mazur factor gamma between spaces turns a bound for Y
     into min(1, gamma * bound) for X."""
     if to_float(gamma) < 1:
         raise ValueError("a Banach-Mazur factor is never below 1")
-    value = _clamped_product(beta_Y, gamma)
+    if not 0 < to_float(beta_Y) <= 1:
+        raise ValueError("beta_Y must lie in (0, 1]")
+    b, g = same_mode(beta_Y, gamma)
+    value = min(type(b)(1), b * g)
     if chain is not None:
         chain.append(
             ProvenanceStep(
@@ -126,14 +110,6 @@ def stability_transfer(beta_Y: Scalar, gamma: Scalar, chain: Optional[list] = No
     return value
 
 
-def _clamped_product(beta: Scalar, gamma: Scalar) -> Scalar:
-    if all_rational([beta, gamma]):
-        prod = as_fraction(beta) * as_fraction(gamma)
-        return min(Fraction(1), prod)
-    prod = to_float(beta) * to_float(gamma)
-    return min(1.0, prod)
-
-
 # ---------------------------------------------------------------------------
 # the epsilon min-max
 
@@ -141,15 +117,8 @@ def _clamped_product(beta: Scalar, gamma: Scalar) -> Scalar:
 def minmax_branches(eta: Scalar, beta_ball: Scalar, eps: Scalar) -> tuple:
     """The two competing values at a given eps in (0, 1/3):
     (1 + 4eps/(1-3eps)) * eta  versus  2(3-eps)/(4-eps) * beta_ball."""
-    if all_rational([eta, beta_ball, eps]):
-        e = as_fraction(eps)
-        b1 = (1 + 4 * e / (1 - 3 * e)) * as_fraction(eta)
-        b2 = 2 * (3 - e) / (4 - e) * as_fraction(beta_ball)
-        return b1, b2
-    e = to_float(eps)
-    b1 = (1 + 4 * e / (1 - 3 * e)) * to_float(eta)
-    b2 = 2 * (3 - e) / (4 - e) * to_float(beta_ball)
-    return b1, b2
+    h, b, e = same_mode(eta, beta_ball, eps)
+    return (1 + 4 * e / (1 - 3 * e)) * h, 2 * (3 - e) / (4 - e) * b
 
 
 _EDGE = 1e-12  # open-interval stand-off; the endpoints are never evaluated
@@ -173,17 +142,9 @@ def minmax_epsilon(eta: Scalar, beta_ball: Scalar) -> EpsilonOptResult:
         raise ValueError("eta must lie in (0, 1]")
     if not 0 < to_float(beta_ball) <= 1:
         raise ValueError("beta_ball must lie in (0, 1]")
-    exact = all_rational([eta, beta_ball])
-    crossing_inside = (
-        6 * as_fraction(beta_ball) > 4 * as_fraction(eta)
-        if exact
-        else 6 * to_float(beta_ball) > 4 * to_float(eta)
-    )
-    if crossing_inside:
-        eps = _crossing_eps(eta, beta_ball, exact)
-    else:
-        eps = Fraction(1, 10**12) if exact else _EDGE
-    b1, b2 = minmax_branches(eta, beta_ball, eps)
+    h, b, edge = same_mode(eta, beta_ball, Fraction(1, 10**12))
+    eps = _crossing_eps(h, b) if 6 * b > 4 * h else edge
+    b1, b2 = minmax_branches(h, b, eps)
     bound = max(b1, b2, key=to_float)
 
     h, b = to_float(eta), to_float(beta_ball)
@@ -197,27 +158,19 @@ def minmax_epsilon(eta: Scalar, beta_ball: Scalar) -> EpsilonOptResult:
     return EpsilonOptResult(eps_star=eps, bound=bound, branch_values=(b1, b2))
 
 
-def _crossing_eps(eta, beta_ball, exact: bool):
-    if exact:
-        h, b = as_fraction(eta), as_fraction(beta_ball)
-        a = h + 6 * b
-        mid = 3 * h + 20 * b
-        c = 6 * b - 4 * h
-        disc = mid * mid - 4 * a * c
-        root = sqrt_exact(disc)
-        if root is not None:
-            eps = (mid - root) / (2 * a)
-            if 0 < eps < Fraction(1, 3):
-                return eps
-        h, b = to_float(eta), to_float(beta_ball)
-    else:
-        h, b = to_float(eta), to_float(beta_ball)
-    a = h + 6.0 * b
-    mid = 3.0 * h + 20.0 * b
-    c = 6.0 * b - 4.0 * h
-    disc = mid * mid - 4.0 * a * c
-    eps = (mid - math.sqrt(disc)) / (2.0 * a)
-    return min(max(eps, _EDGE), 1.0 / 3.0 - _EDGE)
+def _crossing_eps(h, b):
+    """The smaller root of the crossing quadratic, in the mode of h and b;
+    in floats when the discriminant is not a rational square, then kept
+    just inside (0, 1/3).  An exact root needs no such guard: with
+    6b > 4h the quadratic takes 6b - 4h > 0 at eps = 0 and -44h/9 < 0 at
+    eps = 1/3, so its smaller root lies strictly between."""
+    a, mid, c = h + 6 * b, 3 * h + 20 * b, 6 * b - 4 * h
+    disc = mid * mid - 4 * a * c
+    root = sqrt_exact(disc) if is_rational(disc) else math.sqrt(disc)
+    if root is None:
+        return _crossing_eps(float(h), float(b))
+    eps = (mid - root) / (2 * a)
+    return eps if is_rational(eps) else min(max(eps, _EDGE), 1.0 / 3.0 - _EDGE)
 
 
 # ---------------------------------------------------------------------------

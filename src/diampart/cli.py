@@ -35,7 +35,7 @@ from .partitions import (
     simplex_partition,
     triangle_partition4,
 )
-from .serialization import canonical_json, load_problem, norm_from_spec
+from .serialization import canonical_json, load_problem, norm_from_spec, read_json
 
 STD_TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
 STD_TETRA = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -80,18 +80,18 @@ def _positive_int(text):
 def _norm_arg(text: str) -> Norm:
     """Accept a p value ("1", "2", "inf", "3/2") or a norm-spec file path."""
     if os.path.exists(text):
-        import json
-
         try:
-            with open(text, "r", encoding="ascii") as fh:
-                raw = json.load(fh)
+            raw = read_json(text)
             # a file holds either a bare norm spec or a problem with a "norm" section
             if isinstance(raw, dict) and "norm" in raw:
                 raw = raw["norm"]
             return norm_from_spec(raw)
         except (ValueError, OSError, KeyError) as exc:
             raise argparse.ArgumentTypeError("%s: %s" % (text, exc))
-    return Norm.lp(_scalar_arg(text))
+    try:
+        return Norm.lp(_scalar_arg(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 # ---------------------------------------------------------------------------

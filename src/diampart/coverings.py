@@ -12,7 +12,8 @@ Two evidence levels, stated honestly in every report:
 The ball-covering search places m centers to cover a body with balls of
 radius r, by multistart coordinate pattern search over a fixed sample
 set, then snaps the winning centers to small rationals and re-confirms
-the margin on a 4x finer point set (exactly, when the data allows).
+the margin through verify_ball_covering on a 4x finer point set
+(exactly, when the data allows).
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .geometry import (
     norm_facets,
     polytope_diameter,
 )
-from .numbers import INF, all_rational, as_fraction, is_rational, to_float
+from .numbers import INF, all_rational, as_fraction, is_rational, same_mode, to_float
 from .partitions import (
     PartitionCertificate,
     PartitionPiece,
@@ -372,8 +373,7 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
     """
     parent = cert.parent
     hulls = [p.realized_hull for p in cert.pieces]
-    if (norm.is_polyhedral and None not in hulls and parent.rational
-            and all(h.rational for h in hulls) and (norm.kind == "p" or norm.body.rational)):
+    if norm.exact and None not in hulls and parent.rational and all(h.rational for h in hulls):
         rows = norm_facets(norm, parent.dim).width_rows
         L = math.lcm(*(P.integer_vertices[0] for P in (parent, *hulls)))
         w = [_width(rows, X) * (L // D) for D, X in (P.integer_vertices for P in (*hulls, parent))]
@@ -396,9 +396,8 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
             raise ValueError("piece is not realizable as a polytope")
         if best is None or d > best:
             best = d
-    if all_rational([best, parent_diam]):
-        return Fraction(as_fraction(best), as_fraction(parent_diam))
-    return to_float(best) / to_float(parent_diam)
+    best, parent_diam = same_mode(best, parent_diam)
+    return best / parent_diam
 
 
 # ---------------------------------------------------------------------------
@@ -590,17 +589,27 @@ def _int_dtype(bound: int):
     return np.int64 if bound < _INT64_SAFE else object
 
 
+def _lattice_body(body) -> bool:
+    """Is the body's confirmation set an exact lattice: the 3-D l1 ball
+    or an axis box?"""
+    if isinstance(body, PBall):
+        return body.p == 1 and body.dim == 3
+    return isinstance(body, VPolytope) and _axis_cube_intervals(body) is not None
+
+
 def _confirmation_points(body):
     """A deterministic point set denser than the search samples.
 
-    Returns (P, D).  For the 3-D l1 ball and axis boxes, P is an integer
+    Returns (P, D).  For a lattice body (_lattice_body), P is an integer
     array and the points are exactly P/D (int64, or Python ints when the
     magnitudes near the int64 range).  For other bodies D is None and P
     holds float samples at 4x the default sampling density.
     """
     import numpy as np
 
-    if isinstance(body, PBall) and body.p == 1 and body.dim == 3:
+    if not _lattice_body(body):
+        return _body_samples(body, 4 * 4096, 4 * 1024, seed=10**6 + 7), None
+    if isinstance(body, PBall):
         # each facet at barycentric granularity 1/K (8*C(K+2,2) > 4*4096
         # points), plus the 1/8 grid inside the ball
         K = 64
@@ -614,17 +623,15 @@ def _confirmation_points(body):
         P = np.concatenate([(signs[:, None, :] * facet).reshape(-1, 3), grid])
         rad = as_fraction(body.radius)
         return P.astype(_int_dtype(K * rad.numerator)) * rad.numerator, K * rad.denominator
-    if isinstance(body, VPolytope) and _axis_cube_intervals(body):
-        los, his = _axis_cube_intervals(body)
-        K = 16
-        axes = [[lo + Fraction(i, K) * (hi - lo) for i in range(K + 1)]
-                for lo, hi in zip(map(as_fraction, los), map(as_fraction, his))]
-        D = math.lcm(*(v.denominator for ax in axes for v in ax))
-        ints = [[v.numerator * (D // v.denominator) for v in ax] for ax in axes]
-        dtype = _int_dtype(max(abs(v) for ax in ints for v in ax))
-        mesh = np.meshgrid(*(np.asarray(ax, dtype=dtype) for ax in ints), indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, body.dim), D
-    return _body_samples(body, 4 * 4096, 4 * 1024, seed=10**6 + 7), None
+    los, his = _axis_cube_intervals(body)
+    K = 16
+    axes = [[lo + Fraction(i, K) * (hi - lo) for i in range(K + 1)]
+            for lo, hi in zip(map(as_fraction, los), map(as_fraction, his))]
+    D = math.lcm(*(v.denominator for ax in axes for v in ax))
+    ints = [[v.numerator * (D // v.denominator) for v in ax] for ax in axes]
+    dtype = _int_dtype(max(abs(v) for ax in ints for v in ax))
+    mesh = np.meshgrid(*(np.asarray(ax, dtype=dtype) for ax in ints), indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, body.dim), D
 
 
 def _exact_margin(P, D, centers, r, norm: Norm):
@@ -652,7 +659,7 @@ def _exact_margin(P, D, centers, r, norm: Norm):
     dist = functools.reduce(np.minimum, [np.max(WP - cw[:, None], axis=0)
                                          for cw in np.asarray(C, dtype=dtype) @ W.T])
     value = Fraction(int(dist.max()) * form.scale, form.den * L)
-    if norm.kind == "gauge" and not norm.body.rational:
+    if not norm.exact:
         value = to_float(value)  # as gauge_eval rounds for a float body
     return value - as_fraction(r)
 
@@ -676,7 +683,8 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
 
     Multistart pattern search over a fixed sample set; the winning
     centers are snapped to small rationals and the margin is confirmed
-    on a 4x denser point set (exact arithmetic when data permits).
+    by verify_ball_covering on a 4x denser point set (exact arithmetic
+    when data permits).
     Failure (positive residual margin) is a legitimate outcome and does
     not prove impossibility.  Either way the solution's radius is r as
     given, a Fraction when r is rational.
@@ -724,38 +732,30 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
         if best_margin <= 1e-12:
             break  # a covering is a covering; later starts add nothing
 
-    r_exact = as_fraction(r) if all_rational([r]) else rf
-    if best_margin <= 1e-9 and norm.is_polyhedral:
-        conf_pts, conf_den = _confirmation_points(parent)
-        if conf_den is not None:
-            for snapped in _snap_centers(best_centers):
-                margin = _exact_margin(conf_pts, conf_den, snapped, r_exact, norm)
-                if margin <= 0:
-                    return BallCoveringSolution(snapped, r_exact, norm, margin,
-                                                seed, best_margin)
-    # no exact confirmation: report the float margin at the 4x resolution
+    (r_given,) = same_mode(r)
+    if best_margin <= 1e-9 and norm.is_polyhedral and _lattice_body(parent):
+        # the snapped centers are rational: verify_ball_covering's margin is exact
+        for snapped in _snap_centers(best_centers):
+            margin = verify_ball_covering(parent, snapped, r, norm)
+            if margin <= 0:
+                return BallCoveringSolution(snapped, r_given, norm, margin, seed, best_margin)
     centers_t = tuple(tuple(float(v) for v in row) for row in best_centers)
     conf_margin = verify_ball_covering(parent, centers_t, r, norm)
-    return BallCoveringSolution(centers_t, r_exact, norm, conf_margin, seed, best_margin)
+    return BallCoveringSolution(centers_t, r_given, norm, conf_margin, seed, best_margin)
 
 
 def verify_ball_covering(parent, centers, r, norm: Norm):
     """Recheck proposed ball centers on a fresh confirmation point set.
 
     Returns the residual margin (worst distance to the nearest center
-    minus r): exact Fraction arithmetic when the body, centers, radius,
-    and norm permit, float otherwise.  Nonpositive means covered at the
-    checked resolution.
+    minus r): exact Fraction arithmetic for rational centers under a
+    polyhedral norm on a lattice body, where a float r is read as the
+    rational it denotes; float otherwise.  Nonpositive means covered at
+    the checked resolution.
     """
     pts, den = _confirmation_points(parent)
-    rational = (
-        den is not None
-        and all(all_rational(c) for c in centers)
-        and all_rational([r])
-        and norm.is_polyhedral
-    )
-    if rational:
-        return _exact_margin(pts, den, centers, as_fraction(r), norm)
+    if den is not None and norm.is_polyhedral and all(all_rational(c) for c in centers):
+        return _exact_margin(pts, den, centers, r, norm)
     import numpy as np
 
     cs = np.asarray([[to_float(c) for c in row] for row in centers], dtype=float)

@@ -1,10 +1,12 @@
 """Vectors, norms, polytopes, diameters, and related substrate.
 
 Points are plain tuples of scalars (ints, Fractions, or floats).  Most
-operations run in one of two arithmetic modes: exact rational arithmetic
-whenever every input is rational and the norm is polyhedral (p in {1, inf}
-or an explicit gauge body), floating point otherwise.  Exact-mode results
-never round.
+operations run in one of two arithmetic modes, chosen by the one rule of
+numbers.same_mode: exact rational arithmetic when every input is
+rational, floating point otherwise.  A distance is exact when, besides,
+the norm is one whose distances between rational points are rational
+(Norm.exact: l1, l_inf, or the gauge of a rational body).  Exact-mode
+results never round.
 
 Exact elimination (row_reduce, matrix_rank_exact, solve_linear_system)
 and polytope membership both live here: a point lies in a V-polytope
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .numbers import INF, Scalar, all_rational, as_fraction, is_rational, to_float
+from .numbers import INF, Scalar, all_rational, as_fraction, same_mode, to_float
 
 Vector = Tuple[Scalar, ...]
 
@@ -124,7 +126,7 @@ class Simplex:
     vertices: tuple
 
     def __post_init__(self):
-        verts = tuple(tuple(v) for v in self.vertices)
+        verts = VPolytope(self.vertices).vertices  # tuples of one dimension
         object.__setattr__(self, "vertices", verts)
         n = len(verts[0])
         if len(verts) != n + 1:
@@ -248,10 +250,8 @@ def dual_exponent(p: Scalar) -> Scalar:
         raise ValueError("p must be >= 1")
     if p == 1:
         return INF
-    if is_rational(p):
-        pf = as_fraction(p)
-        return pf / (pf - 1)
-    return p / (p - 1.0)
+    (p,) = same_mode(p)
+    return p / (p - 1)
 
 
 class Norm:
@@ -268,7 +268,7 @@ class Norm:
     def __init__(self, kind: str, p: Optional[Scalar] = None,
                  body: Optional[VPolytope] = None):
         if kind == "p":
-            if p is None or (p != INF and p < 1):
+            if p is None or not (p == INF or p >= 1):  # NaN fails both
                 raise ValueError("p-norm needs p in [1, inf]")
             self.p = p
             self.body = None
@@ -295,6 +295,12 @@ class Norm:
     @property
     def is_polyhedral(self) -> bool:
         return self.kind == "gauge" or self.p == 1 or self.p == INF
+
+    @property
+    def exact(self) -> bool:
+        """Are distances between rational points rational?  True for l1,
+        l_inf and the gauge of a rational body."""
+        return self.body.rational if self.kind == "gauge" else self.is_polyhedral
 
     def label(self) -> str:
         if self.kind == "gauge":
@@ -643,9 +649,9 @@ def diameter_finite(points: Sequence[Vector], norm: Norm, scaled=None) -> Scalar
     if norm.is_polyhedral:
         form = norm_facets(norm, len(pts[0]))
         diam = Fraction(_width(form.width_rows, X) * form.scale, form.den * D)
-        if norm.kind == "p":
-            return diam.numerator if types <= {int} else diam
-        return diam if rational and norm.body.rational else to_float(diam)
+        if not (rational and norm.exact):
+            return to_float(diam)
+        return diam.numerator if norm.kind == "p" and types <= {int} else diam
     return max(pnorm_eval([(u - v) / D for u, v in zip(a, b)], norm.p)
                for a, b in itertools.combinations(X, 2))
 
@@ -654,11 +660,13 @@ def _distance_keys(pts: list, norm: Norm) -> dict:
     """{(i, j): key}, i < j, keys ordered as norm_eval(vsub(pts[i], pts[j]), norm):
     for rational points under a polyhedral norm, the integers max(0, row
     differences) of each point's facet-row values, computed once (a cone
-    row raises gauge_eval's ValueError); elsewhere the distances."""
+    row raises gauge_eval's ValueError); elsewhere the distances.  Points
+    of mixed dimension raise ValueError under every norm."""
     dim, pairs = len(pts[0]), list(itertools.combinations(range(len(pts)), 2))
-    if not (dim and norm.is_polyhedral and _coordinate_types(pts) <= _EXACT_TYPES
-            and {len(p) for p in pts} == {dim}
-            and (norm.kind == "p" or norm.body.dim == dim and norm.body.rational)):
+    if any(len(p) != dim for p in pts):
+        raise ValueError("points differ in dimension")
+    if not (dim and norm.exact and _coordinate_types(pts) <= _EXACT_TYPES
+            and (norm.kind == "p" or norm.body.dim == dim)):
         return {(i, j): norm_eval(vsub(pts[i], pts[j]), norm) for i, j in pairs}
     form, (_, X) = norm_facets(norm, dim), _integer_points(pts)
     V = [[vdot(w, x) for w in form.rows] for x in X]

@@ -2,10 +2,12 @@
 
 Two arithmetic modes coexist throughout the library: exact rationals
 (int / fractions.Fraction) for polyhedral data, and binary floats for
-smooth p-norms.  Helpers here classify values, convert between modes,
-and parse the "num/den" encoding used by the file formats.  The
-exponent p = infinity is always the distinguished value math.inf,
-never a large float.
+smooth p-norms.  One rule chooses between them, written once in
+same_mode: a result is exact when every input is rational, and a float
+otherwise.  Helpers here classify values, convert between modes, and
+parse the "num/den" encoding used by the file formats.  The exponent
+p = infinity is always the distinguished value math.inf, never a large
+float.
 """
 from __future__ import annotations
 
@@ -36,6 +38,14 @@ def all_rational(values: Iterable) -> bool:
 
 def to_float(x) -> float:
     return float(x)
+
+
+def same_mode(*values) -> tuple:
+    """All the values as Fractions when every one is rational, all as
+    floats otherwise, so that one formula serves both modes."""
+    if all_rational(values):
+        return tuple(map(as_fraction, values))
+    return tuple(map(float, values))
 
 
 def as_fraction(x) -> Fraction:

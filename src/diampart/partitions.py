@@ -43,7 +43,7 @@ from .geometry import (
     vdot,
     vscale,
 )
-from .numbers import INF, VerificationError, all_rational, as_fraction, to_float
+from .numbers import INF, VerificationError, as_fraction, same_mode, to_float
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def simplex_vertex_homothets(S: Simplex, mu) -> Tuple[PartitionPiece, ...]:
     that threshold the centroid (all lambda_i = 1/(n+1)) is uncovered.
     """
     n = S.dim
-    mu = as_fraction(mu) if all_rational([mu]) else mu
+    (mu,) = same_mode(mu)
     if mu > 1:
         raise ValueError("mu must be at most 1")
     if mu < Fraction(n, n + 1):

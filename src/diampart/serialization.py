@@ -149,10 +149,19 @@ def parse_points(rows) -> tuple:
     return points
 
 
+def read_json(path: str):
+    """The JSON value in an ASCII file; nesting too deep to parse is a
+    ValueError, like any other malformed file."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+
+
 def load_problem(path: str) -> dict:
     """Read a body/norm/points file; missing sections come back as None."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = _require_object(json.load(fh), "a problem file")
+    raw = _require_object(read_json(path), "a problem file")
     out = {}
     out["norm"] = norm_from_spec(raw["norm"]) if "norm" in raw else None
     out["body"] = body_from_spec(raw["body"]) if "body" in raw else None

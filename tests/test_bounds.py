@@ -10,7 +10,6 @@ from diampart.bounds import (
     EpsilonOptResult,
     ProvenanceStep,
     corollary_threshold_check,
-    homothety_transfer,
     lp_beta8_table,
     minmax_branches,
     minmax_epsilon,
@@ -24,22 +23,22 @@ F = Fraction
 
 class TestTransferLaws:
     def test_identity_factor(self):
-        assert homothety_transfer(F(9, 16), 1) == F(9, 16)
+        assert stability_transfer(F(9, 16), 1) == F(9, 16)
         assert stability_transfer(0.7, 1) == 0.7
 
     def test_exact_saturation_at_seven_57(self):
         eps = F(7, 57)
         gamma = 1 + 4 * eps / (1 - 3 * eps)
         assert gamma == F(16, 9)
-        assert homothety_transfer(F(9, 16), gamma) == 1
+        assert stability_transfer(F(9, 16), gamma) == 1
 
     def test_clamped_to_one(self):
-        assert homothety_transfer(F(3, 4), 2) == 1
         assert stability_transfer(F(3, 4), 2) == 1
+        assert stability_transfer(0.75, 2) == 1.0
 
     def test_rejects_small_gamma(self):
         with pytest.raises(ValueError):
-            homothety_transfer(F(1, 2), F(9, 10))
+            stability_transfer(F(1, 2), F(9, 10))
         with pytest.raises(ValueError):
             stability_transfer(F(1, 2), 0.99)
 
@@ -55,10 +54,10 @@ class TestTransferLaws:
         assert chain[0].value == pytest.approx(math.sqrt(342) / 20)
 
     def test_domain_of_beta(self):
-        with pytest.raises(ValueError):
-            homothety_transfer(0, 1)
-        with pytest.raises(ValueError):
-            homothety_transfer(1.2, 1)
+        with pytest.raises(ValueError, match="beta_Y must lie in"):
+            stability_transfer(0, 1)
+        with pytest.raises(ValueError, match="beta_Y must lie in"):
+            stability_transfer(1.2, 1)
 
 
 class TestMinmax:

@@ -39,7 +39,9 @@ BAD_BODY_PROBLEM = '{"points": [[0, 0], [1, 0]], "body": {"kind": %s}}'
 
 # spec files that lack a key their kind needs, or hold a malformed
 # integer field, and what the error must name
+DEEP_JSON = "[" * 100000 + "]" * 100000
 NAMED_CAUSE = {
+    DEEP_JSON: "JSON nested too deeply",
     '{"kind": "p"}': 'a "p" norm spec needs "p"',
     '{"points": [[0, 0], [1, 0]], "norm": {"kind": "gauge"}}':
         'a "gauge" norm spec needs "vertices"',
@@ -79,6 +81,14 @@ class TestExitCodes:
     def test_missing_file_is_one(self, capsys):
         code = main(["oracle", "--points", "/no/such/file.json", "--m", "2"])
         assert code == 1
+
+    @pytest.mark.parametrize("p", ["nan", "0.5"])
+    def test_p_outside_one_to_inf_names_the_cause(self, capsys, p):
+        # NaN is refused by Norm itself, not later by a float-to-int conversion
+        code, captured = run_failing(capsys, ["partition", "simplex", "--m", "8", "--norm", p])
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "diampart: error: argument --norm: p-norm needs p in [1, inf]\n"
 
     def test_ragged_points_are_one(self, capsys, tmp_path):
         path = tmp_path / "ragged.json"
@@ -157,6 +167,11 @@ class TestExitCodes:
         # a body section whose integer field is not a JSON integer
         (BAD_BODY_PROBLEM % body, ["oracle", "--points", "FILE", "--m", "2"])
         for body, _ in BAD_INTEGER_FIELDS
+    ] + [
+        # nesting too deep for the JSON parser, as a problem and as a norm file
+        pytest.param(DEEP_JSON, ["oracle", "--points", "FILE", "--m", "2"], id="deep-points"),
+        pytest.param(DEEP_JSON, ["partition", "simplex", "--m", "8", "--norm", "FILE"],
+                     id="deep-norm"),
     ])
     def test_bad_spec_file_is_one_error_line(self, capsys, tmp_path, text, argv):
         path = tmp_path / "spec.json"

@@ -363,6 +363,17 @@ class TestBallCoveringSearch:
         assert not sol.success
         assert sol.residual_margin > 0.9
 
+    @pytest.mark.parametrize("body, m, r, norm, margin", [
+        (cube(3), 8, 0.5, Norm.lp(INF), F(0)),
+        (PBall(1, 3), 8, 0.7, Norm.lp(1), F(2, 3) - F(0.7)),
+    ])
+    def test_search_and_recheck_agree_for_float_radius(self, body, m, r, norm, margin):
+        # both read a float r as the rational it denotes: one exact margin
+        sol = search_ball_covering(body, m, r, norm)
+        again = verify_ball_covering(body, sol.centers, r, norm)
+        assert type(sol.residual_margin) is type(again) is Fraction
+        assert sol.residual_margin == again == margin
+
     def test_exact_margin_beyond_int64(self):
         # the common denominator 8q pushes the rescaled lattice past 2^63
         q = int(0.95 * 2 ** 60) | 1

@@ -51,6 +51,12 @@ class TestPNorm:
         with pytest.raises(ValueError):
             pnorm_eval((1, 2), 0.5)
 
+    @pytest.mark.parametrize("p", [0.5, 0, float("nan"), -INF])
+    def test_norm_rejects_p_outside_one_to_inf(self, p):
+        # NaN fails the p < 1 test too, so it is rejected on its own
+        with pytest.raises(ValueError, match=r"p-norm needs p in \[1, inf\]"):
+            Norm.lp(p)
+
     def test_large_p_stable(self):
         # naive powering overflows; the scaled evaluation must not
         v = pnorm_eval((3.0, 1.0, 3.0), 800.0)
@@ -236,6 +242,12 @@ class TestBarycentric:
     def test_degenerate_simplex_rejected(self):
         with pytest.raises(ValueError):
             Simplex(((0, 0), (1, 0), (2, 0)))
+
+    def test_mixed_dimensions_rejected(self):
+        # refused as VPolytope refuses them, not built with dim 2 from
+        # zip-truncated differences
+        with pytest.raises(ValueError, match="vertices have mixed dimensions"):
+            Simplex(((0, 0), (1, 0), (0, 1, 5)))
 
 
 def test_linear_system():

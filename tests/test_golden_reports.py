@@ -2,17 +2,27 @@
 
 Each fixed README command runs in process through ``cli.main``; its
 stdout must equal perfbench/golden/<name>.out byte for byte, with the
-expected exit code.  (The oracle command reads a generated problem file
-and is checked by the benchmark only.)
+expected exit code.  The oracle command reads each of the benchmark's
+generated problem files (``workloads.oracle_problem``), written under
+the name the benchmark gives it, since the report echoes its basename.
 """
+import json
 import os
+import sys
 
 import pytest
 
 from diampart.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "golden")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+GOLDEN = os.path.join(PERFBENCH, "golden")
+
+sys.path.insert(0, PERFBENCH)  # for workloads' own tracer import
+try:
+    import workloads
+finally:
+    sys.path.remove(PERFBENCH)
 
 README_COMMANDS = [
     ("partition-simplex", ["partition", "simplex", "--m", "8", "--verify", "64", "--norm", "1"], 0),
@@ -30,8 +40,20 @@ README_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("name, argv, code", README_COMMANDS, ids=[c[0] for c in README_COMMANDS])
-def test_report_bytes_match_golden(capsysbinary, name, argv, code):
+def assert_golden(capsysbinary, name, argv, code):
     assert main(argv) == code
     with open(os.path.join(GOLDEN, name + ".out"), "rb") as fh:
         assert capsysbinary.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize("name, argv, code", README_COMMANDS, ids=[c[0] for c in README_COMMANDS])
+def test_report_bytes_match_golden(capsysbinary, name, argv, code):
+    assert_golden(capsysbinary, name, argv, code)
+
+
+@pytest.mark.parametrize("variant", range(workloads.ORACLE_VARIANTS))
+def test_oracle_report_bytes_match_golden(capsysbinary, tmp_path, variant):
+    path = tmp_path / ("oracle_gauge_%d.json" % variant)
+    path.write_text(json.dumps(workloads.oracle_problem(variant)))
+    assert_golden(capsysbinary, "oracle-gauge-%d" % variant,
+                  ["oracle", "--points", str(path), "--m", "4"], 0)

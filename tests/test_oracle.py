@@ -109,6 +109,14 @@ class TestBetaFinite:
         res = beta_finite_exact([(1, 1)], 2, Norm.lp(2))
         assert res.value == 0
 
+    @pytest.mark.parametrize("norm", [Norm.lp(1), Norm.lp(2), Norm.lp(INF),
+                                      Norm.gauge(((1, 0), (-1, 0), (0, 1), (0, -1)))])
+    def test_mixed_dimensions_rejected(self, norm):
+        # as diameter_finite refuses them, under every norm; zip-truncated
+        # differences would give a value
+        with pytest.raises(ValueError, match="points differ in dimension"):
+            beta_finite_exact([(0, 0), (1,), (2, 2)], 2, norm)
+
     def test_budget_enforced(self):
         pts = [(i, 0) for i in range(15)]
         with pytest.raises(ValueError):

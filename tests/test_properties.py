@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import diampart
 
-from diampart.bounds import minmax_branches, minmax_epsilon
+from diampart.bounds import minmax_branches, minmax_epsilon, stability_transfer
 from diampart.geometry import (
     Norm,
     Simplex,
@@ -373,6 +373,45 @@ class TestPartitionLaws:
         cert = simplex_partition(S, "m8")
         ratio = partition_diameter_ratio(cert, Norm.lp(1))
         assert ratio <= F(9, 16)
+
+
+def either_mode(values):
+    """A rational from the strategy, or its float."""
+    return st.tuples(values, st.booleans()).map(lambda t: float(t[0]) if t[1] else t[0])
+
+
+def assert_mode_rule(got, inputs, formula):
+    """Exact when every input is rational; else bit for bit the float the
+    all-float formula gives."""
+    if all(isinstance(v, Fraction) for v in inputs):
+        want, kind = formula(*inputs), Fraction
+    else:
+        want, kind = formula(*map(float, inputs)), float
+    for g, w in zip(got, want):
+        assert type(g) is kind and repr(g) == repr(w)
+
+
+class TestModeRule:
+    @settings(max_examples=80, deadline=None)
+    @given(either_mode(small_rationals), either_mode(small_rationals),
+           either_mode(st.fractions(min_value=F(1, 100), max_value=F(3, 10),
+                                    max_denominator=100)))
+    def test_minmax_branches(self, eta, ball, eps):
+        assert_mode_rule(minmax_branches(eta, ball, eps), (eta, ball, eps),
+                         lambda h, b, e: ((1 + 4 * e / (1 - 3 * e)) * h,
+                                          2 * (3 - e) / (4 - e) * b))
+
+    @settings(max_examples=80, deadline=None)
+    @given(either_mode(st.fractions(min_value=F(101, 100), max_value=8, max_denominator=100)))
+    def test_dual_exponent(self, p):
+        assert_mode_rule((dual_exponent(p),), (p,), lambda p: (p / (p - 1),))
+
+    @settings(max_examples=80, deadline=None)
+    @given(either_mode(small_rationals),
+           either_mode(st.fractions(min_value=1, max_value=4, max_denominator=100)))
+    def test_stability_transfer(self, beta, gamma):
+        assert_mode_rule((stability_transfer(beta, gamma),), (beta, gamma),
+                         lambda b, g: (min(type(b)(1), b * g),))
 
 
 class TestMinmaxLaws:
