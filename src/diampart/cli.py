@@ -25,7 +25,7 @@ from .coverings import (
     verify_covering,
 )
 from .geometry import Homothet, Norm, PBall, Simplex, cube
-from .numbers import INF, VerificationError, is_rational, parse_scalar, to_float
+from .numbers import INF, VerificationError, is_rational, parse_scalar
 from .oracle import beta_finite_exact
 from .partitions import (
     SectorRegion,
@@ -246,6 +246,15 @@ def _run_cover_search(args):
     return inputs, results, evidence, sol.success
 
 
+def _bm_level(method: str, gamma) -> str:
+    """The evidence level of a Banach-Mazur bound: exact when gamma is
+    rational, cited when it leans on the exact-distance formula, else
+    carried by a sandwich certificate checked on a grid."""
+    if is_rational(gamma):
+        return "exact"
+    return "cited" if method == "exact_formula" else "grid-certified"
+
+
 def _run_bm_bound(args):
     report = bm_upper(args.p)
     cert = report.certificate
@@ -256,14 +265,8 @@ def _run_bm_bound(args):
         "method": report.method,
         "certificate": _certificate_payload(cert) if cert else None,
     }
-    if report.method == "exact_formula":
-        evidence = "cited"
-    elif is_rational(report.gamma_bound):
-        evidence = "exact"
-    else:
-        evidence = "grid-certified"
     ok = cert.verified if cert is not None else True
-    return {"p": args.p}, results, evidence, ok
+    return {"p": args.p}, results, _bm_level(report.method, report.gamma_bound), ok
 
 
 def _run_bm_scan(args):
@@ -286,12 +289,11 @@ def _run_beta_table(args):
     levels = []
     for bound in table:
         p = bound.space[1]
-        # p >= 2 leans on the exact-distance formula; p = inf and p < 2
-        # are carried end to end by machine-verified certificates
-        if to_float(p) >= 2 and p != INF:
-            level = "cited"
-        else:
-            level = "grid-certified"
+        # the half-cube step is grid-certified; the sandwich step is the
+        # Banach-Mazur bound of bm bound
+        sandwich = bound.provenance[1]
+        level = _weakest(["grid-certified",
+                          _bm_level(dict(sandwich.inputs)["method"], sandwich.value)])
         rows.append({
             "p": p,
             "value": bound.value,

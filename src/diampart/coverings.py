@@ -78,8 +78,9 @@ def _piece_box(piece: PartitionPiece) -> tuple:
     return piece.bary_bounds
 
 
-# Most points one barycentric grid may hold (N = 256 on a tetrahedron
-# has 2,862,209); the cost grows like N^(k-1), so larger grids are refused.
+# Most points any one coverage check tests (a barycentric grid of N = 256
+# on a tetrahedron has 2,862,209); larger inputs are refused before any
+# work, since a grid's cost grows like N^(k-1).
 MAX_GRID_POINTS = 3_000_000
 
 
@@ -269,10 +270,12 @@ def _disk_samples(n_boundary: int, n_interior: int, seed: int):
 
 
 def _sampled_coverage(parent, pieces, N: int, seed: int) -> CoverageReport:
-    if isinstance(parent, UnitDisk):
-        pts = _disk_samples(N, N // 4, seed)
-    else:
+    if not isinstance(parent, UnitDisk):
         raise ValueError("sampled coverage implemented for the disk only")
+    if N + 2 * (N // 4) > MAX_GRID_POINTS:
+        raise ValueError("%d disk samples test up to %d points, more than %d"
+                         % (N, N + 2 * (N // 4), MAX_GRID_POINTS))
+    pts = _disk_samples(N, N // 4, seed)
     uncovered = []
     for row in pts:
         x = (float(row[0]), float(row[1]))
@@ -597,19 +600,21 @@ def _lattice_body(body) -> bool:
     return isinstance(body, VPolytope) and _axis_cube_intervals(body) is not None
 
 
+@functools.lru_cache(maxsize=8)
 def _confirmation_points(body):
     """A deterministic point set denser than the search samples.
 
     Returns (P, D).  For a lattice body (_lattice_body), P is an integer
     array and the points are exactly P/D (int64, or Python ints when the
     magnitudes near the int64 range).  For other bodies D is None and P
-    holds float samples at 4x the default sampling density.
+    holds float samples at 4x the default sampling density.  Cached per
+    body and shared by every caller, hence read-only.
     """
     import numpy as np
 
     if not _lattice_body(body):
-        return _body_samples(body, 4 * 4096, 4 * 1024, seed=10**6 + 7), None
-    if isinstance(body, PBall):
+        P, D = _body_samples(body, 4 * 4096, 4 * 1024, seed=10**6 + 7), None
+    elif isinstance(body, PBall):
         # each facet at barycentric granularity 1/K (8*C(K+2,2) > 4*4096
         # points), plus the 1/8 grid inside the ball
         K = 64
@@ -622,16 +627,19 @@ def _confirmation_points(body):
         grid = grid[np.abs(grid).sum(axis=1) <= 8] * (K // 8)
         P = np.concatenate([(signs[:, None, :] * facet).reshape(-1, 3), grid])
         rad = as_fraction(body.radius)
-        return P.astype(_int_dtype(K * rad.numerator)) * rad.numerator, K * rad.denominator
-    los, his = _axis_cube_intervals(body)
-    K = 16
-    axes = [[lo + Fraction(i, K) * (hi - lo) for i in range(K + 1)]
-            for lo, hi in zip(map(as_fraction, los), map(as_fraction, his))]
-    D = math.lcm(*(v.denominator for ax in axes for v in ax))
-    ints = [[v.numerator * (D // v.denominator) for v in ax] for ax in axes]
-    dtype = _int_dtype(max(abs(v) for ax in ints for v in ax))
-    mesh = np.meshgrid(*(np.asarray(ax, dtype=dtype) for ax in ints), indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, body.dim), D
+        P, D = P.astype(_int_dtype(K * rad.numerator)) * rad.numerator, K * rad.denominator
+    else:
+        los, his = _axis_cube_intervals(body)
+        K = 16
+        axes = [[lo + Fraction(i, K) * (hi - lo) for i in range(K + 1)]
+                for lo, hi in zip(map(as_fraction, los), map(as_fraction, his))]
+        D = math.lcm(*(v.denominator for ax in axes for v in ax))
+        ints = [[v.numerator * (D // v.denominator) for v in ax] for ax in axes]
+        dtype = _int_dtype(max(abs(v) for ax in ints for v in ax))
+        mesh = np.meshgrid(*(np.asarray(ax, dtype=dtype) for ax in ints), indexing="ij")
+        P = np.stack(mesh, axis=-1).reshape(-1, body.dim)
+    P.flags.writeable = False
+    return P, D
 
 
 def _exact_margin(P, D, centers, r, norm: Norm):

@@ -8,10 +8,13 @@ the norm is one whose distances between rational points are rational
 (Norm.exact: l1, l_inf, or the gauge of a rational body).  Exact-mode
 results never round.
 
-Exact elimination (row_reduce, matrix_rank_exact, solve_linear_system)
-and polytope membership both live here: a point lies in a V-polytope
-exactly when it satisfies the integer facet form of the translated
-vertices (see gauge_facets and point_in_vpolytope).  Rational hulls are
+Exact elimination is done one way, on integer rows and without
+fractions: _echelon gives ranks, affine bases and pivot columns, and the
+Bareiss _det every determinant (Cramer's rule in solve_linear_system,
+the facet normals, the complement of a flat body's span).  Polytope
+membership lives here too: a point lies in a V-polytope exactly when it
+satisfies the integer facet form of the translated vertices (see
+gauge_facets and point_in_vpolytope).  Rational hulls are
 integer rows over one denominator (apply_homothet), a width takes one
 facet row of each +-pair (_width), and _distance_keys is the oracle's
 one-pass integer distance table.
@@ -430,62 +433,42 @@ def _det(M) -> int:
     return sign * M[-1][-1]
 
 
-def row_reduce(rows: Sequence[Sequence]):
-    """Reduced row echelon form of a rational matrix, exact.
-
-    Returns (R, pivots): the nonzero rows of the reduced matrix and the
-    column index of each row's leading 1.
-    """
-    M = [[Fraction(v) for v in row] for row in rows]
-    if not M:
-        return [], []
-    nrows, ncols = len(M), len(M[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = 1 / M[row][col]
-        M[row] = [v * inv for v in M[row]]
-        for r in range(nrows):
-            if r != row and M[r][col]:
-                f = M[r][col]
-                M[r] = [a - f * p for a, p in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return M[:row], pivots
+def _echelon(rows) -> list:
+    """(i, j, v) for each integer row i that raises the rank of the rows
+    before it, by fraction-free elimination: v is row i reduced against
+    the earlier v's and j is its first nonzero index.  The j's are
+    distinct and are the pivot columns of the row space."""
+    basis = []
+    for i, v in enumerate(rows):
+        for _, j, b in basis:
+            v = [x * b[j] - v[j] * y for x, y in zip(v, b)] if v[j] else v
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is not None:
+            basis.append((i, j, v))
+    return basis
 
 
 def solve_linear_system(A: Sequence[Sequence], b: Sequence):
-    """Exact solution of a square system; None if singular."""
-    R, pivots = row_reduce([list(row) + [rhs] for row, rhs in zip(A, b)])
-    if pivots != list(range(len(A))):
+    """Exact solution of a square system by Cramer's rule on the
+    integer-scaled [A | b]; None if singular."""
+    _, M = _integer_points([[*row, rhs] for row, rhs in zip(A, b)])
+    det = _det([list(r[:-1]) for r in M])
+    if det == 0:
         return None
-    return [row[-1] for row in R]
+    return [Fraction(_det([[*r[:j], r[-1], *r[j + 1:-1]] for r in M]), det)
+            for j in range(len(M))]
 
 
 def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
     """Rank of a rational matrix by exact elimination."""
-    return len(row_reduce(rows)[1])
+    return len(_echelon(_integer_points(rows)[1]))
 
 
 def _affine_basis(points) -> list:
     """The integer points, in order, that raise the affine rank of those
-    before them (the first always does), by fraction-free elimination."""
-    start, basis = [points[0]], []
-    for p in points[1:]:
-        v = [a - b for a, b in zip(p, points[0])]
-        for j, b in basis:
-            v = [x * b[j] - v[j] * y for x, y in zip(v, b)] if v[j] else v
-        j = next((j for j, x in enumerate(v) if x), None)
-        if j is not None:
-            basis.append((j, v))
-            start.append(p)
-    return start
+    before them (the first always does)."""
+    rest = _echelon([vsub(p, points[0]) for p in points[1:]])
+    return [points[0], *(points[i + 1] for i, _, _ in rest)]
 
 
 def _hull_facets(points) -> set:
@@ -545,16 +528,21 @@ def gauge_facets(vertices: tuple) -> FacetForm:
     """
     scale, V = _integer_points(vertices)
     n = len(V[0])
-    R, pivots = ([], range(n)) if len(_affine_basis([(0,) * n, *V])) > n else row_reduce(V)
+    basis = _echelon(V)
+    pivots = sorted(j for _, j, _ in basis)
+    B = [V[i] for i, _, _ in basis]
+    det = _det([[r[p] for p in pivots] for r in B])
     cone = []
     for f in range(n):
         if f in pivots:
             continue
-        e = [Fraction(0)] * n
-        e[f] = Fraction(1)
-        for row, p in zip(R, pivots):
-            e[p] = -row[f]
-        _, (e,) = _integer_points((e,))
+        # the primitive null vector of B on pivots + {f}, by Cramer's rule
+        e = [0] * n
+        e[f] = det
+        for p in pivots:
+            e[p] = -_det([[r[f] if q == p else r[q] for q in pivots] for r in B])
+        g = math.gcd(*e) if det > 0 else -math.gcd(*e)
+        e = tuple(x // g for x in e)
         cone += [e, vneg(e)]
     facets = []
     if pivots:

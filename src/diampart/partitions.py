@@ -31,7 +31,6 @@ from typing import Optional, Tuple
 
 from .geometry import (
     Homothet,
-    Norm,
     Simplex,
     VPolytope,
     _integer_points,
@@ -43,7 +42,7 @@ from .geometry import (
     vdot,
     vscale,
 )
-from .numbers import INF, VerificationError, as_fraction, same_mode, to_float
+from .numbers import VerificationError, as_fraction, same_mode, to_float
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +153,6 @@ class PartitionCertificate:
     parent: object
     pieces: tuple
     ratio: object
-    norm: Optional[Norm]  # None: the ratio claim is norm-independent
     scheme: str
 
     def __post_init__(self):
@@ -269,7 +267,7 @@ def triangle_partition4(T: Simplex) -> PartitionCertificate:
             bary_bounds=region.bounds,
         )
     )
-    return PartitionCertificate(T, tuple(pieces), half, None, "triangle4")
+    return PartitionCertificate(T, tuple(pieces), half, "triangle4")
 
 
 _SCHEME_T = {"m5": Fraction(2, 5), "m8": Fraction(7, 16), "m9": Fraction(8, 17)}
@@ -341,7 +339,7 @@ def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
     ratio = _SCHEME_RATIO[scheme]
     if max(p.ratio_bound for p in pieces) != ratio:
         raise VerificationError("%s pieces do not attain the scheme ratio %s" % (scheme, ratio))
-    return PartitionCertificate(S, tuple(pieces), ratio, None, scheme)
+    return PartitionCertificate(S, tuple(pieces), ratio, scheme)
 
 
 # Largest n a cube partition or a problem file's cube body accepts: the
@@ -366,7 +364,7 @@ def cube_partition(n: int) -> PartitionCertificate:
         hull = apply_homothet(h) if n <= 5 else None
         pieces.append(PartitionPiece(description=h, ratio_bound=half,
                                      realized_hull=hull))
-    return PartitionCertificate(parent, tuple(pieces), half, Norm.lp(INF), "cube")
+    return PartitionCertificate(parent, tuple(pieces), half, "cube")
 
 
 def disk_partition4() -> PartitionCertificate:
@@ -385,6 +383,4 @@ def disk_partition4() -> PartitionCertificate:
         )
         for a, b in quarters
     )
-    return PartitionCertificate(
-        UnitDisk(), pieces, math.sqrt(2.0) / 2.0, Norm.lp(2), "disk4"
-    )
+    return PartitionCertificate(UnitDisk(), pieces, math.sqrt(2.0) / 2.0, "disk4")

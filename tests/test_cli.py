@@ -119,9 +119,11 @@ class TestExitCodes:
         ["partition"],
         ["beta"],
         ["--out", "/nonexistent/dir/x.json", "check", "corollary-221-328"],
-        # inputs whose work has no bound: a 167,668,501-point grid, a
-        # 1,000,001-point scan, a scan whose point count overflows a float
+        # inputs whose work has no bound: a 167,668,501-point grid,
+        # 150,000,000 disk samples, a 1,000,001-point scan, a scan whose
+        # point count overflows a float
         ["partition", "simplex", "--m", "8", "--verify", "1000"],
+        ["partition", "disk", "--samples", "100000000"],
         ["bm", "scan", "--step", "1e-6"],
         ["bm", "scan", "--step", "1e-320"],
         # integers too large for a float
@@ -267,6 +269,7 @@ class TestCommands:
         assert rows[2]["value"] == "1/2"
         assert rows[0]["evidence"] == "grid-certified"
         assert rows[1]["evidence"] == "cited"
+        assert rows[2]["evidence"] == "grid-certified"
 
     def test_bm_scan(self, capsys):
         code, out = run_cli(capsys, "bm", "scan", "--lo", "1.2", "--hi",
@@ -289,6 +292,15 @@ class TestCommands:
         _, out = run_cli(capsys, "bm", "bound", "--p", "1")
         doc = parse(out)
         assert doc["results"]["gamma"] == "9/5"
+        assert doc["evidence_level"] == "exact"
+
+    def test_bm_bound_p_inf_exact(self, capsys):
+        # gamma = 1 is rational, so the cited formula is not needed; beta
+        # table's p = inf row stays grid-certified through its half-cube step
+        _, out = run_cli(capsys, "bm", "bound", "--p", "inf")
+        doc = parse(out)
+        assert doc["results"]["gamma"] == 1
+        assert doc["results"]["method"] == "exact_formula"
         assert doc["evidence_level"] == "exact"
 
     def test_partition_simplex_with_verify(self, capsys):

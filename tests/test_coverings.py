@@ -415,6 +415,18 @@ class TestConfirmationLattice:
         assert _lattice_fractions(body) == want
         assert len(_lattice_fractions(cube(3))) == 17 ** 3
 
+    def test_built_once_per_body(self):
+        # a pure function of the body: every snapped try of a search and
+        # a later recheck on an equal body share one read-only set
+        _confirmation_points.cache_clear()
+        sol = search_ball_covering(PBall(1, 3), 6, F(2, 3), Norm.lp(1),
+                                   n_boundary=256, n_interior=64)
+        verify_ball_covering(PBall(1, 3), sol.centers, sol.radius, Norm.lp(1))
+        info = _confirmation_points.cache_info()
+        assert info.misses == 1 and info.hits >= 1
+        P, _ = _confirmation_points(PBall(1, 3))
+        assert not P.flags.writeable
+
 
 class TestHaltonSampler:
     @pytest.mark.parametrize("d", [1, 2, 3])

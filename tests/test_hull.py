@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diampart import geometry
@@ -106,3 +107,33 @@ def test_thirty_pair_gauge_ceiling():
         times.append(time.perf_counter() - t0)
     assert form.rows and not form.cone
     assert min(times) < 0.25, "30-pair gauge_facets took %.3f s" % min(times)
+
+
+# Flat bodies and their facet forms, pinned to the values that the Fraction
+# Gauss-Jordan complement of span(vertices) gives: a plane in R^3, a line in R^3 with
+# fractional vertices, and an off-centre plane in R^4 whose origin lies on
+# its boundary (two facets through the origin join the cone).
+FLAT_FORMS = [
+    (((1, 2, 0), (-1, -2, 0), (0, 1, 3), (0, -1, -3), (1, 3, 3), (-1, -3, -3)),
+     2, (1, 1, ((-3, 1, 0), (-2, 1, 0), (-1, 0, 0), (1, 0, 0), (2, -1, 0), (3, -1, 0)),
+         ((-6, 3, -1), (6, -3, 1)))),
+    (((Fraction(1, 2), Fraction(-1, 3), 2), (Fraction(-1, 2), Fraction(1, 3), -2)),
+     1, (6, 3, ((-1, 0, 0), (1, 0, 0)),
+         ((-4, 0, 1), (-2, -3, 0), (2, 3, 0), (4, 0, -1)))),
+    (((1, 0, 2, -1), (0, 3, 1, 1), (1, 3, 3, 0),
+      (Fraction(1, 2), Fraction(3, 2), Fraction(3, 2), 0)),
+     2, (2, 6, ((0, 1, 0, 0), (3, 0, 0, 0)),
+         ((-6, -1, 3, 0), (-3, 1, 0, -3), (-1, 0, 0, 0), (0, -1, 0, 0), (3, -1, 0, 3),
+          (6, 1, -3, 0)))),
+]
+
+
+@pytest.mark.parametrize("vertices, rank, want", FLAT_FORMS)
+def test_flat_body_forms_are_pinned(vertices, rank, want):
+    form = gauge_facets.__wrapped__(vertices)
+    assert (form.scale, form.den, form.rows, form.cone) == want
+    assert matrix_rank_exact(vertices) == rank
+    complement = [c for c in form.cone if all(vdot(c, v) == 0 for v in vertices)]
+    assert len(complement) == 2 * (len(vertices[0]) - rank)
+    for c in complement:
+        assert math.gcd(*c) == 1 and vneg(c) in complement

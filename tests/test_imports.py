@@ -122,6 +122,16 @@ def test_no_orphan_private_helpers():
     assert not found, "private helpers nothing uses: " + "; ".join(found)
 
 
+def test_no_bare_assert():
+    # python -O strips assert statements, and certificate checks must
+    # still run there: the package raises instead
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in _package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in the package: " + "; ".join(found)
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:

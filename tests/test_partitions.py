@@ -128,7 +128,6 @@ class TestSimplexSchemes:
         cert = simplex_partition(SKEW_TETRA, scheme)
         assert cert.m == m
         assert cert.ratio == ratio
-        assert cert.norm is None  # the claim is norm-free
 
     def test_ratio_chain_decreases(self):
         r5 = simplex_partition(STD_TETRA, "m5").ratio

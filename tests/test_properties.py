@@ -262,6 +262,52 @@ class TestDiameterKernel:
             assert diameter_finite(pts, norm) == pairwise_diameter(pts, norm)
 
 
+floats = st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def square_systems(draw, dependent=False):
+    """(A, b): n = 1..4 equations in rationals or in floats.  With
+    dependent=True one row of A is an exact multiple of another (the
+    zero row when n = 1): a rational multiple in rationals, a power of
+    two times +-1 in floats, so no float rounds."""
+    n = draw(st.integers(1, 4))
+    entries = draw(st.sampled_from([rationals, floats]))
+    A = [list(draw(st.tuples(*[entries] * n))) for _ in range(n - dependent)]
+    if dependent:
+        k = draw(rationals if entries is rationals else st.sampled_from([1, -1, 2, -2]))
+        row = [k * a for a in A[draw(st.integers(0, n - 2))]] if n > 1 else [0 * k]
+        A.insert(draw(st.integers(0, n - 1)), row)
+    return A, list(draw(st.tuples(*[entries] * n)))
+
+
+def leibniz_det(A):
+    """The determinant as its signed sum over permutations, in Fractions."""
+    n = len(A)
+    return sum(math.prod(as_fraction(A[i][s[i]]) for i in range(n))
+               * (-1) ** sum(s[i] > s[j] for i, j in itertools.combinations(range(n), 2))
+               for s in itertools.permutations(range(n)))
+
+
+class TestLinearSystem:
+    @settings(max_examples=200, deadline=None)
+    @given(square_systems())
+    def test_solution_is_exact(self, system):
+        A, b = system
+        sol = solve_linear_system(A, b)
+        if leibniz_det(A) == 0:
+            assert sol is None
+            return
+        assert all(type(v) is Fraction for v in sol)
+        assert [sum(as_fraction(a) * v for a, v in zip(row, sol)) for row in A] == list(
+            map(as_fraction, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_systems(dependent=True))
+    def test_dependent_rows_are_singular(self, system):
+        assert solve_linear_system(*system) is None
+
+
 def _weighted_sum(lam, verts):
     """The point sum_i lam_i * verts_i."""
     return tuple(sum(l * v[k] for l, v in zip(lam, verts)) for k in range(len(verts[0])))
