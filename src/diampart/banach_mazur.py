@@ -26,7 +26,6 @@ from .geometry import (
     dual_exponent,
     gauge_eval,
     gauge_facets,
-    matrix_rank_exact,
     pnorm_eval,
 )
 from .numbers import (
@@ -35,6 +34,7 @@ from .numbers import (
     VerificationError,
     all_rational,
     golden_section_min,
+    is_rational,
     same_mode,
     to_float,
 )
@@ -43,7 +43,8 @@ SPANNING_DEFAULT: Tuple[tuple, ...] = ((3, 3, -2), (-2, 3, 3), (3, -2, 3))
 
 SQRT342_OVER_10 = math.sqrt(342) / 10.0
 
-# a sandwich holds when both margins are at least -SANDWICH_TOL
+# a sandwich holds when both margins are nonnegative, a float margin up
+# to -SANDWICH_TOL
 SANDWICH_TOL = 1e-9
 # boundary points of the sample sweep that backs each Hoelder maximum
 SWEEP_SAMPLES = 512
@@ -60,7 +61,8 @@ class SandwichCertificate:
     ``margin_inner`` is 1 minus the largest outer-gauge value seen at a
     vertex of the inner body; ``margin_outer`` is gamma
     minus the largest inner-gauge value found over the outer body.
-    Nonnegative margins (up to tolerance) mean the sandwich holds.
+    Nonnegative margins mean the sandwich holds: exactly for rational
+    margins, up to SANDWICH_TOL for float ones.
     """
 
     inner: VPolytope
@@ -223,7 +225,8 @@ def sandwich_verify(inner: VPolytope, outer, gamma: Scalar) -> SandwichCertifica
     g, w = same_mode(gamma, worst_out_val)
     margin_outer = g - w
 
-    ok = to_float(margin_inner) >= -SANDWICH_TOL and to_float(margin_outer) >= -SANDWICH_TOL
+    ok = all(m >= 0 if is_rational(m) else to_float(m) >= -SANDWICH_TOL
+             for m in (margin_inner, margin_outer))
     return SandwichCertificate(
         inner=inner,
         outer=outer,
@@ -240,28 +243,19 @@ def sandwich_verify(inner: VPolytope, outer, gamma: Scalar) -> SandwichCertifica
 # the l_p^3 parallelepiped bound
 
 
-def lp_parallelepiped_bound(
-    p: Scalar, spanning: Optional[Sequence[Sequence[Scalar]]] = None
-) -> BMBoundReport:
+def lp_parallelepiped_bound(p: Scalar) -> BMBoundReport:
     """Sandwich the l_p^3 ball (p in [1,2]) in the spanned parallelepiped.
 
     With Q the box spanned by c_1, c_2, c_3 and R = max vertex p-norm,
     Q/R sits inside the unit p-ball, and the ball sits inside alpha*Q
-    where alpha = max_i |g_i|_q.  The resulting factor for the default
-    spanning vectors is |(1,1,4)|_p * |(3,1,3)|_q / 10.
+    where alpha = max_i |g_i|_q.  The resulting factor for the spanning
+    vectors SPANNING_DEFAULT is |(1,1,4)|_p * |(3,1,3)|_q / 10.
     """
     pf = to_float(p)
     if not 1 <= pf <= 2:
         raise ValueError("p must lie in [1, 2], got %r" % (p,))
     q = dual_exponent(p)
-    custom = spanning is not None
-    spanning = tuple(tuple(c) for c in (spanning or SPANNING_DEFAULT))
-    k = len(spanning)
-    if any(len(c) != k for c in spanning):
-        raise ValueError("spanning vectors must form a square system")
-    if matrix_rank_exact(spanning) < k:
-        raise ValueError("spanning vectors are linearly dependent")
-    Q = parallelepiped(spanning)
+    Q = parallelepiped(SPANNING_DEFAULT)
     rows = gauge_facets(Q.vertices).functionals()
 
     vertex_norms = [pnorm_eval(v, p) for v in Q.vertices]
@@ -269,20 +263,19 @@ def lp_parallelepiped_bound(
     alpha = max((pnorm_eval(g, q) for g in rows), key=to_float)
     gamma = math.prod(same_mode(R, alpha))
 
-    if not custom:
-        # closed form |(1,1,4)|_p * |(3,1,3)|_q / 10 and the claim that the
-        # vertex maximum is the (-2,8,-2) orbit, never beaten by (4,4,4)
-        closed = _closed_form_gamma(p, q)
-        if abs(to_float(gamma) - to_float(closed)) > 1e-10 * to_float(closed):
-            raise VerificationError("gamma %r misses the closed form %r" % (gamma, closed))
-        gamma = closed
-        special = pnorm_eval((-2, 8, -2), p)
-        if to_float(R) > to_float(special) * (1 + 1e-12) or (
-                all_rational([special, R]) and R != special):
-            raise VerificationError("vertex maximum %r is not the (-2,8,-2) orbit %r"
-                                 % (R, special))
+    # closed form |(1,1,4)|_p * |(3,1,3)|_q / 10 and the claim that the
+    # vertex maximum is the (-2,8,-2) orbit, never beaten by (4,4,4)
+    closed = _closed_form_gamma(p, q)
+    if abs(to_float(gamma) - to_float(closed)) > 1e-10 * to_float(closed):
+        raise VerificationError("gamma %r misses the closed form %r" % (gamma, closed))
+    gamma = closed
+    special = pnorm_eval((-2, 8, -2), p)
+    if to_float(R) > to_float(special) * (1 + 1e-12) or (
+            all_rational([special, R]) and R != special):
+        raise VerificationError("vertex maximum %r is not the (-2,8,-2) orbit %r"
+                                % (R, special))
 
-    cert = sandwich_verify(Q, PBall(p=p, dim=k, radius=R), gamma)
+    cert = sandwich_verify(Q, PBall(p=p, dim=3, radius=R), gamma)
     return BMBoundReport(
         p=p, q=q, gamma_bound=gamma, method="parallelepiped", certificate=cert
     )

@@ -43,14 +43,21 @@ STD_TETRA = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
 _LEVELS = ("exact", "grid-certified", "sampled", "cited")
 
 
+def _error_line(message) -> int:
+    """Write the one "diampart: error:" line, each line break in the
+    message (an echoed argument may hold one) written as a literal \\n;
+    return exit status 1."""
+    sys.stderr.write("diampart: error: %s\n" % "\\n".join(str(message).splitlines()))
+    return 1
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; we reserve 2 for
     verification failures, so remap to 1.  A usage error is reported like
     any other error: one "diampart: error:" line."""
 
     def error(self, message):
-        sys.stderr.write("diampart: error: %s\n" % message)
-        raise SystemExit(1)
+        raise SystemExit(_error_line(message))
 
 
 def _weakest(levels) -> str:
@@ -453,8 +460,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="ascii") as fh:
                 fh.write(text)
     except (ValueError, OverflowError, OSError, KeyError) as exc:
-        sys.stderr.write("diampart: error: %s\n" % exc)
-        return 1
+        return _error_line(exc)
     sys.stdout.write(text)
     return 0 if ok else 2
 

@@ -8,7 +8,10 @@ the norm is one whose distances between rational points are rational
 (Norm.exact: l1, l_inf, or the gauge of a rational body).  Exact-mode
 results never round.
 
-Exact elimination is done one way, on integer rows and without
+Linear algebra, hulls and polytope tests read a float as the rational it
+denotes and round only the result, so float data takes the exact path
+too: this module holds no tolerance and imports no numpy.  Exact
+elimination is done one way, on integer rows and without
 fractions: _echelon gives ranks, affine bases and pivot columns, and the
 Bareiss _det every determinant (Cramer's rule in solve_linear_system,
 the facet normals, the complement of a flat body's span).  Polytope
@@ -72,15 +75,7 @@ def centroid(points: Sequence[Vector]) -> Vector:
 
 def affine_rank(points: Sequence[Vector]) -> int:
     """Dimension of the affine hull of the given points."""
-    if len(points) <= 1:
-        return 0
-    if all(all_rational(p) for p in points):
-        return len(_affine_basis(_integer_points(points)[1])) - 1
-    rows = [vsub(p, points[0]) for p in points[1:]]
-    import numpy as np
-
-    arr = np.asarray([[to_float(v) for v in r] for r in rows], dtype=float)
-    return int(np.linalg.matrix_rank(arr, tol=1e-11))
+    return len(_affine_basis(_integer_points(points)[1])) - 1 if points else 0
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +336,8 @@ def _validate_gauge_body(body: VPolytope):
     verts = body.vertices
     if affine_rank(verts) != body.dim:
         raise ValueError("gauge body must be full-dimensional")
-    if body.rational:
-        vert_set = set(verts)
-        sym = all(vneg(v) in vert_set for v in verts)
-    else:
-        import numpy as np
-
-        arr = np.asarray([[to_float(c) for c in v] for v in verts], dtype=float)
-        sym = all(
-            np.min(np.max(np.abs(arr + arr[i]), axis=1)) <= 1e-9
-            for i in range(len(verts))
-        )
-    if not sym:
+    vert_set = set(verts)  # equal numbers hash equal across int, Fraction and float
+    if not all(vneg(v) in vert_set for v in verts):
         raise ValueError("gauge body must be symmetric about the origin")
 
 
@@ -676,25 +661,19 @@ def polytope_diameter(P: Union[VPolytope, Simplex], norm: Norm) -> Scalar:
 def barycentric_coords(S: Simplex, x: Vector) -> tuple:
     """Affine coefficients lambda with sum 1 and sum lambda_i v_i = x.
 
-    May have negative entries when x lies outside S; exact when the
-    inputs are rational.
+    May have negative entries when x lies outside S.  The solve is
+    exact; the coordinates are Fractions when the inputs are rational and
+    the floats of the exact solution otherwise (OverflowError beyond the
+    float range).
     """
     n = S.dim
     verts = S.vertices
-    exact = all_rational(x) and all(all_rational(v) for v in verts)
     A = [[verts[j][i] for j in range(n + 1)] for i in range(n)]
     A.append([1] * (n + 1))
-    b = list(x) + [1]
-    if exact:
-        sol = solve_linear_system(A, b)
-        if sol is None:
-            raise ValueError("degenerate simplex")
-        return tuple(sol)
-    import numpy as np
-
-    arr = np.asarray([[to_float(v) for v in row] for row in A], dtype=float)
-    rhs = np.asarray([to_float(v) for v in b], dtype=float)
-    return tuple(float(v) for v in np.linalg.solve(arr, rhs))
+    sol = solve_linear_system(A, [*x, 1])
+    if sol is None:
+        raise ValueError("degenerate simplex")
+    return tuple(sol) if all_rational(x) and S.rational else tuple(map(to_float, sol))
 
 
 def point_in_vpolytope(P: VPolytope, x: Vector) -> bool:

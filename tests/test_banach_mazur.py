@@ -48,12 +48,6 @@ class TestParallelepiped:
             # exactly four vertices on the facet where g evaluates to 1
             assert vals.count(F(1)) == 4
 
-    def test_dependent_spanning_rejected(self):
-        with pytest.raises(ValueError, match="linearly dependent"):
-            lp_parallelepiped_bound(2, spanning=((1, 0, 0), (0, 1, 0), (1, 1, 0)))
-        with pytest.raises(ValueError, match="square system"):
-            lp_parallelepiped_bound(2, spanning=((1, 0), (0, 1), (1, 1)))
-
 
 class TestSandwichVerify:
     def test_identity(self):
@@ -76,6 +70,16 @@ class TestSandwichVerify:
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError):
             sandwich_verify(cube(2), cube(2), 0.5)
+
+    # a rational margin of -1/10^10 is a failed inclusion, however small
+    @pytest.mark.parametrize("inner, outer, gamma, side", [
+        (cube(3), cube(3, half=2), 2 - F(1, 10**10), "margin_outer"),
+        (cube(3, half=1 + F(1, 10**10)), PBall(p=INF, dim=3), 1, "margin_inner"),
+    ], ids=["outer", "inner"])
+    def test_rational_margins_get_no_tolerance(self, inner, outer, gamma, side):
+        cert = sandwich_verify(inner, outer, gamma)
+        assert getattr(cert, side) == -F(1, 10**10)
+        assert not cert.verified
 
     def test_pball_outer_analytic(self):
         # half cube inside the euclidean ball: vertices at distance sqrt(3)/2
@@ -140,11 +144,6 @@ class TestParallelepipedBound:
             mx = max(float(pnorm_eval(v, p)) for v in Q.vertices)
             assert mx == pytest.approx(float(pnorm_eval((-2, 8, -2), p)), rel=1e-12)
             assert mx == pytest.approx(2 * float(pnorm_eval((1, 1, 4), p)), rel=1e-12)
-
-    def test_custom_spanning_hook(self):
-        rep = lp_parallelepiped_bound(2, spanning=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        assert float(rep.gamma_bound) == pytest.approx(math.sqrt(3))
-        assert rep.certificate.verified
 
     def test_gamma_below_cap_on_grid(self):
         cap = math.sqrt(342) / 10

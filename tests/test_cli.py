@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from diampart.cli import main
+from test_imports import NUMPY_FREE_COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -383,3 +388,97 @@ class TestCommands:
 
     def test_beta_table_rejects_other_space(self, capsys):
         assert main(["beta", "table", "--space", "lq4"]) == 1
+
+
+# argv values a user can mistype or a script can pass through unchecked
+HOSTILE_TOKENS = ["nan", "inf", "-inf", "1/0", "-1/0", "nan/2", "1e400", "-1e400", "1e-400",
+                  "", " ", "9" * 400, "-" + "9" * 400, "9" * 5000, "5e-324", "-5e-324",
+                  "1e308", "0", "-0", "-1", "1/3", "0x1p3", "1\n2", "1\r2", "1\u20282", "\x00", "é"]
+# coordinates of a problem file: JSON numbers of every scale, strings,
+# and values that are no number at all
+HOSTILE_NUMBERS = [0, 2, -3, 10 ** 400, 1e308, 5e-324, 1e-300, 0.1 + 0.2, 0.3, "1/3", "0.5",
+                   math.inf, math.nan]
+HOSTILE_COORDS = HOSTILE_NUMBERS + [-1e308, "1/0", "inf", "", None, True, [], {}]
+ENVELOPE_KEYS = {"command", "inputs", "results", "evidence_level", "timings"}
+
+
+def _negated(c):
+    return "-" + c if isinstance(c, str) else -c
+
+
+@st.composite
+def hostile_problems(draw):
+    """A problem file's JSON text: points of one dimension with hostile
+    coordinates, and no norm, an l_p norm or a symmetric gauge of
+    hostile scale along each axis."""
+    dim = draw(st.integers(1, 3))
+    coord = st.sampled_from(HOSTILE_COORDS)
+    problem = {"points": draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                       min_size=1, max_size=5))}
+    kind = draw(st.sampled_from(["none", "p", "gauge"]))
+    if kind == "p":
+        problem["norm"] = {"kind": "p", "p": draw(coord)}
+    elif kind == "gauge":
+        axes = draw(st.lists(st.sampled_from(HOSTILE_NUMBERS), min_size=dim, max_size=dim))
+        verts = [[a if j == i else 0 for j in range(dim)] for i, a in enumerate(axes)]
+        problem["norm"] = {"kind": "gauge",
+                           "vertices": verts + [[_negated(c) for c in v] for v in verts]}
+    return json.dumps(problem)
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of one in-process run; a warning counts
+    as stderr output, as it would in a fresh process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue() + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+
+
+def check_outcome(argv):
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and err == lines[0] + "\n", (argv, err)
+        assert err.startswith("diampart: error: "), (argv, err)
+    else:
+        assert err == "", (argv, err)
+        assert set(json.loads(out)) == ENVELOPE_KEYS
+    assert run_in_process(argv) == (code, out, err), argv
+
+
+class TestHostileInput:
+    """Every input ends in a report with exit 0 or 2 or in one error line
+    with exit 1, the same bytes on every run."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_readme_commands_with_a_hostile_token(self, tmp_path, data):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"points": [[0, 0], [1, "1/2"], [3, -1], [-2, 2]]}))
+        argv = [str(problem) if a is None else a for a in data.draw(
+            st.sampled_from(NUMPY_FREE_COMMANDS))]
+        argv[data.draw(st.integers(0, len(argv) - 1))] = data.draw(
+            st.sampled_from(HOSTILE_TOKENS))
+        check_outcome(argv)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hostile_problems(), st.integers(1, 4))
+    # the +-1e308 gauge: read exactly, with no overflow warning on stderr
+    @example(json.dumps({"norm": {"kind": "gauge",
+                                  "vertices": [[0, 1], [0, -1], [1e308, 0], [-1e308, 0]]},
+                         "points": [[0, 0], [1, 0], [0, 1], [2, 3]]}), 2)
+    def test_oracle_problem_with_hostile_coordinates(self, tmp_path, text, m):
+        problem = tmp_path / "problem.json"
+        problem.write_text(text)
+        check_outcome(["oracle", "--points", str(problem), "--m", str(m)])

@@ -94,6 +94,27 @@ class TestGauge:
         with pytest.raises(ValueError):
             Norm.gauge([(1, 0), (0, 1), (-1, -1)])
 
+    @pytest.mark.parametrize("body, x", [
+        (cube(3, half=1e-12), (1e-12, 0, 0)),
+        (VPolytope(((1e308,), (-1e308,))), (-1e308,)),
+    ], ids=["tiny", "huge"])
+    def test_float_body_of_any_scale_is_full_dimensional(self, body, x):
+        # a float is the rational it denotes: no rank tolerance flattens
+        # a tiny body, and no sum overflows on a huge one
+        norm = Norm.gauge(body)
+        assert norm(x) == 1.0 and gauge_eval(x, body) == 1.0
+
+    def test_float_body_must_be_exactly_symmetric(self):
+        # 0.1 + 0.2 is not 0.3, so the norm would tell (1, 0) from (-1, 0)
+        body = VPolytope(((0.1 + 0.2, 0), (-0.3, 0), (0, 1.0), (0, -1.0)))
+        assert gauge_eval((1, 0), body) != gauge_eval((-1, 0), body)
+        with pytest.raises(ValueError, match="symmetric about the origin"):
+            Norm.gauge(body)
+
+    def test_float_body_symmetric_across_types(self):
+        # Fraction(1, 2) and -0.5 are exact negatives, and -0.0 equals 0
+        Norm.gauge([(F(1, 2), 0.0), (-0.5, -0.0), (0, 1), (0.0, -1.0)])
+
     def test_flat_body_rejected(self):
         with pytest.raises(ValueError):
             Norm.gauge([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)])
@@ -238,6 +259,14 @@ class TestBarycentric:
         lam = barycentric_coords(self.T, (2, 0, 0))
         assert min(lam) < 0
         assert sum(lam) == 1
+
+    def test_tiny_float_simplex_is_read_exactly(self):
+        S = Simplex(((0, 0), (1e-12, 0), (0, 1e-12)))
+        lam = barycentric_coords(S, (2.5e-13, 5e-13))
+        assert all(type(v) is float for v in lam)
+        exact = barycentric_coords(Simplex(tuple(tuple(map(F, v)) for v in S.vertices)),
+                                   (F(2.5e-13), F(5e-13)))
+        assert lam == tuple(map(float, exact))
 
     def test_degenerate_simplex_rejected(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,16 @@ def test_no_scipy_import_at_any_depth():
     assert not found, "scipy imports in the package: " + "; ".join(found)
 
 
+def test_numpy_only_in_the_array_kernels():
+    # the sampled and search kernels of coverings work on arrays; every
+    # other module reads floats as the rationals they denote
+    found = sorted({name for name, tree in _package_trees()
+                    for node in ast.walk(tree)
+                    for mod in _imported_modules(node) or ()
+                    if mod.split(".")[0] == "numpy"})
+    assert found == ["coverings.py"]
+
+
 def test_no_unused_module_level_imports():
     found = []
     for name, tree in _package_trees():

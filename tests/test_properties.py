@@ -18,6 +18,7 @@ from diampart.geometry import (
     Norm,
     Simplex,
     VPolytope,
+    affine_rank,
     barycentric_coords,
     cross_polytope,
     cube,
@@ -325,6 +326,67 @@ class TestBarycentric:
         lam = tuple(F(w, total) for w in weights)
         point = _weighted_sum(lam, SKEW_TETRA.vertices)
         assert barycentric_coords(SKEW_TETRA, point) == lam
+
+
+# floats of every scale, subnormals to near overflow, and a few values
+# drawn often enough that points repeat and coordinates coincide, so
+# low ranks and singular systems come up
+wide_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-12, -1e-12, 1e308, 5e-324, 0.1 + 0.2, 0.3]))
+mixed_scalars = st.one_of(wide_floats, st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+# (dimension 1..4, coordinates all float or mixed)
+float_data = st.tuples(st.integers(1, 4), st.sampled_from([wide_floats, mixed_scalars]))
+
+
+def fraction_rank(rows):
+    """Rank by Gauss-Jordan elimination in Fractions, the reference."""
+    rows = [[as_fraction(c) for c in r] for r in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] / rows[rank][j]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestFloatsReadExactly:
+    """Float data takes the exact path: ranks are those of the rationals
+    the floats denote, and a float result is the float of the exact one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(float_data.flatmap(lambda nc: st.lists(
+        st.tuples(*[nc[1]] * nc[0]), min_size=1, max_size=6)))
+    def test_affine_rank_is_that_of_the_fractions(self, pts):
+        exact = [tuple(map(as_fraction, p)) for p in pts]
+        want = fraction_rank([vsub(p, exact[0]) for p in exact[1:]])
+        assert affine_rank(pts) == affine_rank(exact) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(float_data.flatmap(lambda nc: st.tuples(
+        st.lists(st.tuples(*[nc[1]] * nc[0]), min_size=nc[0] + 1, max_size=nc[0] + 1),
+        st.tuples(*[wide_floats] * nc[0]))))
+    def test_barycentric_is_the_float_of_the_fraction_solve(self, case):
+        verts, x = case
+        exact_verts = [tuple(map(as_fraction, v)) for v in verts]
+        assume(fraction_rank([vsub(v, exact_verts[0]) for v in exact_verts[1:]]) == len(x))
+        exact = barycentric_coords(Simplex(exact_verts), tuple(map(as_fraction, x)))
+        assert sum(exact) == 1
+        assert _weighted_sum(exact, exact_verts) == tuple(map(as_fraction, x))
+        try:
+            want = tuple(map(float, exact))
+        except OverflowError:  # a coordinate beyond the float range has no float
+            with pytest.raises(OverflowError):
+                barycentric_coords(Simplex(verts), x)
+            return
+        lam = barycentric_coords(Simplex(verts), x)
+        assert all(type(v) is float for v in lam)
+        assert lam == want
 
 
 def simplex_queries(dim):
