@@ -13,7 +13,14 @@ The ball-covering search places m centers to cover a body with balls of
 radius r, by multistart coordinate pattern search over a fixed sample
 set, then snaps the winning centers to small rationals and re-confirms
 the margin through verify_ball_covering on a 4x finer point set
-(exactly, when the data allows).
+(exactly, when the data allows).  Each trial move is first tested on
+its witness samples (the one that last rejected the same move, and the
+one that sets the current margin) and is rejected there when
+min(others, col) - r >= best - 1e-12 already holds.  The rejection is
+exact, not a heuristic: a sample's distance does not depend on the other
+samples, min and max are exact and float subtraction of r is monotone,
+and every trial not rejected is evaluated on all samples, so the
+search takes the same steps, bit for bit, as one without witnesses.
 """
 from __future__ import annotations
 
@@ -448,24 +455,34 @@ def _dist_matrix(samples, centers, kernel):
     return np.stack([kernel(rows - c[:, None]) for c in centers]).T
 
 
-def _body_samples(body, n_boundary: int, n_interior: int, seed: int):
-    """Deterministic low-discrepancy boundary + interior + random points."""
+@functools.lru_cache(maxsize=8)
+def _seed_free_samples(body, n_boundary: int, n_interior: int):
+    """The seed-free part of _body_samples and the sampler of the rest.
+
+    Returns (base, tail): base is the low-discrepancy boundary and
+    interior points, a pure function of the body and the two sizes,
+    cached and shared by every caller, hence read-only; tail(rng) draws
+    the seeded uniform points inside the body.
+    """
     import numpy as np
 
-    rng = np.random.default_rng(seed)
     if isinstance(body, UnitDisk) or (isinstance(body, PBall) and body.dim == 2):
         norm = _norm_kernel(Norm.lp(2 if isinstance(body, UnitDisk) else body.p))
+        scale = to_float(body.radius)
         hb = _halton(n_boundary, 1)[:, 0]
         th = 2 * math.pi * hb
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
         boundary = dirs / norm(dirs.T)[:, None]
         ui = _halton(4 * n_interior, 2) * 2 - 1
         ui = ui[norm(ui.T) <= 1][:n_interior]
-        ur = rng.uniform(-1, 1, size=(2 * n_interior, 2))
-        ur = ur[norm(ur.T) <= 1][:n_interior]
-        return np.concatenate([boundary, ui, ur]) * to_float(body.radius)
-    if isinstance(body, PBall) and body.dim == 3:
+        base = np.concatenate([boundary, ui]) * scale
+
+        def tail(rng):
+            ur = rng.uniform(-1, 1, size=(2 * n_interior, 2))
+            return ur[norm(ur.T) <= 1][:n_interior] * scale
+    elif isinstance(body, PBall) and body.dim == 3:
         norm = _norm_kernel(Norm.lp(body.p))
+        scale = to_float(body.radius)
         if body.p == 1:
             u = _halton(n_boundary, 2)
             a = u[:, 0]
@@ -482,10 +499,12 @@ def _body_samples(body, n_boundary: int, n_interior: int, seed: int):
             boundary = d / norm(d.T)[:, None]
         ui = _halton(10 * n_interior, 3) * 2 - 1
         ui = ui[norm(ui.T) <= 1][:n_interior]
-        ur = rng.uniform(-1, 1, size=(8 * n_interior, 3))
-        ur = ur[norm(ur.T) <= 1][:n_interior]
-        return np.concatenate([boundary, ui, ur]) * to_float(body.radius)
-    if isinstance(body, VPolytope) and _axis_cube_intervals(body):
+        base = np.concatenate([boundary, ui]) * scale
+
+        def tail(rng):
+            ur = rng.uniform(-1, 1, size=(8 * n_interior, 3))
+            return ur[norm(ur.T) <= 1][:n_interior] * scale
+    elif isinstance(body, VPolytope) and _axis_cube_intervals(body):
         n = body.dim
         los, his = _axis_cube_intervals(body)
         los = np.array([to_float(v) for v in los])
@@ -496,10 +515,23 @@ def _body_samples(body, n_boundary: int, n_interior: int, seed: int):
         side = (np.arange(n_boundary) // n) % 2
         pts[np.arange(n_boundary), axis] = np.where(side == 0, los[axis], his[axis])
         ui = _halton(n_interior, n)
-        interior = los + ui * (his - los)
-        ur = rng.uniform(los, his, size=(n_interior, n))
-        return np.concatenate([pts, interior, ur])
-    raise ValueError("no sampler for body %r" % (type(body).__name__,))
+        base = np.concatenate([pts, los + ui * (his - los)])
+
+        def tail(rng):
+            return rng.uniform(los, his, size=(n_interior, n))
+    else:
+        raise ValueError("no sampler for body %r" % (type(body).__name__,))
+    base.flags.writeable = False
+    return base, tail
+
+
+def _body_samples(body, n_boundary: int, n_interior: int, seed: int):
+    """Deterministic low-discrepancy boundary + interior + random points:
+    the cached seed-free part, then the uniform points drawn from seed."""
+    import numpy as np
+
+    base, tail = _seed_free_samples(body, n_boundary, n_interior)
+    return np.concatenate([base, tail(np.random.default_rng(seed))])
 
 
 def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
@@ -512,13 +544,29 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
     max are exact, so the margins are the ones a full recompute gives,
     bit for bit.  Distances are kept as an m x S array, one row per
     center.
+
+    Most trials fail, and most fail at one of two samples: the one that
+    last kept the same move (center j, coordinate d, sign; or the kick)
+    from improving, and the one that sets best.  These witnesses are
+    tested first, with the same kernel: the margin of a trial is a max
+    over samples, so if the witnesses alone give
+    min(others, col) - r >= best - 1e-12  the trial is rejected without
+    its full column.  This is exact: the kernel's distance at one sample
+    does not depend on the other samples, min and max are exact, and
+    float subtraction of r is monotone, so the full margin would be
+    rejected too.  A trial the witnesses do not reject is evaluated in
+    full, so accepted moves, dist and best are the ones the plain search
+    computes, bit for bit.
     """
     import numpy as np
 
     centers = centers0.copy()
     rows = np.ascontiguousarray(samples.T)
     dist = _dist_matrix(samples, centers, kernel).T
-    best = float(dist.min(axis=0).max()) - r
+    near = dist.min(axis=0)
+    top = int(near.argmax())  # the sample that sets best
+    best = float(near[top]) - r
+    witness = {}  # move -> the sample that last rejected it
     step = 0.25
     sweeps = 0
     while step > 1e-5 and sweeps < max_sweeps:
@@ -529,33 +577,54 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
                 for sgn in (1.0, -1.0):
                     trial = centers[j].copy()
                     trial[d] += sgn * step
+                    ws = [witness.get((j, d, sgn), top), top]
+                    col_ws = kernel(rows.take(ws, 1) - trial[:, None])
+                    if float(np.minimum(others.take(ws), col_ws).max()) - r >= best - 1e-12:
+                        continue  # rejected at a witness
                     col = kernel(rows - trial[:, None])
-                    val = float(np.minimum(others, col).max()) - r
+                    near = np.minimum(others, col)
+                    w = int(near.argmax())
+                    val = float(near[w]) - r
                     if val < best - 1e-12:
-                        centers[j], dist[j], best = trial, col, val
+                        centers[j], dist[j], best, top = trial, col, val, w
                         improved = True
+                    else:
+                        witness[j, d, sgn] = w
         sweeps += 1
         if best <= 1e-12 and not improved:
             break  # covering reached; nothing left to gain
         if not improved:
             # annealing-style kick: one random center jitter before shrinking
             trial = centers + rng.normal(scale=step / 3, size=centers.shape)
+            ws = [witness.get("kick", top), top]
+            rows_ws = rows.take(ws, 1)
+            near_ws = functools.reduce(np.minimum, [kernel(rows_ws - c[:, None]) for c in trial])
+            if float(near_ws.max()) - r >= best - 1e-12:
+                step *= 0.5  # rejected at a witness
+                continue
             trial_dist = _dist_matrix(samples, trial, kernel).T
-            val = float(trial_dist.min(axis=0).max()) - r
+            near = trial_dist.min(axis=0)
+            w = int(near.argmax())
+            val = float(near[w]) - r
             if val < best - 1e-12:
-                centers, dist, best = trial, trial_dist, val
+                centers, dist, best, top = trial, trial_dist, val, w
             else:
+                witness["kick"] = w
                 step *= 0.5
     return centers, best
 
 
 def _greedy_kcenter(samples, m: int, kernel):
+    """Farthest-point starts: the sample mean, then repeatedly the sample
+    farthest from the centers so far, kept as a running minimum."""
     import numpy as np
 
+    rows = np.ascontiguousarray(samples.T)
     centers = [samples.mean(axis=0)]
+    near = np.full(len(samples), np.inf)
     while len(centers) < m:
-        d = _dist_matrix(samples, np.asarray(centers), kernel).min(axis=1)
-        centers.append(samples[int(d.argmax())].copy())
+        near = np.minimum(near, kernel(rows - centers[-1][:, None]))
+        centers.append(samples[int(near.argmax())].copy())
     return np.asarray(centers)
 
 

@@ -25,8 +25,10 @@ from diampart.geometry import (
 from diampart.cli import _coverage_payload
 from diampart.numbers import INF
 from diampart.serialization import canonical_json
+from diampart import coverings
 from diampart.coverings import (
     BallCoveringSolution,
+    _body_samples,
     _body_vertices,
     _confirmation_points,
     _dist_matrix,
@@ -34,6 +36,7 @@ from diampart.coverings import (
     _halton,
     _norm_kernel,
     _pattern_search,
+    _seed_free_samples,
     partition_diameter_ratio,
     scheme_box_tautology,
     search_ball_covering,
@@ -428,6 +431,28 @@ class TestConfirmationLattice:
         assert not P.flags.writeable
 
 
+class TestBodySamples:
+    @pytest.mark.parametrize("body", [UnitDisk(), PBall(3, 2), PBall(1, 3), PBall(2, 3),
+                                      cube(3)])
+    def test_seed_free_part_built_once_per_body(self, body):
+        # the low-discrepancy part is a pure function of the body and the
+        # sizes: searches at two seeds share one read-only array and differ
+        # only in the seeded uniform tail
+        _seed_free_samples.cache_clear()
+        a = _body_samples(body, 256, 64, seed=1)
+        b = _body_samples(body, 256, 64, seed=2)
+        info = _seed_free_samples.cache_info()
+        assert info.misses == 1 and info.hits == 1
+        base, _ = _seed_free_samples(body, 256, 64)
+        assert not base.flags.writeable
+        n = len(base)
+        assert a[:n].tobytes() == b[:n].tobytes() == base.tobytes()
+        assert a[n:].tobytes() != b[n:].tobytes()
+        assert a[n:].tobytes() == _body_samples(body, 256, 64, seed=1)[n:].tobytes()
+        _seed_free_samples(body, 256, 128)
+        assert _seed_free_samples.cache_info().misses == 2
+
+
 class TestHaltonSampler:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 7, 4096, 65536])
@@ -499,6 +524,42 @@ def _reference_pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
     return centers, best
 
 
+def _plain_pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
+    """The pattern search without witnesses: one full kernel column for
+    every coordinate trial and a full S x m matrix for every kick."""
+    centers = centers0.copy()
+    rows = np.ascontiguousarray(samples.T)
+    dist = _dist_matrix(samples, centers, kernel).T
+    best = float(dist.min(axis=0).max()) - r
+    step = 0.25
+    sweeps = 0
+    while step > 1e-5 and sweeps < max_sweeps:
+        improved = False
+        for j in range(len(centers)):
+            others = dist[np.arange(len(centers)) != j].min(axis=0, initial=np.inf)
+            for d in range(centers.shape[1]):
+                for sgn in (1.0, -1.0):
+                    trial = centers[j].copy()
+                    trial[d] += sgn * step
+                    col = kernel(rows - trial[:, None])
+                    val = float(np.minimum(others, col).max()) - r
+                    if val < best - 1e-12:
+                        centers[j], dist[j], best = trial, col, val
+                        improved = True
+        sweeps += 1
+        if best <= 1e-12 and not improved:
+            break
+        if not improved:
+            trial = centers + rng.normal(scale=step / 3, size=centers.shape)
+            trial_dist = _dist_matrix(samples, trial, kernel).T
+            val = float(trial_dist.min(axis=0).max()) - r
+            if val < best - 1e-12:
+                centers, dist, best = trial, trial_dist, val
+            else:
+                step *= 0.5
+    return centers, best
+
+
 def _row_vector_dist_matrix(samples, centers, norm):
     """Distances from an (S, m, n) difference array reduced over its
     trailing axis: the reference for the coordinate-row kernel."""
@@ -561,6 +622,55 @@ class TestPatternSearchKernel:
                                          np.random.default_rng(3), max_sweeps=12)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
+
+
+WITNESS_BODIES = {
+    "disk": (UnitDisk(), Norm.lp(2)),
+    "pball3-2": (PBall(3, 2), Norm.lp(3)),
+    "l1ball": (PBall(1, 3), Norm.lp(1)),
+    "cube": (cube(3), Norm.lp(INF)),
+    "gauge": (UnitDisk(), GAUGE2),
+}
+
+
+class TestWitnessPruning:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", sorted(WITNESS_BODIES))
+    def test_matches_plain_search(self, kind, seed):
+        body, norm = WITNESS_BODIES[kind]
+        kernel = _norm_kernel(norm)
+        rng = np.random.default_rng(seed)
+        samples = _body_samples(body, 512, 128, seed)
+        m = int(rng.integers(1, 7))
+        r = float(rng.uniform(0.3, 1.0))
+        c0 = samples[rng.integers(0, len(samples), size=m)] * 0.5
+        got = _pattern_search(samples, c0, kernel, r, np.random.default_rng(seed))
+        want = _plain_pattern_search(samples, c0, kernel, r, np.random.default_rng(seed))
+        assert repr(got[0].tolist()) == repr(want[0].tolist())
+        assert repr(got[1]) == repr(want[1])
+
+    def test_most_trials_skip_the_full_column(self, monkeypatch):
+        # the README's failing disk search: a loss of the witness rejection
+        # leaves the result unchanged, so it is caught by counting
+        full = len(_body_samples(UnitDisk(), 4096, 1024, 0))
+        make_kernel = coverings._norm_kernel
+
+        def counted_search(search):
+            calls = []
+
+            def counting(norm):
+                kernel = make_kernel(norm)
+                return lambda diff: calls.append(diff.shape[1]) or kernel(diff)
+
+            monkeypatch.setattr(coverings, "_norm_kernel", counting)
+            monkeypatch.setattr(coverings, "_pattern_search", search)
+            sol = search_ball_covering(UnitDisk(), 2, 0.9, Norm.lp(2), seed=0)
+            return sol, calls.count(full)
+
+        sol, pruned = counted_search(_pattern_search)
+        want, trials = counted_search(_plain_pattern_search)
+        assert (sol.centers, sol.search_margin) == (want.centers, want.search_margin)
+        assert pruned < trials / 2
 
 
 def _reference_margin(P, D, centers, r, norm):

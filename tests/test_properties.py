@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -39,7 +40,7 @@ from diampart.geometry import (
 from diampart.numbers import INF, as_fraction
 from diampart.oracle import beta_finite_exact
 from diampart.partitions import residual_enclosure, simplex_partition
-from diampart.coverings import partition_diameter_ratio
+from diampart.coverings import _norm_kernel, partition_diameter_ratio
 
 F = Fraction
 
@@ -261,6 +262,37 @@ class TestDiameterKernel:
     def test_float_points_keep_the_pairwise_loop(self, pts):
         for norm in (Norm.lp(1), Norm.lp(INF), Norm.lp(2), Norm.lp(3)):
             assert diameter_finite(pts, norm) == pairwise_diameter(pts, norm)
+
+
+# (norm, dimensions) for every _norm_kernel kind the search uses
+SEARCH_KERNELS = {
+    "l1": (Norm.lp(1), (2, 3)),
+    "l2": (Norm.lp(2), (2, 3)),
+    "l3": (Norm.lp(3), (2, 3)),
+    "l_inf": (Norm.lp(INF), (2, 3)),
+    "gauge2": (kernel_gauge(2), (2,)),
+    "gauge3": (kernel_gauge(3), (3,)),
+}
+
+
+class TestSearchKernelColumns:
+    """The pattern search rejects a trial on a few witness samples alone;
+    that is exact only if a sample's distance is computed on its own, the
+    same bits whatever other samples share the kernel call."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(SEARCH_KERNELS)), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 3000), st.data())
+    def test_subset_of_samples_is_subset_of_distances(self, kind, seed, S, data):
+        norm, dims = SEARCH_KERNELS[kind]
+        dim = data.draw(st.sampled_from(dims))
+        kernel = _norm_kernel(norm)
+        rng = np.random.default_rng(seed)
+        rows = np.ascontiguousarray(rng.uniform(-2, 2, size=(S, dim)).T)
+        c = rng.uniform(-1, 1, size=dim)
+        idx = data.draw(st.lists(st.integers(0, S - 1), min_size=1, max_size=8))
+        full = kernel(rows - c[:, None])
+        assert kernel(rows[:, idx] - c[:, None]).tobytes() == full[idx].tobytes()
 
 
 floats = st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False)
