@@ -13,14 +13,17 @@ The ball-covering search places m centers to cover a body with balls of
 radius r, by multistart coordinate pattern search over a fixed sample
 set, then snaps the winning centers to small rationals and re-confirms
 the margin through verify_ball_covering on a 4x finer point set
-(exactly, when the data allows).  Each trial move is first tested on
-its witness samples (the one that last rejected the same move, and the
-one that sets the current margin) and is rejected there when
-min(others, col) - r >= best - 1e-12 already holds.  The rejection is
-exact, not a heuristic: a sample's distance does not depend on the other
-samples, min and max are exact and float subtraction of r is monotone,
-and every trial not rejected is evaluated on all samples, so the
-search takes the same steps, bit for bit, as one without witnesses.
+(exactly, when the data allows).  Each search keeps a witness pool: the
+sample that sets the starting margin and every sample that has come out
+as the argmax of a fully evaluated trial.  All remaining trial moves of a
+sweep are tested at the pool in one kernel call, and a trial is rejected
+there when min(others, col) - r >= best - 1e-12 already holds; only the
+trials after an accepted move are tested again.  The rejection is exact,
+not a heuristic: a sample's distance depends neither on the other samples
+nor on the batch layout, min and max are exact and float subtraction of
+r is monotone, and every trial not rejected is evaluated on all samples,
+so the search takes the same steps, bit for bit, as one without
+witnesses.  The multistart builds each start only when it reaches it.
 """
 from __future__ import annotations
 
@@ -537,79 +540,106 @@ def _body_samples(body, n_boundary: int, n_interior: int, seed: int):
 def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
     """Coordinate pattern search with occasional random kicks.
 
-    A coordinate move changes one center j only, so the distance from
-    each sample to its nearest other center stays valid across j's
-    trials, accepted or not.  Each trial then costs one kernel call on
-    the transposed samples rather than the full S x m matrix; min and
-    max are exact, so the margins are the ones a full recompute gives,
-    bit for bit.  Distances are kept as an m x S array, one row per
-    center.
+    A sweep tries each center j along each coordinate d in both
+    directions, in that order, and keeps a trial that lowers the margin
+    max over samples of min over centers of the distance, minus r, by
+    more than 1e-12.  A coordinate move changes one center only, so the
+    distance from each sample to its nearest other center stays valid
+    across j's trials; each trial costs one kernel column, not the full
+    S x m matrix, and min and max are exact, so the margins are the ones
+    a full recompute gives, bit for bit.  Distances are kept as an m x S
+    array, one row per center, and each center's full nearest-other row
+    is cached until another center moves.
 
-    Most trials fail, and most fail at one of two samples: the one that
-    last kept the same move (center j, coordinate d, sign; or the kick)
-    from improving, and the one that sets best.  These witnesses are
-    tested first, with the same kernel: the margin of a trial is a max
-    over samples, so if the witnesses alone give
-    min(others, col) - r >= best - 1e-12  the trial is rejected without
-    its full column.  This is exact: the kernel's distance at one sample
-    does not depend on the other samples, min and max are exact, and
-    float subtraction of r is monotone, so the full margin would be
-    rejected too.  A trial the witnesses do not reject is evaluated in
-    full, so accepted moves, dist and best are the ones the plain search
-    computes, bit for bit.
+    Most trials fail, and most fail at a few samples.  The search keeps
+    a witness pool: the sample that sets the starting margin and every
+    sample that has come out as the argmax of a fully evaluated trial or
+    kick.  All remaining trials of a sweep are tested at the pool in one
+    kernel call, on an (n, T*W) difference array, with each pool sample's
+    nearest other center read from the two smallest entries of its dist
+    column; only the trials after an accepted move are batched again.  A
+    kick is tested at the pool in one call too.  A trial whose pool
+    samples alone give  min(others, col) - r >= best - 1e-12  is rejected
+    without its full column.  This is exact: the kernel's distance at one
+    sample depends neither on the other samples nor on the batch layout,
+    min and max are exact, and float subtraction of r is monotone, so
+    the full margin would be rejected too.  A trial the pool does not
+    reject is evaluated in full, so accepted moves, dist and best are the
+    ones the plain search computes, bit for bit.
     """
     import numpy as np
 
     centers = centers0.copy()
+    m, n = centers.shape
     rows = np.ascontiguousarray(samples.T)
     dist = _dist_matrix(samples, centers, kernel).T
     near = dist.min(axis=0)
-    top = int(near.argmax())  # the sample that sets best
-    best = float(near[top]) - r
-    witness = {}  # move -> the sample that last rejected it
+    pool = [int(near.argmax())]
+    best = float(near[pool[0]]) - r
+    others = {}  # center -> its full nearest-other row
+    # the m*2n coordinate moves of a sweep, in order: center, coordinate, sign
+    move_j = np.repeat(np.arange(m), 2 * n)
+    move_d = np.tile(np.repeat(np.arange(n), 2), m)
+    move_s = np.tile([1.0, -1.0], m * n)
+
+    def at_pool(points):
+        """Distances from each point (one per row) to each pool sample."""
+        diff = rows[:, pool][:, None, :] - points.T[:, :, None]
+        return kernel(diff.reshape(n, -1)).reshape(len(points), len(pool))
+
+    def others_at_pool():
+        """Each center's nearest-other distance at each pool sample."""
+        at = dist[:, pool]
+        if m == 1:
+            return np.full_like(at, np.inf)
+        low = np.partition(at, 1, axis=0)
+        return np.where(np.arange(m)[:, None] == at.argmin(axis=0), low[1], low[0])
+
+    def evaluate(near):
+        """The margin of a full near row; its worst sample joins the pool."""
+        w = int(near.argmax())
+        if w not in pool:
+            pool.append(w)
+        return float(near[w]) - r
+
     step = 0.25
     sweeps = 0
     while step > 1e-5 and sweeps < max_sweeps:
         improved = False
-        for j in range(len(centers)):
-            others = dist[np.arange(len(centers)) != j].min(axis=0, initial=np.inf)
-            for d in range(centers.shape[1]):
-                for sgn in (1.0, -1.0):
-                    trial = centers[j].copy()
-                    trial[d] += sgn * step
-                    ws = [witness.get((j, d, sgn), top), top]
-                    col_ws = kernel(rows.take(ws, 1) - trial[:, None])
-                    if float(np.minimum(others.take(ws), col_ws).max()) - r >= best - 1e-12:
-                        continue  # rejected at a witness
-                    col = kernel(rows - trial[:, None])
-                    near = np.minimum(others, col)
-                    w = int(near.argmax())
-                    val = float(near[w]) - r
-                    if val < best - 1e-12:
-                        centers[j], dist[j], best, top = trial, col, val, w
-                        improved = True
-                    else:
-                        witness[j, d, sgn] = w
+        k = 0
+        while k < len(move_j):
+            js = move_j[k:]
+            trials = centers[js]
+            trials[np.arange(len(js)), move_d[k:]] += move_s[k:] * step
+            near_ws = np.minimum(others_at_pool()[js], at_pool(trials))
+            rejected = near_ws.max(axis=1) - r >= best - 1e-12
+            start, k = k, len(move_j)
+            for t in np.flatnonzero(~rejected):
+                j = int(js[t])
+                if j not in others:
+                    others[j] = dist[np.arange(m) != j].min(axis=0, initial=np.inf)
+                col = kernel(rows - trials[t][:, None])
+                val = evaluate(np.minimum(others[j], col))
+                if val < best - 1e-12:
+                    centers[j], dist[j], best = trials[t], col, val
+                    others = {j: others[j]}
+                    improved = True
+                    k = start + int(t) + 1
+                    break
         sweeps += 1
         if best <= 1e-12 and not improved:
             break  # covering reached; nothing left to gain
         if not improved:
             # annealing-style kick: one random center jitter before shrinking
             trial = centers + rng.normal(scale=step / 3, size=centers.shape)
-            ws = [witness.get("kick", top), top]
-            rows_ws = rows.take(ws, 1)
-            near_ws = functools.reduce(np.minimum, [kernel(rows_ws - c[:, None]) for c in trial])
-            if float(near_ws.max()) - r >= best - 1e-12:
-                step *= 0.5  # rejected at a witness
+            if float(at_pool(trial).min(axis=0).max()) - r >= best - 1e-12:
+                step *= 0.5  # rejected at the pool
                 continue
             trial_dist = _dist_matrix(samples, trial, kernel).T
-            near = trial_dist.min(axis=0)
-            w = int(near.argmax())
-            val = float(near[w]) - r
+            val = evaluate(trial_dist.min(axis=0))
             if val < best - 1e-12:
-                centers, dist, best, top = trial, trial_dist, val, w
+                centers, dist, best, others = trial, trial_dist, val, {}
             else:
-                witness["kick"] = w
                 step *= 0.5
     return centers, best
 
@@ -742,16 +772,17 @@ def _exact_margin(P, D, centers, r, norm: Norm):
 
 
 def _snap_centers(centers):
-    """Successively coarser rational snaps of the center coordinates."""
-    outs = []
+    """Rational snaps of the center coordinates on ever finer grids, each
+    distinct snap once, built only as the caller asks for it."""
+    seen = set()
     for den in (3, 6, 12, 24, 48):
         snapped = tuple(
             tuple(Fraction(int(round(float(v) * den)), den) for v in row)
             for row in centers
         )
-        if snapped not in outs:
-            outs.append(snapped)
-    return outs
+        if snapped not in seen:
+            seen.add(snapped)
+            yield snapped
 
 
 def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
@@ -785,25 +816,24 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
     kernel = _norm_kernel(norm)
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(8)]
-    verts = _body_vertices(parent)
-    starts = []
-    sv = verts * max(1.0 - rf, 0.0)
-    base = np.zeros((m, dim))
-    base[: min(m, len(sv))] = sv[: min(m, len(sv))]
-    starts.append(base)
-    starts.append(_greedy_kcenter(samples, m, kernel))
-    for i in range(2, 8):
-        rng = streams[i]
-        if i % 2 == 0:
-            starts.append(starts[0] + rng.normal(scale=0.15, size=(m, dim)))
-        else:
-            idx = rng.integers(0, len(samples), size=m)
-            starts.append(samples[idx] * 0.5)
+
+    def starts():
+        # each start is built when the search reaches it: most searches
+        # that succeed do so from the first
+        sv = _body_vertices(parent) * max(1.0 - rf, 0.0)
+        base = np.zeros((m, dim))
+        base[: min(m, len(sv))] = sv[: min(m, len(sv))]
+        yield base
+        yield _greedy_kcenter(samples, m, kernel)
+        for i in range(2, 8):
+            if i % 2 == 0:
+                yield base + streams[i].normal(scale=0.15, size=(m, dim))
+            else:
+                yield samples[streams[i].integers(0, len(samples), size=m)] * 0.5
 
     best_centers, best_margin = None, math.inf
-    for i, c0 in enumerate(starts):
-        centers, val = _pattern_search(samples, np.asarray(c0, dtype=float), kernel,
-                                       rf, streams[i])
+    for i, c0 in enumerate(starts()):
+        centers, val = _pattern_search(samples, c0, kernel, rf, streams[i])
         if val < best_margin:
             best_centers, best_margin = centers, val
         if best_margin <= 1e-12:

@@ -400,6 +400,12 @@ HOSTILE_NUMBERS = [0, 2, -3, 10 ** 400, 1e308, 5e-324, 1e-300, 0.1 + 0.2, 0.3, "
                    math.inf, math.nan]
 HOSTILE_COORDS = HOSTILE_NUMBERS + [-1e308, "1/0", "inf", "", None, True, [], {}]
 ENVELOPE_KEYS = {"command", "inputs", "results", "evidence_level", "timings"}
+# the README's two cover searches and the cube search whose first start covers
+COVER_SEARCH_COMMANDS = [
+    ["cover", "search", "--body", "l1ball", "--m", "8", "--r", "2/3", "--seed", "0"],
+    ["cover", "search", "--body", "disk", "--m", "2", "--r", "0.9"],
+    ["cover", "search", "--body", "cube", "--m", "2", "--r", "1"],
+]
 
 
 def _negated(c):
@@ -467,6 +473,14 @@ class TestHostileInput:
         problem.write_text(json.dumps({"points": [[0, 0], [1, "1/2"], [3, -1], [-2, 2]]}))
         argv = [str(problem) if a is None else a for a in data.draw(
             st.sampled_from(NUMPY_FREE_COMMANDS))]
+        argv[data.draw(st.integers(0, len(argv) - 1))] = data.draw(
+            st.sampled_from(HOSTILE_TOKENS))
+        check_outcome(argv)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(COVER_SEARCH_COMMANDS), st.data())
+    def test_cover_search_with_a_hostile_token(self, argv, data):
+        argv = list(argv)
         argv[data.draw(st.integers(0, len(argv) - 1))] = data.draw(
             st.sampled_from(HOSTILE_TOKENS))
         check_outcome(argv)

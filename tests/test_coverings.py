@@ -630,6 +630,7 @@ WITNESS_BODIES = {
     "l1ball": (PBall(1, 3), Norm.lp(1)),
     "cube": (cube(3), Norm.lp(INF)),
     "gauge": (UnitDisk(), GAUGE2),
+    "gauge3": (cube(3), GAUGE3),
 }
 
 
@@ -637,21 +638,24 @@ class TestWitnessPruning:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", sorted(WITNESS_BODIES))
     def test_matches_plain_search(self, kind, seed):
+        # up to 16 centers: pool batches span many centers, and moves
+        # accepted mid-sweep make the rest of the sweep be batched again
         body, norm = WITNESS_BODIES[kind]
         kernel = _norm_kernel(norm)
         rng = np.random.default_rng(seed)
         samples = _body_samples(body, 512, 128, seed)
-        m = int(rng.integers(1, 7))
-        r = float(rng.uniform(0.3, 1.0))
-        c0 = samples[rng.integers(0, len(samples), size=m)] * 0.5
-        got = _pattern_search(samples, c0, kernel, r, np.random.default_rng(seed))
-        want = _plain_pattern_search(samples, c0, kernel, r, np.random.default_rng(seed))
-        assert repr(got[0].tolist()) == repr(want[0].tolist())
-        assert repr(got[1]) == repr(want[1])
+        for m in (1 + seed, 5 + 2 * seed, 12 + 2 * seed):
+            r = float(rng.uniform(0.3, 1.0))
+            c0 = samples[rng.integers(0, len(samples), size=m)] * 0.5
+            got = _pattern_search(samples, c0, kernel, r, np.random.default_rng(seed))
+            want = _plain_pattern_search(samples, c0, kernel, r, np.random.default_rng(seed))
+            assert repr(got[0].tolist()) == repr(want[0].tolist()), m
+            assert repr(got[1]) == repr(want[1]), m
 
     def test_most_trials_skip_the_full_column(self, monkeypatch):
-        # the README's failing disk search: a loss of the witness rejection
-        # leaves the result unchanged, so it is caught by counting
+        # the README's failing disk search: a loss of the pool rejection or
+        # of the sweep batch leaves the result unchanged, so it is caught
+        # by counting kernel calls
         full = len(_body_samples(UnitDisk(), 4096, 1024, 0))
         make_kernel = coverings._norm_kernel
 
@@ -665,12 +669,23 @@ class TestWitnessPruning:
             monkeypatch.setattr(coverings, "_norm_kernel", counting)
             monkeypatch.setattr(coverings, "_pattern_search", search)
             sol = search_ball_covering(UnitDisk(), 2, 0.9, Norm.lp(2), seed=0)
-            return sol, calls.count(full)
+            return sol, calls
 
-        sol, pruned = counted_search(_pattern_search)
-        want, trials = counted_search(_plain_pattern_search)
+        sol, calls = counted_search(_pattern_search)
+        want, plain = counted_search(_plain_pattern_search)
+        trials = plain.count(full)
         assert (sol.centers, sol.search_margin) == (want.centers, want.search_margin)
-        assert pruned < trials / 2
+        assert len(calls) < trials / 2
+        assert calls.count(full) < trials / 5
+
+    def test_starts_are_built_when_reached(self, monkeypatch):
+        # the first start covers, so the k-center start is never built
+        def refuse(*args):
+            raise AssertionError("k-center start built")
+
+        monkeypatch.setattr(coverings, "_greedy_kcenter", refuse)
+        sol = search_ball_covering(cube(3), 2, F(1), Norm.lp(INF))
+        assert sol.success
 
 
 def _reference_margin(P, D, centers, r, norm):

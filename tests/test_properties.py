@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import diampart
 
@@ -276,9 +276,10 @@ SEARCH_KERNELS = {
 
 
 class TestSearchKernelColumns:
-    """The pattern search rejects a trial on a few witness samples alone;
-    that is exact only if a sample's distance is computed on its own, the
-    same bits whatever other samples share the kernel call."""
+    """The pattern search rejects a trial at its witness pool alone, with
+    all the trials of a sweep in one kernel call; that is exact only if a
+    sample's distance is computed on its own, the same bits whatever other
+    samples or trials share the kernel call."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(sorted(SEARCH_KERNELS)), st.integers(0, 2 ** 32 - 1),
@@ -293,6 +294,25 @@ class TestSearchKernelColumns:
         idx = data.draw(st.lists(st.integers(0, S - 1), min_size=1, max_size=8))
         full = kernel(rows - c[:, None])
         assert kernel(rows[:, idx] - c[:, None]).tobytes() == full[idx].tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(SEARCH_KERNELS)), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 24), st.integers(1, 64))
+    @example("gauge3", 0, 1, 1)
+    @example("gauge2", 1, 1, 9)
+    @example("gauge3", 2, 17, 1)
+    @example("l3", 3, 1, 1)
+    def test_trial_batch_is_stacked_trial_calls(self, kind, seed, T, W):
+        # the sweep batch: T trials at W pool samples, one (n, T*W) call
+        norm, dims = SEARCH_KERNELS[kind]
+        dim = dims[seed % len(dims)]
+        kernel = _norm_kernel(norm)
+        rng = np.random.default_rng(seed)
+        rows_ws = rng.uniform(-2, 2, size=(dim, W))
+        trials = rng.uniform(-1, 1, size=(T, dim))
+        batch = kernel((rows_ws[:, None, :] - trials.T[:, :, None]).reshape(dim, T * W))
+        stacked = np.stack([kernel(rows_ws - t[:, None]) for t in trials])
+        assert batch.tobytes() == stacked.tobytes()
 
 
 floats = st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False)
