@@ -319,8 +319,9 @@ def f_scan(lo: float = 1.0, hi: float = 2.0, step: float = 1e-4):
     bracketing interval.  Returns (p0, f(p0)).  A window in which f only
     falls or only rises holds no interior minimum: ValueError.
     """
-    if not (1 <= lo < hi <= 2 and step > 0 and (hi - lo) / step <= MAX_SCAN_POINTS - 1):
-        raise ValueError("need 1 <= lo < hi <= 2 and a positive step giving at most %d "
+    if not (1 <= lo < hi <= 2 and 0 < step < math.inf
+            and (hi - lo) / step <= MAX_SCAN_POINTS - 1):
+        raise ValueError("need 1 <= lo < hi <= 2 and a finite positive step giving at most %d "
                          "scan points" % MAX_SCAN_POINTS)
     count = int(math.ceil((hi - lo) / step)) + 1
     ps = [min(lo + k * step, hi) for k in range(count)]
@@ -347,11 +348,11 @@ def bm_upper(p: Scalar) -> BMBoundReport:
     For p >= 2 the distance is exactly 3^(1/p); the report cites the
     formula and carries a cube certificate 3^(-1/p)*B_inf <= B_p <=
     3^(1/p)*(3^(-1/p)*B_inf).  For p in [1,2) the parallelepiped bound
-    applies, capped by its value at p = 2.
+    applies; it stays below its value sqrt(342)/10 at p = 2.
     """
     pf = to_float(p)
-    if pf < 1:
-        raise ValueError("p must be at least 1")
+    if not pf >= 1:
+        raise ValueError("p must be at least 1, got %s" % (p,))
     if pf >= 2:
         q = dual_exponent(p)
         if p == INF:
@@ -364,18 +365,4 @@ def bm_upper(p: Scalar) -> BMBoundReport:
         return BMBoundReport(
             p=p, q=q, gamma_bound=gamma, method="exact_formula", certificate=cert
         )
-    report = lp_parallelepiped_bound(p)
-    if to_float(report.gamma_bound) > SQRT342_OVER_10:
-        capped = sandwich_verify(
-            report.certificate.inner,
-            report.certificate.outer,
-            SQRT342_OVER_10,
-        )
-        return BMBoundReport(
-            p=report.p,
-            q=report.q,
-            gamma_bound=SQRT342_OVER_10,
-            method="parallelepiped",
-            certificate=capped,
-        )
-    return report
+    return lp_parallelepiped_bound(p)

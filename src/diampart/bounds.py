@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .banach_mazur import bm_upper
+from .banach_mazur import SQRT342_OVER_10, bm_upper
 from .coverings import partition_diameter_ratio, verify_covering
 from .geometry import Norm
 from .numbers import (
@@ -226,13 +226,9 @@ def lp_beta8_table(p_values: Sequence[Scalar]) -> List[BetaBound]:
     construction with a verified sandwich certificate and the transfer
     law.
     """
-    cap = math.sqrt(342) / 10.0
     base = _cube_halving_step()
     out = []
     for p in p_values:
-        pf = to_float(p)
-        if pf < 1:
-            raise ValueError("p must be at least 1")
         chain = [base]
         report = bm_upper(p)
         if not report.certificate.verified:
@@ -246,19 +242,19 @@ def lp_beta8_table(p_values: Sequence[Scalar]) -> List[BetaBound]:
                 certificate=report.certificate,
             )
         )
-        if pf < 2:
+        if to_float(p) < 2:
             # the parallelepiped factor is uniform on [1,2): cap at p=2
-            if to_float(report.gamma_bound) > cap + 1e-9:
+            if to_float(report.gamma_bound) > SQRT342_OVER_10 + 1e-9:
                 raise VerificationError("parallelepiped factor exceeded its cap")
             chain.append(
                 ProvenanceStep(
                     formula="gamma(p) <= sqrt(342)/10 on [1,2)",
                     inputs=(("gamma", report.gamma_bound),),
-                    value=cap,
+                    value=SQRT342_OVER_10,
                     kind="exact",
                 )
             )
-            gamma = cap
+            gamma = SQRT342_OVER_10
         else:
             gamma = report.gamma_bound
         value = stability_transfer(base.value, gamma, chain)

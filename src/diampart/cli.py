@@ -29,7 +29,6 @@ from .numbers import INF, VerificationError, is_rational, parse_scalar
 from .oracle import beta_finite_exact
 from .partitions import (
     SectorRegion,
-    UnitDisk,
     cube_partition,
     disk_partition4,
     simplex_partition,
@@ -231,7 +230,7 @@ def _run_partition_disk(args):
 _SEARCH_BODIES = {
     "l1ball": (lambda: PBall(p=1, dim=3), Norm.lp(1)),
     "cube": (lambda: cube(3), Norm.lp(INF)),
-    "disk": (lambda: UnitDisk(), Norm.lp(2)),
+    "disk": (lambda: PBall(2, 2), Norm.lp(2)),
 }
 
 

@@ -6,8 +6,10 @@ Two evidence levels, stated honestly in every report:
   barycentric grid of granularity 1/N in integer arithmetic (no
   rounding anywhere); the cube scheme is checked by an interval-product
   decomposition that is exact for every N at once.
-* sampled — non-polytopal bodies (disk sectors, p-balls) are checked on
-  low-discrepancy plus uniform random samples with a stated tolerance.
+* sampled — the disk quadrant partition, whose parent is the Euclidean
+  unit disk PBall(2, 2), is checked to a stated tolerance on the same
+  Halton boundary and interior points as every p-ball's search samples,
+  plus seeded uniform points in the disk.
 
 The ball-covering search places m centers to cover a body with balls of
 radius r, by multistart coordinate pattern search over a fixed sample
@@ -50,7 +52,6 @@ from .partitions import (
     PartitionCertificate,
     PartitionPiece,
     SectorRegion,
-    UnitDisk,
     piece_contains,
 )
 
@@ -264,24 +265,19 @@ def _halton(n: int, d: int):
 
 
 def _disk_samples(n_boundary: int, n_interior: int, seed: int):
+    """The unit disk's cached low-discrepancy points, then those of
+    n_interior uniform draws from the square, taken from seed, that fall
+    in the disk."""
     import numpy as np
 
-    hb = _halton(n_boundary, 1)[:, 0]
-    angles = 2 * math.pi * hb
-    boundary = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    hi = _halton(2 * n_interior, 2)
-    r = np.sqrt(hi[:, 0])
-    th = 2 * math.pi * hi[:, 1]
-    interior = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)[:n_interior]
-    rng = np.random.default_rng(seed)
-    extra = rng.uniform(-1, 1, size=(n_interior, 2))
-    extra = extra[np.hypot(extra[:, 0], extra[:, 1]) <= 1]
-    return np.concatenate([boundary, interior, extra])
+    base, _ = _seed_free_samples(PBall(2, 2), n_boundary, n_interior)
+    extra = np.random.default_rng(seed).uniform(-1, 1, size=(n_interior, 2))
+    return np.concatenate([base, extra[np.hypot(extra[:, 0], extra[:, 1]) <= 1]])
 
 
 def _sampled_coverage(parent, pieces, N: int, seed: int) -> CoverageReport:
-    if not isinstance(parent, UnitDisk):
-        raise ValueError("sampled coverage implemented for the disk only")
+    if parent != PBall(2, 2):
+        raise ValueError("sampled coverage implemented for the Euclidean unit disk only")
     if N + 2 * (N // 4) > MAX_GRID_POINTS:
         raise ValueError("%d disk samples test up to %d points, more than %d"
                          % (N, N + 2 * (N // 4), MAX_GRID_POINTS))
@@ -391,10 +387,10 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
         L = math.lcm(*(P.integer_vertices[0] for P in (parent, *hulls)))
         w = [_width(rows, X) * (L // D) for D, X in (P.integer_vertices for P in (*hulls, parent))]
         return Fraction(max(w[:-1]), w[-1])
-    if isinstance(parent, UnitDisk):
-        if norm.kind != "p" or norm.p != 2:
-            raise ValueError("disk certificates are Euclidean only")
-        parent_diam = 2.0
+    if isinstance(parent, PBall):
+        if norm.kind != "p" or norm.p != parent.p:
+            raise ValueError("a p-ball's diameter is known in its own norm only")
+        parent_diam = 2 * parent.radius
     else:
         parent_diam = polytope_diameter(parent, norm)
     best = None
@@ -469,24 +465,11 @@ def _seed_free_samples(body, n_boundary: int, n_interior: int):
     """
     import numpy as np
 
-    if isinstance(body, UnitDisk) or (isinstance(body, PBall) and body.dim == 2):
-        norm = _norm_kernel(Norm.lp(2 if isinstance(body, UnitDisk) else body.p))
-        scale = to_float(body.radius)
-        hb = _halton(n_boundary, 1)[:, 0]
-        th = 2 * math.pi * hb
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        boundary = dirs / norm(dirs.T)[:, None]
-        ui = _halton(4 * n_interior, 2) * 2 - 1
-        ui = ui[norm(ui.T) <= 1][:n_interior]
-        base = np.concatenate([boundary, ui]) * scale
-
-        def tail(rng):
-            ur = rng.uniform(-1, 1, size=(2 * n_interior, 2))
-            return ur[norm(ur.T) <= 1][:n_interior] * scale
-    elif isinstance(body, PBall) and body.dim == 3:
+    if isinstance(body, PBall) and body.dim in (2, 3):
+        n = body.dim
         norm = _norm_kernel(Norm.lp(body.p))
         scale = to_float(body.radius)
-        if body.p == 1:
+        if n == 3 and body.p == 1:
             u = _halton(n_boundary, 2)
             a = u[:, 0]
             b = u[:, 1]
@@ -497,15 +480,23 @@ def _seed_free_samples(body, n_boundary: int, n_interior: int):
                               for sz in (1, -1)], dtype=float)
             boundary = bary * signs[np.arange(n_boundary) % 8]
         else:
-            d = _halton(2 * n_boundary, 3) * 2 - 1
-            d = d[_norm_kernel(Norm.lp(2))(d.T) > 1e-9][:n_boundary]
+            if n == 2:
+                th = 2 * math.pi * _halton(n_boundary, 1)[:, 0]
+                d = np.stack([np.cos(th), np.sin(th)], axis=1)
+            else:
+                d = _halton(2 * n_boundary, 3) * 2 - 1
+                d = d[_norm_kernel(Norm.lp(2))(d.T) > 1e-9][:n_boundary]
             boundary = d / norm(d.T)[:, None]
-        ui = _halton(10 * n_interior, 3) * 2 - 1
+        # draws per interior point wanted: a p-ball fills at least 1/2 of
+        # the square (the l1 diamond) but only 1/6 of the cube (the l1
+        # octahedron)
+        over_halton, over_uniform = (4, 2) if n == 2 else (10, 8)
+        ui = _halton(over_halton * n_interior, n) * 2 - 1
         ui = ui[norm(ui.T) <= 1][:n_interior]
         base = np.concatenate([boundary, ui]) * scale
 
         def tail(rng):
-            ur = rng.uniform(-1, 1, size=(8 * n_interior, 3))
+            ur = rng.uniform(-1, 1, size=(over_uniform * n_interior, n))
             return ur[norm(ur.T) <= 1][:n_interior] * scale
     elif isinstance(body, VPolytope) and _axis_cube_intervals(body):
         n = body.dim
@@ -673,7 +664,7 @@ def _body_vertices(body):
         return np.asarray(out)
     if isinstance(body, VPolytope):
         return np.asarray([[to_float(c) for c in v] for v in body.vertices])
-    if isinstance(body, (UnitDisk, PBall)):
+    if isinstance(body, PBall):
         k = 8
         th = np.linspace(0, 2 * math.pi, k, endpoint=False)
         return np.stack([np.cos(th), np.sin(th)], axis=1) * to_float(body.radius)
@@ -807,7 +798,7 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
     positive = r > 0 if is_rational(r) else rf > 0
     if not (positive and math.isfinite(rf)):
         raise ValueError("r must be finite and positive, got %s" % (r,))
-    if getattr(parent, "dim", 2) > 3:  # UnitDisk carries no dim
+    if parent.dim > 3:
         raise ValueError("search is limited to dimension <= 3")
     import numpy as np
 

@@ -31,6 +31,7 @@ from typing import Optional, Tuple
 
 from .geometry import (
     Homothet,
+    PBall,
     Simplex,
     VPolytope,
     _integer_points,
@@ -47,31 +48,6 @@ from .numbers import VerificationError, as_fraction, same_mode, to_float
 
 # ---------------------------------------------------------------------------
 # piece descriptions
-
-
-@dataclass(frozen=True)
-class BarycentricRegion:
-    """{sum lambda_i v_i : lo_i <= lambda_i <= hi_i, sum lambda_i = 1}."""
-
-    simplex: Simplex
-    bounds: tuple  # (lo, hi) per barycentric coordinate
-
-    def __post_init__(self):
-        bounds = tuple((as_fraction(lo), as_fraction(hi)) for lo, hi in self.bounds)
-        if len(bounds) != self.simplex.dim + 1:
-            raise ValueError("one bound pair per barycentric coordinate")
-        if any(lo > hi or lo < 0 or hi > 1 for lo, hi in bounds):
-            raise ValueError("bounds must satisfy 0 <= lo <= hi <= 1")
-        object.__setattr__(self, "bounds", bounds)
-
-    def realize(self) -> VPolytope:
-        """The region's vertices: integer rows for a rational simplex."""
-        S, (L, lams) = self.simplex, _bary_box_vertices(self.bounds)
-        if S.rational:
-            D, P = S.integer_vertices
-            return _rows_polytope(L * D, [[vdot(lam, col) for col in zip(*P)] for lam in lams])
-        return VPolytope(tuple(functools.reduce(vadd, map(vscale, (Fraction(v, L) for v in lam),
-                                                          S.vertices)) for lam in lams))
 
 
 @dataclass(frozen=True)
@@ -97,11 +73,9 @@ class SectorRegion:
         return False
 
 
-@dataclass(frozen=True)
-class UnitDisk:
-    """Euclidean unit disk in the plane (fixed body of the quadrant scheme)."""
-
-    radius: float = 1.0
+def UnitDisk() -> PBall:
+    """The Euclidean unit disk, the parent of the quadrant scheme."""
+    return PBall(2, 2)
 
 
 def _bary_box_vertices(bounds) -> tuple:
@@ -127,6 +101,17 @@ def _bary_box_vertices(bounds) -> tuple:
     return L, tuple(sorted(out))
 
 
+def _box_hull(S: Simplex, bounds) -> VPolytope:
+    """The vertices of the barycentric box {lo <= lambda <= hi} of S:
+    integer rows for a rational simplex."""
+    L, lams = _bary_box_vertices(bounds)
+    if S.rational:
+        D, P = S.integer_vertices
+        return _rows_polytope(L * D, [[vdot(lam, col) for col in zip(*P)] for lam in lams])
+    return VPolytope(tuple(functools.reduce(vadd, map(vscale, (Fraction(v, L) for v in lam),
+                                                      S.vertices)) for lam in lams))
+
+
 # ---------------------------------------------------------------------------
 # pieces and certificates
 
@@ -135,11 +120,12 @@ def _bary_box_vertices(bounds) -> tuple:
 class PartitionPiece:
     """One piece of a partition, with a certified diameter-ratio bound.
 
-    description is the defining object (a Homothet of the parent, a
-    BarycentricRegion, or a SectorRegion).  bary_bounds, when present,
-    is the barycentric box that exact membership and coverage are checked
-    on; it lies inside the description, cut back to the residual region
-    where a reflected piece overhangs the parent.
+    description is the defining object: a Homothet of the parent, a
+    SectorRegion, or None for a piece that is its barycentric box alone.
+    bary_bounds, when present, is the barycentric box that exact
+    membership and coverage are checked on; it lies inside a homothet
+    description, cut back to the residual region where a reflected piece
+    overhangs the parent.
     """
 
     description: object
@@ -258,13 +244,13 @@ def triangle_partition4(T: Simplex) -> PartitionCertificate:
     half = Fraction(1, 2)
     pieces = [_vertex_piece(T, i, half) for i in range(3)]
     mid = residual_enclosure(T, half)  # ratio -(3*1/2 - 1) = -1/2
-    region = BarycentricRegion(T, ((Fraction(0), half),) * 3)
+    box = ((Fraction(0), half),) * 3
     pieces.append(
         PartitionPiece(
             description=mid,
             ratio_bound=half,
-            realized_hull=region.realize(),
-            bary_bounds=region.bounds,
+            realized_hull=_box_hull(T, box),
+            bary_bounds=box,
         )
     )
     return PartitionCertificate(T, tuple(pieces), half, "triangle4")
@@ -295,13 +281,13 @@ def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
     gamma = -refl.ratio
 
     if scheme == "m5":
-        clip = BarycentricRegion(S, ((Fraction(0), t),) * 4)
+        clip = ((Fraction(0), t),) * 4
         pieces.append(
             PartitionPiece(
-                description=clip,
+                description=None,
                 ratio_bound=gamma,
-                realized_hull=clip.realize(),
-                bary_bounds=clip.bounds,
+                realized_hull=_box_hull(S, clip),
+                bary_bounds=clip,
             )
         )
     else:
@@ -325,14 +311,14 @@ def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
             )
         if scheme == "m9":
             # lambda_i >= cap on the residual of the residual
-            core = BarycentricRegion(S, ((cap, t),) * 4)
+            core = ((cap, t),) * 4
             enc = residual_enclosure(refl_sx, t2).compose(refl)
             pieces.append(
                 PartitionPiece(
-                    description=core,
+                    description=None,
                     ratio_bound=abs(enc.ratio),
-                    realized_hull=core.realize(),
-                    bary_bounds=core.bounds,
+                    realized_hull=_box_hull(S, core),
+                    bary_bounds=core,
                 )
             )
 
@@ -383,4 +369,4 @@ def disk_partition4() -> PartitionCertificate:
         )
         for a, b in quarters
     )
-    return PartitionCertificate(UnitDisk(), pieces, math.sqrt(2.0) / 2.0, "disk4")
+    return PartitionCertificate(PBall(2, 2), pieces, math.sqrt(2.0) / 2.0, "disk4")

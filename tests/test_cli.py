@@ -95,6 +95,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "diampart: error: argument --norm: p-norm needs p in [1, inf]\n"
 
+    @pytest.mark.parametrize("argv, cause", [
+        (["bm", "scan", "--step", "inf"], "a finite positive step"),
+        (["bm", "bound", "--p", "nan"], "p must be at least 1, got nan"),
+        (["beta", "table", "--p-list", "nan"], "p must be at least 1, got nan"),
+    ], ids=["scan-step-inf", "bound-p-nan", "table-p-list-nan"])
+    def test_non_finite_argument_names_its_constraint(self, capsys, argv, cause):
+        code, captured = run_failing(capsys, argv)
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("diampart: error: ")
+        assert cause in lines[0]
+
     def test_ragged_points_are_one(self, capsys, tmp_path):
         path = tmp_path / "ragged.json"
         path.write_text(json.dumps({"points": [[0, 0], [1], [2, 2]]}))
@@ -406,6 +419,12 @@ COVER_SEARCH_COMMANDS = [
     ["cover", "search", "--body", "disk", "--m", "2", "--r", "0.9"],
     ["cover", "search", "--body", "cube", "--m", "2", "--r", "1"],
 ]
+# the partition commands that run numpy kernels: sampled disk coverage and
+# the exact barycentric grid
+NUMPY_PARTITION_COMMANDS = [
+    ["partition", "disk", "--samples", "4096", "--seed", "0"],
+    ["partition", "simplex", "--m", "8", "--verify", "64", "--norm", "1"],
+]
 
 
 def _negated(c):
@@ -481,6 +500,15 @@ class TestHostileInput:
     @given(st.sampled_from(COVER_SEARCH_COMMANDS), st.data())
     def test_cover_search_with_a_hostile_token(self, argv, data):
         argv = list(argv)
+        argv[data.draw(st.integers(0, len(argv) - 1))] = data.draw(
+            st.sampled_from(HOSTILE_TOKENS))
+        check_outcome(argv)
+
+    @pytest.mark.parametrize("command", NUMPY_PARTITION_COMMANDS, ids=lambda c: c[1])
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_numpy_partition_with_a_hostile_token(self, command, data):
+        argv = list(command)
         argv[data.draw(st.integers(0, len(argv) - 1))] = data.draw(
             st.sampled_from(HOSTILE_TOKENS))
         check_outcome(argv)

@@ -22,7 +22,7 @@ from diampart.geometry import (
     norm_eval,
     vsub,
 )
-from diampart.cli import _coverage_payload
+from diampart.cli import _coverage_payload, main
 from diampart.numbers import INF
 from diampart.serialization import canonical_json
 from diampart import coverings
@@ -247,6 +247,11 @@ class TestDiameterRatio:
         ratio = partition_diameter_ratio(disk_partition4(), Norm.lp(2))
         assert ratio == pytest.approx(math.sqrt(2) / 2)
 
+    def test_disk_ratio_is_euclidean_only(self):
+        # a p-ball parent's diameter, 2*radius, is known in its own norm only
+        with pytest.raises(ValueError):
+            partition_diameter_ratio(disk_partition4(), Norm.lp(1))
+
 
 class TestSampledCoverage:
     def test_disk_quadrants_sampled(self):
@@ -259,6 +264,28 @@ class TestSampledCoverage:
         cert = disk_partition4()
         rep = verify_covering(cert.parent, cert.pieces[:2], N=256)
         assert not rep.covered
+
+    def test_other_balls_are_refused(self):
+        with pytest.raises(ValueError):
+            verify_covering(PBall(1, 2), disk_partition4().pieces, N=256)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("N", [1, 3, 4, 7, 4097])
+    def test_disk_samples_extend_the_pball_base(self, capsys, N, seed):
+        # the disk has one low-discrepancy sampler, the p-ball one, and
+        # adds only its own seeded points
+        base, _ = _seed_free_samples(PBall(2, 2), N, N // 4)
+        assert len(base) == N + N // 4
+        pts = coverings._disk_samples(N, N // 4, seed)
+        assert pts[:len(base)].tobytes() == base.tobytes()
+        extra = np.random.default_rng(seed).uniform(-1, 1, size=(N // 4, 2))
+        inside = int((np.hypot(extra[:, 0], extra[:, 1]) <= 1).sum())
+        assert len(pts) == len(base) + inside
+        code = main(["partition", "disk", "--samples", str(N), "--seed", str(seed)])
+        coverage = json.loads(capsys.readouterr().out)["results"]["coverage"]
+        assert code == 0
+        assert coverage["resolution"] == N + N // 4 + inside
+        assert coverage["covered"] and coverage["worst_witness"] is None
 
 
 class TestBallCoveringSearch:

@@ -33,8 +33,8 @@ from diampart.geometry import (
 from diampart.numbers import INF
 from diampart.oracle import beta_finite_exact
 from diampart.partitions import (
-    BarycentricRegion,
     _bary_box_vertices,
+    _box_hull,
     cube_partition,
     simplex_partition,
     triangle_partition4,
@@ -84,12 +84,11 @@ def fraction_image(h):
                  for v in h.base.vertices)
 
 
-def fraction_realize(region):
-    """BarycentricRegion.realize in plain Fraction arithmetic."""
-    L, rows = _bary_box_vertices(region.bounds)
-    verts = region.simplex.vertices
-    return tuple(tuple(sum((F(l, L) * v[i] for l, v in zip(lam, verts)), F(0))
-                       for i in range(region.simplex.dim)) for lam in rows)
+def fraction_box_hull(S, bounds):
+    """_box_hull in plain Fraction arithmetic."""
+    L, rows = _bary_box_vertices(bounds)
+    return tuple(tuple(sum((F(l, L) * v[i] for l, v in zip(lam, S.vertices)), F(0))
+                       for i in range(S.dim)) for lam in rows)
 
 
 def assert_seeded(P):
@@ -121,10 +120,9 @@ class TestIntegerHulls:
                               st.fractions(0, 1, max_denominator=17)), min_size=4, max_size=4))
     def test_barycentric_region(self, S, pairs):
         bounds = tuple(tuple(sorted(b)) for b in pairs[:S.dim + 1])
-        region = BarycentricRegion(S, bounds)
         assume(_bary_box_vertices(bounds)[1])
-        got = region.realize()
-        assert repr(got.vertices) == repr(fraction_realize(region))
+        got = _box_hull(S, bounds)
+        assert repr(got.vertices) == repr(fraction_box_hull(S, bounds))
         assert_seeded(got)
 
     def test_scheme_hulls(self):
@@ -138,7 +136,7 @@ class TestIntegerHulls:
         S = Simplex(((0.0, 0.0), (1.0, 0.0), (0.5, 0.75)))
         h = Homothet(F(1, 2), (0.25, 0), S)
         assert apply_homothet(h).vertices == tuple(map(h.apply_point, S.vertices))
-        hull = BarycentricRegion(S, ((0, F(1, 2)),) * 3).realize()
+        hull = _box_hull(S, ((0, F(1, 2)),) * 3)
         assert all(type(c) is float for v in hull.vertices for c in v)
 
 

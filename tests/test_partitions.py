@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from diampart.geometry import (
     Homothet,
     Norm,
+    PBall,
     Simplex,
     apply_homothet,
     centroid,
@@ -15,10 +16,10 @@ from diampart.geometry import (
 )
 from diampart.numbers import INF
 from diampart.partitions import (
-    BarycentricRegion,
     SectorRegion,
     UnitDisk,
     _bary_box_vertices,
+    _box_hull,
     cube_partition,
     disk_partition4,
     piece_contains,
@@ -112,10 +113,9 @@ class TestResidualEnclosure:
         t = F(7, 16)
         h = residual_enclosure(STD_TETRA, t)
         img = apply_homothet(h)
-        region = BarycentricRegion(STD_TETRA, ((F(0), t),) * 4)
         from diampart.geometry import point_in_vpolytope
 
-        for v in region.realize().vertices:
+        for v in _box_hull(STD_TETRA, ((F(0), t),) * 4).vertices:
             assert point_in_vpolytope(img, v)
 
 
@@ -208,7 +208,10 @@ class TestDiskPartition:
         cert = disk_partition4()
         assert cert.m == 4
         assert cert.ratio == pytest.approx(math.sqrt(2) / 2)
-        assert isinstance(cert.parent, UnitDisk)
+        assert cert.parent == UnitDisk()
+
+    def test_the_disk_is_the_euclidean_unit_ball(self):
+        assert UnitDisk() == PBall(2, 2)
 
     def test_center_in_every_sector(self):
         cert = disk_partition4()
