@@ -591,6 +591,12 @@ def norm_eval(x: Vector, norm: Norm) -> Scalar:
 # diameters
 
 
+# Largest integer p whose diameters are chosen by the integer keys
+# sum |u - v|^p: a key has p times the bits of a difference, so a huge p
+# (a float such as 1e18 is an integer) walks the pairs in floats instead.
+MAX_KEY_P = 64
+
+
 def diameter_finite(points: Sequence[Vector], norm: Norm, scaled=None) -> Scalar:
     """sup of pairwise distances of a finite set (0 for a single point).
 
@@ -599,8 +605,12 @@ def diameter_finite(points: Sequence[Vector], norm: Norm, scaled=None) -> Scalar
     diameter is the largest width max w.p - min w.p over the rows w of
     its facet form (see norm_facets, _width), exact: for a gauge a Fraction,
     rounded for a float body or float points, and for l1 and l_inf an
-    int exactly when every coordinate is an int.  Other l_p norms walk
-    the pairs on integer differences, each divided by D: int/int
+    int exactly when every coordinate is an int.  Other l_p norms work
+    on the integer differences: for an integer p up to MAX_KEY_P, the
+    exact key sum |u - v|^p picks the diametral pairs, and only those
+    are evaluated (the largest of their floats, should the float formula
+    round two of them apart); for any other p every pair is evaluated.
+    Each difference is divided by D for the float formula: int/int
     division rounds correctly, as Fraction.__float__ does, so the floats
     are those of the Fraction differences bit for bit.  Points with a
     float coordinate under an l_p norm walk the pairs as given.  A single
@@ -625,8 +635,16 @@ def diameter_finite(points: Sequence[Vector], norm: Norm, scaled=None) -> Scalar
         if not (rational and norm.exact):
             return to_float(diam)
         return diam.numerator if norm.kind == "p" and types <= {int} else diam
-    return max(pnorm_eval([(u - v) / D for u, v in zip(a, b)], norm.p)
-               for a, b in itertools.combinations(X, 2))
+    pairs = list(itertools.combinations(X, 2))
+    p = norm.p
+    if p == int(p) <= MAX_KEY_P:
+        # the pairs whose integer key sum |u - v|^p is largest are the
+        # diametral ones; only their floats are evaluated
+        e = int(p)
+        keys = [sum(abs(d) ** e for d in map(operator.sub, a, b)) for a, b in pairs]
+        top = max(keys)
+        pairs = [pair for pair, key in zip(pairs, keys) if key == top]
+    return max(pnorm_eval([(u - v) / D for u, v in zip(a, b)], p) for a, b in pairs)
 
 
 def _distance_keys(pts: list, norm: Norm) -> dict:

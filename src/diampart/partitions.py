@@ -13,8 +13,10 @@ Every simplex-scheme piece is, in barycentric coordinates, a box
 {lo_i <= lambda_i <= hi_i}: a vertex homothet (1-mu)v_i + mu*S is the
 set {lambda_i >= 1-mu}, and the residual pieces come out as boxes after
 inverting the reflected enclosure.  That makes membership and coverage
-checks exact interval arithmetic, and a rational box's hull the integer
-barycentric vertices times the simplex's integer vertices.
+checks exact interval arithmetic.  Every piece of a scheme is the affine
+image of one barycentric point set, so each scheme is built once, as a
+template of integer barycentric rows, and a partition of any simplex is
+that template times the simplex's integer vertices.
 
 Diameter ratios are certified through enclosing homothets — a homothet
 of ratio r scales every norm's diameters by |r| — so the certificates
@@ -39,7 +41,6 @@ from .geometry import (
     apply_homothet,
     barycentric_coords,
     centroid,
-    vadd,
     vdot,
     vscale,
 )
@@ -101,15 +102,23 @@ def _bary_box_vertices(bounds) -> tuple:
     return L, tuple(sorted(out))
 
 
-def _box_hull(S: Simplex, bounds) -> VPolytope:
-    """The vertices of the barycentric box {lo <= lambda <= hi} of S:
-    integer rows for a rational simplex."""
-    L, lams = _bary_box_vertices(bounds)
+def _bary_polytope(S: Simplex, L: int, rows) -> VPolytope:
+    """The points sum_j (lam_j / L) v_j of S for the integer rows lam: one
+    integer product per row against S.integer_vertices, then integer rows
+    over one denominator for a rational simplex, and each coordinate
+    rounded once for a float simplex, which is read as the rationals it
+    denotes."""
+    D, P = S.integer_vertices
+    cols = tuple(zip(*P))
+    X = [[vdot(lam, col) for col in cols] for lam in rows]
     if S.rational:
-        D, P = S.integer_vertices
-        return _rows_polytope(L * D, [[vdot(lam, col) for col in zip(*P)] for lam in lams])
-    return VPolytope(tuple(functools.reduce(vadd, map(vscale, (Fraction(v, L) for v in lam),
-                                                      S.vertices)) for lam in lams))
+        return _rows_polytope(L * D, X)
+    return VPolytope(tuple(tuple(c / (L * D) for c in x) for x in X))
+
+
+def _box_hull(S: Simplex, bounds) -> VPolytope:
+    """The vertices of the barycentric box {lo <= lambda <= hi} of S."""
+    return _bary_polytope(S, *_bary_box_vertices(bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -232,100 +241,136 @@ def _enclosure_ratio(n: int, t: Fraction) -> Fraction:
     return gamma
 
 
-def triangle_partition4(T: Simplex) -> PartitionCertificate:
-    """Midpoint subdivision of a triangle: 4 homothets with |ratio| = 1/2.
-
-    The middle piece is the point reflection -(1/2)T + c, valid in every
-    norm, so the certificate carries ratio exactly 1/2 with no norm
-    attached.
-    """
-    if T.dim != 2:
-        raise ValueError("expected a triangle in the plane")
-    half = Fraction(1, 2)
-    pieces = [_vertex_piece(T, i, half) for i in range(3)]
-    mid = residual_enclosure(T, half)  # ratio -(3*1/2 - 1) = -1/2
-    box = ((Fraction(0), half),) * 3
-    pieces.append(
-        PartitionPiece(
-            description=mid,
-            ratio_bound=half,
-            realized_hull=_box_hull(T, box),
-            bary_bounds=box,
-        )
-    )
-    return PartitionCertificate(T, tuple(pieces), half, "triangle4")
-
-
 _SCHEME_T = {"m5": Fraction(2, 5), "m8": Fraction(7, 16), "m9": Fraction(8, 17)}
 _SCHEME_RATIO = {"m5": Fraction(3, 5), "m8": Fraction(9, 16), "m9": Fraction(9, 17)}
 
 
-def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
-    """Tetrahedron scheme m5, m8, or m9; ratio holds in every norm.
+def _scheme_pieces(S: Simplex, scheme: str) -> list:
+    """The pieces of a simplex scheme on S, built from homothets.
 
-    All three follow the same pattern with threshold t: the four vertex
-    homothets of ratio 1-t catch every point with some lambda_i >= t;
-    what remains ({all lambda_i <= t}) sits inside the reflected copy
-    -(4t-1)S + 4t*g, which is handled whole (m5), split by four vertex
-    homothets of ratio 3/4 (m8, t=7/16), or split by the m5 pattern
-    again (m9, t=8/17).
+    triangle4 is the midpoint subdivision: three vertex homothets of ratio
+    1/2 and the point reflection -(1/2)S + c, the residual enclosure at
+    t = 1/2.  The tetrahedron schemes follow one pattern with threshold t:
+    the four vertex homothets of ratio 1-t catch every point with some
+    lambda_i >= t; what remains ({all lambda_i <= t}) sits inside the
+    reflected copy -(4t-1)S + 4t*g, which is handled whole (m5), split by
+    four vertex homothets of ratio 3/4 (m8, t=7/16), or split by the m5
+    pattern again (m9, t=8/17).
     """
-    if S.dim != 3:
-        raise ValueError("schemes are defined for tetrahedra")
-    if scheme not in _SCHEME_T:
-        raise ValueError("scheme must be one of m5, m8, m9")
+    if scheme == "triangle4":
+        half = Fraction(1, 2)
+        box = ((Fraction(0), half),) * 3
+        return [*(_vertex_piece(S, i, half) for i in range(3)),
+                PartitionPiece(description=residual_enclosure(S, half), ratio_bound=half,
+                               realized_hull=_box_hull(S, box), bary_bounds=box)]
     t = _SCHEME_T[scheme]
-    mu = 1 - t
-    pieces = [_vertex_piece(S, i, mu) for i in range(4)]
+    pieces = [_vertex_piece(S, i, 1 - t) for i in range(4)]
     refl = residual_enclosure(S, t)  # -(4t-1)S + 4t*g
     gamma = -refl.ratio
 
     if scheme == "m5":
         clip = ((Fraction(0), t),) * 4
-        pieces.append(
-            PartitionPiece(
-                description=None,
-                ratio_bound=gamma,
-                realized_hull=_box_hull(S, clip),
-                bary_bounds=clip,
-            )
-        )
-    else:
-        # vertex homothets of ratio 1-t2 of the reflected copy: 3/4 (m8),
-        # or the m5 pattern again (m9)
-        refl_sx = Simplex(apply_homothet(refl).vertices)
-        t2 = Fraction(1, 4) if scheme == "m8" else Fraction(2, 5)
-        cap = t - gamma * t2  # lambda_i <= cap inside piece i
-        for i in range(4):
-            outer = Homothet(1 - t2, vscale(t2, refl_sx.vertices[i]), refl_sx)
-            comp = outer.compose(refl)
-            bounds = [(Fraction(0), t)] * 4
-            bounds[i] = (Fraction(0), cap)
-            pieces.append(
-                PartitionPiece(
-                    description=comp,
-                    ratio_bound=abs(comp.ratio),
-                    realized_hull=apply_homothet(comp),
-                    bary_bounds=tuple(bounds),
-                )
-            )
-        if scheme == "m9":
-            # lambda_i >= cap on the residual of the residual
-            core = ((cap, t),) * 4
-            enc = residual_enclosure(refl_sx, t2).compose(refl)
-            pieces.append(
-                PartitionPiece(
-                    description=None,
-                    ratio_bound=abs(enc.ratio),
-                    realized_hull=_box_hull(S, core),
-                    bary_bounds=core,
-                )
-            )
+        pieces.append(PartitionPiece(description=None, ratio_bound=gamma,
+                                     realized_hull=_box_hull(S, clip), bary_bounds=clip))
+        return pieces
+    # vertex homothets of ratio 1-t2 of the reflected copy: 3/4 (m8),
+    # or the m5 pattern again (m9)
+    refl_sx = Simplex(apply_homothet(refl).vertices)
+    t2 = Fraction(1, 4) if scheme == "m8" else Fraction(2, 5)
+    cap = t - gamma * t2  # lambda_i <= cap inside piece i
+    for i in range(4):
+        outer = Homothet(1 - t2, vscale(t2, refl_sx.vertices[i]), refl_sx)
+        comp = outer.compose(refl)
+        bounds = [(Fraction(0), t)] * 4
+        bounds[i] = (Fraction(0), cap)
+        pieces.append(PartitionPiece(description=comp, ratio_bound=abs(comp.ratio),
+                                     realized_hull=apply_homothet(comp),
+                                     bary_bounds=tuple(bounds)))
+    if scheme == "m9":
+        # lambda_i >= cap on the residual of the residual
+        core = ((cap, t),) * 4
+        enc = residual_enclosure(refl_sx, t2).compose(refl)
+        pieces.append(PartitionPiece(description=None, ratio_bound=abs(enc.ratio),
+                                     realized_hull=_box_hull(S, core), bary_bounds=core))
+    return pieces
 
+
+@functools.lru_cache(maxsize=None)
+def _scheme_template(scheme: str) -> tuple:
+    """The scheme's pieces in barycentric terms, built once per scheme.
+
+    _scheme_pieces runs on the reference simplex (e_1, ..., e_n, 0),
+    where a point x has barycentric coordinates (x, 1 - sum x).  Each
+    piece becomes (ratio, L, hull, shift, ratio_bound, bary_bounds): the
+    realized hull's vertices as integer barycentric rows over L, and for
+    a homothet piece its ratio and its translation as one such row, whose
+    coefficients sum to L(1 - ratio); ratio and shift are None for a box
+    piece.
+    """
+    n = 2 if scheme == "triangle4" else 3
+    ref = Simplex((*(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n))
+    out = []
+    for piece in _scheme_pieces(ref, scheme):
+        h = piece.description
+        rows = [(*x, 1 - sum(x)) for x in piece.realized_hull.vertices]
+        if h is not None:
+            rows.append((*h.translation, 1 - h.ratio - sum(h.translation)))
+        L, rows = _integer_points(rows)
+        hull, shift = (rows, None) if h is None else (rows[:-1], rows[-1])
+        out.append((None if h is None else h.ratio, L, hull, shift,
+                    piece.ratio_bound, piece.bary_bounds))
+    return tuple(out)
+
+
+def _template_pieces(S: Simplex, scheme: str) -> tuple:
+    """The scheme's template mapped through S: one integer product per
+    piece (see _bary_polytope)."""
+    pieces = []
+    for ratio, L, hull, shift, bound, box in _scheme_template(scheme):
+        desc = None
+        if ratio is not None:
+            # the translation sum_j c_j v_j is the one point of the row c
+            desc = Homothet(ratio, _bary_polytope(S, L, (shift,)).vertices[0], S)
+        pieces.append(PartitionPiece(description=desc, ratio_bound=bound,
+                                     realized_hull=_bary_polytope(S, L, hull),
+                                     bary_bounds=box))
+    return tuple(pieces)
+
+
+def triangle_partition4(T: Simplex) -> PartitionCertificate:
+    """Midpoint subdivision of a triangle: 4 homothets with |ratio| = 1/2.
+
+    The middle piece is the point reflection -(1/2)T + c, valid in every
+    norm, so the certificate carries ratio exactly 1/2 with no norm
+    attached.  The pieces are the scheme's barycentric template mapped
+    through T (see simplex_partition).
+    """
+    if T.dim != 2:
+        raise ValueError("expected a triangle in the plane")
+    return PartitionCertificate(T, _template_pieces(T, "triangle4"), Fraction(1, 2), "triangle4")
+
+
+def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
+    """Tetrahedron scheme m5, m8, or m9; ratio holds in every norm.
+
+    Every piece is the affine image of one barycentric point set, so each
+    scheme is built once, on the reference simplex, as integer
+    barycentric rows (_scheme_template; see _scheme_pieces for the
+    construction).  Each call maps those rows through S's integer
+    vertices, one integer product per piece: a rational S gets integer
+    hull rows over one denominator, and a float S is read as the
+    rationals it denotes, with each coordinate rounded once.  The pieces'
+    ratio bounds are checked against the scheme ratio on every call.
+    """
+    if S.dim != 3:
+        raise ValueError("schemes are defined for tetrahedra")
+    if scheme not in _SCHEME_T:
+        raise ValueError("scheme must be one of m5, m8, m9")
+    pieces = _template_pieces(S, scheme)
     ratio = _SCHEME_RATIO[scheme]
     if max(p.ratio_bound for p in pieces) != ratio:
         raise VerificationError("%s pieces do not attain the scheme ratio %s" % (scheme, ratio))
-    return PartitionCertificate(S, tuple(pieces), ratio, scheme)
+    return PartitionCertificate(S, pieces, ratio, scheme)
 
 
 # Largest n a cube partition or a problem file's cube body accepts: the

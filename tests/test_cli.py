@@ -419,9 +419,9 @@ COVER_SEARCH_COMMANDS = [
     ["cover", "search", "--body", "disk", "--m", "2", "--r", "0.9"],
     ["cover", "search", "--body", "cube", "--m", "2", "--r", "1"],
 ]
-# the partition commands that run numpy kernels: sampled disk coverage and
-# the exact barycentric grid
-NUMPY_PARTITION_COMMANDS = [
+# the partition commands with a sample count or a grid size: sampled disk
+# coverage (numpy kernels) and the exact barycentric grid (integer code)
+SIZED_PARTITION_COMMANDS = [
     ["partition", "disk", "--samples", "4096", "--seed", "0"],
     ["partition", "simplex", "--m", "8", "--verify", "64", "--norm", "1"],
 ]
@@ -504,7 +504,7 @@ class TestHostileInput:
             st.sampled_from(HOSTILE_TOKENS))
         check_outcome(argv)
 
-    @pytest.mark.parametrize("command", NUMPY_PARTITION_COMMANDS, ids=lambda c: c[1])
+    @pytest.mark.parametrize("command", SIZED_PARTITION_COMMANDS, ids=lambda c: c[1])
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_numpy_partition_with_a_hostile_token(self, command, data):

@@ -101,69 +101,99 @@ class TestSimplexGridCoverage:
             assert rep.resolution == N
 
     def test_grid_is_cached_and_read_only(self):
-        from diampart.coverings import _bary_grid
+        # one sweep per (boxes, N) serves every tetrahedron of a scheme;
+        # each report maps the shared uncovered points through its parent
+        from diampart.coverings import _uncovered_grid
+        from diampart.geometry import barycentric_coords
+        from diampart.partitions import piece_contains
 
-        grid = _bary_grid(4, 64)
-        assert grid is _bary_grid(4, 64)
-        assert grid.shape == (4, 47905) and grid.dtype == np.uint8
-        assert grid.flags.c_contiguous and (grid.sum(axis=0) == 64).all()
-        with pytest.raises(ValueError):
-            grid[0, 0] = 1
+        _uncovered_grid.cache_clear()
+        for S in (STD_TETRA, SKEW_TETRA):
+            cert = simplex_partition(S, "m9")
+            assert verify_covering(S, cert.pieces, N=64).covered
+        assert _uncovered_grid.cache_info().misses == 1
+        assert _uncovered_grid.cache_info().hits == 1
+
+        _uncovered_grid.cache_clear()
+        witnesses = []
+        for S in (STD_TETRA, SKEW_TETRA):
+            pieces = simplex_partition(S, "m8").pieces[:4]
+            rep = verify_covering(S, pieces, N=16)
+            assert not rep.covered
+            point, _ = rep.worst_witness
+            assert not any(piece_contains(p, point, S) for p in pieces)
+            witnesses.append(barycentric_coords(S, point))
+        assert _uncovered_grid.cache_info().misses == 1
+        # the same barycentric witness, mapped through each parent
+        assert witnesses[0] == witnesses[1]
+        bad = _uncovered_grid(tuple(p.bary_bounds for p in pieces), 16)
+        assert type(bad) is tuple and all(type(row) is tuple for row in bad)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_grid_matches_brute_force(self, k):
-        # every vector summing to N, one per column in lexicographic
-        # order, and nothing else, in the narrowest dtype that holds N
-        import itertools
+        # the half boxes {lambda_i >= 1/2} leave out every point whose
+        # coordinates all lie below 1/2 (some at N = 9 when k > 2); with the
+        # [0, 1/2]^k box added, the grid is covered
+        from diampart.coverings import _uncovered_grid
 
-        from diampart.coverings import _bary_grid
-
-        for N in (0, 1, 2, 5, 256):
+        half = tuple(tuple((F(1, 2) if j == i else F(0), F(1)) for j in range(k))
+                     for i in range(k))
+        full = half + (((F(0), F(1, 2)),) * k,)
+        for N in (1, 2, 5, 9, 256):
             if N == 256 and k > 2:
                 continue
-            want = [row for row in itertools.product(range(N + 1), repeat=k) if sum(row) == N]
-            grid = _bary_grid(k, N)
-            assert grid.dtype == np.min_scalar_type(N) and grid.shape == (k, len(want))
-            assert [tuple(map(int, col)) for col in grid.T] == want
-            assert not grid.flags.writeable
+            want = enumerate_uncovered(half, N, k)
+            assert _uncovered_grid(half, N) == want
+            if N == 9:
+                assert (want == ()) == (k <= 2)
+            assert _uncovered_grid(full, N) == enumerate_uncovered(full, N, k) == ()
 
 
-def multiply_form_mask(rows, bounds, N):
-    """The grid test _box_mask ran before it compared against integer
-    thresholds: row-major int64 rows, lo <= k/N <= hi as k*den vs num*N."""
-    mask = np.ones(len(rows), dtype=bool)
-    for i, (lo, hi) in enumerate(bounds):
-        lo, hi = F(lo), F(hi)
-        if lo > 0:
-            mask &= rows[:, i] * lo.denominator >= lo.numerator * N
-        if hi < 1:
-            mask &= rows[:, i] * hi.denominator <= hi.numerator * N
-    return mask
+def enumerate_uncovered(boxes, N, k, limit=2048):
+    """Every integer lambda with sum N in lexicographic order, the first k-1
+    coordinates by itertools.product and the last as the remainder, kept
+    when it lies in no box, tested in the multiply form
+    lambda_i*den >= num*N; the first `limit` of them."""
+    import itertools
+
+    out = []
+    for head in itertools.product(range(N + 1), repeat=k - 1):
+        lam = (*head, N - sum(head))
+        if lam[-1] < 0:
+            continue
+        if not any(all(v * F(lo).denominator >= F(lo).numerator * N
+                       and v * F(hi).denominator <= F(hi).numerator * N
+                       for v, (lo, hi) in zip(lam, box)) for box in boxes):
+            out.append(lam)
+            if len(out) == limit:
+                break
+    return tuple(out)
 
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=40)
 
 
 def unit_boxes(k):
-    return st.lists(st.tuples(unit_fractions, unit_fractions).map(sorted),
-                    min_size=k, max_size=k)
+    return st.lists(st.tuples(unit_fractions, unit_fractions).map(sorted).map(tuple),
+                    min_size=k, max_size=k).map(tuple)
 
 
 class TestGridKernel:
-    """The coordinate-major threshold test against the multiply form."""
+    """The integer sweep against an enumeration of the whole grid."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([(3, 1), (3, 7), (3, 64), (3, 255), (3, 256), (3, 300),
-                            (4, 1), (4, 7), (4, 64)]).flatmap(
-        lambda kn: st.tuples(st.just(kn), unit_boxes(kn[0]))))
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(2, 1), (2, 300), (3, 1), (3, 7), (3, 64), (3, 255), (3, 256),
+                            (3, 300), (4, 1), (4, 7), (4, 24), (5, 3), (5, 10)]).flatmap(
+        lambda kn: st.tuples(st.just(kn), st.lists(unit_boxes(kn[0]), min_size=1,
+                                                   max_size=6))))
     def test_threshold_test_matches_multiply_form(self, case):
-        from diampart.coverings import _bary_grid, _box_mask
+        # ceil(lo*N) <= lambda_i <= floor(hi*N), swept, against the multiply
+        # form on every grid point, truncated at the witness pool
+        from diampart.coverings import WITNESS_POOL, _uncovered_grid
 
-        (k, N), box = case
-        grid = _bary_grid(k, N)
-        assert grid.dtype == (np.uint8 if N < 256 else np.uint16)
-        want = multiply_form_mask(grid.T.astype(np.int64), box, N)
-        assert np.array_equal(_box_mask(grid, box, N), want)
+        (k, N), boxes = case
+        _uncovered_grid.cache_clear()
+        assert _uncovered_grid(tuple(boxes), N) == enumerate_uncovered(boxes, N, k, WITNESS_POOL)
 
     @pytest.mark.parametrize("N, point, margin", [
         # what the row-major multiply form reported for these grids
@@ -175,6 +205,40 @@ class TestGridKernel:
         rep = verify_covering(T, triangle_partition4(T).pieces[:3], N=N)
         assert not rep.covered
         assert rep.worst_witness == (point, margin)
+
+
+def _m8_vertex_pieces():
+    return STD_TETRA, simplex_partition(STD_TETRA, "m8").pieces[:4]
+
+
+def _one_quadrant():
+    return PBall(2, 2), disk_partition4().pieces[:1]
+
+
+def _halved_square():
+    cert = cube_partition(2)
+    return cert.parent, cert.pieces
+
+
+@pytest.mark.parametrize("case, N, message", [
+    # a gap that N = 16 finds; N <= 0 tested nothing
+    (_m8_vertex_pieces, 0, "positive integer N"),
+    (_m8_vertex_pieces, -1, "positive integer N"),
+    (_m8_vertex_pieces, True, "positive integer N"),
+    (_m8_vertex_pieces, 64.0, "positive integer N"),
+    (_one_quadrant, 0, "positive integer N"),
+    (_one_quadrant, False, "positive integer N"),
+    (_halved_square, 0, "positive integer N"),
+    (_halved_square, "64", "positive integer N"),
+    (lambda: (STD_TETRA, ()), 64, "at least one piece"),
+    (lambda: (PBall(2, 2), []), 64, "at least one piece"),
+    (lambda: (cube(2), ()), 64, "at least one piece"),
+], ids=["simplex-0", "simplex-neg", "simplex-bool", "simplex-float", "disk-0", "disk-bool",
+        "cube-0", "cube-str", "simplex-empty", "disk-empty", "cube-empty"])
+def test_coverage_refuses_what_it_cannot_check(case, N, message):
+    parent, pieces = case()
+    with pytest.raises(ValueError, match=message):
+        verify_covering(parent, pieces, N=N)
 
 
 class TestCubeCoverage:

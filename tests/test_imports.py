@@ -1,8 +1,9 @@
 """numpy is an import of the array code, not of the package, and scipy
 is no import of the package at all.
 
-`import diampart` and the commands that do exact or Hoelder work do not
-load numpy, so a fresh CLI process does not pay for it.  scipy is a
+`import diampart`, the commands that do exact or Hoelder work and the
+library's exact path (scheme partitions, grid coverage, diameter ratios,
+the oracle) do not load numpy, so a fresh CLI process does not pay for it.  scipy is a
 test-only reference (the Halton sampler is checked against it).
 """
 import ast
@@ -159,6 +160,8 @@ NUMPY_FREE_COMMANDS = (
     ["beta", "minmax", "--eta", "9/16", "--ball", "2/3"],
     ["check", "corollary-221-328"],
     ["oracle", "--points", None, "--m", "4"],
+    ["partition", "simplex", "--m", "8", "--verify", "64", "--norm", "1"],
+    ["partition", "triangle"],
 )
 
 SCRIPT = """
@@ -196,3 +199,34 @@ def test_exact_commands_never_import_numpy(tmp_path):
     want = sorted(["diampart"] + ["diampart." + name[:-3] for name in os.listdir(PACKAGE_DIR)
                                   if name.endswith(".py") and name != "__init__.py"])
     assert seen["modules"] == want
+
+
+# one exact-certify item of the benchmark, called through the library
+ITEM_SCRIPT = """
+import sys
+from diampart.coverings import partition_diameter_ratio, verify_covering
+from diampart.geometry import Norm, Simplex
+from diampart.numbers import INF
+from diampart.oracle import beta_finite_exact
+from diampart.partitions import simplex_partition
+
+S = Simplex(((1, -2, 0), (4, 1, -1), (-3, 2, 2), (0, 5, -4)))
+gauge = Norm.gauge(((2, 0, 1), (-2, 0, -1), (0, 1, 0), (0, -1, 0), (1, 1, 3), (-1, -1, -3)))
+for scheme in ("m5", "m8", "m9"):
+    cert = simplex_partition(S, scheme)
+    if not verify_covering(cert.parent, cert.pieces, N=64).covered:
+        raise SystemExit(scheme + " not covered")
+    ratios = [partition_diameter_ratio(cert, norm) for norm in
+              (Norm.lp(1), Norm.lp(2), Norm.lp(3), Norm.lp(INF), gauge)]
+beta_finite_exact(S.vertices + ((0, 1, 0), (1, 1, -1)), 3, gauge)
+print("numpy" in sys.modules)
+"""
+
+
+def test_exact_certify_item_never_imports_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(PACKAGE_DIR)
+    proc = subprocess.run([sys.executable, "-c", ITEM_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

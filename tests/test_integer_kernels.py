@@ -27,15 +27,18 @@ from diampart.geometry import (
     diameter_finite,
     matrix_rank_exact,
     norm_eval,
+    pnorm_eval,
     polytope_diameter,
     vsub,
 )
 from diampart.numbers import INF
 from diampart.oracle import beta_finite_exact
 from diampart.partitions import (
+    PartitionPiece,
     _bary_box_vertices,
     _box_hull,
     cube_partition,
+    residual_enclosure,
     simplex_partition,
     triangle_partition4,
 )
@@ -220,6 +223,125 @@ class TestDistanceKeys:
         candidates = [F(0)] + sorted(set(dist.values()))
         assert repr(res.threshold) == repr(next(c for c in candidates if c == res.threshold))
         assert res.value == F(res.threshold, res.diameter)
+
+
+def reference_scheme(S, scheme):
+    """The scheme's pieces built on S itself by composing homothets, with
+    every hull in plain Fraction arithmetic: the construction that ran on
+    each simplex before the barycentric template."""
+    def hull(h):
+        return VPolytope(fraction_image(h))
+
+    def box(bounds):
+        return VPolytope(fraction_box_hull(S, bounds))
+
+    def vertex_piece(i, mu):
+        h = Homothet(mu, tuple((1 - mu) * c for c in S.vertices[i]), S)
+        bounds = [(F(0), F(1))] * (S.dim + 1)
+        bounds[i] = (1 - mu, F(1))
+        return PartitionPiece(h, mu, hull(h), tuple(bounds))
+
+    if scheme == "triangle4":
+        half = F(1, 2)
+        mid = ((F(0), half),) * 3
+        return [*(vertex_piece(i, half) for i in range(3)),
+                PartitionPiece(residual_enclosure(S, half), half, box(mid), mid)]
+    t = {"m5": F(2, 5), "m8": F(7, 16), "m9": F(8, 17)}[scheme]
+    pieces = [vertex_piece(i, 1 - t) for i in range(4)]
+    refl = residual_enclosure(S, t)
+    gamma = -refl.ratio
+    if scheme == "m5":
+        clip = ((F(0), t),) * 4
+        return pieces + [PartitionPiece(None, gamma, box(clip), clip)]
+    refl_sx = Simplex(fraction_image(refl))
+    t2 = F(1, 4) if scheme == "m8" else F(2, 5)
+    cap = t - gamma * t2
+    for i in range(4):
+        comp = Homothet(1 - t2, tuple(t2 * c for c in refl_sx.vertices[i]), refl_sx).compose(refl)
+        bounds = [(F(0), t)] * 4
+        bounds[i] = (F(0), cap)
+        pieces.append(PartitionPiece(comp, abs(comp.ratio), hull(comp), tuple(bounds)))
+    if scheme == "m9":
+        core = ((cap, t),) * 4
+        enc = residual_enclosure(refl_sx, t2).compose(refl)
+        pieces.append(PartitionPiece(None, abs(enc.ratio), box(core), core))
+    return pieces
+
+
+def scheme_partition(S, scheme):
+    return triangle_partition4(S) if scheme == "triangle4" else simplex_partition(S, scheme)
+
+
+SCHEMES = {2: ["triangle4"], 3: ["m5", "m8", "m9"]}
+
+
+class TestSchemeTemplate:
+    """Each scheme's barycentric template, mapped through a simplex, against
+    the homothet construction run on that simplex."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3).flatmap(simplices))
+    @example(Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    @example(Simplex(((0, 0), (1, 0), (0, 1))))
+    def test_pieces_match_the_homothet_construction(self, S):
+        for scheme in SCHEMES[S.dim]:
+            got = scheme_partition(S, scheme).pieces
+            # repr compares the types too: Fraction coordinates throughout
+            assert repr(got) == repr(tuple(reference_scheme(S, scheme)))
+            for piece in got:
+                assert_seeded(piece.realized_hull)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.floats(-8, 8, allow_nan=False)] * n), min_size=n + 1, max_size=n + 1)))
+    def test_float_simplex_is_rounded_once(self, verts):
+        exact = [tuple(F(c) for c in v) for v in verts]
+        assume(rank(exact) == len(verts) - 1)
+        S, R = Simplex(tuple(verts)), Simplex(tuple(exact))
+        for scheme in SCHEMES[S.dim]:
+            for got, want in zip(scheme_partition(S, scheme).pieces, reference_scheme(R, scheme)):
+                assert got.realized_hull.vertices == tuple(
+                    tuple(map(float, v)) for v in want.realized_hull.vertices)
+                assert all(type(c) is float for v in got.realized_hull.vertices for c in v)
+                if want.description is not None:
+                    assert got.description.base == S
+                    assert got.description.translation == tuple(
+                        map(float, want.description.translation))
+                assert (got.ratio_bound, got.bary_bounds) == (want.ratio_bound, want.bary_bounds)
+
+
+def pair_walk(points, p):
+    """diameter_finite under l_p before the integer keys: the largest float
+    over every pair of the integer-scaled points."""
+    D, X = _integer_points(points)
+    return max(pnorm_eval([(u - v) / D for u, v in zip(a, b)], p)
+               for a, b in itertools.combinations(X, 2))
+
+
+wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 4)
+
+
+class TestLpDiameterKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.one_of(st.integers(-50, 50), wide_fractions)] * n),
+        min_size=1, max_size=10)), st.sampled_from([2, 3, 4, F(3), 2.0]))
+    # two diametral pairs with one key: differences (3, 4, 0) and (5, 0, 0)
+    @example([(0, 0, 0), (3, 4, 0), (5, 0, 0)], 2)
+    @example([(0, 0, 0), (3, 4, 0), (5, 0, 0)], 4)
+    # one key, two floats: the formula rounds (266, 989, 524) one ulp below
+    # (266, 524, 989), so the largest float among the tied pairs is taken
+    @example([(0, 0, 0), (266, 989, 524), (266, 524, 989)], 2)
+    def test_keys_match_the_pair_walk(self, points, p):
+        got = diameter_finite(points, Norm.lp(p))
+        want = pair_walk(points * 2 if len(points) == 1 else points, p)
+        assert type(got) is float and got.hex() == want.hex()
+
+    @pytest.mark.parametrize("p", [F(5, 2), 65, 1e18])
+    def test_other_p_walk_every_pair(self, p):
+        # a non-integer p, and integers too large for exact keys
+        points = [(0, 0, 0), (3, 4, 0), (5, 0, 0), (F(1, 3), -2, 7)]
+        assert diameter_finite(points, Norm.lp(p)).hex() == pair_walk(points, p).hex()
 
 
 class TestAffineRank:
