@@ -84,8 +84,10 @@ def _positive_int(text):
 
 
 def _norm_arg(text: str) -> Norm:
-    """Accept a p value ("1", "2", "inf", "3/2") or a norm-spec file path."""
-    if os.path.exists(text):
+    """A p value ("1", "2", "inf", "3/2"), else a norm-spec file path."""
+    try:
+        p = parse_scalar(text)
+    except ValueError:
         try:
             raw = read_json(text)
             # a file holds either a bare norm spec or a problem with a "norm" section
@@ -95,7 +97,7 @@ def _norm_arg(text: str) -> Norm:
         except (ValueError, OSError, KeyError) as exc:
             raise argparse.ArgumentTypeError("%s: %s" % (text, exc))
     try:
-        return Norm.lp(_scalar_arg(text))
+        return Norm.lp(p)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

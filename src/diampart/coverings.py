@@ -52,7 +52,7 @@ from .geometry import (
     norm_facets,
     polytope_diameter,
 )
-from .numbers import INF, all_rational, as_fraction, is_rational, same_mode, to_float
+from .numbers import INF, all_rational, as_fraction, float_or_inf, is_rational, same_mode, to_float
 from .partitions import (
     PartitionCertificate,
     PartitionPiece,
@@ -820,10 +820,7 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
     """
     if not 1 <= m <= 16:
         raise ValueError("m must lie in 1..16 (desk scale), got %s" % (m,))
-    try:
-        rf = to_float(r)
-    except OverflowError:
-        rf = math.inf
+    rf = float_or_inf(r)
     # a rational radius is tested exactly: its float may underflow to 0
     positive = r > 0 if is_rational(r) else rf > 0
     if not (positive and math.isfinite(rf)):

@@ -19,8 +19,10 @@ membership lives here too: a point lies in a V-polytope exactly when it
 satisfies the integer facet form of the translated vertices (see
 gauge_facets and point_in_vpolytope).  Rational hulls are
 integer rows over one denominator (apply_homothet), a width takes one
-facet row of each +-pair (_width), and _distance_keys is the oracle's
-one-pass integer distance table.
+facet row of each +-pair (_width), and _distance_keys is the one table of
+finite-set distance keys, shared by the oracle and the l_p branch of
+diameter_finite: integers for a polyhedral norm and for l_p with an
+integer p, floats of the exact differences for any other p.
 """
 from __future__ import annotations
 
@@ -591,75 +593,76 @@ def norm_eval(x: Vector, norm: Norm) -> Scalar:
 # diameters
 
 
-# Largest integer p whose diameters are chosen by the integer keys
-# sum |u - v|^p: a key has p times the bits of a difference, so a huge p
-# (a float such as 1e18 is an integer) walks the pairs in floats instead.
+# Largest integer p keyed by the integer sum |u - v|^p, which has p times
+# the bits of a difference; a larger p (1e18 is an integer) keys by floats.
 MAX_KEY_P = 64
 
 
 def diameter_finite(points: Sequence[Vector], norm: Norm, scaled=None) -> Scalar:
     """sup of pairwise distances of a finite set (0 for a single point).
 
-    Rational points are scaled once to integer tuples over a common
-    denominator D.  A polyhedral norm then needs no pairwise loop: the
-    diameter is the largest width max w.p - min w.p over the rows w of
-    its facet form (see norm_facets, _width), exact: for a gauge a Fraction,
-    rounded for a float body or float points, and for l1 and l_inf an
-    int exactly when every coordinate is an int.  Other l_p norms work
-    on the integer differences: for an integer p up to MAX_KEY_P, the
-    exact key sum |u - v|^p picks the diametral pairs, and only those
-    are evaluated (the largest of their floats, should the float formula
-    round two of them apart); for any other p every pair is evaluated.
-    Each difference is divided by D for the float formula: int/int
-    division rounds correctly, as Fraction.__float__ does, so the floats
-    are those of the Fraction differences bit for bit.  Points with a
-    float coordinate under an l_p norm walk the pairs as given.  A single
-    point counts as two copies.  ``scaled`` is _integer_points(points)
-    when the caller already has it.
+    The points are scaled once to integers over a common denominator D,
+    floats read exactly (``scaled`` is _integer_points(points) when the
+    caller has it).  A polyhedral norm needs no pairwise loop: the diameter
+    is the largest width max w.p - min w.p over its facet rows w (see
+    norm_facets, _width), a Fraction (an int for l1 and l_inf on int
+    coordinates), rounded for a float body or float points.  Other l_p
+    norms evaluate only the pairs of largest _distance_keys key, each
+    difference divided by D (int/int division rounds as Fraction.__float__
+    does), and return the largest of their floats.  A single point counts
+    as two copies.
     """
     pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("diameter of an empty set is undefined")
-    types = _coordinate_types(pts)
-    rational = types <= _EXACT_TYPES
     if len({len(p) for p in pts}) > 1:
         raise ValueError("points differ in dimension")
     if len(pts) == 1:
         return diameter_finite(pts * 2, norm)
-    if norm.kind == "p" and not rational:
-        return max(pnorm_eval(vsub(a, b), norm.p) for a, b in itertools.combinations(pts, 2))
-    D, X = scaled or _integer_points(pts)
+    D, X = scaled = scaled or _integer_points(pts)
     if norm.is_polyhedral:
         form = norm_facets(norm, len(pts[0]))
         diam = Fraction(_width(form.width_rows, X) * form.scale, form.den * D)
-        if not (rational and norm.exact):
+        types = _coordinate_types(pts)
+        if not (types <= _EXACT_TYPES and norm.exact):
             return to_float(diam)
         return diam.numerator if norm.kind == "p" and types <= {int} else diam
-    pairs = list(itertools.combinations(X, 2))
-    p = norm.p
-    if p == int(p) <= MAX_KEY_P:
-        # the pairs whose integer key sum |u - v|^p is largest are the
-        # diametral ones; only their floats are evaluated
-        e = int(p)
-        keys = [sum(abs(d) ** e for d in map(operator.sub, a, b)) for a, b in pairs]
-        top = max(keys)
-        pairs = [pair for pair, key in zip(pairs, keys) if key == top]
-    return max(pnorm_eval([(u - v) / D for u, v in zip(a, b)], p) for a, b in pairs)
+    keys = _distance_keys(pts, norm, scaled)
+    top = max(keys.values())
+    return max(_pnorm_of_difference(X[i], X[j], D, norm.p)
+               for (i, j), key in keys.items() if key == top)
 
 
-def _distance_keys(pts: list, norm: Norm) -> dict:
-    """{(i, j): key}, i < j, keys ordered as norm_eval(vsub(pts[i], pts[j]), norm):
-    for rational points under a polyhedral norm, the integers max(0, row
-    differences) of each point's facet-row values, computed once (a cone
-    row raises gauge_eval's ValueError); elsewhere the distances.  Points
-    of mixed dimension raise ValueError under every norm."""
+def _pnorm_of_difference(a, b, D: int, p: Scalar) -> float:
+    return pnorm_eval([(u - v) / D for u, v in zip(a, b)], p)
+
+
+def _key_exponent(norm: Norm) -> Optional[int]:
+    """e with each _distance_keys key c * distance**e, one c > 0 for all (1
+    if polyhedral, an integer p <= MAX_KEY_P), or None for float keys."""
+    if norm.is_polyhedral:
+        return 1
+    return int(norm.p) if norm.p == int(norm.p) <= MAX_KEY_P else None
+
+
+def _distance_keys(pts: list, norm: Norm, scaled=None) -> dict:
+    """{(i, j): key}, i < j, keys ordered as the distances, floats read
+    exactly (``scaled`` as in diameter_finite).  A polyhedral norm keys a
+    pair by the integer max(0, row differences) of the points' facet-row
+    values, computed once (a cone row raises gauge_eval's ValueError); l_p
+    with an integer p <= MAX_KEY_P by the integer sum |u - v|^p of the
+    scaled differences; any other p by the float distance of the exact
+    difference.  Points of mixed dimension raise ValueError."""
     dim, pairs = len(pts[0]), list(itertools.combinations(range(len(pts)), 2))
     if any(len(p) != dim for p in pts):
         raise ValueError("points differ in dimension")
-    if not (dim and norm.exact and _coordinate_types(pts) <= _EXACT_TYPES
-            and (norm.kind == "p" or norm.body.dim == dim)):
-        return {(i, j): norm_eval(vsub(pts[i], pts[j]), norm) for i, j in pairs}
-    form, (_, X) = norm_facets(norm, dim), _integer_points(pts)
+    D, X = scaled or _integer_points(pts)
+    e = _key_exponent(norm)
+    if e is None:
+        return {(i, j): _pnorm_of_difference(X[i], X[j], D, norm.p) for i, j in pairs}
+    if e > 1:
+        return {(i, j): sum(abs(d) ** e for d in map(operator.sub, X[i], X[j])) for i, j in pairs}
+    form = norm_facets(norm, dim)
     V = [[vdot(w, x) for w in form.rows] for x in X]
     C = [[vdot(c, x) for c in form.cone] for x in X]
     if any(any(map(operator.gt, C[i], C[j])) for i, j in pairs):

@@ -40,6 +40,14 @@ def to_float(x) -> float:
     return float(x)
 
 
+def float_or_inf(x) -> float:
+    """float(x), with a magnitude beyond the float range sent to +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return INF if x > 0 else -INF
+
+
 def same_mode(*values) -> tuple:
     """All the values as Fractions when every one is rational, all as
     floats otherwise, so that one formula serves both modes."""
@@ -111,6 +119,22 @@ def sqrt_exact(x: Fraction):
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
+
+
+def root_float(x, p: int) -> float:
+    """The float nearest x**(1/p) for a rational x >= 0 and an integer p >= 1:
+    r = floor(x**(1/p) * 2**k) has at least 55 bits, so no rounding boundary
+    lies strictly between r and r + 1, and r + 1/2 rounds as an inexact root."""
+    a, b = as_fraction(x).as_integer_ratio()
+    if a == 0:
+        return 0.0
+    k = 56 + -(-max(0, b.bit_length() - a.bit_length() + 1) // p)
+    y = a << (p * k)
+    n = y // b
+    r = 1 << -(-n.bit_length() // p)  # Newton's method from above
+    while (s := ((p - 1) * r + n // r ** (p - 1)) // p) < r:
+        r = s
+    return float(Fraction(2 * r + (r ** p * b != y), 1 << (k + 1)))
 
 
 def golden_section_min(g: Callable[[float], float], a: float, b: float):

@@ -6,21 +6,24 @@ given delta is graph m-colorability: draw an edge between points at
 distance strictly greater than delta, and ask for a proper coloring
 with at most m colors (color classes = parts).  Candidate deltas are
 the pairwise distances themselves (plus 0), so a binary search over the
-sorted candidates pins down the exact optimum.  The search runs on keys
-ordered as the distances (integers, made in one pass, for rational
-points under a polyhedral norm; see geometry._distance_keys).
+sorted candidates pins down the exact optimum.  The search runs on
+geometry._distance_keys, keys ordered as the exact distances, with no
+tolerance.  Strict ">" in the edge rule makes parts of diameter exactly
+delta feasible, which is the right semantics for an infimum.
 
-Strict ">" in the edge rule makes parts of diameter exactly delta
-feasible, which is the right semantics for an infimum.
+The value is the key ratio, rounded once (geometry._key_exponent); the
+threshold and diameter are norms of exact differences: Fractions for
+rational points under an exact norm, else floats, inf beyond their range.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .geometry import Norm, _distance_keys, norm_eval, vsub
-from .numbers import all_rational
+from .geometry import Norm, _distance_keys, _key_exponent, norm_eval, vsub
+from .numbers import all_rational, as_fraction, float_or_inf, root_float
 
 MAX_POINTS = 14
 MAX_PARTS = 9
@@ -71,31 +74,6 @@ def m_colorable(n: int, edges, m: int) -> Tuple[bool, Optional[tuple]]:
     return False, None
 
 
-def _cluster_floats(values: List[float], rel_tol: float = 1e-9) -> dict:
-    """Map each value to a representative of its tolerance cluster.
-
-    Floating-point distance evaluation turns coincident distances into
-    near-coincident ones (0.49999999999999994 next to 0.5).  Values
-    within rel_tol are grouped, and the member with the shortest decimal
-    round-trip representation (ties: the larger value) speaks for the
-    group, so clean values like 0.5 survive verbatim.
-    """
-    out = {}
-    cluster: List[float] = []
-    for v in sorted(set(values)):
-        if cluster and v - cluster[0] > rel_tol * max(abs(v), 1e-30):
-            rep = min(cluster, key=lambda w: (len(repr(w)), -w))
-            for w in cluster:
-                out[w] = rep
-            cluster = []
-        cluster.append(v)
-    if cluster:
-        rep = min(cluster, key=lambda w: (len(repr(w)), -w))
-        for w in cluster:
-            out[w] = rep
-    return out
-
-
 def beta_finite_exact(points: Sequence, m: int, norm: Norm) -> ExactBetaResult:
     """Least ratio (max part diameter)/diam over m-part splits of the set."""
     pts = [tuple(p) for p in points]
@@ -108,24 +86,6 @@ def beta_finite_exact(points: Sequence, m: int, norm: Norm) -> ExactBetaResult:
         raise ValueError("m must lie in [1, %d]" % MAX_PARTS)
 
     keys = _distance_keys(pts, norm)
-    exact = all_rational(keys.values())
-    if not exact:
-        rep = _cluster_floats([float(v) for v in keys.values()])
-        keys = {k: rep[float(v)] for k, v in keys.items()}
-    # the distance a key stands for, as norm_eval gives it
-    distance = (lambda k: norm_eval(vsub(pts[k[0]], pts[k[1]]), norm)) if exact else keys.get
-
-    zero = Fraction(0) if exact else 0.0
-    if m >= n or not keys:
-        parts = [(i,) for i in range(n)] + [()] * (m - n)
-        return ExactBetaResult(zero, tuple(parts[:m]), zero,
-                               distance(max(keys, key=keys.get)) if keys else zero)
-
-    diam = distance(max(keys, key=keys.get))
-    if diam == 0:
-        parts = [tuple(range(n))] + [()] * (m - 1)
-        return ExactBetaResult(zero, tuple(parts), zero, zero)
-
     candidates = [0] + sorted(set(keys.values()))
 
     colorings = {}
@@ -139,20 +99,25 @@ def beta_finite_exact(points: Sequence, m: int, norm: Norm) -> ExactBetaResult:
         colorings[idx] = cols if ok else None
         return ok
 
-    lo, hi = 0, len(candidates) - 1  # delta = diam is always feasible
-    if feasible(0):
-        hi = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    feasible(hi)
-    cols = colorings[hi]
+    # the least feasible index; delta = diam, the last one, always is
+    hi = 0 if feasible(0) else bisect.bisect_left(range(len(candidates)), True, key=feasible)
     parts: List[List[int]] = [[] for _ in range(m)]
-    for i, c in enumerate(cols):
+    for i, c in enumerate(colorings[hi]):
         parts[c].append(i)
-    delta = distance(next(k for k, d in keys.items() if d == candidates[hi])) if hi else zero
-    value = Fraction(delta, diam) if exact else delta / diam
-    return ExactBetaResult(value, tuple(tuple(p) for p in parts), delta, diam)
+
+    # Fractions for rational points under an exact norm, rounded floats otherwise
+    rational = all(map(all_rational, pts))
+    out = (lambda x: x) if rational and norm.exact else float_or_inf
+    exact_pts = pts if rational else [tuple(map(as_fraction, p)) for p in pts]
+
+    def distance(key):  # the norm of the first pair with this key
+        if not key:
+            return out(Fraction(0))
+        i, j = next(k for k, v in keys.items() if v == key)
+        return out(norm_eval(vsub(exact_pts[i], exact_pts[j]), norm))
+
+    # the key ratio, rounded once: at most 1, so it cannot overflow
+    kd, kD, e = candidates[hi], candidates[-1], _key_exponent(norm)
+    ratio = kd / (kD or 1) if e is None else Fraction(kd, kD or 1)
+    value = root_float(ratio, e) if e and e > 1 else out(ratio)
+    return ExactBetaResult(value, tuple(tuple(p) for p in parts), distance(kd), distance(kD))

@@ -185,8 +185,10 @@ def test_criterion_7_minmax_epsilon():
 
 def test_criterion_8_oracle_cross_checks():
     t0 = time.perf_counter()
-    a, b, c = (0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)
-    mid = lambda p, q: tuple((x + y) / 2 for x, y in zip(p, q))
+    # a rational equilateral triangle with its midpoints: squared keys
+    # 1/2 against 2, so the value is exactly 1/2
+    a, b, c = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    mid = lambda p, q: tuple(F(x + y, 2) for x, y in zip(p, q))
     config = [a, b, c, mid(a, b), mid(b, c), mid(a, c)]
     res = beta_finite_exact(config, 4, Norm.lp(2))
     ok = res.value == 0.5

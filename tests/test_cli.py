@@ -391,6 +391,28 @@ class TestCommands:
         assert doc["evidence_level"] == "exact"
         assert len(doc["results"]["witness_partition"]) == 2
 
+    def test_norm_p_value_is_not_read_as_a_file(self, capsys, tmp_path, monkeypatch):
+        # a file named "2" in the working directory does not shadow p = 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "2").write_text("not a norm spec")
+        (tmp_path / "pts.json").write_text(json.dumps({"points": [[0, 0], [3, 4], [6, 0]]}))
+        code, out = run_cli(capsys, "oracle", "--points", "pts.json", "--m", "2", "--norm", "2")
+        assert code == 0
+        assert parse(out)["results"]["norm"] == "l2"
+        assert parse(out)["results"]["diameter"] == 6.0
+
+    @pytest.mark.parametrize("norm", [{"kind": "p", "p": 1},
+                                      {"kind": "gauge", "vertices": [[1, 1], [1, -1],
+                                                                     [-1, 1], [-1, -1]]}])
+    def test_oracle_far_points(self, capsys, tmp_path, norm):
+        # the differences overflow a float, the value 1/2 does not
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"norm": norm, "points": [[1e308, 0], [-1e308, 0], [0, 1]]}))
+        code, out = run_cli(capsys, "oracle", "--points", str(path), "--m", "2")
+        assert code == 0
+        results = parse(out)["results"]
+        assert results["value"] == 0.5 and results["diameter"] == "inf"
+
     def test_beta_minmax_exact_threshold(self, capsys):
         _, out = run_cli(capsys, "beta", "minmax", "--eta", "9/16",
                          "--ball", "221/328")

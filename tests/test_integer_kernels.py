@@ -20,6 +20,7 @@ from diampart.geometry import (
     VPolytope,
     _distance_keys,
     _integer_points,
+    _key_exponent,
     affine_rank,
     apply_homothet,
     cross_polytope,
@@ -46,6 +47,7 @@ from diampart.partitions import (
 F = Fraction
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+floats = st.floats(min_value=-6, max_value=6)
 # ints and Fractions mixed, Fractions with denominator 1 among them
 scalars = st.one_of(st.integers(-6, 6), fractions)
 
@@ -207,6 +209,31 @@ class TestDistanceKeys:
         top = max(dist, key=dist.get)
         assert (keys[top] == 0) == (dist[top] == 0)
         assert all(keys[k] * dist[top] == dist[k] * keys[top] for k in dist)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(scalars, floats)] * 3), min_size=2, max_size=7),
+           st.sampled_from(NORMS_3D + [Norm.lp(2), Norm.lp(3), Norm.lp(4.0)]))
+    @example([(0, 0, 0), (1 + 1e-10, 0, 0), (2 + 1e-10, 0, 0)], Norm.lp(2))
+    @example([(1e308, 0, 0), (-1e308, 0, 0), (0, 1, 0)], Norm.lp(1))
+    def test_float_points_and_integer_p_keep_the_exact_order(self, pts, norm):
+        """A float is the rational it denotes; an integer p keys a pair by
+        the p-th power sum of its integer-scaled difference.  Either way the
+        keys are proportional to the e-th powers of the exact distances."""
+        exact = [tuple(map(F, p)) for p in pts]
+        keys = _distance_keys(pts, norm)
+        assert keys == _distance_keys(exact, norm)
+        assert all(type(k) is int for k in keys.values())
+        e = _key_exponent(norm)
+        dist = {(i, j): norm_eval(d, norm) if e == 1 else sum(abs(c) ** e for c in d)
+                for (i, j) in keys for d in [vsub(exact[i], exact[j])]}
+        top = max(dist, key=dist.get)
+        assert (keys[top] == 0) == (dist[top] == 0)
+        assert all(keys[k] * dist[top] == dist[k] * keys[top] for k in dist)
+
+    def test_a_float_body_keys_as_its_rational_body(self):
+        pts = [(0, 0, 0), (1, F(1, 3), 2), (-2, 0.1, 1), (3, 3, -1)]
+        assert (_distance_keys(pts, Norm.gauge(cube(3, half=0.75)))
+                == _distance_keys(pts, Norm.gauge(cube(3, half=F(3, 4)))))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(vec(3), min_size=2, max_size=7), st.sampled_from(NORMS_3D),

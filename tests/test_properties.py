@@ -259,9 +259,15 @@ class TestDiameterKernel:
     @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
         st.tuples(*[st.one_of(st.integers(-20, 20), st.floats(-8, 8))] * dim),
         min_size=2, max_size=6)))
-    def test_float_points_keep_the_pairwise_loop(self, pts):
+    def test_float_points_are_read_exactly(self, pts):
+        # a float is the rational it denotes: the diameter is the rational
+        # points' diameter, rounded (the same float, bit for bit, under l_p)
+        assume(any(type(c) is float for p in pts for c in p))
+        exact = [tuple(map(F, p)) for p in pts]
         for norm in (Norm.lp(1), Norm.lp(INF), Norm.lp(2), Norm.lp(3)):
-            assert diameter_finite(pts, norm) == pairwise_diameter(pts, norm)
+            got = diameter_finite(pts, norm)
+            assert type(got) is float
+            assert got.hex() == float(diameter_finite(exact, norm)).hex(), norm
 
 
 # (norm, dimensions) for every _norm_kernel kind the search uses
