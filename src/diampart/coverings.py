@@ -48,6 +48,7 @@ from .geometry import (
     Simplex,
     VPolytope,
     _width,
+    apply_homothet,
     gauge_facets,
     norm_facets,
     polytope_diameter,
@@ -161,6 +162,13 @@ def _uncovered_grid(boxes: tuple, N: int) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=32)
+def _covered(N: int) -> CoverageReport:
+    """The report of an exact check that found no gap: it holds nothing
+    but N, so every covered check at N shares one object."""
+    return CoverageReport("exact_grid", N, True, None, 0)
+
+
 def _simplex_grid_coverage(parent: Simplex, pieces, N: int) -> CoverageReport:
     k = parent.dim + 1
     count = math.comb(N + k - 1, k - 1)
@@ -172,7 +180,7 @@ def _simplex_grid_coverage(parent: Simplex, pieces, N: int) -> CoverageReport:
         raise ValueError("a piece's barycentric box needs %d coordinates" % k)
     bad = _uncovered_grid(boxes, N)
     if not bad:
-        return CoverageReport("exact_grid", N, True, None, 0)
+        return _covered(N)
     # most-uncovered grid point: largest violation of its best piece
     lam = max(([Fraction(v, N) for v in row] for row in bad),
               key=lambda x: _box_violation(x, boxes))
@@ -246,7 +254,7 @@ def _cube_scheme_coverage(parent: VPolytope, pieces, N: int) -> CoverageReport:
         pt = tuple(Fraction(lo + hi, 2) for lo, hi in missing)
         return CoverageReport("exact_grid", N, False,
                               (pt, to_float(_box_violation(pt, piece_ivals))), 0)
-    return CoverageReport("exact_grid", N, True, None, 0)
+    return _covered(N)
 
 
 # ---------------------------------------------------------------------------
@@ -405,37 +413,41 @@ def scheme_box_tautology(cert: PartitionCertificate):
 def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
     """max over pieces of diameter(piece)/diameter(parent) under the norm.
 
-    Pieces carrying a realized hull use its exact polytope diameter;
-    bare homothets use the scaling law |ratio|*diam(parent); sectors use
-    the analytic sqrt(2) (l_2 only).  Under a polyhedral norm with rational
-    hulls, the diameters are integer widths over one lcm denominator.
+    A homothet of ratio r has diameter |r| * diam(parent) in every norm,
+    so the homothets count once, through the largest |r|.  Under an exact
+    norm with rational data the ratio is max(that |r|, the box pieces'
+    integer widths over the parent's), and a homothet that attains it
+    returns its own ratio object.  Otherwise the homothet term is the
+    diameter of that homothet's image, a box piece uses its realized hull
+    and a sector the analytic sqrt(2) (l_2 only).
     """
     parent = cert.parent
-    hulls = [p.realized_hull for p in cert.pieces]
-    if norm.exact and None not in hulls and parent.rational and all(h.rational for h in hulls):
-        rows = norm_facets(norm, parent.dim).width_rows
-        L = math.lcm(*(P.integer_vertices[0] for P in (parent, *hulls)))
-        w = [_width(rows, X) * (L // D) for D, X in (P.integer_vertices for P in (*hulls, parent))]
-        return Fraction(max(w[:-1]), w[-1])
+    homothets = [p.description for p in cert.pieces if isinstance(p.description, Homothet)]
+    if any(h.base != parent or isinstance(parent, PBall) for h in homothets):
+        raise ValueError("a homothet piece must be a homothet of a polytope parent")
+    top = max(homothets, key=lambda h: abs(h.ratio), default=None)
+    others = [p for p in cert.pieces if not isinstance(p.description, Homothet)]
+    hulls = [p.realized_hull for p in others]
+    if (norm.exact and None not in hulls and parent.rational and all(P.rational for P in hulls)
+            and (top is None or is_rational(top.ratio))):
+        terms = [] if top is None else [as_fraction(top.ratio if top.ratio > 0 else -top.ratio)]
+        if hulls:
+            rows = norm_facets(norm, parent.dim).width_rows
+            L = math.lcm(*(P.integer_vertices[0] for P in (parent, *hulls)))
+            w = [_width(rows, X) * (L // D) for D, X in (P.integer_vertices for P in (*hulls, parent))]
+            terms.append(Fraction(max(w[:-1]), w[-1]))
+        return max(terms)  # the first of equal terms: the homothet's own ratio
     if isinstance(parent, PBall):
         if norm.kind != "p" or norm.p != parent.p:
             raise ValueError("a p-ball's diameter is known in its own norm only")
         parent_diam = 2 * parent.radius
     else:
         parent_diam = polytope_diameter(parent, norm)
-    best = None
-    for p in cert.pieces:
-        if isinstance(p.description, SectorRegion):
-            d = math.sqrt(2.0)
-        elif p.realized_hull is not None:
-            d = polytope_diameter(p.realized_hull, norm)
-        elif isinstance(p.description, Homothet):
-            d = abs(p.description.ratio) * parent_diam
-        else:
-            raise ValueError("piece is not realizable as a polytope")
-        if best is None or d > best:
-            best = d
-    best, parent_diam = same_mode(best, parent_diam)
+    if any(p.realized_hull is None and not isinstance(p.description, SectorRegion) for p in others):
+        raise ValueError("piece is not realizable as a polytope")
+    diams = [math.sqrt(2.0) if isinstance(p.description, SectorRegion)
+             else polytope_diameter(p.realized_hull, norm) for p in others] + ([] if top is None else [polytope_diameter(apply_homothet(top), norm)])
+    best, parent_diam = same_mode(max(diams), parent_diam)
     return best / parent_diam
 
 

@@ -91,7 +91,9 @@ class VPolytope:
     vertices: tuple
 
     def __post_init__(self):
-        verts = tuple(tuple(v) for v in self.vertices)
+        verts = self.vertices  # kept as given when already a tuple of tuples
+        if type(verts) is not tuple or any(type(v) is not tuple for v in verts):
+            verts = tuple(tuple(v) for v in verts)
         if not verts:
             raise ValueError("polytope needs at least one vertex")
         n = len(verts[0])
@@ -234,7 +236,10 @@ def pnorm_eval(x: Sequence[Scalar], p: Scalar) -> Scalar:
         raise ValueError("p must be >= 1")
     if p == 1:
         return sum(abs(v) for v in x)
-    xs = [abs(float(v)) for v in x]
+    try:
+        xs = [abs(float(v)) for v in x]
+    except OverflowError:  # the norm is at least that coordinate
+        return INF
     m = max(xs) if xs else 0.0
     if m == 0.0:
         return 0.0
@@ -634,7 +639,10 @@ def diameter_finite(points: Sequence[Vector], norm: Norm, scaled=None) -> Scalar
 
 
 def _pnorm_of_difference(a, b, D: int, p: Scalar) -> float:
-    return pnorm_eval([(u - v) / D for u, v in zip(a, b)], p)
+    try:
+        return pnorm_eval([(u - v) / D for u, v in zip(a, b)], p)
+    except OverflowError:  # as in pnorm_eval
+        return INF
 
 
 def _key_exponent(norm: Norm) -> Optional[int]:
@@ -652,14 +660,18 @@ def _distance_keys(pts: list, norm: Norm, scaled=None) -> dict:
     values, computed once (a cone row raises gauge_eval's ValueError); l_p
     with an integer p <= MAX_KEY_P by the integer sum |u - v|^p of the
     scaled differences; any other p by the float distance of the exact
-    difference.  Points of mixed dimension raise ValueError."""
+    difference, refused (OverflowError) when one is beyond the float range.
+    Points of mixed dimension raise ValueError."""
     dim, pairs = len(pts[0]), list(itertools.combinations(range(len(pts)), 2))
     if any(len(p) != dim for p in pts):
         raise ValueError("points differ in dimension")
     D, X = scaled or _integer_points(pts)
     e = _key_exponent(norm)
     if e is None:
-        return {(i, j): _pnorm_of_difference(X[i], X[j], D, norm.p) for i, j in pairs}
+        keys = {(i, j): _pnorm_of_difference(X[i], X[j], D, norm.p) for i, j in pairs}
+        if INF in keys.values():  # inf keys would tie whatever the distances
+            raise OverflowError("a distance under %s is beyond the float range" % norm.label())
+        return keys
     if e > 1:
         return {(i, j): sum(abs(d) ** e for d in map(operator.sub, X[i], X[j])) for i, j in pairs}
     form = norm_facets(norm, dim)

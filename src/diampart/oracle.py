@@ -29,7 +29,7 @@ MAX_POINTS = 14
 MAX_PARTS = 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactBetaResult:
     value: object
     witness_partition: tuple  # m tuples of point indices (some may be empty)

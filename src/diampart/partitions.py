@@ -13,14 +13,16 @@ Every simplex-scheme piece is, in barycentric coordinates, a box
 {lo_i <= lambda_i <= hi_i}: a vertex homothet (1-mu)v_i + mu*S is the
 set {lambda_i >= 1-mu}, and the residual pieces come out as boxes after
 inverting the reflected enclosure.  That makes membership and coverage
-checks exact interval arithmetic.  Every piece of a scheme is the affine
-image of one barycentric point set, so each scheme is built once, as a
+checks exact interval arithmetic.  Each scheme is built once, as a
 template of integer barycentric rows, and a partition of any simplex is
 that template times the simplex's integer vertices.
 
 Diameter ratios are certified through enclosing homothets — a homothet
 of ratio r scales every norm's diameters by |r| — so the certificates
 hold for EVERY norm, not just the one they are later verified under.
+For the same reason a homothet piece is its Homothet alone, with no
+hull; only the pieces that have no homothet description (the m5 clip
+box and the m9 core box) are realized as polytopes.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from .geometry import (
     apply_homothet,
     barycentric_coords,
     centroid,
+    cube,
     vdot,
     vscale,
 )
@@ -116,11 +119,6 @@ def _bary_polytope(S: Simplex, L: int, rows) -> VPolytope:
     return VPolytope(tuple(tuple(c / (L * D) for c in x) for x in X))
 
 
-def _box_hull(S: Simplex, bounds) -> VPolytope:
-    """The vertices of the barycentric box {lo <= lambda <= hi} of S."""
-    return _bary_polytope(S, *_bary_box_vertices(bounds))
-
-
 # ---------------------------------------------------------------------------
 # pieces and certificates
 
@@ -131,10 +129,12 @@ class PartitionPiece:
 
     description is the defining object: a Homothet of the parent, a
     SectorRegion, or None for a piece that is its barycentric box alone.
-    bary_bounds, when present, is the barycentric box that exact
-    membership and coverage are checked on; it lies inside a homothet
-    description, cut back to the residual region where a reflected piece
-    overhangs the parent.
+    realized_hull, the vertices of that box, is set exactly for the last
+    kind: a homothet's diameter is |ratio| times the parent's in every
+    norm, and a sector's is known.  bary_bounds, when present, is the
+    barycentric box that exact membership and coverage are checked on; it
+    lies inside a homothet description, cut back to the residual region
+    where a reflected piece overhangs the parent.
     """
 
     description: object
@@ -175,21 +175,12 @@ def piece_contains(piece: PartitionPiece, x, parent, tol=0) -> bool:
 # scheme constructors
 
 
-def _full_box(k):
-    return ((Fraction(0), Fraction(1)),) * k
-
-
 def _vertex_piece(S: Simplex, i: int, mu: Fraction) -> PartitionPiece:
     """The homothet (1-mu)v_i + mu*S, equivalently {lambda_i >= 1-mu}."""
-    h = Homothet(mu, vscale(1 - mu, S.vertices[i]), S)
-    bounds = list(_full_box(S.dim + 1))
+    bounds = [(Fraction(0), Fraction(1))] * (S.dim + 1)
     bounds[i] = (1 - mu, Fraction(1))
-    return PartitionPiece(
-        description=h,
-        ratio_bound=mu,
-        realized_hull=apply_homothet(h),
-        bary_bounds=tuple(bounds),
-    )
+    return PartitionPiece(description=Homothet(mu, vscale(1 - mu, S.vertices[i]), S),
+                          ratio_bound=mu, bary_bounds=tuple(bounds))
 
 
 def simplex_vertex_homothets(S: Simplex, mu) -> Tuple[PartitionPiece, ...]:
@@ -246,7 +237,8 @@ _SCHEME_RATIO = {"m5": Fraction(3, 5), "m8": Fraction(9, 16), "m9": Fraction(9, 
 
 
 def _scheme_pieces(S: Simplex, scheme: str) -> list:
-    """The pieces of a simplex scheme on S, built from homothets.
+    """The pieces of a simplex scheme on S, built from homothets; a box
+    piece is its bary_bounds alone (_scheme_template realizes it).
 
     triangle4 is the midpoint subdivision: three vertex homothets of ratio
     1/2 and the point reflection -(1/2)S + c, the residual enclosure at
@@ -261,8 +253,7 @@ def _scheme_pieces(S: Simplex, scheme: str) -> list:
         half = Fraction(1, 2)
         box = ((Fraction(0), half),) * 3
         return [*(_vertex_piece(S, i, half) for i in range(3)),
-                PartitionPiece(description=residual_enclosure(S, half), ratio_bound=half,
-                               realized_hull=_box_hull(S, box), bary_bounds=box)]
+                PartitionPiece(residual_enclosure(S, half), half, bary_bounds=box)]
     t = _SCHEME_T[scheme]
     pieces = [_vertex_piece(S, i, 1 - t) for i in range(4)]
     refl = residual_enclosure(S, t)  # -(4t-1)S + 4t*g
@@ -270,8 +261,7 @@ def _scheme_pieces(S: Simplex, scheme: str) -> list:
 
     if scheme == "m5":
         clip = ((Fraction(0), t),) * 4
-        pieces.append(PartitionPiece(description=None, ratio_bound=gamma,
-                                     realized_hull=_box_hull(S, clip), bary_bounds=clip))
+        pieces.append(PartitionPiece(None, gamma, bary_bounds=clip))
         return pieces
     # vertex homothets of ratio 1-t2 of the reflected copy: 3/4 (m8),
     # or the m5 pattern again (m9)
@@ -283,15 +273,12 @@ def _scheme_pieces(S: Simplex, scheme: str) -> list:
         comp = outer.compose(refl)
         bounds = [(Fraction(0), t)] * 4
         bounds[i] = (Fraction(0), cap)
-        pieces.append(PartitionPiece(description=comp, ratio_bound=abs(comp.ratio),
-                                     realized_hull=apply_homothet(comp),
-                                     bary_bounds=tuple(bounds)))
+        pieces.append(PartitionPiece(comp, abs(comp.ratio), bary_bounds=tuple(bounds)))
     if scheme == "m9":
         # lambda_i >= cap on the residual of the residual
         core = ((cap, t),) * 4
         enc = residual_enclosure(refl_sx, t2).compose(refl)
-        pieces.append(PartitionPiece(description=None, ratio_bound=abs(enc.ratio),
-                                     realized_hull=_box_hull(S, core), bary_bounds=core))
+        pieces.append(PartitionPiece(None, abs(enc.ratio), bary_bounds=core))
     return pieces
 
 
@@ -301,24 +288,21 @@ def _scheme_template(scheme: str) -> tuple:
 
     _scheme_pieces runs on the reference simplex (e_1, ..., e_n, 0),
     where a point x has barycentric coordinates (x, 1 - sum x).  Each
-    piece becomes (ratio, L, hull, shift, ratio_bound, bary_bounds): the
-    realized hull's vertices as integer barycentric rows over L, and for
-    a homothet piece its ratio and its translation as one such row, whose
-    coefficients sum to L(1 - ratio); ratio and shift are None for a box
-    piece.
+    piece becomes (ratio, L, rows, ratio_bound, bary_bounds) with integer
+    barycentric rows over L.  A homothet piece keeps its ratio and its
+    translation as one row, whose coefficients sum to L(1 - ratio), and
+    no hull: its diameter is |ratio| times the parent's in every norm.  A
+    box piece has ratio None and the vertices of its box as rows (see
+    _bary_box_vertices).
     """
     n = 2 if scheme == "triangle4" else 3
     ref = Simplex((*(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n))
     out = []
     for piece in _scheme_pieces(ref, scheme):
-        h = piece.description
-        rows = [(*x, 1 - sum(x)) for x in piece.realized_hull.vertices]
-        if h is not None:
-            rows.append((*h.translation, 1 - h.ratio - sum(h.translation)))
-        L, rows = _integer_points(rows)
-        hull, shift = (rows, None) if h is None else (rows[:-1], rows[-1])
-        out.append((None if h is None else h.ratio, L, hull, shift,
-                    piece.ratio_bound, piece.bary_bounds))
+        h, box = piece.description, piece.bary_bounds
+        L, rows = (_bary_box_vertices(box) if h is None else
+                   _integer_points(((*h.translation, 1 - h.ratio - sum(h.translation)),)))
+        out.append((None if h is None else h.ratio, L, rows, piece.ratio_bound, box))
     return tuple(out)
 
 
@@ -326,14 +310,12 @@ def _template_pieces(S: Simplex, scheme: str) -> tuple:
     """The scheme's template mapped through S: one integer product per
     piece (see _bary_polytope)."""
     pieces = []
-    for ratio, L, hull, shift, bound, box in _scheme_template(scheme):
-        desc = None
-        if ratio is not None:
-            # the translation sum_j c_j v_j is the one point of the row c
-            desc = Homothet(ratio, _bary_polytope(S, L, (shift,)).vertices[0], S)
-        pieces.append(PartitionPiece(description=desc, ratio_bound=bound,
-                                     realized_hull=_bary_polytope(S, L, hull),
-                                     bary_bounds=box))
+    for ratio, L, rows, bound, box in _scheme_template(scheme):
+        P = _bary_polytope(S, L, rows)
+        if ratio is None:
+            pieces.append(PartitionPiece(None, bound, P, box))
+        else:  # the translation sum_j c_j v_j is the one point of the row c
+            pieces.append(PartitionPiece(Homothet(ratio, P.vertices[0], S), bound, None, box))
     return tuple(pieces)
 
 
@@ -380,22 +362,15 @@ MAX_CUBE_DIM = 8
 
 def cube_partition(n: int) -> PartitionCertificate:
     """[-1,1]^n split into the 2^n half-cubes (1/2)B + (1/2)v; ratio 1/2
-    under l_inf."""
+    under l_inf.  Each piece is its homothet alone, with no hull: its
+    diameter is half the parent's in every norm."""
     if not 1 <= n <= MAX_CUBE_DIM:
         raise ValueError("dimension must lie in [1, %d]" % MAX_CUBE_DIM)
-    from .geometry import cube
-
     parent = cube(n)
     half = Fraction(1, 2)
-    pieces = []
-    for v in parent.vertices:
-        h = Homothet(half, vscale(half, v), parent)
-        # realized hulls get big in high dimension; the homothety law
-        # already certifies the piece diameters exactly
-        hull = apply_homothet(h) if n <= 5 else None
-        pieces.append(PartitionPiece(description=h, ratio_bound=half,
-                                     realized_hull=hull))
-    return PartitionCertificate(parent, tuple(pieces), half, "cube")
+    pieces = tuple(PartitionPiece(Homothet(half, vscale(half, v), parent), half)
+                   for v in parent.vertices)
+    return PartitionCertificate(parent, pieces, half, "cube")
 
 
 def disk_partition4() -> PartitionCertificate:

@@ -413,6 +413,26 @@ class TestCommands:
         results = parse(out)["results"]
         assert results["value"] == 0.5 and results["diameter"] == "inf"
 
+    def test_oracle_far_points_under_l2(self, capsys, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"points": [[1e308, 0], [-1e308, 0], [0, 1]]}))
+        code, out = run_cli(capsys, "oracle", "--points", str(path), "--m", "2", "--norm", "2")
+        assert code == 0
+        results = parse(out)["results"]
+        assert results["value"] == 0.5 and results["diameter"] == "inf"
+
+    @pytest.mark.parametrize("points", [[[1e308, 0], [-1e308, 0], [0, 1]],
+                                        [[0, 0], [1.7e308, 1.7e308], [1, 1]]])
+    def test_oracle_float_keys_beyond_the_float_range(self, capsys, tmp_path, points):
+        # p = 5/2 keys pairs by float distances: an infinite one is refused
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"points": points}))
+        code, captured = run_failing(capsys, ["oracle", "--points", str(path), "--m", "2",
+                                              "--norm", "5/2"])
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "diampart: error: a distance under l5/2 is beyond the float range"]
+
     def test_beta_minmax_exact_threshold(self, capsys):
         _, out = run_cli(capsys, "beta", "minmax", "--eta", "9/16",
                          "--ball", "221/328")

@@ -43,7 +43,9 @@ from diampart.coverings import (
     verify_ball_covering,
     verify_covering,
 )
+from diampart import partitions
 from diampart.partitions import (
+    PartitionCertificate,
     PartitionPiece,
     UnitDisk,
     cube_partition,
@@ -315,6 +317,47 @@ class TestDiameterRatio:
         # a p-ball parent's diameter, 2*radius, is known in its own norm only
         with pytest.raises(ValueError):
             partition_diameter_ratio(disk_partition4(), Norm.lp(1))
+
+    @pytest.mark.parametrize("scheme,most", [("m8", 2), ("m5", 3), ("m9", 3)])
+    def test_one_homothet_image_per_ratio(self, monkeypatch, scheme, most):
+        # the parent, the image of one homothet, and the box piece if any
+        walked = []
+        diameter = coverings.polytope_diameter
+        monkeypatch.setattr(coverings, "polytope_diameter",
+                            lambda P, norm: walked.append(P) or diameter(P, norm))
+        cert = simplex_partition(SKEW_TETRA, scheme)
+        for norm in (Norm.lp(2), Norm.lp(3)):
+            walked.clear()
+            assert float(partition_diameter_ratio(cert, norm)) == pytest.approx(float(cert.ratio))
+            assert len(walked) <= most
+
+    def test_exact_ratio_is_the_template_ratio(self):
+        template = [entry[0] for entry in partitions._scheme_template("m8")]
+        for S in (STD_TETRA, SKEW_TETRA):
+            for norm in (Norm.lp(1), Norm.lp(INF), Norm.gauge(cube(3))):
+                ratio = partition_diameter_ratio(simplex_partition(S, "m8"), norm)
+                assert ratio == F(9, 16) and any(ratio is r for r in template)
+
+    def test_homothets_of_another_body_are_refused(self):
+        cert = simplex_partition(STD_TETRA, "m8")
+        pieces = simplex_vertex_homothets(SKEW_TETRA, F(3, 4))
+        with pytest.raises(ValueError, match="homothet of a polytope parent"):
+            partition_diameter_ratio(PartitionCertificate(STD_TETRA, pieces, cert.ratio, "m8"),
+                                     Norm.lp(1))
+        # nor has a p-ball parent a hull for a homothet's image
+        disk = PBall(2, 2)
+        piece = PartitionPiece(Homothet(F(1, 2), (0, 0), disk), F(1, 2))
+        with pytest.raises(ValueError, match="homothet of a polytope parent"):
+            partition_diameter_ratio(PartitionCertificate(disk, (piece,), F(1, 2), "disk4"),
+                                     Norm.lp(2))
+
+    def test_covered_reports_are_shared(self):
+        other = Simplex(((1, 2, 0), (4, 1, -1), (-3, 2, 2), (0, 5, -4)))
+        reports = [verify_covering(S, simplex_partition(S, "m8").pieces, N=64)
+                   for S in (SKEW_TETRA, other)]
+        cube2 = cube_partition(2)
+        reports.append(verify_covering(cube2.parent, cube2.pieces, N=64))
+        assert reports[0].covered and all(r is reports[0] for r in reports)
 
 
 class TestSampledCoverage:

@@ -62,6 +62,15 @@ class TestPNorm:
         v = pnorm_eval((3.0, 1.0, 3.0), 800.0)
         assert v == pytest.approx(3.0, rel=1e-3)
 
+    @pytest.mark.parametrize("p", [2, 3, F(5, 2), 1.5])
+    def test_beyond_the_float_range_is_inf(self, p):
+        # the norm is at least the coordinate, whose float overflows
+        big = F(2 * 10 ** 308)
+        assert pnorm_eval((big, 1), p) == pnorm_eval((1, -big, 0), p) == INF
+        # finite results keep their bits
+        assert pnorm_eval((F(10 ** 308), -1), p) == 1e308
+        assert pnorm_eval((3, 4), 2) == 5.0
+
 
 class TestDualExponent:
     def test_basics(self):

@@ -32,12 +32,12 @@ from diampart.geometry import (
     polytope_diameter,
     vsub,
 )
-from diampart.numbers import INF
+from diampart.numbers import INF, same_mode
 from diampart.oracle import beta_finite_exact
 from diampart.partitions import (
     PartitionPiece,
     _bary_box_vertices,
-    _box_hull,
+    _bary_polytope,
     cube_partition,
     residual_enclosure,
     simplex_partition,
@@ -45,6 +45,12 @@ from diampart.partitions import (
 )
 
 F = Fraction
+
+
+def box_hull(S, bounds):
+    """The vertices of the barycentric box {lo <= lambda <= hi} of S, as
+    the scheme template realizes a box piece."""
+    return _bary_polytope(S, *_bary_box_vertices(bounds))
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 floats = st.floats(min_value=-6, max_value=6)
@@ -89,7 +95,7 @@ def fraction_image(h):
                  for v in h.base.vertices)
 
 
-def fraction_box_hull(S, bounds):
+def fractionbox_hull(S, bounds):
     """_box_hull in plain Fraction arithmetic."""
     L, rows = _bary_box_vertices(bounds)
     return tuple(tuple(sum((F(l, L) * v[i] for l, v in zip(lam, S.vertices)), F(0))
@@ -126,31 +132,59 @@ class TestIntegerHulls:
     def test_barycentric_region(self, S, pairs):
         bounds = tuple(tuple(sorted(b)) for b in pairs[:S.dim + 1])
         assume(_bary_box_vertices(bounds)[1])
-        got = _box_hull(S, bounds)
-        assert repr(got.vertices) == repr(fraction_box_hull(S, bounds))
+        got = box_hull(S, bounds)
+        assert repr(got.vertices) == repr(fractionbox_hull(S, bounds))
         assert_seeded(got)
 
     def test_scheme_hulls(self):
         S = Simplex(((0, 0, 0), (3, 1, 0), (-1, 4, 1), (F(1, 2), 1, 5)))
         for scheme in ("m5", "m8", "m9"):
             for piece in simplex_partition(S, scheme).pieces:
-                assert_seeded(piece.realized_hull)
-                assert all(type(c) is Fraction for v in piece.realized_hull.vertices for c in v)
+                hull = piece_hull(piece)
+                assert_seeded(hull)
+                assert all(type(c) is Fraction for v in hull.vertices for c in v)
 
     def test_float_data_map_point_by_point(self):
         S = Simplex(((0.0, 0.0), (1.0, 0.0), (0.5, 0.75)))
         h = Homothet(F(1, 2), (0.25, 0), S)
         assert apply_homothet(h).vertices == tuple(map(h.apply_point, S.vertices))
-        hull = _box_hull(S, ((0, F(1, 2)),) * 3)
+        hull = box_hull(S, ((0, F(1, 2)),) * 3)
         assert all(type(c) is float for v in hull.vertices for c in v)
 
 
+def piece_hull(piece):
+    """The image of a homothet piece, which carries no hull, or the
+    realized hull of any other piece."""
+    if isinstance(piece.description, Homothet):
+        assert piece.realized_hull is None
+        return apply_homothet(piece.description)
+    return piece.realized_hull
+
+
 def reference_ratio(cert, norm):
-    best = max(polytope_diameter(p.realized_hull, norm) for p in cert.pieces)
-    return Fraction(best, polytope_diameter(cert.parent, norm))
+    """The largest piece diameter over the parent's, every piece walked."""
+    best = max(polytope_diameter(piece_hull(p), norm) for p in cert.pieces)
+    best, parent = same_mode(best, polytope_diameter(cert.parent, norm))
+    return best / parent
+
+
+# l1, l2, l3, l_inf and a gauge, in each dimension
+RATIO_NORMS = {d: [Norm.lp(1), Norm.lp(2), Norm.lp(3), Norm.lp(INF), gauge]
+               for d, gauge in ((2, Norm.gauge(((2, 1), (-2, -1), (0, F(1, 3)), (0, F(-1, 3))))),
+                                (3, Norm.gauge(LOPSIDED)))}
 
 
 class TestCertificateRatio:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3).flatmap(simplices), st.integers(0, 4))
+    def test_matches_the_piece_walk(self, S, k):
+        # every homothet's image and every box hull walked, as before the
+        # scaling law: the floats of l2 and l3 too are repr-equal
+        norm = RATIO_NORMS[S.dim][k]
+        for scheme in SCHEMES[S.dim]:
+            cert = scheme_partition(S, scheme)
+            assert repr(partition_diameter_ratio(cert, norm)) == repr(reference_ratio(cert, norm))
+
     @settings(max_examples=30, deadline=None)
     @given(simplices(3), st.sampled_from(NORMS_3D))
     def test_tetrahedron_schemes(self, S, norm):
@@ -260,7 +294,7 @@ def reference_scheme(S, scheme):
         return VPolytope(fraction_image(h))
 
     def box(bounds):
-        return VPolytope(fraction_box_hull(S, bounds))
+        return VPolytope(fractionbox_hull(S, bounds))
 
     def vertex_piece(i, mu):
         h = Homothet(mu, tuple((1 - mu) * c for c in S.vertices[i]), S)
@@ -313,10 +347,13 @@ class TestSchemeTemplate:
     def test_pieces_match_the_homothet_construction(self, S):
         for scheme in SCHEMES[S.dim]:
             got = scheme_partition(S, scheme).pieces
+            want = reference_scheme(S, scheme)
             # repr compares the types too: Fraction coordinates throughout
-            assert repr(got) == repr(tuple(reference_scheme(S, scheme)))
+            assert (repr([(p.description, p.ratio_bound, p.bary_bounds) for p in got])
+                    == repr([(p.description, p.ratio_bound, p.bary_bounds) for p in want]))
+            assert repr([piece_hull(p) for p in got]) == repr([p.realized_hull for p in want])
             for piece in got:
-                assert_seeded(piece.realized_hull)
+                assert_seeded(piece_hull(piece))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 3).flatmap(lambda n: st.lists(
@@ -327,10 +364,12 @@ class TestSchemeTemplate:
         S, R = Simplex(tuple(verts)), Simplex(tuple(exact))
         for scheme in SCHEMES[S.dim]:
             for got, want in zip(scheme_partition(S, scheme).pieces, reference_scheme(R, scheme)):
-                assert got.realized_hull.vertices == tuple(
-                    tuple(map(float, v)) for v in want.realized_hull.vertices)
-                assert all(type(c) is float for v in got.realized_hull.vertices for c in v)
-                if want.description is not None:
+                if want.description is None:
+                    assert got.realized_hull.vertices == tuple(
+                        tuple(map(float, v)) for v in want.realized_hull.vertices)
+                    assert all(type(c) is float for v in got.realized_hull.vertices for c in v)
+                else:
+                    assert got.realized_hull is None
                     assert got.description.base == S
                     assert got.description.translation == tuple(
                         map(float, want.description.translation))

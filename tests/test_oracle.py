@@ -107,6 +107,21 @@ class TestBetaFinite:
         assert res.value == 0.5 and res.threshold == X and res.diameter == INF
         assert sorted(map(sorted, res.witness_partition)) == [[0, 2], [1]]
 
+    @pytest.mark.parametrize("norm", [Norm.lp(2), Norm.lp(3)])
+    def test_far_points_under_integer_p(self, norm):
+        # integer keys give the value; the exact diameter 2e308 prints as inf
+        X = 1e308
+        res = beta_finite_exact([(X, 0), (-X, 0), (0, 1)], 2, norm)
+        assert res.value == 0.5 and res.threshold == X and res.diameter == INF
+        assert sorted(map(sorted, res.witness_partition)) == [[0, 2], [1]]
+
+    @pytest.mark.parametrize("pts", [[(1e308, 0), (-1e308, 0), (0, 1)],
+                                     [(0, 0), (1.7e308, 1.7e308), (1, 1)]])
+    def test_float_keys_refuse_an_infinite_distance(self, pts):
+        # an inf float key ties with every other, so the value would read 0
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            beta_finite_exact(pts, 2, Norm.lp(F(5, 2)))
+
     @pytest.mark.parametrize("norm", [Norm.lp(1), Norm.lp(2), Norm.lp(3), Norm.lp(F(5, 2)),
                                       Norm.lp(INF), Norm.gauge(cube(2))])
     def test_far_points_never_give_nan(self, norm):

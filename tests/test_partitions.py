@@ -19,7 +19,6 @@ from diampart.partitions import (
     SectorRegion,
     UnitDisk,
     _bary_box_vertices,
-    _box_hull,
     cube_partition,
     disk_partition4,
     piece_contains,
@@ -28,6 +27,7 @@ from diampart.partitions import (
     simplex_vertex_homothets,
     triangle_partition4,
 )
+from test_integer_kernels import box_hull
 
 F = Fraction
 
@@ -49,7 +49,8 @@ class TestTrianglePartition:
     def test_equilateral_euclidean_diameters(self):
         cert = triangle_partition4(equilateral_triangle())
         for p in cert.pieces:
-            hull = p.realized_hull
+            assert p.realized_hull is None
+            hull = apply_homothet(p.description)
             assert diameter_finite(hull.vertices, Norm.lp(2)) == pytest.approx(0.5)
 
     def test_middle_piece_is_point_reflection(self):
@@ -58,8 +59,10 @@ class TestTrianglePartition:
         mid = cert.pieces[3]
         assert isinstance(mid.description, Homothet)
         assert mid.description.ratio == F(-1, 2)
+        assert mid.realized_hull is None
         reflected = apply_homothet(mid.description)
-        assert set(reflected.vertices) == set(mid.realized_hull.vertices)
+        # the reflection is exactly the piece's barycentric box
+        assert set(reflected.vertices) == set(box_hull(T, mid.bary_bounds).vertices)
 
     def test_rejects_higher_dimension(self):
         with pytest.raises(ValueError):
@@ -74,7 +77,7 @@ class TestVertexHomothets:
             h = piece.description
             assert h.ratio == piece.ratio_bound == F(3, 4)
             assert piece.bary_bounds[i] == (F(1, 4), 1)
-            assert piece.realized_hull == apply_homothet(h)
+            assert piece.realized_hull is None
             assert apply_homothet(h).vertices != STD_TETRA.vertices
             # the marked vertex is a fixed point
             assert h.apply_point(v) == v
@@ -115,7 +118,7 @@ class TestResidualEnclosure:
         img = apply_homothet(h)
         from diampart.geometry import point_in_vpolytope
 
-        for v in _box_hull(STD_TETRA, ((F(0), t),) * 4).vertices:
+        for v in box_hull(STD_TETRA, ((F(0), t),) * 4).vertices:
             assert point_in_vpolytope(img, v)
 
 
@@ -164,7 +167,12 @@ class TestSimplexSchemes:
             for p in cert.pieces:
                 if isinstance(p.description, Homothet) and p.description.ratio < 0:
                     continue  # a reflected tail overhangs; its box clips it
-                for v in p.realized_hull.vertices:
+                if isinstance(p.description, Homothet):
+                    assert p.realized_hull is None
+                    hull = apply_homothet(p.description)
+                else:
+                    hull = p.realized_hull
+                for v in hull.vertices:
                     lam = barycentric_coords(SKEW_TETRA, v)
                     assert all(lo <= c <= hi for c, (lo, hi) in zip(lam, p.bary_bounds))
 
@@ -186,7 +194,8 @@ class TestCubePartition:
 
     def test_segment(self):
         cert = cube_partition(1)
-        hulls = sorted(p.realized_hull.vertices for p in cert.pieces)
+        assert all(p.realized_hull is None for p in cert.pieces)
+        hulls = sorted(apply_homothet(p.description).vertices for p in cert.pieces)
         assert hulls == [((-1,), (0,)), ((0,), (1,))]
 
     def test_subcube_diameters(self):
@@ -194,7 +203,8 @@ class TestCubePartition:
         norm = Norm.lp(INF)
         assert polytope_diameter(cert.parent, norm) == 2
         for p in cert.pieces:
-            assert polytope_diameter(p.realized_hull, norm) == 1
+            assert p.realized_hull is None
+            assert polytope_diameter(apply_homothet(p.description), norm) == 1
 
     def test_range(self):
         with pytest.raises(ValueError):
