@@ -150,18 +150,15 @@ def _holder_max(f, p, radius):
 
 def _pball_boundary_samples(ball: PBall, count: int) -> list:
     """Deterministic spread of points on the boundary of an l_p ball:
-    Gaussian directions from a fixed seed, scaled onto the sphere."""
+    Gaussian directions from a fixed seed, scaled onto the sphere by
+    pnorm_eval, which factors out the largest coordinate before any power
+    is taken, so a large p does not overflow."""
     gauss = random.Random(98761234).gauss
     radius = to_float(ball.radius)
-    pf = to_float(ball.p)
     out = []
     for _ in range(count):
         d = [gauss(0.0, 1.0) for _ in range(ball.dim)]
-        if ball.p == INF:
-            size = max(map(abs, d))
-        else:
-            size = sum(abs(c) ** pf for c in d) ** (1.0 / pf)
-        scale = radius / size
+        scale = radius / pnorm_eval(d, ball.p)
         out.append(tuple(c * scale for c in d))
     return out
 

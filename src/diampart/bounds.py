@@ -136,7 +136,8 @@ def minmax_epsilon(eta: Scalar, beta_ball: Scalar) -> EpsilonOptResult:
     solved exactly when the discriminant is a perfect square.  When the
     simplex branch already dominates at 0+ the infimum is the left
     boundary limit and the result is reported just inside the interval.
-    A golden-section sweep cross-checks the closed form to 1e-10.
+    A golden-section sweep cross-checks the closed form to a relative
+    1e-10 (an absolute 1e-10 for a bound above 1).
     """
     if not 0 < to_float(eta) <= 1:
         raise ValueError("eta must lie in (0, 1]")
@@ -150,7 +151,7 @@ def minmax_epsilon(eta: Scalar, beta_ball: Scalar) -> EpsilonOptResult:
     h, b = to_float(eta), to_float(beta_ball)
     _, golden = golden_section_min(lambda e: max(minmax_branches(h, b, e)),
                                    _EDGE, 1.0 / 3.0 - _EDGE)
-    if abs(golden - to_float(bound)) > 1e-10:
+    if abs(golden - to_float(bound)) > 1e-10 * min(1.0, to_float(bound)):
         raise VerificationError(
             "closed form %.17g disagrees with golden section %.17g"
             % (to_float(bound), golden)
@@ -163,7 +164,13 @@ def _crossing_eps(h, b):
     in floats when the discriminant is not a rational square, then kept
     just inside (0, 1/3).  An exact root needs no such guard: with
     6b > 4h the quadratic takes 6b - 4h > 0 at eps = 0 and -44h/9 < 0 at
-    eps = 1/3, so its smaller root lies strictly between."""
+    eps = 1/3, so its smaller root lies strictly between.  Float h and b
+    are first scaled by the power of two that puts max(h, b) in [1/2, 1),
+    so that the discriminant does not underflow; the root does not depend
+    on the scale."""
+    if not is_rational(h):
+        shift = -math.frexp(max(h, b))[1]
+        h, b = math.ldexp(h, shift), math.ldexp(b, shift)
     a, mid, c = h + 6 * b, 3 * h + 20 * b, 6 * b - 4 * h
     disc = mid * mid - 4 * a * c
     root = sqrt_exact(disc) if is_rational(disc) else math.sqrt(disc)

@@ -47,8 +47,7 @@ from .geometry import (
     PBall,
     Simplex,
     VPolytope,
-    _width,
-    apply_homothet,
+    _rows_polytope,
     gauge_facets,
     norm_facets,
     polytope_diameter,
@@ -413,42 +412,36 @@ def scheme_box_tautology(cert: PartitionCertificate):
 def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
     """max over pieces of diameter(piece)/diameter(parent) under the norm.
 
-    A homothet of ratio r has diameter |r| * diam(parent) in every norm,
-    so the homothets count once, through the largest |r|.  Under an exact
-    norm with rational data the ratio is max(that |r|, the box pieces'
-    integer widths over the parent's), and a homothet that attains it
-    returns its own ratio object.  Otherwise the homothet term is the
-    diameter of that homothet's image, a box piece uses its realized hull
-    and a sector the analytic sqrt(2) (l_2 only).
+    One term per piece, and the largest wins, the first of equal terms.
+    A Homothet of the parent (a p-ball parent included) of ratio r has
+    diameter |r| * diam(parent) in every norm, so its term is |r| as
+    given: for a scheme, the template's own Fraction, whatever the norm
+    and the data.  A disk sector's term is its ratio_bound, under l_2
+    only.  A box piece is the one term measured: its realized hull's
+    polytope_diameter over the parent's, in same_mode, with a float
+    parent read as the rationals it denotes, as a scheme's box hulls are,
+    so that a box that ties with a homothet is not rounded above it.
     """
-    parent = cert.parent
-    homothets = [p.description for p in cert.pieces if isinstance(p.description, Homothet)]
-    if any(h.base != parent or isinstance(parent, PBall) for h in homothets):
-        raise ValueError("a homothet piece must be a homothet of a polytope parent")
-    top = max(homothets, key=lambda h: abs(h.ratio), default=None)
-    others = [p for p in cert.pieces if not isinstance(p.description, Homothet)]
-    hulls = [p.realized_hull for p in others]
-    if (norm.exact and None not in hulls and parent.rational and all(P.rational for P in hulls)
-            and (top is None or is_rational(top.ratio))):
-        terms = [] if top is None else [as_fraction(top.ratio if top.ratio > 0 else -top.ratio)]
-        if hulls:
-            rows = norm_facets(norm, parent.dim).width_rows
-            L = math.lcm(*(P.integer_vertices[0] for P in (parent, *hulls)))
-            w = [_width(rows, X) * (L // D) for D, X in (P.integer_vertices for P in (*hulls, parent))]
-            terms.append(Fraction(max(w[:-1]), w[-1]))
-        return max(terms)  # the first of equal terms: the homothet's own ratio
-    if isinstance(parent, PBall):
-        if norm.kind != "p" or norm.p != parent.p:
-            raise ValueError("a p-ball's diameter is known in its own norm only")
-        parent_diam = 2 * parent.radius
-    else:
-        parent_diam = polytope_diameter(parent, norm)
-    if any(p.realized_hull is None and not isinstance(p.description, SectorRegion) for p in others):
-        raise ValueError("piece is not realizable as a polytope")
-    diams = [math.sqrt(2.0) if isinstance(p.description, SectorRegion)
-             else polytope_diameter(p.realized_hull, norm) for p in others] + ([] if top is None else [polytope_diameter(apply_homothet(top), norm)])
-    best, parent_diam = same_mode(max(diams), parent_diam)
-    return best / parent_diam
+    parent, parent_diam, terms = cert.parent, None, []
+    for piece in cert.pieces:
+        desc = piece.description
+        if isinstance(desc, Homothet):
+            if desc.base != parent:
+                raise ValueError("a homothet piece must scale the parent itself "
+                                 "(a homothet of a polytope parent or of a p-ball parent)")
+            terms.append(desc.ratio if desc.ratio > 0 else -desc.ratio)
+        elif isinstance(desc, SectorRegion):
+            if norm.kind != "p" or norm.p != 2:
+                raise ValueError("a sector's diameter is known under l_2 only")
+            terms.append(piece.ratio_bound)
+        elif piece.realized_hull is None:
+            raise ValueError("piece is not realizable as a polytope")
+        else:  # a float parent read as the rationals it denotes, like its box hulls
+            parent_diam = parent_diam or polytope_diameter(
+                parent if parent.rational else _rows_polytope(*parent.integer_vertices), norm)
+            diam, whole = same_mode(polytope_diameter(piece.realized_hull, norm), parent_diam)
+            terms.append(diam / whole)
+    return max(terms)
 
 
 # ---------------------------------------------------------------------------

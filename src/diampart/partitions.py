@@ -21,8 +21,9 @@ Diameter ratios are certified through enclosing homothets — a homothet
 of ratio r scales every norm's diameters by |r| — so the certificates
 hold for EVERY norm, not just the one they are later verified under.
 For the same reason a homothet piece is its Homothet alone, with no
-hull; only the pieces that have no homothet description (the m5 clip
-box and the m9 core box) are realized as polytopes.
+hull, and its term in a diameter ratio is its |ratio| under every norm;
+only the pieces that have no homothet description (the m5 clip box and
+the m9 core box) are realized as polytopes, and only they are measured.
 """
 from __future__ import annotations
 
@@ -107,16 +108,12 @@ def _bary_box_vertices(bounds) -> tuple:
 
 def _bary_polytope(S: Simplex, L: int, rows) -> VPolytope:
     """The points sum_j (lam_j / L) v_j of S for the integer rows lam: one
-    integer product per row against S.integer_vertices, then integer rows
-    over one denominator for a rational simplex, and each coordinate
-    rounded once for a float simplex, which is read as the rationals it
-    denotes."""
+    integer product per row against S.integer_vertices, as integer rows
+    over one denominator.  A float simplex is read as the rationals it
+    denotes, so its points are exact too."""
     D, P = S.integer_vertices
     cols = tuple(zip(*P))
-    X = [[vdot(lam, col) for col in cols] for lam in rows]
-    if S.rational:
-        return _rows_polytope(L * D, X)
-    return VPolytope(tuple(tuple(c / (L * D) for c in x) for x in X))
+    return _rows_polytope(L * D, [[vdot(lam, col) for col in cols] for lam in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +305,16 @@ def _scheme_template(scheme: str) -> tuple:
 
 def _template_pieces(S: Simplex, scheme: str) -> tuple:
     """The scheme's template mapped through S: one integer product per
-    piece (see _bary_polytope)."""
+    piece (see _bary_polytope).  A box hull is exact, since it is
+    measured; a float simplex's homothet translations are rounded once."""
     pieces = []
     for ratio, L, rows, bound, box in _scheme_template(scheme):
         P = _bary_polytope(S, L, rows)
         if ratio is None:
             pieces.append(PartitionPiece(None, bound, P, box))
         else:  # the translation sum_j c_j v_j is the one point of the row c
-            pieces.append(PartitionPiece(Homothet(ratio, P.vertices[0], S), bound, None, box))
+            t = P.vertices[0] if S.rational else tuple(map(float, P.vertices[0]))
+            pieces.append(PartitionPiece(Homothet(ratio, t, S), bound, None, box))
     return tuple(pieces)
 
 
@@ -339,10 +338,11 @@ def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
     scheme is built once, on the reference simplex, as integer
     barycentric rows (_scheme_template; see _scheme_pieces for the
     construction).  Each call maps those rows through S's integer
-    vertices, one integer product per piece: a rational S gets integer
-    hull rows over one denominator, and a float S is read as the
-    rationals it denotes, with each coordinate rounded once.  The pieces'
-    ratio bounds are checked against the scheme ratio on every call.
+    vertices, one integer product per piece: the box hulls are integer
+    rows over one denominator, a float S read as the rationals it
+    denotes, and a float S's homothet translations are rounded once.
+    The pieces' ratio bounds are checked against the scheme ratio on
+    every call.
     """
     if S.dim != 3:
         raise ValueError("schemes are defined for tetrahedra")

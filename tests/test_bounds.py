@@ -104,6 +104,15 @@ class TestMinmax:
             assert float(res.bound) <= max(
                 *minmax_branches(0.5, 0.6, e)) + 1e-12
 
+    @pytest.mark.parametrize("lam", [2.0 ** -900, 1e-300])
+    @pytest.mark.parametrize("eta,ball", [(1.0, 1.0), (9 / 16, 2 / 3), (0.5, 0.6), (0.3, 1.0)])
+    def test_bound_is_homogeneous_in_tiny_inputs(self, lam, eta, ball):
+        # the crossing is found at any scale, not clamped to the edge when
+        # the float discriminant would underflow
+        want = lam * float(minmax_epsilon(eta, ball).bound)
+        got = minmax_epsilon(lam * eta, lam * ball).bound
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_input_validation(self):
         for bad in (0, 1.5, -0.2):
             with pytest.raises(ValueError):

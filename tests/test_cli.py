@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from diampart.bounds import minmax_epsilon
 from diampart.cli import main
 from test_imports import NUMPY_FREE_COMMANDS
 
@@ -321,6 +322,15 @@ class TestCommands:
         assert doc["results"]["method"] == "exact_formula"
         assert doc["evidence_level"] == "exact"
 
+    @pytest.mark.parametrize("p", ["600", "1000", "1e300"])
+    def test_bm_bound_large_p(self, capsys, p):
+        # the boundary sweep does not overflow raising a coordinate to p
+        code, out = run_cli(capsys, "bm", "bound", "--p", p)
+        assert code == 0
+        doc = parse(out)
+        assert doc["results"]["certificate"]["verified"] is True
+        assert doc["results"]["gamma"] == 3 ** (1 / float(p))
+
     def test_partition_simplex_with_verify(self, capsys):
         code, out = run_cli(capsys, "partition", "simplex", "--m", "9",
                             "--verify", "17", "--norm", "inf")
@@ -469,6 +479,11 @@ SIZED_PARTITION_COMMANDS = [
 ]
 
 
+# inputs inside every command's domain, at the edges of the float range
+WELL_POSED_P = ["1", "1.0000000001", "2", "600", "1000", "1e300", "inf"]
+WELL_POSED_MINMAX = [("1e-300", "1e-300"), ("1", "1e-300"), ("1e-300", "1"), ("1", "1")]
+
+
 def _negated(c):
     return "-" + c if isinstance(c, str) else -c
 
@@ -508,6 +523,15 @@ def run_in_process(argv):
         warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
 
 
+def well_posed_report(argv):
+    """The report of an input that must not be refused: exit 0 or 2, no
+    error line, the same bytes on a second run."""
+    code, out, err = run_in_process(argv)
+    assert code in (0, 2) and err == "", (argv, code, err)
+    assert run_in_process(argv) == (code, out, err), argv
+    return json.loads(out)
+
+
 def check_outcome(argv):
     code, out, err = run_in_process(argv)
     assert code in (0, 1, 2), (argv, code)
@@ -537,6 +561,22 @@ class TestHostileInput:
         argv[data.draw(st.integers(0, len(argv) - 1))] = data.draw(
             st.sampled_from(HOSTILE_TOKENS))
         check_outcome(argv)
+
+    @pytest.mark.parametrize("p", WELL_POSED_P)
+    @pytest.mark.parametrize("command", [["bm", "bound", "--p"], ["beta", "table", "--p-list"]],
+                             ids=lambda c: " ".join(c[:2]))
+    def test_well_posed_p_is_never_refused(self, command, p):
+        well_posed_report(command + [p])
+
+    @pytest.mark.parametrize("eta,ball", WELL_POSED_MINMAX)
+    def test_well_posed_minmax_is_never_refused(self, eta, ball):
+        bound = well_posed_report(["beta", "minmax", "--eta", eta, "--ball", ball])["results"]["bound"]
+        # homogeneous of degree 1: the bound at (eta, ball) is s times the
+        # bound at (eta/s, ball/s), s = max(eta, ball)
+        h, b = float(eta), float(ball)
+        s = max(h, b)
+        assert float(Fraction(bound)) == pytest.approx(
+            s * float(minmax_epsilon(h / s, b / s).bound), rel=1e-12, abs=0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(COVER_SEARCH_COMMANDS), st.data())

@@ -148,8 +148,11 @@ class TestIntegerHulls:
         S = Simplex(((0.0, 0.0), (1.0, 0.0), (0.5, 0.75)))
         h = Homothet(F(1, 2), (0.25, 0), S)
         assert apply_homothet(h).vertices == tuple(map(h.apply_point, S.vertices))
+        # a box hull is read exactly: the rationals the floats denote
         hull = box_hull(S, ((0, F(1, 2)),) * 3)
-        assert all(type(c) is float for v in hull.vertices for c in v)
+        exact = Simplex(tuple(tuple(map(F, v)) for v in S.vertices))
+        assert repr(hull.vertices) == repr(box_hull(exact, ((0, F(1, 2)),) * 3).vertices)
+        assert_seeded(hull)
 
 
 def piece_hull(piece):
@@ -162,10 +165,18 @@ def piece_hull(piece):
 
 
 def reference_ratio(cert, norm):
-    """The largest piece diameter over the parent's, every piece walked."""
-    best = max(polytope_diameter(piece_hull(p), norm) for p in cert.pieces)
-    best, parent = same_mode(best, polytope_diameter(cert.parent, norm))
-    return best / parent
+    """The largest piece term, the first of equal terms: |ratio| for a
+    homothet, which scales every norm's diameters by it, and for a box
+    piece its walked hull's diameter over the parent's."""
+    terms = []
+    for p in cert.pieces:
+        if isinstance(p.description, Homothet):
+            terms.append(abs(p.description.ratio))
+        else:
+            diam, parent = same_mode(polytope_diameter(p.realized_hull, norm),
+                                     polytope_diameter(cert.parent, norm))
+            terms.append(diam / parent)
+    return max(terms)
 
 
 # l1, l2, l3, l_inf and a gauge, in each dimension
@@ -178,12 +189,28 @@ class TestCertificateRatio:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 3).flatmap(simplices), st.integers(0, 4))
     def test_matches_the_piece_walk(self, S, k):
-        # every homothet's image and every box hull walked, as before the
-        # scaling law: the floats of l2 and l3 too are repr-equal
+        # the scaling law for homothets and every box hull walked: the
+        # floats of l2 and l3 too are repr-equal
         norm = RATIO_NORMS[S.dim][k]
         for scheme in SCHEMES[S.dim]:
             cert = scheme_partition(S, scheme)
             assert repr(partition_diameter_ratio(cert, norm)) == repr(reference_ratio(cert, norm))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3).flatmap(simplices), st.booleans())
+    @example(Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5))), False)
+    # the m5 clip box ties with the homothets under l_inf
+    @example(Simplex(((0, 0, 0), (0, 1, 0), (F(13, 2), 0, 1), (F(13, 2), 0, 0))), True)
+    def test_every_ratio_is_the_certified_fraction(self, S, as_floats):
+        # a homothet attains every scheme's ratio, so it comes out as the
+        # certified Fraction under every norm, for float data too
+        if as_floats:
+            S = Simplex(tuple(tuple(map(float, v)) for v in S.vertices))
+        for norm in RATIO_NORMS[S.dim] + [Norm.lp(F(5, 2))]:
+            for scheme in SCHEMES[S.dim]:
+                cert = scheme_partition(S, scheme)
+                ratio = partition_diameter_ratio(cert, norm)
+                assert type(ratio) is Fraction and ratio == cert.ratio, (scheme, norm.label())
 
     @settings(max_examples=30, deadline=None)
     @given(simplices(3), st.sampled_from(NORMS_3D))
@@ -364,10 +391,8 @@ class TestSchemeTemplate:
         S, R = Simplex(tuple(verts)), Simplex(tuple(exact))
         for scheme in SCHEMES[S.dim]:
             for got, want in zip(scheme_partition(S, scheme).pieces, reference_scheme(R, scheme)):
-                if want.description is None:
-                    assert got.realized_hull.vertices == tuple(
-                        tuple(map(float, v)) for v in want.realized_hull.vertices)
-                    assert all(type(c) is float for v in got.realized_hull.vertices for c in v)
+                if want.description is None:  # a box hull is exact, not rounded
+                    assert repr(got.realized_hull.vertices) == repr(want.realized_hull.vertices)
                 else:
                     assert got.realized_hull is None
                     assert got.description.base == S
