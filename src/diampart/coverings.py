@@ -793,7 +793,7 @@ def _exact_margin(P, D, centers, r, norm: Norm):
                                          for cw in np.asarray(C, dtype=dtype) @ W.T])
     value = Fraction(int(dist.max()) * form.scale, form.den * L)
     if not norm.exact:
-        value = to_float(value)  # as gauge_eval rounds for a float body
+        value = float_or_inf(value)  # as gauge_eval rounds for a float body
     return value - as_fraction(r)
 
 

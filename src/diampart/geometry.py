@@ -11,13 +11,16 @@ results never round.
 Linear algebra, hulls and polytope tests read a float as the rational it
 denotes and round only the result, so float data takes the exact path
 too: this module holds no tolerance and imports no numpy.  Exact
-elimination is done one way, on integer rows and without
-fractions: _echelon gives ranks, affine bases and pivot columns, and the
-Bareiss _det every determinant (Cramer's rule in solve_linear_system,
-the facet normals, the complement of a flat body's span).  Polytope
-membership lives here too: a point lies in a V-polytope exactly when it
-satisfies the integer facet form of the translated vertices (see
-gauge_facets and point_in_vpolytope).  Rational hulls are
+elimination is done one way, on integer rows and without fractions:
+_echelon gives the ranks (affine_rank, matrix_rank_exact) and the
+Bareiss _det the determinants of Cramer's rule in solve_linear_system.
+Polytopes are enumerated one way too, by the integer double-description
+kernel _extreme_rays: the facets of a gauge body (gauge_facets) and the
+vertices of a barycentric box (partitions._bary_box_vertices) are both
+extreme rays of a cone given by integer rows.  Polytope membership lives
+here too: a point lies in a V-polytope exactly when it satisfies the
+integer facet form of the translated vertices (see gauge_facets and
+point_in_vpolytope).  Rational hulls are
 integer rows over one denominator (apply_homothet), a width takes one
 facet row of each +-pair (_width), and _distance_keys is the one table of
 finite-set distance keys, shared by the oracle and the l_p branch of
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .numbers import INF, Scalar, all_rational, as_fraction, same_mode, to_float
+from .numbers import INF, Scalar, all_rational, as_fraction, float_or_inf, same_mode, to_float
 
 Vector = Tuple[Scalar, ...]
 
@@ -77,7 +80,7 @@ def centroid(points: Sequence[Vector]) -> Vector:
 
 def affine_rank(points: Sequence[Vector]) -> int:
     """Dimension of the affine hull of the given points."""
-    return len(_affine_basis(_integer_points(points)[1])) - 1 if points else 0
+    return len(_echelon([(*p, 1) for p in _integer_points(points)[1]])) - 1 if points else 0
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +409,6 @@ def _det(M) -> int:
     """Integer determinant by Bareiss fraction-free elimination; M is a
     list of row lists, overwritten."""
     n = len(M)
-    if n == 2:  # the minors of every 3-D facet normal: the hot path
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
     if n == 0:
         return 1
     sign, prev = 1, 1
@@ -456,53 +457,61 @@ def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
     return len(_echelon(_integer_points(rows)[1]))
 
 
-def _affine_basis(points) -> list:
-    """The integer points, in order, that raise the affine rank of those
-    before them (the first always does)."""
-    rest = _echelon([vsub(p, points[0]) for p in points[1:]])
-    return [points[0], *(points[i + 1] for i, _, _ in rest)]
+def _primitive(v) -> tuple:
+    """The nonzero integer vector v divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
 
 
-def _hull_facets(points) -> set:
-    """Facets (c, d), c.y <= d with gcd 1, of the hull of distinct integer
-    points whose affine hull is the whole space.
+def _extreme_rays(rows, dim: int) -> tuple:
+    """(lin, rays) of the cone {y in Z^dim : a.y >= 0 for every integer row a}.
 
-    Beneath-beyond on a simplicial boundary (Clarkson and Shor 1989; Barber,
-    Dobkin and Huhdanpaa 1996): from n+1 affinely independent points, each
-    later point replaces the facets it lies strictly beyond by cones to
-    their horizon ridges.  Planes face away from the start simplex's
-    centroid; coplanar simplices share one normalised (c, d).
+    Double description (Motzkin et al. 1953; Fukuda and Prodon 1996),
+    started from the whole space: lin is a basis of the lineality space,
+    each vector grown from a unit vector e_f, and rays maps each extreme
+    ray modulo lin (primitive, and zero on the coordinates f of those
+    e_f) to the bitmask of the row indices tight on it.  A row nonzero
+    on lin takes the first lin vector l it is nonzero on, oriented to its
+    side: the other lin vectors and every ray are projected along l into
+    the row's hyperplane and l becomes a ray, so lin stays the elimination
+    complement of the rows.  Any other row keeps the rays on its side and
+    adds a ray for each adjacent pair across it (u violates it, v
+    satisfies it strictly): their shared tight rows number at least the
+    pointed dimension minus 2, and no third ray is tight on all of them.
+    Distinct extreme rays have distinct tight sets, so a third ray is
+    told apart by its bitmask alone.
     """
-    n = len(points[0])
-    start = _affine_basis(points)
-    pts = start + [p for p in points if p not in start]
-    inner = [sum(c) for c in zip(*start)]  # (n + 1) times the centroid
-    facets, ridges = {}, {}
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = {}
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        dots = [vdot(a, m) for m in lin]
+        i = next((i for i, x in enumerate(dots) if x), None)
+        if i is not None:
+            s, l = dots[i], lin[i]
+            if s < 0:
+                s, l = -s, vneg(l)
 
-    def add(verts):
-        base = pts[verts[0]]
-        M = [[a - b for a, b in zip(pts[i], base)] for i in verts[1:]]
-        c = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in M]) for j in range(n)]
-        d = vdot(c, base)
-        g = math.gcd(*c, d) if vdot(c, inner) < (n + 1) * d else -math.gcd(*c, d)
-        facets[verts] = (tuple(v // g for v in c), d // g)
-        for i in range(n):
-            ridges.setdefault(verts[:i] + verts[i + 1:], []).append(verts)
-
-    for i in range(n + 1):
-        add(tuple(j for j in range(n + 1) if j != i))
-    for k in range(n + 1, len(pts)):
-        seen = {f for f, (c, d) in facets.items() if vdot(c, pts[k]) > d}
-        horizon = []
-        for f in seen:
-            del facets[f]
-            for ridge in (f[:i] + f[i + 1:] for i in range(n)):
-                ridges[ridge].remove(f)
-                if ridges[ridge] and ridges[ridge][0] not in seen:
-                    horizon.append(ridge)
-        for ridge in horizon:
-            add(ridge + (k,))
-    return set(facets.values())
+            def project(r, x):
+                return _primitive([s * ri - x * li for ri, li in zip(r, l)])
+            lin = [project(m, x) for j, (m, x) in enumerate(zip(lin, dots)) if j != i]
+            rays = {project(r, vdot(a, r)): z | bit for r, z in rays.items()}
+            rays[l] = bit - 1
+            continue
+        signed = [(r, z, vdot(a, r)) for r, z in rays.items()]
+        kept = {r: z | bit if x == 0 else z for r, z, x in signed if x >= 0}
+        need = dim - len(lin) - 2
+        for u, zu, xu in signed:
+            if xu >= 0:
+                continue
+            for v, zv, xv in signed:
+                z = zu & zv
+                if xv <= 0 or z.bit_count() < need or any(
+                        z & zw == z and zw != zu and zw != zv for zw in rays.values()):
+                    continue
+                kept[_primitive([xv * ui - xu * vi for ui, vi in zip(u, v)])] = z | bit
+        rays = kept
+    return lin, rays
 
 
 @functools.lru_cache(maxsize=64)
@@ -513,38 +522,19 @@ def gauge_facets(vertices: tuple) -> FacetForm:
     (den/d)*c.
 
     Integer arithmetic throughout; no float hull and no tolerance.  The
-    vertices and the origin are projected onto span(vertices) and their
-    hull is built incrementally (_hull_facets), so the work is polynomial
-    in the number of vertices.  ``rows`` and ``cone`` are sorted, which
-    makes the form canonical.
+    facets are the extreme rays (c, d) of the cone d >= 0, v.c <= d for
+    every scaled vertex v (_extreme_rays): those with d > 0 and c != 0
+    are the facets, those with d = 0 the facets through the origin, and
+    both signs of each lineality vector span the complement of
+    span(vertices); the last two make ``cone``.  ``rows`` and ``cone``
+    are sorted, which makes the form canonical.
     """
     scale, V = _integer_points(vertices)
     n = len(V[0])
-    basis = _echelon(V)
-    pivots = sorted(j for _, j, _ in basis)
-    B = [V[i] for i, _, _ in basis]
-    det = _det([[r[p] for p in pivots] for r in B])
-    cone = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        # the primitive null vector of B on pivots + {f}, by Cramer's rule
-        e = [0] * n
-        e[f] = det
-        for p in pivots:
-            e[p] = -_det([[r[f] if q == p else r[q] for q in pivots] for r in B])
-        g = math.gcd(*e) if det > 0 else -math.gcd(*e)
-        e = tuple(x // g for x in e)
-        cone += [e, vneg(e)]
-    facets = []
-    if pivots:
-        pts = sorted({tuple(v[j] for j in pivots) for v in V} | {(0,) * len(pivots)})
-        for c, d in _hull_facets(pts):
-            lifted = tuple(dict(zip(pivots, c)).get(j, 0) for j in range(n))
-            if d > 0:
-                facets.append((lifted, d))
-            else:
-                cone.append(lifted)
+    lin, rays = _extreme_rays([(0,) * n + (1,), *((*vneg(v), 1) for v in sorted(V))], n + 1)
+    facets = [(r[:-1], r[-1]) for r in rays if r[-1] > 0 and any(r[:-1])]
+    cone = [r[:-1] for r in rays if r[-1] == 0]
+    cone += [c for m in lin for c in (m[:-1], vneg(m[:-1]))]
     den = math.lcm(*(d for _, d in facets))
     rows = tuple(sorted(tuple(den // d * ci for ci in c) for c, d in facets))
     return FacetForm(scale, den, rows, tuple(sorted(cone)))
@@ -585,7 +575,7 @@ def gauge_eval(x: Vector, body: VPolytope) -> Scalar:
     if any(vdot(c, X) > 0 for c in form.cone):
         raise ValueError("point is outside the span of the gauge body")
     value = Fraction(max(0, *(vdot(w, X) for w in form.rows)) * form.scale, form.den * D)
-    return value if all_rational(x) and body.rational else to_float(value)
+    return value if all_rational(x) and body.rational else float_or_inf(value)
 
 
 def norm_eval(x: Vector, norm: Norm) -> Scalar:
@@ -630,7 +620,7 @@ def diameter_finite(points: Sequence[Vector], norm: Norm, scaled=None) -> Scalar
         diam = Fraction(_width(form.width_rows, X) * form.scale, form.den * D)
         types = _coordinate_types(pts)
         if not (types <= _EXACT_TYPES and norm.exact):
-            return to_float(diam)
+            return float_or_inf(diam)
         return diam.numerator if norm.kind == "p" and types <= {int} else diam
     keys = _distance_keys(pts, norm, scaled)
     top = max(keys.values())

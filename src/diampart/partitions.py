@@ -28,7 +28,6 @@ the m9 core box) are realized as polytopes, and only they are measured.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +38,7 @@ from .geometry import (
     PBall,
     Simplex,
     VPolytope,
+    _extreme_rays,
     _integer_points,
     _rows_polytope,
     apply_homothet,
@@ -46,6 +46,7 @@ from .geometry import (
     centroid,
     cube,
     vdot,
+    vneg,
     vscale,
 )
 from .numbers import VerificationError, as_fraction, same_mode, to_float
@@ -87,23 +88,23 @@ def _bary_box_vertices(bounds) -> tuple:
     """(L, V): the vertices of {lo <= lambda <= hi, sum lambda = 1} are
     the sorted integer rows of V over L, the lcm of the bound denominators.
 
-    Every vertex has at most one coordinate strictly between its bounds,
-    so enumerating one free coordinate against all lo/hi patterns of the
-    rest is exhaustive.
+    With lambda = (y, L - sum y)/L and the bounds scaled by L, the box is
+    the slice s = 1 of the cone s >= 0, lo_i s <= y_i <= hi_i s (i < k)
+    and L - hi_k <= sum y / s <= L - lo_k, whose extreme rays with s > 0
+    are its vertices (_extreme_rays); each vertex has at most one
+    coordinate strictly between its bounds, so it is an integer row and
+    its ray has s = 1.
     """
     L, ints = _integer_points(bounds)
     k = len(ints)
-    if sum(lo for lo, _ in ints) > L or sum(hi for _, hi in ints) < L:
-        return L, ()
-    out = set()
-    for free in range(k):
-        others = [ints[i] for i in range(k) if i != free]
-        lo, hi = ints[free]
-        for pattern in itertools.product(*others):
-            rest = L - sum(pattern)
-            if lo <= rest <= hi:
-                out.add(pattern[:free] + (rest,) + pattern[free:])
-    return L, tuple(sorted(out))
+    rows = [(0,) * (k - 1) + (1,)]
+    for i, (lo, hi) in enumerate(ints[:-1]):
+        e = tuple(int(i == j) for j in range(k - 1))
+        rows += [(*e, -lo), (*vneg(e), hi)]
+    lo, hi = ints[-1]
+    rows += [(-1,) * (k - 1) + (L - lo,), (1,) * (k - 1) + (hi - L,)]
+    _, rays = _extreme_rays(rows, k)
+    return L, tuple(sorted((*r[:-1], L - sum(r[:-1])) for r in rays if r[-1] > 0))
 
 
 def _bary_polytope(S: Simplex, L: int, rows) -> VPolytope:

@@ -431,6 +431,17 @@ class TestCommands:
         results = parse(out)["results"]
         assert results["value"] == 0.5 and results["diameter"] == "inf"
 
+    def test_oracle_far_points_under_a_float_gauge(self, capsys, tmp_path):
+        # the polyhedral diameter rounds to inf, as it does under l2
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "norm": {"kind": "gauge", "vertices": [[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]]},
+            "points": [[1e308, 0], [-1e308, 0], [0, 1]]}))
+        code, out = run_cli(capsys, "oracle", "--points", str(path), "--m", "2")
+        assert code == 0
+        results = parse(out)["results"]
+        assert results["value"] == 0.5 and results["diameter"] == "inf"
+
     @pytest.mark.parametrize("points", [[[1e308, 0], [-1e308, 0], [0, 1]],
                                         [[0, 0], [1.7e308, 1.7e308], [1, 1]]])
     def test_oracle_float_keys_beyond_the_float_range(self, capsys, tmp_path, points):

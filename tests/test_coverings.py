@@ -530,6 +530,13 @@ class TestBallCoveringSearch:
         again = verify_ball_covering(cube(1), ((float(F(q - 1, q)),),), 1.5, Norm.lp(INF))
         assert again == pytest.approx(0.5)
 
+    def test_exact_margin_beyond_the_float_range(self):
+        # a float gauge one subnormal wide along x_1: the cube's corner is
+        # at distance 2^1074, which rounds to inf instead of raising
+        tiny = Norm.gauge([(5e-324, 0, 0), (-5e-324, 0, 0), (0, 1, 0), (0, -1, 0),
+                           (0, 0, 1), (0, 0, -1)])
+        assert verify_ball_covering(cube(3), [(0, 0, 0)], 1, tiny) == INF
+
 
 def _lattice_fractions(body):
     P, D = _confirmation_points(body)

@@ -145,6 +145,10 @@ class TestGauge:
 
     def test_float_vertices_give_float_value(self):
         assert gauge_eval((1, -2, 0), cube(3, half=1.0)) == 2.0
+
+    def test_float_value_beyond_the_float_range_is_inf(self):
+        body = VPolytope(((1e-300, 0), (-1e-300, 0), (0, 1.0), (0, -1.0)))
+        assert gauge_eval((1e308, 0), body) == INF
         assert isinstance(gauge_eval((1, -2, 0), cube(3, half=1.0)), float)
         assert isinstance(gauge_eval((1, -2, 0), cube(3)), Fraction)
 

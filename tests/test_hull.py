@@ -1,17 +1,31 @@
-"""The incremental hull behind gauge_facets against a brute-force oracle."""
+"""The double-description kernel behind gauge_facets against a brute-force oracle."""
 
 import itertools
 import math
 import random
 import time
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diampart import geometry
-from diampart.geometry import _det, _hull_facets, gauge_facets, matrix_rank_exact, vdot, vneg
+from diampart.geometry import (
+    FacetForm,
+    Norm,
+    _det,
+    _echelon,
+    _extreme_rays,
+    _integer_points,
+    cross_polytope,
+    cube,
+    gauge_eval,
+    gauge_facets,
+    matrix_rank_exact,
+    norm_facets,
+    vdot,
+    vneg,
+)
+from diampart.numbers import INF
 
 
 def brute_hull_facets(points) -> set:
@@ -43,9 +57,41 @@ def brute_hull_facets(points) -> set:
 
 
 def brute_gauge_facets(vertices):
-    """gauge_facets with the brute-force hull in place of the incremental one."""
-    with mock.patch.object(geometry, "_hull_facets", brute_hull_facets):
-        return gauge_facets.__wrapped__(vertices)
+    """gauge_facets by brute force: the scaled vertices are projected onto
+    the pivot columns of their span, brute_hull_facets gives the facets of
+    the projection with the origin added, each is lifted with zeros off
+    the pivots, and Cramer's rule gives a primitive basis of the
+    complement of the span, both signs of each vector in the cone."""
+    scale, V = _integer_points(vertices)
+    n = len(V[0])
+    basis = _echelon(V)
+    pivots = sorted(j for _, j, _ in basis)
+    B = [V[i] for i, _, _ in basis]
+    det = _det([[r[p] for p in pivots] for r in B])
+    cone = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        # the primitive null vector of B on pivots + {f}
+        e = [0] * n
+        e[f] = det
+        for p in pivots:
+            e[p] = -_det([[r[f] if q == p else r[q] for q in pivots] for r in B])
+        g = math.gcd(*e) if det > 0 else -math.gcd(*e)
+        e = tuple(x // g for x in e)
+        cone += [e, vneg(e)]
+    facets = []
+    if pivots:
+        pts = sorted({tuple(v[j] for j in pivots) for v in V} | {(0,) * len(pivots)})
+        for c, d in brute_hull_facets(pts):
+            lifted = tuple(dict(zip(pivots, c)).get(j, 0) for j in range(n))
+            if d > 0:
+                facets.append((lifted, d))
+            else:
+                cone.append(lifted)
+    den = math.lcm(*(d for _, d in facets))
+    rows = tuple(sorted(tuple(den // d * ci for ci in c) for c, d in facets))
+    return FacetForm(scale, den, rows, tuple(sorted(cone)))
 
 
 def _points(n, lo, hi, max_size):
@@ -54,10 +100,10 @@ def _points(n, lo, hi, max_size):
 
 @st.composite
 def bodies(draw):
-    """Vertex tuples in R^2..R^4: symmetric, off-centre (the origin on the
+    """Vertex tuples in R^2..R^5: symmetric, off-centre (the origin on the
     boundary of conv(W + {0})), flat, and coplanar-heavy lattice bodies,
     some over a common denominator."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 5))
     kind = draw(st.sampled_from(["symmetric", "off-centre", "flat", "lattice"]))
     if kind == "symmetric":
         half = draw(_points(n, -6, 6, 6))
@@ -78,6 +124,23 @@ def bodies(draw):
                                for p in pts))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cube_and_cross_polytope_forms(n):
+    def rows(vertices):
+        return sorted(gauge_facets(vertices).rows)
+    assert rows(cube(n).vertices) == sorted(norm_facets(Norm.lp(INF), n).rows)
+    assert rows(cross_polytope(n).vertices) == sorted(norm_facets(Norm.lp(1), n).rows)
+
+
+def test_cube8_facets_are_fast():
+    # facets holding many vertices cost one ray each, not a triangulation
+    t0 = time.perf_counter()
+    form = gauge_facets.__wrapped__(cube(8).vertices)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(form.rows) == 16 and not form.cone
+    assert gauge_eval((1,) * 8, cube(8)) == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(bodies())
 def test_gauge_facets_match_brute_force(vertices):
@@ -90,10 +153,14 @@ def test_gauge_facets_match_brute_force(vertices):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: _points(n, -3, 3, 14)))
 def test_hull_matches_brute_force_off_the_origin(points):
+    # with no row d >= 0 the cone of (c, d), c.p <= d on every point, is
+    # generated by the facets alone when the points span the space
     pts = sorted(set(points))
     n = len(pts[0])
     assume(matrix_rank_exact([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == n)
-    assert _hull_facets(pts) == brute_hull_facets(pts)
+    lin, rays = _extreme_rays([(*vneg(p), 1) for p in pts], n + 1)
+    assert not lin
+    assert {(r[:-1], r[-1]) for r in rays} == brute_hull_facets(pts)
 
 
 def test_thirty_pair_gauge_ceiling():

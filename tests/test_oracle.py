@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diampart.geometry import Norm, _distance_keys, _key_exponent, cube, norm_eval, vsub
+from diampart.geometry import (Norm, _distance_keys, _key_exponent, cross_polytope, cube,
+                               diameter_finite, norm_eval, vsub)
 from diampart.numbers import INF, float_or_inf, root_float
 from diampart.oracle import beta_finite_exact, m_colorable
 
@@ -130,6 +131,17 @@ class TestBetaFinite:
         except OverflowError:  # a float distance that leaves the float range
             return
         assert not any(map(math.isnan, (res.value, res.threshold, res.diameter)))
+
+    @pytest.mark.parametrize("norm", [Norm.lp(1), Norm.lp(INF), Norm.lp(2),
+                                      Norm.gauge(cross_polytope(2)),
+                                      Norm.gauge([(1.0, 0), (-1.0, 0), (0, 1.0), (0, -1.0)])],
+                             ids=["l1", "linf", "l2", "int-gauge", "float-gauge"])
+    def test_far_points_have_an_infinite_diameter(self, norm):
+        # the exact diameter 2e308 rounds to inf under every norm
+        pts = [(1e308, 0.0), (-1e308, 0.0), (0.0, 1.0)]
+        assert diameter_finite(pts, norm) == INF
+        res = beta_finite_exact(pts, 2, norm)
+        assert res.value == 0.5 and res.diameter == INF
 
     def test_enough_parts_means_zero(self):
         pts = [(0, 0), (5, 1), (2, 2)]
