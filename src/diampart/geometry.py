@@ -12,8 +12,8 @@ Linear algebra, hulls and polytope tests read a float as the rational it
 denotes and round only the result, so float data takes the exact path
 too: this module holds no tolerance and imports no numpy.  Exact
 elimination is done one way, on integer rows and without fractions:
-_echelon gives the ranks (affine_rank, matrix_rank_exact) and the
-Bareiss _det the determinants of Cramer's rule in solve_linear_system.
+_echelon gives the ranks (affine_rank, matrix_rank_exact) and, by back
+substitution, the solutions of solve_linear_system.
 Polytopes are enumerated one way too, by the integer double-description
 kernel _extreme_rays: the facets of a gauge body (gauge_facets) and the
 vertices of a barycentric box (partitions._bary_box_vertices) are both
@@ -116,12 +116,6 @@ class VPolytope:
 
     # (D, P) of _integer_points(vertices), computed once per polytope
     integer_vertices = functools.cached_property(lambda self: _integer_points(self.vertices))
-
-    def translate(self, t: Vector) -> "VPolytope":
-        return VPolytope(tuple(vadd(v, t) for v in self.vertices))
-
-    def scale(self, alpha: Scalar) -> "VPolytope":
-        return VPolytope(tuple(vscale(alpha, v) for v in self.vertices))
 
 
 @dataclass(frozen=True)
@@ -262,33 +256,34 @@ def dual_exponent(p: Scalar) -> Scalar:
     return p / (p - 1)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Norm:
     """A norm on R^n: either an l_p norm or the gauge of a polytope.
 
-    Gauge bodies must be origin-symmetric (vertex set closed under
-    negation) and full-dimensional, so that the Minkowski functional is
-    a genuine norm.  Gauges are evaluated through the body's cached
-    exact facet list (gauge_facets).
+    A frozen value, equal by p (2, 2.0 and Fraction(2) alike) or by the
+    body's vertex tuple; the other kind's field is None.  Gauge bodies
+    must be origin-symmetric (vertex set closed under negation) and
+    full-dimensional, so that the Minkowski functional is a genuine norm.
+    Gauges are evaluated through the body's cached exact facet list
+    (gauge_facets).
     """
 
-    __slots__ = ("kind", "p", "body")
+    kind: str
+    p: Optional[Scalar] = None
+    body: Optional[VPolytope] = None
 
-    def __init__(self, kind: str, p: Optional[Scalar] = None,
-                 body: Optional[VPolytope] = None):
-        if kind == "p":
-            if p is None or not (p == INF or p >= 1):  # NaN fails both
+    def __post_init__(self):
+        if self.kind == "p":
+            if self.p is None or not (self.p == INF or self.p >= 1):  # NaN fails both
                 raise ValueError("p-norm needs p in [1, inf]")
-            self.p = p
-            self.body = None
-        elif kind == "gauge":
-            if body is None:
+            object.__setattr__(self, "body", None)
+        elif self.kind == "gauge":
+            if self.body is None:
                 raise ValueError("gauge norm needs a body")
-            _validate_gauge_body(body)
-            self.p = None
-            self.body = body
+            _validate_gauge_body(self.body)
+            object.__setattr__(self, "p", None)
         else:
-            raise ValueError("unknown norm kind %r" % (kind,))
-        self.kind = kind
+            raise ValueError("unknown norm kind %r" % (self.kind,))
 
     @classmethod
     def lp(cls, p: Scalar) -> "Norm":
@@ -326,20 +321,6 @@ class Norm:
         if self.kind == "gauge":
             return "Norm.gauge(<%d vertices>)" % len(self.body.vertices)
         return "Norm.lp(%r)" % (self.p,)
-
-    def __eq__(self, other):
-        if not isinstance(other, Norm):
-            return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "p":
-            return self.p == other.p
-        return self.body.vertices == other.body.vertices
-
-    def __hash__(self):
-        if self.kind == "p":
-            return hash(("p", self.p))
-        return hash(("gauge", self.body.vertices))
 
 
 def _validate_gauge_body(body: VPolytope):
@@ -405,32 +386,12 @@ def _integer_points(points) -> tuple:
     return D, tuple(tuple(n * (D // d) for n, d in p) for p in ratios)
 
 
-def _det(M) -> int:
-    """Integer determinant by Bareiss fraction-free elimination; M is a
-    list of row lists, overwritten."""
-    n = len(M)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
 def _echelon(rows) -> list:
     """(i, j, v) for each integer row i that raises the rank of the rows
     before it, by fraction-free elimination: v is row i reduced against
-    the earlier v's and j is its first nonzero index.  The j's are
-    distinct and are the pivot columns of the row space."""
+    the earlier v's, so zero on their j's, and j is its first nonzero
+    index.  The j's are distinct and are the pivot columns of the row
+    space.  This is the module's one elimination."""
     basis = []
     for i, v in enumerate(rows):
         for _, j, b in basis:
@@ -442,14 +403,21 @@ def _echelon(rows) -> list:
 
 
 def solve_linear_system(A: Sequence[Sequence], b: Sequence):
-    """Exact solution of a square system by Cramer's rule on the
-    integer-scaled [A | b]; None if singular."""
+    """Exact solution of a square system by _echelon on the integer-scaled
+    [A | b], as Fractions; None unless the n pivots fall in A's columns.
+
+    Each basis row is zero on the pivots of the rows before it, so in
+    reverse basis order every other column it touches is already solved.
+    """
     _, M = _integer_points([[*row, rhs] for row, rhs in zip(A, b)])
-    det = _det([list(r[:-1]) for r in M])
-    if det == 0:
+    n = len(M)
+    basis = _echelon(M)
+    if len(basis) < n or any(j == n for _, j, _ in basis):
         return None
-    return [Fraction(_det([[*r[:j], r[-1], *r[j + 1:-1]] for r in M]), det)
-            for j in range(len(M))]
+    x = [0] * n
+    for _, j, v in reversed(basis):
+        x[j] = Fraction(v[n] - sum(map(operator.mul, v, x)), v[j])
+    return x
 
 
 def matrix_rank_exact(rows: Sequence[Sequence]) -> int:

@@ -68,12 +68,6 @@ def canonical_json(obj, indent: int = 0) -> str:
 # norm and body specs
 
 
-def norm_to_spec(norm: Norm) -> dict:
-    if norm.kind == "p":
-        return {"kind": "p", "p": norm.p}
-    return {"kind": "gauge", "vertices": [list(v) for v in norm.body.vertices]}
-
-
 def _require_object(spec, what: str) -> dict:
     if not isinstance(spec, dict):
         raise ValueError("%s must be a JSON object, got %s" % (what, type(spec).__name__))
@@ -104,16 +98,6 @@ def norm_from_spec(spec: dict) -> Norm:
     if kind == "gauge":
         return Norm.gauge(VPolytope(parse_points(_field(spec, "norm", "vertices"))))
     raise ValueError("unknown norm kind %r" % (kind,))
-
-
-def body_to_spec(body) -> dict:
-    if isinstance(body, Simplex):
-        return {"kind": "simplex", "vertices": [list(v) for v in body.vertices]}
-    if isinstance(body, VPolytope):
-        return {"kind": "vpolytope", "vertices": [list(v) for v in body.vertices]}
-    if isinstance(body, PBall):
-        return {"kind": "pball", "p": body.p, "dim": body.dim, "radius": body.radius}
-    raise TypeError("cannot describe body of type %s" % type(body).__name__)
 
 
 def body_from_spec(spec: dict):

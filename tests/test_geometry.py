@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -183,6 +184,45 @@ class TestGauge:
         assert max(values) == 1 and len(gauge_facets(body.vertices).rows) > 20
 
 
+class TestNormValue:
+    def test_frozen(self):
+        # a hashed norm keys norm_facets' cache, so it must not change
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Norm.lp(2).p = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Norm.gauge(cube(2)).body = cube(2, half=2)
+
+    def test_lp_equal_across_scalar_types(self):
+        norms = [Norm.lp(2), Norm.lp(2.0), Norm.lp(F(2))]
+        assert all(n == norms[0] and hash(n) == hash(norms[0]) for n in norms)
+        assert Norm.lp(2) != Norm.lp(3) and Norm.lp(INF) != Norm.gauge(cube(2))
+
+    def test_gauges_equal_by_vertex_tuple(self):
+        square = cube(2).vertices
+        assert Norm.gauge(square) == Norm.gauge(list(square))
+        assert hash(Norm.gauge(square)) == hash(Norm.gauge(list(square)))
+        assert Norm.gauge(square) == Norm.gauge([tuple(map(float, v)) for v in square])
+        # the same body with its vertices in another order
+        assert Norm.gauge(square) != Norm.gauge(square[::-1])
+        assert Norm.gauge(square) != Norm.gauge(cube(2, half=2))
+
+    def test_field_of_the_other_kind_is_none(self):
+        assert Norm("p", p=2, body=cube(2)).body is None
+        assert Norm("gauge", p=2, body=cube(2)).p is None
+
+    def test_slotted(self):
+        # no per-instance __dict__, so a norm costs no more memory than
+        # its three fields
+        assert not hasattr(Norm.lp(2), "__dict__")
+        assert not hasattr(Norm.gauge(cube(2)), "__dict__")
+
+    def test_checks_kept(self):
+        for kind, p, body in (("p", None, None), ("p", F(1, 2), None), ("p", math.nan, None),
+                              ("gauge", None, None), ("ball", 2, None)):
+            with pytest.raises(ValueError):
+                Norm(kind, p=p, body=body)
+
+
 class TestDiameter:
     def test_cube_linf(self):
         assert diameter_finite(cube(3).vertices, Norm.lp(INF)) == 2
@@ -247,7 +287,7 @@ class TestDiameter:
     def test_homothety_scaling_exact(self):
         P = VPolytope(((0, 0), (1, 0), (F(1, 3), F(3, 4))))
         lam = F(-5, 7)
-        Q = P.scale(lam).translate((F(1, 9), 2))
+        Q = VPolytope(tuple((lam * x + F(1, 9), lam * y + 2) for x, y in P.vertices))
         for norm in (Norm.lp(1), Norm.lp(INF)):
             assert polytope_diameter(Q, norm) == abs(lam) * polytope_diameter(P, norm)
 
@@ -296,6 +336,33 @@ def test_linear_system():
     sol = solve_linear_system([[2, 1], [1, 3]], [5, 10])
     assert sol == [F(1), F(3)]
     assert solve_linear_system([[1, 2], [2, 4]], [1, 2]) is None
+
+
+def test_linear_system_pivots_out_of_column_order():
+    # the echelon pivots come out as columns 1, 2, 0: each solution goes
+    # to its pivot column, not to its basis row's index
+    sol = solve_linear_system([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [1, 2, 3])
+    assert sol == [3, 1, 2] and all(type(v) is Fraction for v in sol)
+
+
+def test_linear_system_dense_back_substitution():
+    # the first basis rows are nonzero on the later pivots, so they are
+    # solved only after those
+    assert solve_linear_system([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [3, 5, 4]) == [1, 2, 3]
+
+
+def test_linear_system_inconsistent():
+    # rank 1 for A, rank 2 for [A | b]: a pivot falls in the b column
+    assert solve_linear_system([[1, 2], [2, 4]], [1, 3]) is None
+
+
+def test_linear_system_reads_floats_exactly():
+    A, b = [[0.1, 0.2], [0.3, 0.7]], [0.5, 1.1]
+    exact = solve_linear_system([list(map(F, r)) for r in A], list(map(F, b)))
+    assert solve_linear_system(A, b) == exact
+    # 0.1, 0.2, ... are not the decimals they print as
+    assert exact != solve_linear_system([list(map(F, map(str, r))) for r in A],
+                                        list(map(F, map(str, b)))) == [13, -4]
 
 
 def test_matrix_rank():

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 from diampart.geometry import (
     FacetForm,
     Norm,
-    _det,
     _echelon,
     _extreme_rays,
     _integer_points,
@@ -26,6 +25,15 @@ from diampart.geometry import (
     vneg,
 )
 from diampart.numbers import INF
+
+
+def cofactor_det(M) -> int:
+    """Integer determinant by cofactor expansion along the first row, a
+    reference that shares no code with the package's elimination."""
+    if not M:
+        return 1
+    return sum((-1) ** j * a * cofactor_det([r[:j] + r[j + 1:] for r in M[1:]])
+               for j, a in enumerate(M[0]) if a)
 
 
 def brute_hull_facets(points) -> set:
@@ -42,7 +50,7 @@ def brute_hull_facets(points) -> set:
     for sub in itertools.combinations(points, n):
         base = sub[0]
         M = [[a - b for a, b in zip(p, base)] for p in sub[1:]]
-        c = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in M]) for j in range(n)]
+        c = [(-1) ** j * cofactor_det([r[:j] + r[j + 1:] for r in M]) for j in range(n)]
         if not any(c):
             continue  # affinely dependent subset
         d = vdot(c, base)
@@ -67,7 +75,7 @@ def brute_gauge_facets(vertices):
     basis = _echelon(V)
     pivots = sorted(j for _, j, _ in basis)
     B = [V[i] for i, _, _ in basis]
-    det = _det([[r[p] for p in pivots] for r in B])
+    det = cofactor_det([[r[p] for p in pivots] for r in B])
     cone = []
     for f in range(n):
         if f in pivots:
@@ -76,7 +84,7 @@ def brute_gauge_facets(vertices):
         e = [0] * n
         e[f] = det
         for p in pivots:
-            e[p] = -_det([[r[f] if q == p else r[q] for q in pivots] for r in B])
+            e[p] = -cofactor_det([[r[f] if q == p else r[q] for q in pivots] for r in B])
         g = math.gcd(*e) if det > 0 else -math.gcd(*e)
         e = tuple(x // g for x in e)
         cone += [e, vneg(e)]

@@ -75,7 +75,8 @@ def unchecked_gauge(vertices):
     """A gauge norm on a body that Norm.gauge would refuse (origin off
     centre), to reach the cone rows."""
     norm = Norm.__new__(Norm)
-    norm.kind, norm.p, norm.body = "gauge", None, VPolytope(vertices)
+    for field, value in (("kind", "gauge"), ("p", None), ("body", VPolytope(vertices))):
+        object.__setattr__(norm, field, value)  # Norm is frozen
     return norm
 
 
