@@ -390,8 +390,7 @@ def _echelon(rows) -> list:
     """(i, j, v) for each integer row i that raises the rank of the rows
     before it, by fraction-free elimination: v is row i reduced against
     the earlier v's, so zero on their j's, and j is its first nonzero
-    index.  The j's are distinct and are the pivot columns of the row
-    space.  This is the module's one elimination."""
+    index.  The j's are distinct and are the pivot columns of the row space."""
     basis = []
     for i, v in enumerate(rows):
         for _, j, b in basis:
@@ -409,8 +408,10 @@ def solve_linear_system(A: Sequence[Sequence], b: Sequence):
     Each basis row is zero on the pivots of the rows before it, so in
     reverse basis order every other column it touches is already solved.
     """
+    n = len(A)
+    if len(b) != n or any(len(row) != n for row in A):
+        raise ValueError("solve_linear_system needs n equations in n unknowns")
     _, M = _integer_points([[*row, rhs] for row, rhs in zip(A, b)])
-    n = len(M)
     basis = _echelon(M)
     if len(basis) < n or any(j == n for _, j, _ in basis):
         return None

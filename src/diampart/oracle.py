@@ -12,8 +12,9 @@ tolerance.  Strict ">" in the edge rule makes parts of diameter exactly
 delta feasible, which is the right semantics for an infimum.
 
 The value is the key ratio, rounded once (geometry._key_exponent); the
-threshold and diameter are norms of exact differences: Fractions for
-rational points under an exact norm, else floats, inf beyond their range.
+threshold and diameter are norms of exact differences: exact for
+rational points under an exact norm (ints when l1 or l_inf meets int
+coordinates, else Fractions), else floats, inf beyond their range.
 """
 from __future__ import annotations
 
@@ -105,7 +106,7 @@ def beta_finite_exact(points: Sequence, m: int, norm: Norm) -> ExactBetaResult:
     for i, c in enumerate(colorings[hi]):
         parts[c].append(i)
 
-    # Fractions for rational points under an exact norm, rounded floats otherwise
+    # exact for rational points under an exact norm, rounded floats otherwise
     rational = all(map(all_rational, pts))
     out = (lambda x: x) if rational and norm.exact else float_or_inf
     exact_pts = pts if rational else [tuple(map(as_fraction, p)) for p in pts]

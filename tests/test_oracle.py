@@ -25,9 +25,12 @@ def part_key(keys, part):
 
 
 def exact_distance(pts, key, keys, norm):
-    """The norm of the exact difference of the first pair with this key."""
+    """The norm of the exact difference of the first pair with this key.
+    A float is read as the rational it denotes and an int stays an int, so
+    l1 and l_inf give ints on int coordinates, as the oracle reports them."""
     i, j = next(pair for pair, k in keys.items() if k == key)
-    return norm_eval(vsub(tuple(map(F, pts[i])), tuple(map(F, pts[j]))), norm)
+    p, q = (tuple(F(c) if type(c) is float else c for c in v) for v in (pts[i], pts[j]))
+    return norm_eval(vsub(p, q), norm)
 
 
 def far_pairs(pts, threshold, norm):
@@ -232,6 +235,7 @@ class TestBruteForce:
     @given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=7),
            st.integers(1, 3), st.sampled_from([Norm.lp(1), Norm.lp(2), Norm.lp(3), HEXAGON]))
     @example([(0, 0), (1 + 1e-10, 0), (2 + 1e-10, 0)], 2, Norm.lp(2))
+    @example([(0, 0), (0, 1)], 1, Norm.lp(1))  # an int threshold
     def test_threshold_key_is_the_least_over_every_assignment(self, pts, m, norm):
         res = beta_finite_exact(pts, m, norm)
         keys = _distance_keys(pts, norm)
