@@ -253,26 +253,22 @@ def lp_parallelepiped_bound(p: Scalar) -> BMBoundReport:
         raise ValueError("p must lie in [1, 2], got %r" % (p,))
     q = dual_exponent(p)
     Q = parallelepiped(SPANNING_DEFAULT)
-    rows = gauge_facets(Q.vertices).functionals()
+    R = max((pnorm_eval(v, p) for v in Q.vertices), key=to_float)
 
-    vertex_norms = [pnorm_eval(v, p) for v in Q.vertices]
-    R = max(vertex_norms, key=to_float)
-    alpha = max((pnorm_eval(g, q) for g in rows), key=to_float)
-    gamma = math.prod(same_mode(R, alpha))
-
-    # closed form |(1,1,4)|_p * |(3,1,3)|_q / 10 and the claim that the
-    # vertex maximum is the (-2,8,-2) orbit, never beaten by (4,4,4)
-    closed = _closed_form_gamma(p, q)
-    if abs(to_float(gamma) - to_float(closed)) > 1e-10 * to_float(closed):
-        raise VerificationError("gamma %r misses the closed form %r" % (gamma, closed))
-    gamma = closed
+    # the vertex maximum is the (-2,8,-2) orbit, never beaten by (4,4,4)
     special = pnorm_eval((-2, 8, -2), p)
     if to_float(R) > to_float(special) * (1 + 1e-12) or (
             all_rational([special, R]) and R != special):
         raise VerificationError("vertex maximum %r is not the (-2,8,-2) orbit %r"
                                 % (R, special))
 
+    # the closed form |(1,1,4)|_p * |(3,1,3)|_q / 10 against the outer
+    # bound R * max_i |g_i|_q that the certificate measures
+    gamma = _closed_form_gamma(p, q)
     cert = sandwich_verify(Q, PBall(p=p, dim=3, radius=R), gamma)
+    if abs(to_float(cert.margin_outer)) > 1e-10 * to_float(gamma):
+        raise VerificationError("gamma %r misses the closed form %r"
+                                % (gamma - cert.margin_outer, gamma))
     return BMBoundReport(
         p=p, q=q, gamma_bound=gamma, method="parallelepiped", certificate=cert
     )

@@ -285,10 +285,6 @@ def _run_bm_scan(args):
 
 
 def _run_beta_table(args):
-    if args.space != "lp3":
-        raise ValueError("only --space lp3 is available")
-    if args.m != 8:
-        raise ValueError("the table is built for m = 8")
     p_values = [parse_scalar(tok) for tok in args.p_list.split(",") if tok]
     if not p_values:
         raise ValueError("--p-list names no p")
@@ -310,7 +306,7 @@ def _run_beta_table(args):
             "provenance": [_step_payload(s) for s in bound.provenance],
         })
         levels.append(level)
-    inputs = {"space": args.space, "m": args.m, "p_list": args.p_list}
+    inputs = {"space": "lp3", "m": 8, "p_list": args.p_list}
     return inputs, {"rows": rows}, _weakest(levels), True
 
 
@@ -416,8 +412,6 @@ def build_parser() -> _Parser:
     beta = sub.add_parser("beta", help="combined diameter-partition bounds")
     tsub = beta.add_subparsers(required=True)
     bt = tsub.add_parser("table", help="the piecewise beta(l_p^3, 8) table")
-    bt.add_argument("--space", default="lp3")
-    bt.add_argument("--m", type=int, default=8)
     bt.add_argument("--p-list", dest="p_list", default="1,2,inf")
     bt.set_defaults(handler=_run_beta_table, command="beta table")
     bmx = tsub.add_parser("minmax", help="epsilon min-max of the two branches")

@@ -202,6 +202,8 @@ def cube(n: int, half: Scalar = 1) -> VPolytope:
     """The cube [-half, half]^n as a 2^n-vertex polytope."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    if not half > 0:
+        raise ValueError("half must be positive")
     verts = [()]
     for _ in range(n):
         verts = [v + (s,) for v in verts for s in (-half, half)]

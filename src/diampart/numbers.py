@@ -68,19 +68,7 @@ def as_fraction(x) -> Fraction:
         if math.isinf(x) or math.isnan(x):
             raise ValueError(f"cannot represent {x!r} as a rational")
         return Fraction(x)
-    if isinstance(x, str):
-        return _rational_from_string(x)
     raise TypeError(f"unsupported scalar type: {type(x).__name__}")
-
-
-def _rational_from_string(text: str) -> Fraction:
-    s = text.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        if int(den) == 0:
-            raise ValueError("zero denominator in %r" % (text,))
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
 
 
 def parse_scalar(value) -> Scalar:
@@ -101,7 +89,10 @@ def parse_scalar(value) -> Scalar:
         if s in ("inf", "+inf", "infinity", "oo"):
             return INF
         if "/" in s:
-            return _rational_from_string(s)
+            num, den = s.split("/", 1)
+            if int(den) == 0:
+                raise ValueError("zero denominator in %r" % (s,))
+            return Fraction(int(num), int(den))
         try:
             return int(s)
         except ValueError:

@@ -292,14 +292,24 @@ def _scheme_template(scheme: str) -> tuple:
     no hull: its diameter is |ratio| times the parent's in every norm.  A
     box piece has ratio None and the vertices of its box as rows (see
     _bary_box_vertices).
+
+    A homothet piece's |ratio| bounds it only if its box lies in the image
+    {ratio*mu + c/L : mu in the simplex}, checked here: lambda_j >= c_j/L
+    for every j when the ratio is positive, lambda_j <= c_j/L when negative.
     """
     n = 2 if scheme == "triangle4" else 3
     ref = Simplex((*(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n))
     out = []
     for piece in _scheme_pieces(ref, scheme):
         h, box = piece.description, piece.bary_bounds
-        L, rows = (_bary_box_vertices(box) if h is None else
-                   _integer_points(((*h.translation, 1 - h.ratio - sum(h.translation)),)))
+        if h is None:
+            L, rows = _bary_box_vertices(box)
+        else:
+            L, rows = _integer_points(((*h.translation, 1 - h.ratio - sum(h.translation)),))
+            if not all(lo * L >= c if h.ratio > 0 else hi * L <= c
+                       for (lo, hi), c in zip(box, rows[0])):
+                raise VerificationError("%s pieces: a box leaves its homothet of ratio %s"
+                                        % (scheme, h.ratio))
         out.append((None if h is None else h.ratio, L, rows, piece.ratio_bound, box))
     return tuple(out)
 
@@ -356,8 +366,8 @@ def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
     return PartitionCertificate(S, pieces, ratio, scheme)
 
 
-# Largest n a cube partition or a problem file's cube body accepts: the
-# 2^n vertices are built eagerly, so memory grows exponentially in n.
+# Largest n a cube partition accepts: the 2^n vertices are built
+# eagerly, so memory grows exponentially in n.
 MAX_CUBE_DIM = 8
 
 

@@ -1,4 +1,4 @@
-"""Canonical report rendering and the body/norm/points file format.
+"""Canonical report rendering and the norm/points file format.
 
 Reports must be byte-stable across runs, so the JSON writer here is
 deliberately pedantic: keys are sorted, floats are printed with 17
@@ -10,9 +10,8 @@ import json
 import math
 from fractions import Fraction
 
-from .geometry import Norm, PBall, Simplex, VPolytope, cube
+from .geometry import Norm, VPolytope
 from .numbers import parse_scalar
-from .partitions import MAX_CUBE_DIM
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +64,7 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# norm and body specs
+# norm specs
 
 
 def _require_object(spec, what: str) -> dict:
@@ -74,51 +73,20 @@ def _require_object(spec, what: str) -> dict:
     return spec
 
 
-def _field(spec: dict, what: str, key: str):
+def _field(spec: dict, key: str):
     """spec[key], or a ValueError naming the spec's kind and the key."""
     if key not in spec:
-        raise ValueError('a "%s" %s spec needs "%s"' % (spec["kind"], what, key))
+        raise ValueError('a "%s" norm spec needs "%s"' % (spec["kind"], key))
     return spec[key]
-
-
-def _int_field(spec: dict, what: str, key: str) -> int:
-    """spec[key] as a JSON integer; a list, float, bool or string is a
-    ValueError naming the spec's kind and the key."""
-    value = _field(spec, what, key)
-    if type(value) is not int:
-        raise ValueError('a "%s" %s spec needs an integer "%s", got %s'
-                         % (spec["kind"], what, key, type(value).__name__))
-    return value
 
 
 def norm_from_spec(spec: dict) -> Norm:
     kind = _require_object(spec, "a norm spec").get("kind")
     if kind == "p":
-        return Norm.lp(parse_scalar(_field(spec, "norm", "p")))
+        return Norm.lp(parse_scalar(_field(spec, "p")))
     if kind == "gauge":
-        return Norm.gauge(VPolytope(parse_points(_field(spec, "norm", "vertices"))))
+        return Norm.gauge(VPolytope(parse_points(_field(spec, "vertices"))))
     raise ValueError("unknown norm kind %r" % (kind,))
-
-
-def body_from_spec(spec: dict):
-    kind = _require_object(spec, "a body spec").get("kind")
-    if kind == "simplex":
-        return Simplex(parse_points(_field(spec, "body", "vertices")))
-    if kind == "vpolytope":
-        return VPolytope(parse_points(_field(spec, "body", "vertices")))
-    if kind == "cube":
-        half = parse_scalar(spec.get("half", 1))
-        n = _int_field(spec, "body", "n")
-        if not 1 <= n <= MAX_CUBE_DIM:
-            raise ValueError('a "cube" body spec needs "n" in 1..%d, got %d' % (MAX_CUBE_DIM, n))
-        return cube(n, half=half)
-    if kind == "pball":
-        return PBall(
-            p=parse_scalar(_field(spec, "body", "p")),
-            dim=_int_field(spec, "body", "dim"),
-            radius=parse_scalar(spec.get("radius", 1)),
-        )
-    raise ValueError("unknown body kind %r" % (kind,))
 
 
 def parse_points(rows) -> tuple:
@@ -144,10 +112,8 @@ def read_json(path: str):
 
 
 def load_problem(path: str) -> dict:
-    """Read a body/norm/points file; missing sections come back as None."""
+    """Read a norm/points file: its "norm" and "points" sections, each None
+    when missing.  Other keys are ignored."""
     raw = _require_object(read_json(path), "a problem file")
-    out = {}
-    out["norm"] = norm_from_spec(raw["norm"]) if "norm" in raw else None
-    out["body"] = body_from_spec(raw["body"]) if "body" in raw else None
-    out["points"] = parse_points(raw["points"]) if "points" in raw else None
-    return out
+    return {"norm": norm_from_spec(raw["norm"]) if "norm" in raw else None,
+            "points": parse_points(raw["points"]) if "points" in raw else None}

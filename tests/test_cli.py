@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -10,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from diampart.bounds import minmax_epsilon
 from diampart.cli import main
-from test_imports import NUMPY_FREE_COMMANDS
+from test_imports import NUMPY_FREE_COMMANDS, PACKAGE_DIR
 
 
 def run_cli(capsys, *argv):
@@ -28,31 +31,48 @@ def run_failing(capsys, argv):
     return code, capsys.readouterr()
 
 
-# body sections whose integer field is not a JSON integer or lies out of
-# range, and the error
-BAD_INTEGER_FIELDS = [
-    ('"cube", "n": [3]', 'a "cube" body spec needs an integer "n", got list'),
-    ('"cube", "n": 2.5', 'a "cube" body spec needs an integer "n", got float'),
-    ('"cube", "n": true', 'a "cube" body spec needs an integer "n", got bool'),
-    ('"cube", "n": "3"', 'a "cube" body spec needs an integer "n", got str'),
-    ('"cube", "n": 1e400', 'a "cube" body spec needs an integer "n", got float'),
-    ('"pball", "p": 2, "dim": [3]', 'a "pball" body spec needs an integer "dim", got list'),
-    ('"pball", "p": 2, "dim": 2.5', 'a "pball" body spec needs an integer "dim", got float'),
-    # 2^24 vertices would be built before the oracle starts
-    ('"cube", "n": 24', 'a "cube" body spec needs "n" in 1..8, got 24'),
+# body sections a problem file may carry: no command reads one, so the
+# oracle ignores each, malformed or not
+IGNORED_BODIES = [
+    '{"kind": "cube", "n": [3]}',
+    '{"kind": "cube", "n": 2.5}',
+    '{"kind": "cube", "n": true}',
+    '{"kind": "cube", "n": "3"}',
+    '{"kind": "cube", "n": 1e400}',
+    '{"kind": "pball", "p": 2, "dim": [3]}',
+    '{"kind": "pball", "p": 2, "dim": 2.5}',
+    # 2^24 vertices, were the body built
+    '{"kind": "cube", "n": 24}',
 ]
-BAD_BODY_PROBLEM = '{"points": [[0, 0], [1, 0]], "body": {"kind": %s}}'
 
-# spec files that lack a key their kind needs, or hold a malformed
-# integer field, and what the error must name
+# spec files that lack a key their kind needs, or nest too deeply, and
+# what the error must name
 DEEP_JSON = "[" * 100000 + "]" * 100000
 NAMED_CAUSE = {
     DEEP_JSON: "JSON nested too deeply",
     '{"kind": "p"}': 'a "p" norm spec needs "p"',
     '{"points": [[0, 0], [1, 0]], "norm": {"kind": "gauge"}}':
         'a "gauge" norm spec needs "vertices"',
-    **{BAD_BODY_PROBLEM % body: message for body, message in BAD_INTEGER_FIELDS},
 }
+
+# a failed certificate check under python -O, which strips assert
+# statements: a scheme ratio the pieces do not attain, or m8 tail boxes
+# that leave their homothets (test_partitions.widened_m8_tails)
+OPTIMIZED_SCRIPT = """
+import sys
+from fractions import Fraction
+from diampart import partitions
+from diampart.cli import main
+
+if __debug__:
+    raise SystemExit("not run under python -O")
+if sys.argv[1] == "ratio":
+    partitions._SCHEME_RATIO["m8"] = Fraction(1, 2)
+else:
+    from test_partitions import widened_m8_tails
+    partitions._scheme_pieces = widened_m8_tails(partitions._scheme_pieces)
+raise SystemExit(main(["partition", "simplex", "--m", "8"]))
+"""
 
 
 def parse(out: str) -> dict:
@@ -71,6 +91,19 @@ class TestExitCodes:
         doc = parse(out)
         assert doc["results"]["success"] is False
         assert doc["results"]["residual_margin"] > 0
+
+    @pytest.mark.parametrize("case, message", [
+        ("ratio", "m8 pieces do not attain the scheme ratio 1/2"),
+        ("tails", "m8 pieces: a box leaves its homothet of ratio -9/16"),
+    ])
+    def test_certificate_checks_run_under_python_O(self, case, message):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(PACKAGE_DIR),
+                                             os.path.dirname(os.path.abspath(__file__))])
+        proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, case], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert parse(proc.stdout)["results"] == {"verification_error": message}
 
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -185,10 +218,6 @@ class TestExitCodes:
          ["oracle", "--points", "FILE", "--m", "2"]),
         ('{"kind": "p", "p": null}', ["partition", "simplex", "--m", "8", "--norm", "FILE"]),
     ] + [
-        # a body section whose integer field is not a JSON integer
-        (BAD_BODY_PROBLEM % body, ["oracle", "--points", "FILE", "--m", "2"])
-        for body, _ in BAD_INTEGER_FIELDS
-    ] + [
         # nesting too deep for the JSON parser, as a problem and as a norm file
         pytest.param(DEEP_JSON, ["oracle", "--points", "FILE", "--m", "2"], id="deep-points"),
         pytest.param(DEEP_JSON, ["partition", "simplex", "--m", "8", "--norm", "FILE"],
@@ -205,6 +234,16 @@ class TestExitCodes:
         assert "_norm_arg" not in lines[0]  # the cause, not argparse's fallback
         if text in NAMED_CAUSE:
             assert NAMED_CAUSE[text] in lines[0]
+
+    @pytest.mark.parametrize("body", IGNORED_BODIES)
+    def test_oracle_ignores_a_body_section(self, capsys, tmp_path, body):
+        path = tmp_path / "problem.json"
+        runs = []
+        for extra in ("", ', "body": ' + body):
+            path.write_text('{"points": [[0, 0], [2, 0], [0, 1]]%s}' % extra)
+            runs.append(run_cli(capsys, "oracle", "--points", str(path), "--m", "2"))
+        assert runs[1] == runs[0]
+        assert runs[0][0] == 0
 
     @pytest.mark.parametrize("points", [
         "[[0, 0], [1e400, 0], [0, 1]]",
@@ -277,8 +316,7 @@ class TestCommands:
         assert doc["results"]["eps_star"] == "7/57"
 
     def test_beta_table(self, capsys):
-        code, out = run_cli(capsys, "beta", "table", "--space", "lp3",
-                            "--m", "8", "--p-list", "1,2,inf")
+        code, out = run_cli(capsys, "beta", "table", "--p-list", "1,2,inf")
         assert code == 0
         rows = parse(out)["results"]["rows"]
         assert [r["p"] for r in rows] == [1, 2, "inf"]
@@ -463,7 +501,14 @@ class TestCommands:
         assert doc["evidence_level"] == "exact"
 
     def test_beta_table_rejects_other_space(self, capsys):
-        assert main(["beta", "table", "--space", "lq4"]) == 1
+        # the table is built for l_p^3 and m = 8 only, so it takes no --space
+        with pytest.raises(SystemExit) as exc:
+            main(["beta", "table", "--space", "lq4"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("diampart: error:")
 
 
 # argv values a user can mistype or a script can pass through unchecked

@@ -100,6 +100,13 @@ class TestGauge:
         g2 = gauge_eval((1, -2, F(1, 2)), cube(3))
         assert g2 == 2
 
+    @pytest.mark.parametrize("half", [0, -1, F(-1, 2), -0.0, math.nan])
+    def test_cube_half_must_be_positive(self, half):
+        # cube(2, 0) would be four copies of the origin, cube(2, -1) the
+        # square with its vertices reordered
+        with pytest.raises(ValueError, match="half must be positive"):
+            cube(2, half)
+
     def test_asymmetric_body_rejected(self):
         with pytest.raises(ValueError):
             Norm.gauge([(1, 0), (0, 1), (-1, -1)])

@@ -5,9 +5,9 @@ from fractions import Fraction
 from importlib import resources
 
 from diampart.coverings import verify_ball_covering
-from diampart.geometry import Norm
+from diampart.geometry import PBall
 from diampart.numbers import parse_scalar
-from diampart.serialization import body_from_spec, norm_from_spec
+from diampart.serialization import norm_from_spec
 
 
 def _load_fixture():
@@ -17,7 +17,7 @@ def _load_fixture():
 
 def test_fixture_reverifies_exactly():
     raw = _load_fixture()
-    body = body_from_spec(raw["body"])
+    body = PBall(1, 3)
     norm = norm_from_spec(raw["norm"])
     centers = [tuple(parse_scalar(c) for c in row) for row in raw["centers"]]
     r = parse_scalar(raw["r"])

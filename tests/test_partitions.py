@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from diampart import partitions
 from diampart.geometry import (
     Homothet,
     Norm,
@@ -14,7 +16,7 @@ from diampart.geometry import (
     diameter_finite,
     polytope_diameter,
 )
-from diampart.numbers import INF
+from diampart.numbers import INF, VerificationError
 from diampart.partitions import (
     SectorRegion,
     UnitDisk,
@@ -33,6 +35,20 @@ F = Fraction
 
 STD_TETRA = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
 SKEW_TETRA = Simplex(((0, 0, 0), (3, 1, 0), (-1, 4, 1), (F(1, 2), 1, 5)))
+
+
+def widened_m8_tails(scheme_pieces):
+    """scheme_pieces with each m8 tail's own cap widened from 1/4 to 13/50:
+    the boxes still cover the simplex, at ratio 9/16, but leave the
+    reflected homothets whose |ratio| is their diameter bound."""
+    def pieces(S, scheme):
+        out = scheme_pieces(S, scheme)
+        if scheme == "m8":
+            out[4:] = [dataclasses.replace(p, bary_bounds=tuple(
+                (lo, F(13, 50) if hi == F(1, 4) else hi) for lo, hi in p.bary_bounds))
+                for p in out[4:]]
+        return out
+    return pieces
 
 
 def equilateral_triangle():
@@ -150,6 +166,17 @@ class TestSimplexSchemes:
             want = [(F(0), F(7, 16))] * 4
             want[i] = (F(0), F(1, 4))
             assert p.bary_bounds == tuple(want)
+
+    def test_tail_box_outside_its_homothet_is_refused(self, monkeypatch):
+        monkeypatch.setattr(partitions, "_scheme_pieces",
+                            widened_m8_tails(partitions._scheme_pieces))
+        partitions._scheme_template.cache_clear()
+        try:
+            with pytest.raises(VerificationError,
+                               match="m8 pieces: a box leaves its homothet of ratio -9/16"):
+                simplex_partition(STD_TETRA, "m8")
+        finally:
+            partitions._scheme_template.cache_clear()
 
     def test_m9_core_enclosure(self):
         cert = simplex_partition(STD_TETRA, "m9")

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from diampart.geometry import PBall, Simplex, VPolytope, cube
+from diampart.geometry import cube
 from diampart.numbers import INF
 from diampart.serialization import (
-    body_from_spec,
     canonical_json,
     load_problem,
     norm_from_spec,
@@ -74,69 +73,22 @@ class TestNormSpecs:
             norm_from_spec({"kind": "mystery"})
 
 
-class TestBodySpecs:
-    def test_simplex_roundtrip(self):
-        spec = {"kind": "simplex", "vertices": [[0, 0], [1, 0], [0, F(1, 2)]]}
-        back = body_from_spec(json.loads(canonical_json(spec)))
-        assert isinstance(back, Simplex)
-        assert back.vertices == ((0, 0), (1, 0), (0, F(1, 2)))
-
-    def test_pball_roundtrip(self):
-        spec = {"kind": "pball", "p": F(3, 2), "dim": 3, "radius": F(2, 3)}
-        back = body_from_spec(json.loads(canonical_json(spec)))
-        assert back == PBall(p=F(3, 2), dim=3, radius=F(2, 3))
-
-    def test_cube_spec(self):
-        c = body_from_spec({"kind": "cube", "n": 2, "half": "1/2"})
-        assert isinstance(c, VPolytope)
-        assert set(c.vertices) == {(F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2)),
-                                   (F(-1, 2), F(1, 2)), (F(-1, 2), F(-1, 2))}
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            body_from_spec({"kind": "torus"})
-
-    @pytest.mark.parametrize("spec, message", [
-        ({"kind": "cube"}, 'a "cube" body spec needs "n"'),
-        ({"kind": "pball", "p": 2}, 'a "pball" body spec needs "dim"'),
-        ({"kind": "simplex"}, 'a "simplex" body spec needs "vertices"'),
-    ])
-    def test_missing_key_names_kind_and_key(self, spec, message):
-        with pytest.raises(ValueError, match=message):
-            body_from_spec(spec)
-
-    @pytest.mark.parametrize("kind, key, value", [
-        ("cube", "n", [3]), ("cube", "n", 2.5), ("cube", "n", 2.0), ("cube", "n", True),
-        ("cube", "n", "3"), ("cube", "n", math.inf), ("pball", "dim", [3]),
-        ("pball", "dim", 3.0), ("pball", "dim", False), ("pball", "dim", "2"),
-    ])
-    def test_integer_field_must_be_an_integer(self, kind, key, value):
-        spec = {"kind": kind, "p": 2, key: value}
-        with pytest.raises(ValueError, match='a "%s" body spec needs an integer "%s", got %s'
-                           % (kind, key, type(value).__name__)):
-            body_from_spec(spec)
-
-
 class TestProblemFiles:
     def test_load(self, tmp_path):
         doc = {
             "norm": {"kind": "p", "p": "inf"},
-            "body": {"kind": "simplex", "vertices": [[0, 0], [1, 0], [0, 1]]},
             "points": [["1/2", 0], [0, "1/3"]],
         }
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
         got = load_problem(str(path))
         assert got["norm"].p == INF
-        assert isinstance(got["body"], Simplex)
         assert got["points"] == ((F(1, 2), 0), (0, F(1, 3)))
 
     def test_missing_sections_are_none(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text('{"points": [[1, 2]]}')
-        got = load_problem(str(path))
-        assert got["norm"] is None and got["body"] is None
-        assert got["points"] == ((1, 2),)
+        assert load_problem(str(path)) == {"norm": None, "points": ((1, 2),)}
 
     def test_parse_points_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
