@@ -30,7 +30,12 @@ not a heuristic: a sample's distance depends neither on the other samples
 nor on the batch layout, min and max are exact and float subtraction of
 r is monotone, and every trial not rejected is evaluated on all samples,
 so the search takes the same steps, bit for bit, as one without
-witnesses.  The multistart builds each start only when it reaches it.
+witnesses.  The pool state (the pool samples' coordinates, and each
+move's nearest-other distances there) is rebuilt only when the pool
+grows or a center moves, not once per batch.  The multistart builds each
+start only when it reaches it.  The exact confirmation caches the
+lattice's facet projections per lattice and norm; they depend on neither
+the centers nor their denominators.
 """
 from __future__ import annotations
 
@@ -467,13 +472,26 @@ def _norm_kernel(norm: Norm):
         return lambda diff: np.einsum("fk,sk->fs", F, np.ascontiguousarray(diff.T)).max(axis=0)
     p = norm.p
     if p == INF:
-        return lambda diff: np.abs(diff).max(axis=0)
+        return lambda diff: _fold_rows(np.maximum, np.abs(diff))
     if p == 1:
-        return lambda diff: functools.reduce(np.add, np.abs(diff))
+        return lambda diff: _fold_rows(np.add, np.abs(diff))
     if p == 2:
-        return lambda diff: np.sqrt(functools.reduce(np.add, diff * diff))
+        def l2(diff):
+            total = _fold_rows(np.add, diff * diff)
+            return np.sqrt(total, out=total)
+        return l2
     pf = to_float(p)
-    return lambda diff: functools.reduce(np.add, np.abs(diff) ** pf) ** (1.0 / pf)
+    return lambda diff: _fold_rows(np.add, np.abs(diff) ** pf) ** (1.0 / pf)
+
+
+def _fold_rows(ufunc, a):
+    """ufunc(...ufunc(a[0], a[1])..., a[-1]), accumulated in place in a[0]:
+    the rows combined in coordinate order with no further temporaries, so
+    a must be the caller's own scratch array."""
+    total = a[0]
+    for row in a[1:]:
+        ufunc(total, row, out=total)
+    return total
 
 
 def _dist_matrix(samples, centers, kernel):
@@ -563,6 +581,30 @@ def _body_samples(body, n_boundary: int, n_interior: int, seed: int):
     return np.concatenate([base, tail(np.random.default_rng(seed))])
 
 
+@functools.lru_cache(maxsize=128)
+def _sweep_moves(m: int, n: int, step: float):
+    """The m*2n coordinate moves of a sweep at a step, in order: center,
+    then coordinate, then + before -.
+
+    Returns each move's center, the other centers (an (m*2n, m-1)
+    index) and the move's offset: +-step on its coordinate and -0.0
+    elsewhere, since x + -0.0 is x for every float x, so that center +
+    offset is the center with one coordinate moved, as an in-place
+    update would give.  Cached, hence read-only.
+    """
+    import numpy as np
+
+    M = 2 * m * n
+    move_j = np.repeat(np.arange(m), 2 * n)
+    others = np.array([[i for i in range(m) if i != j] for j in range(m)], dtype=np.intp)
+    offsets = np.full((M, n), -0.0)
+    offsets[np.arange(M), np.tile(np.repeat(np.arange(n), 2), m)] = np.tile([step, -step], m * n)
+    moves = move_j, others.reshape(m, m - 1)[move_j], offsets
+    for a in moves:
+        a.flags.writeable = False
+    return moves
+
+
 def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
     """Coordinate pattern search with occasional random kicks.
 
@@ -581,76 +623,84 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
     a witness pool: the sample that sets the starting margin and every
     sample that has come out as the argmax of a fully evaluated trial or
     kick.  All remaining trials of a sweep are tested at the pool in one
-    kernel call, on an (n, T*W) difference array, with each pool sample's
-    nearest other center read from the two smallest entries of its dist
-    column; only the trials after an accepted move are batched again.  A
-    kick is tested at the pool in one call too.  A trial whose pool
-    samples alone give  min(others, col) - r >= best - 1e-12  is rejected
-    without its full column.  This is exact: the kernel's distance at one
-    sample depends neither on the other samples nor on the batch layout,
-    min and max are exact, and float subtraction of r is monotone, so
-    the full margin would be rejected too.  A trial the pool does not
-    reject is evaluated in full, so accepted moves, dist and best are the
-    ones the plain search computes, bit for bit.
+    kernel call, on an (n, T*W) difference array; only the trials after
+    an accepted move are batched again.  A kick is tested at the pool in
+    one call too.  A trial whose pool samples alone give
+    min(others, col) - r >= best - 1e-12  is rejected without its full
+    column.  This is exact: the kernel's distance at one sample depends
+    neither on the other samples nor on the batch layout, min and max are
+    exact, and float subtraction of r is monotone, so the full margin
+    would be rejected too.  A trial the pool does not reject is evaluated
+    in full, so accepted moves, dist and best are the ones the plain
+    search computes, bit for bit.
+
+    The pool state is built when it changes, not once per batch: the
+    pool samples' coordinates (n, W) grow when a sample joins, and each
+    move's nearest-other distances at the pool (2nm, W) are rebuilt when
+    a dist row changes or the pool grows.  The moves are built once per
+    (m, n) and step, and a batch's trials are the centers plus the moves'
+    offsets (see _sweep_moves).
     """
     import numpy as np
 
     centers = centers0.copy()
     m, n = centers.shape
+    S = len(samples)
     rows = np.ascontiguousarray(samples.T)
-    dist = _dist_matrix(samples, centers, kernel).T
-    near = dist.min(axis=0)
-    pool = [int(near.argmax())]
-    best = float(near[pool[0]]) - r
-    others = {}  # center -> its full nearest-other row
-    # the m*2n coordinate moves of a sweep, in order: center, coordinate, sign
-    move_j = np.repeat(np.arange(m), 2 * n)
-    move_d = np.tile(np.repeat(np.arange(n), 2), m)
-    move_s = np.tile([1.0, -1.0], m * n)
+    diff_buf, near_buf = np.empty((n, S)), np.empty(S)  # one full column's scratch
+
+    def columns(cs):
+        """The distances from each center of cs (one per row) to every sample."""
+        return np.stack([kernel(np.subtract(rows, c[:, None], out=diff_buf)) for c in cs])
 
     def at_pool(points):
         """Distances from each point (one per row) to each pool sample."""
-        diff = rows[:, pool][:, None, :] - points.T[:, :, None]
-        return kernel(diff.reshape(n, -1)).reshape(len(points), len(pool))
-
-    def others_at_pool():
-        """Each center's nearest-other distance at each pool sample."""
-        at = dist[:, pool]
-        if m == 1:
-            return np.full_like(at, np.inf)
-        low = np.partition(at, 1, axis=0)
-        return np.where(np.arange(m)[:, None] == at.argmin(axis=0), low[1], low[0])
+        diff = pool_rows[:, None, :] - points.T[:, :, None]
+        return kernel(diff.reshape(n, -1)).reshape(len(points), -1)
 
     def evaluate(near):
         """The margin of a full near row; its worst sample joins the pool."""
+        nonlocal pool_rows, pool_others
         w = int(near.argmax())
         if w not in pool:
+            pool_coords[:, len(pool)] = rows[:, w]
             pool.append(w)
+            pool_rows, pool_others = pool_coords[:, :len(pool)], None
         return float(near[w]) - r
+
+    pool, pool_coords = [], np.empty((n, S))  # the pool samples and their coordinates
+    pool_rows = None  # the live columns of pool_coords
+    pool_others = None  # per move, its center's nearest-other distances at the pool
+    others = {}  # center -> its full nearest-other row
+    dist = columns(centers)
+    best = evaluate(dist.min(axis=0))
+    M = 2 * m * n
 
     step = 0.25
     sweeps = 0
     while step > 1e-5 and sweeps < max_sweeps:
+        move_j, move_others, offsets = _sweep_moves(m, n, step)
         improved = False
         k = 0
-        while k < len(move_j):
-            js = move_j[k:]
-            trials = centers[js]
-            trials[np.arange(len(js)), move_d[k:]] += move_s[k:] * step
-            near_ws = np.minimum(others_at_pool()[js], at_pool(trials))
-            rejected = near_ws.max(axis=1) - r >= best - 1e-12
-            start, k = k, len(move_j)
-            for t in np.flatnonzero(~rejected):
-                j = int(js[t])
+        while k < M:
+            if pool_others is None:
+                pool_others = dist[:, pool][move_others].min(axis=1, initial=np.inf)
+            trials = centers[move_j[k:]] + offsets[k:]
+            worst = np.minimum(pool_others[k:], at_pool(trials)).max(axis=1)
+            start, k = k, M
+            for t, v in enumerate(worst.tolist()):
+                if v - r >= best - 1e-12:
+                    continue  # rejected at the pool
+                j = int(move_j[start + t])
                 if j not in others:
                     others[j] = dist[np.arange(m) != j].min(axis=0, initial=np.inf)
-                col = kernel(rows - trials[t][:, None])
-                val = evaluate(np.minimum(others[j], col))
+                col = kernel(np.subtract(rows, trials[t][:, None], out=diff_buf))
+                val = evaluate(np.minimum(others[j], col, out=near_buf))
                 if val < best - 1e-12:
                     centers[j], dist[j], best = trials[t], col, val
-                    others = {j: others[j]}
+                    others, pool_others = {j: others[j]}, None
                     improved = True
-                    k = start + int(t) + 1
+                    k = start + t + 1
                     break
         sweeps += 1
         if best <= 1e-12 and not improved:
@@ -661,10 +711,10 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
             if float(at_pool(trial).min(axis=0).max()) - r >= best - 1e-12:
                 step *= 0.5  # rejected at the pool
                 continue
-            trial_dist = _dist_matrix(samples, trial, kernel).T
+            trial_dist = columns(trial)
             val = evaluate(trial_dist.min(axis=0))
             if val < best - 1e-12:
-                centers, dist, best, others = trial, trial_dist, val, {}
+                centers, dist, best, others, pool_others = trial, trial_dist, val, {}, None
             else:
                 step *= 0.5
     return centers, best
@@ -767,30 +817,65 @@ def _confirmation_points(body):
     return P, D
 
 
-def _exact_margin(P, D, centers, r, norm: Norm):
-    """max over the lattice points P/D of min over centers of ||x-c|| - r.
+@functools.lru_cache(maxsize=8)
+def _lattice_projections(body, norm: Norm):
+    """_projections of the body's confirmation lattice under the norm.
+
+    They depend on neither the centers nor their denominators, so they
+    are cached per body and norm, like _confirmation_points, and shared
+    by every snapped try of a search and every later recheck.
+    """
+    return _projections(_confirmation_points(body)[0], norm)
+
+
+def _projections(P, norm: Norm):
+    """The integer lattice rows P through the norm's facet rows W (see
+    norm_facets): (WP, bound), where WP = W.P^T holds one contiguous
+    row per facet, read-only, and bound = max_w sum|w| * max|P| bounds
+    its entries.  WP is kept in the narrowest integer type that holds
+    bound, Python ints beyond the int64 range."""
+    import numpy as np
+
+    rows = norm_facets(norm, P.shape[1]).rows
+    bound = max(sum(map(abs, w)) for w in rows) * int(np.abs(P).max())
+    dtype = _int_dtype(bound)
+    WP = np.asarray(rows, dtype=dtype) @ P.T.astype(dtype)
+    if dtype is not object:
+        WP = WP.astype(np.min_scalar_type(-bound - 1))
+    WP.flags.writeable = False
+    return WP, bound
+
+
+def _exact_margin(projections, D, centers, r, norm: Norm):
+    """max over the lattice points P/D of min over centers of ||x-c|| - r,
+    given projections = _projections(P, norm).
 
     Exact, for polyhedral norms only (l1, l_inf and gauges): one rescale
     to the common denominator L of the lattice and the centers turns it
     into integer arithmetic, in int64 when the magnitudes allow and in
     Python ints otherwise.  With the norm's facet form (integer rows W
     over den at scale s, see norm_facets) the distance from P/D to C/L
-    is max_w w.(P*k - C) * s/(den*L), where k = L/D.  The projections
-    W.(P*k) are kept one contiguous row per facet, so each center costs
-    one subtraction and one reduction over the facet rows.
+    is max_w (k*w.P - w.C) * s/(den*L), where k = L/D.  The projections
+    are scaled by k once per call, and each distinct center costs one
+    subtraction, into one scratch array, and one reduction over the
+    facet rows.
     """
     import numpy as np
 
+    WP, bound = projections
     L = math.lcm(D, *(as_fraction(v).denominator for c in centers for v in c))
-    C = [[int(as_fraction(v) * L) for v in c] for c in centers]
+    C = list(dict.fromkeys(tuple(int(as_fraction(v) * L) for v in c) for c in centers))
     k = L // D
-    reach = int(np.abs(P).max()) * k + max(abs(v) for c in C for v in c)
-    form = norm_facets(norm, P.shape[1])
-    dtype = _int_dtype(max(sum(map(abs, w)) for w in form.rows) * reach)
-    W = np.asarray(form.rows, dtype=dtype)
-    WP = W @ (P.T.astype(dtype) * k)
-    dist = functools.reduce(np.minimum, [np.max(WP - cw[:, None], axis=0)
-                                         for cw in np.asarray(C, dtype=dtype) @ W.T])
+    form = norm_facets(norm, len(C[0]))
+    W = form.rows
+    # |k*w.P - w.C| <= sum|w| * (k*max|P| + max|C|)
+    wsum = max(sum(map(abs, w)) for w in W)
+    dtype = _int_dtype(bound * k + wsum * max(abs(v) for c in C for v in c))
+    scaled = np.multiply(WP, k, dtype=dtype)
+    scratch = np.empty_like(scaled)
+    CW = np.asarray(C, dtype=dtype) @ np.asarray(W, dtype=dtype).T
+    dist = functools.reduce(np.minimum, (np.subtract(scaled, cw[:, None], out=scratch).max(axis=0)
+                                         for cw in CW))
     value = Fraction(int(dist.max()) * form.scale, form.den * L)
     if not norm.exact:
         value = float_or_inf(value)  # as gauge_eval rounds for a float body
@@ -821,7 +906,8 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
     when data permits).
     Failure (positive residual margin) is a legitimate outcome and does
     not prove impossibility.  Either way the solution's radius is r as
-    given, a Fraction when r is rational.
+    given, a Fraction when r is rational.  n_boundary and n_interior are
+    ints >= 0, not both 0.
     """
     if not 1 <= m <= 16:
         raise ValueError("m must lie in 1..16 (desk scale), got %s" % (m,))
@@ -832,6 +918,11 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
         raise ValueError("r must be finite and positive, got %s" % (r,))
     if parent.dim > 3:
         raise ValueError("search is limited to dimension <= 3")
+    counts = (n_boundary, n_interior)
+    if not (all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in counts)
+            and sum(counts) > 0):
+        raise ValueError("n_boundary and n_interior must be integers >= 0 with a positive sum, "
+                         "got %r and %r" % (n_boundary, n_interior))
     import numpy as np
 
     samples = _body_samples(parent, n_boundary, n_interior, seed)
@@ -881,11 +972,18 @@ def verify_ball_covering(parent, centers, r, norm: Norm):
     minus r): exact Fraction arithmetic for rational centers under a
     polyhedral norm on a lattice body, where a float r is read as the
     rational it denotes; float otherwise.  Nonpositive means covered at
-    the checked resolution.
+    the checked resolution.  The centers must be a nonempty sequence of
+    points of the body's dimension.
     """
+    centers = tuple(centers)
+    if not centers:
+        raise ValueError("a ball covering needs at least one center")
+    if any(len(c) != parent.dim for c in centers):
+        raise ValueError("every center needs %d coordinates, the dimension of the body"
+                         % parent.dim)
     pts, den = _confirmation_points(parent)
     if den is not None and norm.is_polyhedral and all(all_rational(c) for c in centers):
-        return _exact_margin(pts, den, centers, r, norm)
+        return _exact_margin(_lattice_projections(parent, norm), den, centers, r, norm)
     import numpy as np
 
     cs = np.asarray([[to_float(c) for c in row] for row in centers], dtype=float)

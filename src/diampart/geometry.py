@@ -37,7 +37,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .numbers import INF, Scalar, all_rational, as_fraction, float_or_inf, same_mode, to_float
+from .numbers import (
+    INF,
+    Scalar,
+    all_rational,
+    as_fraction,
+    float_or_inf,
+    is_rational,
+    same_mode,
+    to_float,
+)
 
 Vector = Tuple[Scalar, ...]
 
@@ -194,16 +203,22 @@ class PBall:
     def __post_init__(self):
         if not (self.p == INF or self.p >= 1):
             raise ValueError("p must lie in [1, inf]")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not _positive_finite(self.radius):
+            raise ValueError("radius must be positive and finite")
+
+
+def _positive_finite(x) -> bool:
+    """x > 0 and x finite: NaN fails the comparison, and a rational is
+    always finite."""
+    return x > 0 and (is_rational(x) or math.isfinite(x))
 
 
 def cube(n: int, half: Scalar = 1) -> VPolytope:
     """The cube [-half, half]^n as a 2^n-vertex polytope."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if not half > 0:
-        raise ValueError("half must be positive")
+    if not _positive_finite(half):
+        raise ValueError("half must be positive and finite")
     verts = [()]
     for _ in range(n):
         verts = [v + (s,) for v in verts for s in (-half, half)]

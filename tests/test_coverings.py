@@ -34,9 +34,12 @@ from diampart.coverings import (
     _dist_matrix,
     _exact_margin,
     _halton,
+    _lattice_projections,
     _norm_kernel,
     _pattern_search,
+    _projections,
     _seed_free_samples,
+    _sweep_moves,
     partition_diameter_ratio,
     scheme_box_tautology,
     search_ball_covering,
@@ -418,6 +421,24 @@ class TestBallCoveringSearch:
         assert cs == {(F(s1, 2), F(s2, 2), F(s3, 2))
                       for s1 in (-1, 1) for s2 in (-1, 1) for s3 in (-1, 1)}
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: verify_ball_covering(cube(2), (), 1, Norm.lp(INF)), "at least one center"),
+        (lambda: verify_ball_covering(cube(2), [(0, 0, 0)], 1, Norm.lp(INF)),
+         "every center needs 2 coordinates"),
+        (lambda: verify_ball_covering(PBall(2, 2), [(0, 0), (0, 0, 0)], 1, Norm.lp(2)),
+         "every center needs 2 coordinates"),
+        (lambda: search_ball_covering(PBall(2, 2), 2, 1, Norm.lp(2), n_boundary=0, n_interior=0),
+         "positive sum, got 0 and 0"),
+        (lambda: search_ball_covering(PBall(2, 2), 2, 1, Norm.lp(2), n_boundary=-5),
+         "integers >= 0"),
+        (lambda: search_ball_covering(PBall(2, 2), 2, 1, Norm.lp(2), n_interior=1.5),
+         "integers >= 0"),
+    ], ids=["no-centers", "3d-centers-on-square", "3d-center-on-disk", "no-samples",
+            "negative-count", "float-count"])
+    def test_malformed_input_is_named(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_disk_two_balls_fails(self):
         sol = search_ball_covering(UnitDisk(), m=2, r=0.9, norm=Norm.lp(2),
                                    seed=0, n_boundary=512, n_interior=128)
@@ -786,6 +807,26 @@ WITNESS_BODIES = {
 }
 
 
+# the README disk search's sample count at the default sizes
+DISK_SAMPLES = 6144
+
+
+def _counted_disk_search(monkeypatch, search):
+    """The README's failing disk search at seed 0 run through `search`, and
+    the width of each kernel call it made, in order."""
+    calls = []
+
+    def counting(norm):
+        kernel = _norm_kernel(norm)
+        return lambda diff: calls.append(diff.shape[1]) or kernel(diff)
+
+    monkeypatch.setattr(coverings, "_norm_kernel", counting)
+    monkeypatch.setattr(coverings, "_pattern_search", search)
+    sol = search_ball_covering(UnitDisk(), 2, 0.9, Norm.lp(2), seed=0)
+    assert len(_body_samples(UnitDisk(), 4096, 1024, 0)) == DISK_SAMPLES
+    return sol, calls
+
+
 class TestWitnessPruning:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", sorted(WITNESS_BODIES))
@@ -808,27 +849,31 @@ class TestWitnessPruning:
         # the README's failing disk search: a loss of the pool rejection or
         # of the sweep batch leaves the result unchanged, so it is caught
         # by counting kernel calls
-        full = len(_body_samples(UnitDisk(), 4096, 1024, 0))
-        make_kernel = coverings._norm_kernel
-
-        def counted_search(search):
-            calls = []
-
-            def counting(norm):
-                kernel = make_kernel(norm)
-                return lambda diff: calls.append(diff.shape[1]) or kernel(diff)
-
-            monkeypatch.setattr(coverings, "_norm_kernel", counting)
-            monkeypatch.setattr(coverings, "_pattern_search", search)
-            sol = search_ball_covering(UnitDisk(), 2, 0.9, Norm.lp(2), seed=0)
-            return sol, calls
-
-        sol, calls = counted_search(_pattern_search)
-        want, plain = counted_search(_plain_pattern_search)
-        trials = plain.count(full)
+        sol, calls = _counted_disk_search(monkeypatch, _pattern_search)
+        want, plain = _counted_disk_search(monkeypatch, _plain_pattern_search)
+        trials = plain.count(DISK_SAMPLES)
         assert (sol.centers, sol.search_margin) == (want.centers, want.search_margin)
         assert len(calls) < trials / 2
-        assert calls.count(full) < trials / 5
+        assert calls.count(DISK_SAMPLES) < trials / 5
+
+    def test_trials_keep_negative_zero(self):
+        # a trial is the center plus its move's offset; -0.0 off the moved
+        # coordinate leaves every other coordinate as it was, -0.0 included
+        centers = np.array([[-0.0, 0.5], [0.25, -0.0]])
+        move_j, _, offsets = _sweep_moves(2, 2, 0.125)
+        want = centers[move_j]
+        want[np.arange(8), [0, 0, 1, 1] * 2] += [0.125, -0.125] * 4
+        got = centers[move_j] + offsets
+        assert repr(got.tolist()) == repr(want.tolist())
+        assert not offsets.flags.writeable
+
+    def test_kernel_calls_do_not_rise(self, monkeypatch):
+        # the pool state kept across batches saves numpy overhead, not
+        # kernel work: the search makes the calls it made when the pool
+        # state was rebuilt for every batch, 932 of them and 389 full
+        _, calls = _counted_disk_search(monkeypatch, _pattern_search)
+        assert len(calls) <= 932
+        assert calls.count(DISK_SAMPLES) <= 389
 
     def test_starts_are_built_when_reached(self, monkeypatch):
         # the first start covers, so the k-center start is never built
@@ -855,6 +900,9 @@ SKEW_GAUGE3 = Norm.gauge(tuple(v for h in ((3, 1, 0), (0, F(2, 3), 1), (1, 0, 4)
                                for v in (h, tuple(-c for c in h))))
 
 
+# a center denominator that pushes the common denominator past 2^63
+Q = int(0.95 * 2 ** 60) | 1
+
 # l1 and l_inf take the same facet-form path as the gauges
 FACET_NORMS = [GAUGE3, SKEW_GAUGE3, Norm.lp(1), Norm.lp(INF)]
 
@@ -870,7 +918,7 @@ class TestExactGaugeMargin:
         m = int(rng.integers(1, 5))
         centers = tuple(tuple(F(int(rng.integers(-12, 13)), int(rng.integers(1, 13)))
                               for _ in range(3)) for _ in range(m))
-        got = _exact_margin(P, D, centers, F(1, 2), norm)
+        got = _exact_margin(_projections(P, norm), D, centers, F(1, 2), norm)
         assert isinstance(got, Fraction)
         assert got == _reference_margin(P, D, centers, F(1, 2), norm)
 
@@ -881,8 +929,38 @@ class TestExactGaugeMargin:
         P, D = _confirmation_points(PBall(1, 3))
         P = P[::97]
         centers = ((F(q - 1, q), F(1, 3), 0), (F(-1, 7), F(-q + 2, q), F(1, q)))
-        got = _exact_margin(P, D, centers, 1, norm)
+        got = _exact_margin(_projections(P, norm), D, centers, 1, norm)
         assert got == _reference_margin(P, D, centers, 1, norm)
+
+    @pytest.mark.parametrize("norm", [Norm.lp(1), Norm.lp(INF), GAUGE2])
+    @pytest.mark.parametrize("body", [cube(2), cube(2, half=F(3, 2))])
+    @pytest.mark.parametrize("k_is_one, centers", [
+        # denominators that divide the lattice's, and a center given twice
+        pytest.param(True, ((F(1, 4), F(-1, 2)), (0, F(3, 8)), (F(1, 4), F(-1, 2))), id="k=1"),
+        pytest.param(False, ((F(1, 3), 0), (F(-2, 5), F(1, 7)), (F(1, 3), 0)), id="k>1"),
+        # the common denominator is past the int64 range
+        pytest.param(False, ((F(Q - 1, Q), F(1, 3)), (F(-1, 7), F(2 - Q, Q)),
+                             (F(-1, 7), F(2 - Q, Q))), id="python-ints"),
+    ])
+    def test_cached_projections_match_reference(self, norm, body, k_is_one, centers):
+        # the cached projections serve every denominator and repeated
+        # centers; the whole lattice is checked, not a sample
+        P, D = _confirmation_points(body)
+        k = math.lcm(D, *(F(v).denominator for c in centers for v in c)) // D
+        assert (k == 1) == k_is_one
+        got = _exact_margin(_lattice_projections(body, norm), D, centers, F(1, 2), norm)
+        assert got == _reference_margin(P, D, centers, F(1, 2), norm)
+        assert verify_ball_covering(body, centers, F(1, 2), norm) == got
+
+    def test_projections_cached_per_body_and_norm(self):
+        _lattice_projections.cache_clear()
+        for norm in (Norm.lp(1), Norm.lp(INF), Norm.lp(1)):
+            verify_ball_covering(cube(3), ((F(1, 3), 0, 0), (0, 0, 0)), F(1, 2), norm)
+            verify_ball_covering(cube(3), ((F(1, 5), 0, 0),), F(1, 2), norm)
+        info = _lattice_projections.cache_info()
+        assert info.misses == 2 and info.hits == 4
+        WP, _ = _lattice_projections(cube(3), Norm.lp(1))
+        assert not WP.flags.writeable
 
     def test_float_body_rounds_like_gauge_eval(self):
         norm = Norm.gauge(((0.5, 0, 0), (-0.5, 0, 0), (0, 1, 0), (0, -1, 0),
@@ -890,7 +968,7 @@ class TestExactGaugeMargin:
         P, D = _confirmation_points(cube(3))
         P = P[::41]
         centers = ((F(1, 3), 0, F(-1, 4)),)
-        got = _exact_margin(P, D, centers, F(1, 3), norm)
+        got = _exact_margin(_projections(P, norm), D, centers, F(1, 3), norm)
         assert isinstance(got, float)
         assert got == _reference_margin(P, D, centers, F(1, 3), norm)
 

@@ -8,6 +8,7 @@ import pytest
 from diampart.geometry import (
     Homothet,
     Norm,
+    PBall,
     Simplex,
     VPolytope,
     apply_homothet,
@@ -100,12 +101,22 @@ class TestGauge:
         g2 = gauge_eval((1, -2, F(1, 2)), cube(3))
         assert g2 == 2
 
-    @pytest.mark.parametrize("half", [0, -1, F(-1, 2), -0.0, math.nan])
+    @pytest.mark.parametrize("half", [0, -1, F(-1, 2), -0.0, math.nan, math.inf])
     def test_cube_half_must_be_positive(self, half):
         # cube(2, 0) would be four copies of the origin, cube(2, -1) the
-        # square with its vertices reordered
+        # square with its vertices reordered, cube(2, inf) infinite vertices
         with pytest.raises(ValueError, match="half must be positive"):
             cube(2, half)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0, -1, -math.inf])
+    def test_pball_radius_must_be_positive_and_finite(self, radius):
+        # NaN fails every comparison, so `radius <= 0` alone let it through
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            PBall(2, 2, radius=radius)
+
+    def test_pball_rational_radius_of_any_size(self):
+        # a rational is finite whatever its float would be
+        assert PBall(2, 2, radius=F(10 ** 400)).radius == 10 ** 400
 
     def test_asymmetric_body_rejected(self):
         with pytest.raises(ValueError):
