@@ -377,7 +377,8 @@ def build_parser() -> _Parser:
     ps.add_argument("--norm", type=_norm_arg, default=None,
                     help="p value or norm-spec file for a diameter ratio")
     ps.add_argument("--verify", type=_positive_int, metavar="N", default=0,
-                    help="exact barycentric grid check with divisor N")
+                    help="exact coverage check, the same for every N; "
+                         "N is echoed as the report's resolution")
     ps.set_defaults(handler=_run_partition_simplex, command="partition simplex")
     pc = psub.add_parser("cube", help="2^n half-cube partition")
     pc.add_argument("--n", type=int, required=True)

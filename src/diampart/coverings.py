@@ -2,15 +2,13 @@
 
 Two evidence levels, stated honestly in every report:
 
-* exact_grid — simplex schemes are checked on the full integer
-  barycentric grid of granularity 1/N in integer arithmetic (no
-  rounding anywhere, and no numpy): a sweep over the first k-2
-  barycentric coordinates keeps the pieces' boxes that admit each
-  prefix, and on the last two coordinates each box left is one integer
-  interval, so the gaps in their union are the uncovered points.  The
-  sweep depends on the boxes and N alone and is cached, so one sweep
-  serves every simplex of a scheme.  The cube scheme is checked by an
-  interval-product decomposition that is exact for every N at once.
+* exact_grid — a simplex, by its pieces' barycentric boxes, and an axis
+  box, by its homothet pieces, get one exact check in rational
+  arithmetic with no numpy (_uncovered_point): a search over the cells
+  of the boxes' per-coordinate arrangement, which holds for every grid
+  at once and names an exact witness for a gap.  It depends on the
+  boxes alone and is cached, so one check serves every simplex of a
+  scheme; N is only echoed as the report's resolution.
 * sampled — the disk quadrant partition, whose parent is the Euclidean
   unit disk PBall(2, 2), is checked to a stated tolerance on the same
   Halton boundary and interior points as every p-ball's search samples,
@@ -41,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -90,80 +87,13 @@ class BallCoveringSolution:
 
 
 # ---------------------------------------------------------------------------
-# exact grid coverage
+# exact box coverage
 
 
 def _piece_box(piece: PartitionPiece) -> tuple:
     if piece.bary_bounds is None:
         raise ValueError("piece has no barycentric-box form")
     return piece.bary_bounds
-
-
-# Most points any one coverage check tests (a barycentric grid of N = 256
-# on a tetrahedron has 2,862,209); larger inputs are refused before any
-# work, since a grid's cost grows like N^(k-1).
-MAX_GRID_POINTS = 3_000_000
-
-# the uncovered grid points, in lexicographic order, that the worst
-# witness is chosen among
-WITNESS_POOL = 2048
-
-
-@functools.lru_cache(maxsize=32)
-def _uncovered_grid(boxes: tuple, N: int) -> tuple:
-    """The first WITNESS_POOL integer vectors lam >= 0 with sum N, in
-    lexicographic order, that lie in none of the barycentric boxes
-    {lo_i <= lam_i/N <= hi_i}; empty when the boxes cover the grid.
-
-    A box admits lam_i exactly when ceil(lo_i*N) <= lam_i <= floor(hi_i*N).
-    The sweep walks the first k-2 coordinates in increasing order and
-    keeps only the boxes that admit the prefix and can still reach the
-    sum.  With the prefix fixed, the last two coordinates are (a, rest - a),
-    so each box left admits one integer interval of a, and the gaps in
-    the sorted union of those intervals over [0, rest] are the uncovered
-    points.  Integer arithmetic throughout; a pure function of the boxes
-    and N, so cached and shared by every simplex.
-    """
-    k = len(boxes[0])
-    live = []
-    for box in boxes:
-        box = [(as_fraction(lo), as_fraction(hi)) for lo, hi in box]
-        lo = [max(0, -(-a.numerator * N // a.denominator)) for a, _ in box]
-        hi = [min(N, b.numerator * N // b.denominator) for _, b in box]
-        if all(map(operator.le, lo, hi)):
-            # and, for each i, the least and the most lam_i + ... + lam_(k-1) can be
-            live.append((lo, hi, [sum(lo[i:]) for i in range(k)], [sum(hi[i:]) for i in range(k)]))
-    out = []
-
-    def gap(prefix, rest, a, b):
-        """The points (*prefix, c, rest - c) for c in [a, b), up to the pool."""
-        out.extend((*prefix, c, rest - c) for c in range(a, min(b, a + WITNESS_POOL - len(out))))
-
-    def sweep(prefix, rest, live):
-        i = len(prefix)
-        if i == k - 1:  # k = 1: the one point (N,)
-            if not any(lo[i] <= rest <= hi[i] for lo, hi, _, _ in live):
-                out.append((rest,))
-        elif i == k - 2:
-            reach = 0  # the least a not yet known to be covered
-            for s, e in sorted((max(lo[i], rest - hi[i + 1]), min(hi[i], rest - lo[i + 1]))
-                               for lo, hi, _, _ in live):
-                if s <= e:
-                    if s > reach:
-                        gap(prefix, rest, reach, s)
-                    reach = max(reach, e + 1)
-            if reach <= rest:
-                gap(prefix, rest, reach, rest + 1)
-        else:
-            for v in range(rest + 1):
-                if len(out) >= WITNESS_POOL:
-                    return
-                sweep((*prefix, v), rest - v,
-                      [b for b in live if b[0][i] <= v <= b[1][i]
-                       and b[2][i + 1] <= rest - v <= b[3][i + 1]])
-
-    sweep((), N, live)
-    return tuple(out)
 
 
 @functools.lru_cache(maxsize=32)
@@ -173,25 +103,77 @@ def _covered(N: int) -> CoverageReport:
     return CoverageReport("exact_grid", N, True, None, 0)
 
 
-def _simplex_grid_coverage(parent: Simplex, pieces, N: int) -> CoverageReport:
-    k = parent.dim + 1
-    count = math.comb(N + k - 1, k - 1)
-    if count > MAX_GRID_POINTS:
-        raise ValueError("a barycentric grid of granularity 1/%d has %d points, more than %d"
-                         % (N, count, MAX_GRID_POINTS))
-    boxes = tuple(tuple(map(tuple, _piece_box(p))) for p in pieces)
-    if any(len(box) != k for box in boxes):
-        raise ValueError("a piece's barycentric box needs %d coordinates" % k)
-    bad = _uncovered_grid(boxes, N)
-    if not bad:
-        return _covered(N)
-    # most-uncovered grid point: largest violation of its best piece
-    lam = max(([Fraction(v, N) for v in row] for row in bad),
-              key=lambda x: _box_violation(x, boxes))
-    point = tuple(sum(lv * v[i] for lv, v in zip(lam, parent.vertices))
-                  for i in range(parent.dim))
-    return CoverageReport("exact_grid", N, False,
-                          (point, to_float(_box_violation(lam, boxes))), 0)
+@functools.lru_cache(maxsize=32)
+def _uncovered_point(boxes: tuple, ranges: tuple, simplex: bool):
+    """(x, violation): an exact rational point x of the body in none of
+    the boxes and its _box_violation, or None when the boxes cover it.
+
+    The body is the product of the closed ranges, cut by sum x_i = 1 when
+    simplex (barycentric boxes, ranges [0, 1]).  By coordinate
+    compression (as in Bentley's 1977 algorithm for Klee's measure
+    problem) each coordinate is cut at every box bound in its range; the
+    cut points and the open intervals between them, merged where
+    neighbours lie in the same boxes, are its sorted classes [lo, hi,
+    lo closed, hi closed, mask of the boxes].  A depth-first search over
+    products of classes ANDs the masks.  A node is covered when a box in
+    its mask holds the whole range of every coordinate left, and a
+    simplex coordinate stops once the lowest sum passes 1.  At mask 0 the
+    coordinates left take their whole range and the cell gives the
+    witness: its midpoint on a box; on a simplex its low or high corner
+    when closed and of sum 1, else lo + t(hi - lo) with
+    t = (1 - sum lo)/(sum hi - sum lo) when 1 lies strictly between the
+    sums, and no body point otherwise.  Float bounds are read as the
+    rationals they denote.  Cached: one check serves every parent of a
+    scheme, at every N.
+    """
+    boxes = [[(as_fraction(a), as_fraction(b)) for a, b in box] for box in boxes]
+    ranges = [(as_fraction(a), as_fraction(b)) for a, b in ranges]
+    k, everything = len(ranges), (1 << len(boxes)) - 1
+    classes, full = [], [everything] * (k + 1)
+    for i, (lo, hi) in enumerate(ranges):
+        cuts = sorted({v for box in boxes for v in box[i] if lo < v < hi} | {lo, hi})
+        merged = []
+        for a, b in [(a, b) for a, c in zip(cuts, cuts[1:]) for b in (a, c)] + [(hi, hi)]:
+            mid = (a + b) / 2
+            mask = sum(1 << j for j, box in enumerate(boxes) if box[i][0] <= mid <= box[i][1])
+            if merged and merged[-1][4] == mask:
+                merged[-1][1], merged[-1][3] = b, a == b
+            else:
+                merged.append([a, b, a == b, a == b, mask])
+        classes.append(merged)
+    for d in reversed(range(k)):  # the boxes holding the whole range of coordinates d, d+1, ...
+        lo, hi = ranges[d]
+        full[d] = full[d + 1] & sum(1 << j for j, box in enumerate(boxes)
+                                    if box[d][0] <= lo and hi <= box[d][1])
+
+    def witness(cells):
+        cells = [*cells, *((lo, hi, True, True) for lo, hi in ranges[len(cells):])]
+        if not simplex:
+            return [(c[0] + c[1]) / 2 for c in cells]
+        low, high = sum(c[0] for c in cells), sum(c[1] for c in cells)
+        for end, total in ((0, low), (1, high)):
+            if total == 1 and all(c[2 + end] for c in cells):
+                return [c[end] for c in cells]
+        if low < 1 < high:
+            t = (1 - low) / (high - low)
+            return [c[0] + t * (c[1] - c[0]) for c in cells]
+        return None
+
+    def search(prefix, mask, low):
+        if mask & full[len(prefix)]:
+            return None
+        if not mask:
+            return witness(prefix)
+        for c in classes[len(prefix)]:
+            if simplex and low + c[0] > 1:
+                break
+            x = search([*prefix, c], mask & c[4], low + c[0])
+            if x is not None:
+                return x
+        return None
+
+    x = search([], everything, 0)
+    return None if x is None else (tuple(x), _box_violation(x, boxes))
 
 
 def _box_violation(x, boxes):
@@ -213,52 +195,38 @@ def _axis_cube_intervals(P: VPolytope):
     return (los, his) if set(P.vertices) == want else None
 
 
-def _cube_scheme_coverage(parent: VPolytope, pieces, N: int) -> CoverageReport:
-    """Interval-product argument, exact for every grid granularity.
-
-    Each piece is an axis box; the union covers the parent box exactly
-    when the pieces form the Cartesian product of per-axis interval
-    families that each cover the parent's axis interval.
-    """
-    box = _axis_cube_intervals(parent)
-    if box is None:
-        raise ValueError("interval-product coverage needs an axis-aligned box parent")
-    los, his = box
-    n = parent.dim
-    piece_ivals = []
-    for p in pieces:
-        h = p.description
-        if not isinstance(h, Homothet):
-            raise ValueError("cube scheme pieces must be homothets")
-        r = as_fraction(h.ratio)
-        ivals = []
-        for i in range(n):
-            a = r * los[i] + as_fraction(h.translation[i])
-            b = r * his[i] + as_fraction(h.translation[i])
-            ivals.append((min(a, b), max(a, b)))
-        piece_ivals.append(tuple(ivals))
-    per_axis = [sorted(set(iv[i] for iv in piece_ivals)) for i in range(n)]
-    # every axis family must cover [lo_i, hi_i] with no gap
-    for i in range(n):
-        reach = los[i]
-        for lo, hi in per_axis[i]:
-            if lo <= reach:
-                reach = max(reach, hi)
-        if reach < his[i]:
-            pt = [Fraction(lo + hi, 2) for lo, hi in zip(los, his)]
-            pt[i] = reach + (his[i] - reach) / 2
-            return CoverageReport("exact_grid", N, False,
-                                  (tuple(pt), to_float(his[i] - reach)), 0)
-    # and the pieces must realize the full product of the axis families
-    want = {()}
-    for i in range(n):
-        want = {w + (iv,) for w in want for iv in per_axis[i]}
-    if set(piece_ivals) != want:
-        missing = next(iter(want - set(piece_ivals)))
-        pt = tuple(Fraction(lo + hi, 2) for lo, hi in missing)
-        return CoverageReport("exact_grid", N, False,
-                              (pt, to_float(_box_violation(pt, piece_ivals))), 0)
-    return _covered(N)
+def _box_coverage(parent, pieces, N: int) -> CoverageReport:
+    """_uncovered_point on a simplex's barycentric boxes, or on an axis
+    box parent's homothet pieces; the witness of a simplex is mapped
+    through its vertices."""
+    if isinstance(parent, Simplex):
+        k = parent.dim + 1
+        boxes = tuple(tuple(map(tuple, _piece_box(p))) for p in pieces)
+        if any(len(box) != k for box in boxes):
+            raise ValueError("a piece's barycentric box needs %d coordinates" % k)
+        found = _uncovered_point(boxes, ((0, 1),) * k, True)
+    else:
+        ranges = _axis_cube_intervals(parent)
+        if ranges is None:
+            raise ValueError("box coverage needs an axis-aligned box parent")
+        ranges = tuple(zip(*([as_fraction(v) for v in ends] for ends in ranges)))
+        boxes = []
+        for p in pieces:
+            h = p.description
+            if not isinstance(h, Homothet):
+                raise ValueError("cube scheme pieces must be homothets")
+            r = as_fraction(h.ratio)
+            ends = [(r * lo + t, r * hi + t)
+                    for (lo, hi), t in zip(ranges, map(as_fraction, h.translation))]
+            boxes.append(tuple((min(a, b), max(a, b)) for a, b in ends))
+        found = _uncovered_point(tuple(boxes), ranges, False)
+    if found is None:
+        return _covered(N)
+    point, violation = found
+    if isinstance(parent, Simplex):
+        point = tuple(sum(lv * v[i] for lv, v in zip(point, parent.vertices))
+                      for i in range(parent.dim))
+    return CoverageReport("exact_grid", N, False, (point, to_float(violation)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +237,10 @@ _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 # sampled coverage: a sample within this distance of a piece counts as in it
 SAMPLED_TOL = 1e-9
+
+# Most points one sampled coverage check tests; a larger N is refused
+# before any work, since each sample costs a membership test per piece.
+MAX_GRID_POINTS = 3_000_000
 
 
 def _halton(n: int, d: int):
@@ -334,26 +306,22 @@ def verify_covering(parent, pieces: Sequence[PartitionPiece], N: int = 64,
                     seed: int = 0) -> CoverageReport:
     """Check that the union of the pieces covers the parent body.
 
-    The parent decides the method.  A simplex is checked on every rational
-    grid point of granularity 1/N: an integer sweep over the pieces'
-    barycentric boxes (cached per boxes and N, so every simplex with the
-    same scheme shares one sweep) lists the uncovered points, and the
-    worst of the first WITNESS_POOL of them, in lexicographic order, is
-    mapped through the parent.  Any other polytope must be an axis box
-    and gets the exact interval-product argument (valid for all N); the
-    disk is checked on N boundary and N//4 interior low-discrepancy points
-    plus random ones, to SAMPLED_TOL.  N must be a positive int (not a
-    bool) and the piece list must not be empty, whatever the parent.
+    A simplex (by the pieces' barycentric boxes) and an axis box (by its
+    homothet pieces) get one exact check, _uncovered_point, cached per
+    boxes: it holds for every N at once, so N is only echoed as the
+    report's resolution, and a gap comes with an exact rational witness
+    and its _box_violation.  The disk is checked on N boundary and N//4
+    interior low-discrepancy points plus random ones, to SAMPLED_TOL.  N
+    must be a positive int (not a bool) and the piece list must not be
+    empty, whatever the parent.
     """
     if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise ValueError("coverage needs a positive integer N, got %r" % (N,))
     pieces = tuple(pieces)
     if not pieces:
         raise ValueError("coverage needs at least one piece")
-    if isinstance(parent, Simplex):
-        return _simplex_grid_coverage(parent, pieces, N)
-    if isinstance(parent, VPolytope):
-        return _cube_scheme_coverage(parent, pieces, N)
+    if isinstance(parent, (Simplex, VPolytope)):
+        return _box_coverage(parent, pieces, N)
     return _sampled_coverage(parent, pieces, N, seed)
 
 
@@ -492,19 +460,6 @@ def _fold_rows(ufunc, a):
     for row in a[1:]:
         ufunc(total, row, out=total)
     return total
-
-
-def _dist_matrix(samples, centers, kernel):
-    """S x m matrix of distances from each sample to each center.
-
-    Built one kernel column per center and stored center-major (the
-    transpose of an m x S array), so reductions over the centers run
-    along long contiguous rows.
-    """
-    import numpy as np
-
-    rows = np.ascontiguousarray(samples.T)
-    return np.stack([kernel(rows - c[:, None]) for c in centers]).T
 
 
 @functools.lru_cache(maxsize=8)
@@ -929,25 +884,29 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
     dim = samples.shape[1]
     kernel = _norm_kernel(norm)
 
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(8)]
+    seeds = np.random.SeedSequence(seed)
 
     def starts():
-        # each start is built when the search reaches it: most searches
-        # that succeed do so from the first
+        # each start and its stream are built when the search reaches it:
+        # most searches that succeed do so from the first.  Spawning one
+        # child at a time gives the children of spawn(8), in order.
         sv = _body_vertices(parent) * max(1.0 - rf, 0.0)
         base = np.zeros((m, dim))
         base[: min(m, len(sv))] = sv[: min(m, len(sv))]
-        yield base
-        yield _greedy_kcenter(samples, m, kernel)
-        for i in range(2, 8):
-            if i % 2 == 0:
-                yield base + streams[i].normal(scale=0.15, size=(m, dim))
+        for i in range(8):
+            rng = np.random.default_rng(seeds.spawn(1)[0])
+            if i == 0:
+                yield base, rng
+            elif i == 1:
+                yield _greedy_kcenter(samples, m, kernel), rng
+            elif i % 2 == 0:
+                yield base + rng.normal(scale=0.15, size=(m, dim)), rng
             else:
-                yield samples[streams[i].integers(0, len(samples), size=m)] * 0.5
+                yield samples[rng.integers(0, len(samples), size=m)] * 0.5, rng
 
     best_centers, best_margin = None, math.inf
-    for i, c0 in enumerate(starts()):
-        centers, val = _pattern_search(samples, c0, kernel, rf, streams[i])
+    for c0, rng in starts():
+        centers, val = _pattern_search(samples, c0, kernel, rf, rng)
         if val < best_margin:
             best_centers, best_margin = centers, val
         if best_margin <= 1e-12:
@@ -988,4 +947,7 @@ def verify_ball_covering(parent, centers, r, norm: Norm):
 
     cs = np.asarray([[to_float(c) for c in row] for row in centers], dtype=float)
     arr = pts if den is None else (pts.astype(object) / den).astype(float)  # P/D rounded once
-    return float(_dist_matrix(arr, cs, _norm_kernel(norm)).min(axis=1).max()) - to_float(r)
+    rows, kernel = np.ascontiguousarray(arr.T), _norm_kernel(norm)
+    # min is exact, so folding the centers' columns in any order gives the same margin
+    near = functools.reduce(np.minimum, (kernel(rows - c[:, None]) for c in cs))
+    return float(near.max()) - to_float(r)

@@ -12,8 +12,9 @@ Linear algebra, hulls and polytope tests read a float as the rational it
 denotes and round only the result, so float data takes the exact path
 too: this module holds no tolerance and imports no numpy.  Exact
 elimination is done one way, on integer rows and without fractions:
-_echelon gives the ranks (affine_rank, matrix_rank_exact) and, by back
-substitution, the solutions of solve_linear_system.
+_echelon gives the affine rank (affine_rank; a linear rank is the affine
+rank of the rows with the origin added) and, by back substitution, the
+solutions of solve_linear_system.
 Polytopes are enumerated one way too, by the integer double-description
 kernel _extreme_rays: the facets of a gauge body (gauge_facets) and the
 vertices of a barycentric box (partitions._bary_box_vertices) are both
@@ -436,11 +437,6 @@ def solve_linear_system(A: Sequence[Sequence], b: Sequence):
     for _, j, v in reversed(basis):
         x[j] = Fraction(v[n] - sum(map(operator.mul, v, x)), v[j])
     return x
-
-
-def matrix_rank_exact(rows: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix by exact elimination."""
-    return len(_echelon(_integer_points(rows)[1]))
 
 
 def _primitive(v) -> tuple:

@@ -162,6 +162,16 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("diampart: error:")
 
+    def test_any_verify_resolution_is_exact(self, capsys):
+        # the coverage check is exact for every N, so a large N costs no
+        # more and only names the resolution
+        coverage = []
+        for n in ("64", "1000"):
+            assert main(["partition", "simplex", "--m", "8", "--verify", n]) == 0
+            coverage.append(json.loads(capsys.readouterr().out)["results"]["coverage"])
+        assert coverage[1] == {**coverage[0], "resolution": 1000}
+        assert coverage[0]["covered"] and coverage[0]["resolution"] == 64
+
     @pytest.mark.parametrize("argv", [
         ["partition", "simplex", "--m", "8", "--verify", "-3"],
         ["partition", "simplex", "--m", "8", "--verify", "0"],
@@ -171,10 +181,10 @@ class TestExitCodes:
         ["partition"],
         ["beta"],
         ["--out", "/nonexistent/dir/x.json", "check", "corollary-221-328"],
-        # inputs whose work has no bound: a 167,668,501-point grid,
-        # 150,000,000 disk samples, a 1,000,001-point scan, a scan whose
-        # point count overflows a float
-        ["partition", "simplex", "--m", "8", "--verify", "1000"],
+        # a resolution that is no integer
+        ["partition", "simplex", "--m", "8", "--verify", "1e3"],
+        # inputs whose work has no bound: 150,000,000 disk samples, a
+        # 1,000,001-point scan, a scan whose point count overflows a float
         ["partition", "disk", "--samples", "100000000"],
         ["bm", "scan", "--step", "1e-6"],
         ["bm", "scan", "--step", "1e-320"],

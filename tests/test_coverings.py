@@ -30,8 +30,8 @@ from diampart.coverings import (
     BallCoveringSolution,
     _body_samples,
     _body_vertices,
+    _box_violation,
     _confirmation_points,
-    _dist_matrix,
     _exact_margin,
     _halton,
     _lattice_projections,
@@ -40,6 +40,7 @@ from diampart.coverings import (
     _projections,
     _seed_free_samples,
     _sweep_moves,
+    _uncovered_point,
     partition_diameter_ratio,
     scheme_box_tautology,
     search_ball_covering,
@@ -106,20 +107,21 @@ class TestSimplexGridCoverage:
             assert rep.resolution == N
 
     def test_grid_is_cached_and_read_only(self):
-        # one sweep per (boxes, N) serves every tetrahedron of a scheme;
-        # each report maps the shared uncovered points through its parent
-        from diampart.coverings import _uncovered_grid
+        # one exact check per boxes serves every tetrahedron of a scheme and
+        # every N; each report maps the shared barycentric witness through
+        # its parent
         from diampart.geometry import barycentric_coords
         from diampart.partitions import piece_contains
 
-        _uncovered_grid.cache_clear()
+        _uncovered_point.cache_clear()
         for S in (STD_TETRA, SKEW_TETRA):
             cert = simplex_partition(S, "m9")
             assert verify_covering(S, cert.pieces, N=64).covered
-        assert _uncovered_grid.cache_info().misses == 1
-        assert _uncovered_grid.cache_info().hits == 1
+            assert verify_covering(S, cert.pieces, N=1000).covered
+        assert _uncovered_point.cache_info().misses == 1
+        assert _uncovered_point.cache_info().hits == 3
 
-        _uncovered_grid.cache_clear()
+        _uncovered_point.cache_clear()
         witnesses = []
         for S in (STD_TETRA, SKEW_TETRA):
             pieces = simplex_partition(S, "m8").pieces[:4]
@@ -128,30 +130,30 @@ class TestSimplexGridCoverage:
             point, _ = rep.worst_witness
             assert not any(piece_contains(p, point, S) for p in pieces)
             witnesses.append(barycentric_coords(S, point))
-        assert _uncovered_grid.cache_info().misses == 1
+        assert _uncovered_point.cache_info().misses == 1
         # the same barycentric witness, mapped through each parent
         assert witnesses[0] == witnesses[1]
-        bad = _uncovered_grid(tuple(p.bary_bounds for p in pieces), 16)
-        assert type(bad) is tuple and all(type(row) is tuple for row in bad)
+        lam, violation = _uncovered_point(tuple(p.bary_bounds for p in pieces), ((0, 1),) * 4, True)
+        assert type(lam) is tuple and tuple(witnesses[0]) == lam and type(violation) is Fraction
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_grid_matches_brute_force(self, k):
         # the half boxes {lambda_i >= 1/2} leave out every point whose
-        # coordinates all lie below 1/2 (some at N = 9 when k > 2); with the
-        # [0, 1/2]^k box added, the grid is covered
-        from diampart.coverings import _uncovered_grid
-
+        # coordinates all lie below 1/2 (some at N = 9 when k > 2), the
+        # centroid among them; with the [0, 1/2]^k box added, they cover
         half = tuple(tuple((F(1, 2) if j == i else F(0), F(1)) for j in range(k))
                      for i in range(k))
         full = half + (((F(0), F(1, 2)),) * k,)
+        found = _uncovered_point(half, ((0, 1),) * k, True)
+        assert (found is None) == (k <= 2)
+        if k > 2:
+            assert found == ((F(1, k),) * k, F(1, 2) - F(1, k))
+        assert _uncovered_point(full, ((0, 1),) * k, True) is None
         for N in (1, 2, 5, 9, 256):
             if N == 256 and k > 2:
                 continue
-            want = enumerate_uncovered(half, N, k)
-            assert _uncovered_grid(half, N) == want
-            if N == 9:
-                assert (want == ()) == (k <= 2)
-            assert _uncovered_grid(full, N) == enumerate_uncovered(full, N, k) == ()
+            assert (enumerate_uncovered(half, N, k) == ()) == (found is None or N in (1, 2))
+            assert enumerate_uncovered(full, N, k) == ()
 
 
 def enumerate_uncovered(boxes, N, k, limit=2048):
@@ -183,33 +185,84 @@ def unit_boxes(k):
                     min_size=k, max_size=k).map(tuple)
 
 
-class TestGridKernel:
-    """The integer sweep against an enumeration of the whole grid."""
+def simplex_box_lists():
+    """k in 2..5 and 1 to 6 barycentric boxes, with the k vertex boxes
+    {lambda_i >= t} added when t is drawn."""
+    return st.integers(2, 5).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(unit_boxes(k), min_size=1, max_size=6), st.none() | unit_fractions))
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([(2, 1), (2, 300), (3, 1), (3, 7), (3, 64), (3, 255), (3, 256),
-                            (3, 300), (4, 1), (4, 7), (4, 24), (5, 3), (5, 10)]).flatmap(
-        lambda kn: st.tuples(st.just(kn), st.lists(unit_boxes(kn[0]), min_size=1,
-                                                   max_size=6))))
-    def test_threshold_test_matches_multiply_form(self, case):
-        # ceil(lo*N) <= lambda_i <= floor(hi*N), swept, against the multiply
-        # form on every grid point, truncated at the witness pool
-        from diampart.coverings import WITNESS_POOL, _uncovered_grid
 
-        (k, N), boxes = case
-        _uncovered_grid.cache_clear()
-        assert _uncovered_grid(tuple(boxes), N) == enumerate_uncovered(boxes, N, k, WITNESS_POOL)
+def in_box(x, box):
+    return all(lo <= v <= hi for v, (lo, hi) in zip(x, box))
 
-    @pytest.mark.parametrize("N, point, margin", [
-        # what the row-major multiply form reported for these grids
-        (7, (F(3, 2), F(9, 7)), 0.07142857142857142),
-        (300, (F(413, 300), F(59, 50)), 0.10666666666666667),
-    ])
-    def test_uncovered_witness_unchanged(self, N, point, margin):
+
+class TestBoxCover:
+    """The exact box-cover check against grid enumerations."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(simplex_box_lists())
+    def test_agrees_with_the_grid(self, case):
+        # a gap that some grid finds is found, and every witness is a
+        # point of the simplex that no box holds, rechecked exactly
+        k, boxes, t = case
+        if t is not None:
+            boxes += [tuple((t if j == i else F(0), F(1)) for j in range(k)) for i in range(k)]
+        found = _uncovered_point(tuple(boxes), ((0, 1),) * k, True)
+        for N in (1, 2, 5, 12, 40):
+            if math.comb(N + k - 1, k - 1) <= 2000 and enumerate_uncovered(boxes, N, k, 1):
+                assert found is not None
+        if found is not None:
+            lam, violation = found
+            assert all(type(v) is Fraction and v >= 0 for v in lam) and sum(lam) == 1
+            assert not any(in_box(lam, box) for box in boxes)
+            assert violation == _box_violation(lam, boxes) > 0
+
+    @pytest.mark.parametrize("N", [7, 300])
+    def test_uncovered_witness_unchanged(self, N):
+        # the three vertex pieces miss the middle; the witness is the
+        # centroid at every N, 1/6 from each vertex box
         T = Simplex(((0, 0), (3, 1), (F(1, 2), 2)))
         rep = verify_covering(T, triangle_partition4(T).pieces[:3], N=N)
         assert not rep.covered
-        assert rep.worst_witness == (point, margin)
+        assert rep.worst_witness == ((F(7, 6), F(1)), 1 / 6)
+
+    def test_gap_between_grid_points(self):
+        # the vertex boxes {lambda_i >= 1/2} and [0, 99/200]^3 leave a
+        # sliver that the 1/64, 1/100 and 1/200 grids all miss
+        half = tuple(tuple((F(1, 2) if j == i else F(0), F(1)) for j in range(3))
+                     for i in range(3))
+        boxes = half + (((F(0), F(99, 200)),) * 3,)
+        for N in (64, 100, 200):
+            assert enumerate_uncovered(boxes, N, 3, 1) == ()
+        lam, violation = _uncovered_point(boxes, ((0, 1),) * 3, True)
+        assert lam == (F(9999, 39800), F(9999, 39800), F(9901, 19900))
+        assert not any(in_box(lam, box) for box in boxes)
+        assert violation == F(49, 19900)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(st.integers(-4, 4).filter(bool), st.tuples(*[st.integers(-4, 4)] * n)),
+        min_size=1, max_size=6)))
+    def test_box_parent_matches_the_half_grid(self, homothets):
+        # every bound lies on the 1/4 grid, so each cell of the arrangement
+        # holds a point of the 1/8 grid, and that grid decides coverage
+        import itertools
+
+        n = len(homothets[0][1])
+        parent = cube(n)
+        pieces = [PartitionPiece(Homothet(F(a, 4), tuple(F(b, 4) for b in t), parent), F(abs(a), 4))
+                  for a, t in homothets]
+        boxes = [tuple(sorted((F(a, 4) * s + F(b, 4)) for s in (-1, 1))) for a, t in homothets
+                 for b in t]
+        boxes = [tuple(boxes[i * n:(i + 1) * n]) for i in range(len(homothets))]
+        grid = itertools.product([F(i, 8) for i in range(-8, 9)], repeat=n)
+        covered = all(any(in_box(x, box) for box in boxes) for x in grid)
+        rep = verify_covering(parent, pieces)
+        assert rep.covered == covered
+        if not covered:
+            x, margin = rep.worst_witness
+            assert all(-1 <= v <= 1 for v in x) and not any(in_box(x, box) for box in boxes)
+            assert margin == float(_box_violation(x, boxes)) > 0
 
 
 def _m8_vertex_pieces():
@@ -270,6 +323,21 @@ class TestCubeCoverage:
         assert rep.worst_witness == ((F(1, 2), F(1, 2)), 0.5)
         doc = json.loads(canonical_json(_coverage_payload(rep)))
         assert doc["worst_witness"] == {"point": ["1/2", "1/2"], "margin": 0.5}
+
+    def test_overlapping_squares_cover(self):
+        # [-1, 1/2]^2, [0, 1]^2, [0, 1] x [-1, 0] and [-1, 0] x [0, 1] cover
+        # the square, though they are no product of per-axis families
+        parent = cube(2)
+        pieces = [PartitionPiece(Homothet(r, t, parent), r) for r, t in (
+            (F(3, 4), (F(-1, 4), F(-1, 4))), (F(1, 2), (F(1, 2), F(1, 2))),
+            (F(1, 2), (F(1, 2), F(-1, 2))), (F(1, 2), (F(-1, 2), F(1, 2))))]
+        rep = verify_covering(parent, pieces, N=8)
+        assert rep.covered and rep.worst_witness is None
+        # without [0, 1]^2, part of the open quadrant beyond [-1, 1/2]^2 is bare
+        rep = verify_covering(parent, pieces[:1] + pieces[2:], N=8)
+        assert not rep.covered
+        x, _ = rep.worst_witness
+        assert min(x) > 0 and max(x) > F(1, 2)
 
 
 class TestTautologies:
@@ -733,6 +801,13 @@ def _plain_pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
     return centers, best
 
 
+def _dist_matrix(samples, centers, kernel):
+    """S x m matrix of distances from each sample to each center, one
+    kernel column per center."""
+    rows = np.ascontiguousarray(samples.T)
+    return np.stack([kernel(rows - c[:, None]) for c in centers]).T
+
+
 def _row_vector_dist_matrix(samples, centers, norm):
     """Distances from an (S, m, n) difference array reduced over its
     trailing axis: the reference for the coordinate-row kernel."""
@@ -762,6 +837,18 @@ class TestCoordinateRowKernel:
         got = _dist_matrix(samples, centers, _norm_kernel(norm))
         assert got.shape == (len(samples), m)
         assert np.array_equal(got, _row_vector_dist_matrix(samples, centers, norm))
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("body, norm", [(PBall(2, 2), Norm.lp(2)), (PBall(1, 3), Norm.lp(2)),
+                                            (cube(3), Norm.lp(3))])
+    def test_float_confirmation_matches_the_matrix(self, body, norm, m):
+        # the float confirmation folds the kernel columns with np.minimum;
+        # min is exact, so its margin is the S x m matrix's, bit for bit
+        centers = np.random.default_rng(m).uniform(-0.5, 0.5, size=(m, body.dim))
+        pts, den = _confirmation_points(body)
+        arr = pts if den is None else (pts.astype(object) / den).astype(float)
+        want = float(_dist_matrix(arr, centers, _norm_kernel(norm)).min(axis=1).max()) - 0.25
+        assert verify_ball_covering(body, centers.tolist(), 0.25, norm) == want
 
 
 class TestPatternSearchKernel:

@@ -11,6 +11,7 @@ from diampart.geometry import (
     PBall,
     Simplex,
     VPolytope,
+    affine_rank,
     apply_homothet,
     barycentric_coords,
     centroid,
@@ -20,7 +21,6 @@ from diampart.geometry import (
     dual_exponent,
     gauge_eval,
     gauge_facets,
-    matrix_rank_exact,
     pnorm_eval,
     point_in_vpolytope,
     polytope_diameter,
@@ -390,10 +390,11 @@ def test_linear_system_reads_floats_exactly():
 
 
 def test_matrix_rank():
-    assert matrix_rank_exact([[1, 0], [0, 1]]) == 2
-    assert matrix_rank_exact([[1, 2], [2, 4]]) == 1
-    assert matrix_rank_exact([]) == 0
-    assert matrix_rank_exact([[0, 0]]) == 0
+    # a linear rank is the affine rank of the rows with the origin added
+    assert affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
+    assert affine_rank([(0, 0), (1, 2), (2, 4)]) == 1
+    assert affine_rank([(0, 0), (0, 0)]) == 0
+    assert affine_rank([]) == 0
 
 
 class TestContainment:

@@ -15,11 +15,11 @@ from diampart.geometry import (
     _echelon,
     _extreme_rays,
     _integer_points,
+    affine_rank,
     cross_polytope,
     cube,
     gauge_eval,
     gauge_facets,
-    matrix_rank_exact,
     norm_facets,
     vdot,
     vneg,
@@ -165,7 +165,7 @@ def test_hull_matches_brute_force_off_the_origin(points):
     # generated by the facets alone when the points span the space
     pts = sorted(set(points))
     n = len(pts[0])
-    assume(matrix_rank_exact([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == n)
+    assume(affine_rank(pts) == n)
     lin, rays = _extreme_rays([(*vneg(p), 1) for p in pts], n + 1)
     assert not lin
     assert {(r[:-1], r[-1]) for r in rays} == brute_hull_facets(pts)
@@ -207,7 +207,7 @@ FLAT_FORMS = [
 def test_flat_body_forms_are_pinned(vertices, rank, want):
     form = gauge_facets.__wrapped__(vertices)
     assert (form.scale, form.den, form.rows, form.cone) == want
-    assert matrix_rank_exact(vertices) == rank
+    assert affine_rank([(0,) * len(vertices[0]), *vertices]) == rank
     complement = [c for c in form.cone if all(vdot(c, v) == 0 for v in vertices)]
     assert len(complement) == 2 * (len(vertices[0]) - rank)
     for c in complement:

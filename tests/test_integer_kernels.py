@@ -26,7 +26,6 @@ from diampart.geometry import (
     cross_polytope,
     cube,
     diameter_finite,
-    matrix_rank_exact,
     norm_eval,
     pnorm_eval,
     polytope_diameter,
@@ -63,7 +62,19 @@ def vec(dim):
 
 
 def rank(points):
-    return matrix_rank_exact([vsub(p, points[0]) for p in points[1:]]) if len(points) > 1 else 0
+    """The affine rank of the points, by Gaussian elimination in Fractions
+    on their differences from the first."""
+    rows = [[Fraction(a) - Fraction(b) for a, b in zip(p, points[0])] for p in points[1:]]
+    r = 0
+    for j in range(len(points[0]) if points else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if pivot is not None:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            for i in range(r + 1, len(rows)):
+                f = rows[i][j] / rows[r][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            r += 1
+    return r
 
 
 def simplices(dim):

@@ -26,7 +26,6 @@ from diampart.geometry import (
     diameter_finite,
     dual_exponent,
     gauge_eval,
-    matrix_rank_exact,
     norm_eval,
     pnorm_eval,
     point_in_vpolytope,
@@ -133,7 +132,7 @@ class TestFacetFormGauge:
         lambda n: st.tuples(symmetric_bodies(n), vec(n))))
     def test_matches_lp_on_symmetric_bodies(self, case):
         verts, x = case
-        assume(matrix_rank_exact(verts) == len(x))
+        assume(affine_rank([(0,) * len(x), *verts]) == len(x))
         assert gauge_eval(x, VPolytope(verts)) == lp_gauge(x, verts)
 
     @settings(max_examples=40, deadline=None)
@@ -149,7 +148,7 @@ class TestFacetFormGauge:
     @settings(max_examples=20, deadline=None)
     @given(symmetric_bodies(3), st.lists(vec(3), min_size=2, max_size=6))
     def test_diameter_is_pairwise_max(self, verts, pts):
-        assume(matrix_rank_exact(verts) == 3)
+        assume(affine_rank([(0, 0, 0), *verts]) == 3)
         body = VPolytope(verts)
         brute = max(gauge_eval(vsub(p, q), body) for p in pts for q in pts)
         got = diameter_finite(pts, Norm.gauge(body))
@@ -166,7 +165,7 @@ class TestFacetFormGauge:
     @settings(max_examples=40, deadline=None)
     @given(symmetric_bodies(3), st.tuples(*[st.floats(-8, 8)] * 3))
     def test_float_input_matches_lp(self, verts, x):
-        assume(matrix_rank_exact(verts) == 3)
+        assume(affine_rank([(0, 0, 0), *verts]) == 3)
         got = gauge_eval(x, VPolytope(verts))
         want = float(lp_gauge(tuple(map(as_fraction, x)), verts))
         assert isinstance(got, float)
@@ -473,7 +472,7 @@ class TestPolytopeMembership:
     @given(st.sampled_from([2, 3]).flatmap(simplex_queries))
     def test_simplex_matches_barycentric(self, case):
         verts, x = case
-        assume(matrix_rank_exact([vsub(v, verts[0]) for v in verts[1:]]) == len(x))
+        assume(affine_rank(verts) == len(x))
         inside = min(barycentric_coords(Simplex(verts), x)) >= 0
         assert point_in_vpolytope(VPolytope(verts), x) == inside
 
