@@ -41,7 +41,6 @@ from .geometry import (
     Simplex,
     VPolytope,
     apply_homothet,
-    barycentric_coords,
     cube,
     cross_polytope,
     diameter_finite,
@@ -81,7 +80,6 @@ __all__ = [
     "VPolytope",
     "VerificationError",
     "apply_homothet",
-    "barycentric_coords",
     "beta_finite_exact",
     "bm_upper",
     "corollary_threshold_check",

@@ -36,7 +36,6 @@ from .numbers import (
     golden_section_min,
     is_rational,
     same_mode,
-    to_float,
 )
 
 SPANNING_DEFAULT: Tuple[tuple, ...] = ((3, 3, -2), (-2, 3, 3), (3, -2, 3))
@@ -90,7 +89,7 @@ class BMBoundReport:
     def __post_init__(self):
         if self.method not in ("parallelepiped", "exact_formula"):
             raise ValueError("unknown method %r" % (self.method,))
-        if to_float(self.gamma_bound) < 1 - 1e-12:
+        if float(self.gamma_bound) < 1 - 1e-12:
             raise ValueError("a Banach-Mazur bound below 1 cannot be right")
 
 
@@ -135,14 +134,14 @@ def _holder_max(f, p, radius):
             for i in range(len(f))
         )
     else:
-        qf = to_float(q)
-        nf = to_float(val)
+        qf = float(q)
+        nf = float(val)
         if nf == 0:
             point = (0,) * len(f)
         else:
             point = tuple(
-                to_float(radius)
-                * math.copysign(abs(to_float(c) / nf) ** (qf - 1.0), to_float(c))
+                float(radius)
+                * math.copysign(abs(float(c) / nf) ** (qf - 1.0), float(c))
                 for c in f
             )
     return math.prod(same_mode(radius, val)), point
@@ -154,7 +153,7 @@ def _pball_boundary_samples(ball: PBall, count: int) -> list:
     pnorm_eval, which factors out the largest coordinate before any power
     is taken, so a large p does not overflow."""
     gauss = random.Random(98761234).gauss
-    radius = to_float(ball.radius)
+    radius = float(ball.radius)
     out = []
     for _ in range(count):
         d = [gauss(0.0, 1.0) for _ in range(ball.dim)]
@@ -179,50 +178,37 @@ def sandwich_verify(inner: VPolytope, outer, gamma: Scalar) -> SandwichCertifica
     Of tied maximizers the lexicographically largest is the witness, so
     the facet order cannot change it.
     """
-    if to_float(gamma) < 1 - 1e-12:
+    if float(gamma) < 1 - 1e-12:
         raise ValueError("gamma must be at least 1")
 
-    # --- inner inclusion: every vertex of inner lies in outer
-    worst_in = None
-    worst_in_val = None
-    for v in inner.vertices:
-        mu = _outer_gauge(v, outer)
-        if worst_in_val is None or mu > worst_in_val:
-            worst_in_val, worst_in = mu, v
+    # --- inner inclusion: every vertex of inner lies in outer (the first
+    # maximal vertex is the witness)
+    worst_in_val, worst_in = max(((_outer_gauge(v, outer), v) for v in inner.vertices),
+                                 key=operator.itemgetter(0))
     margin_inner = 1 - worst_in_val
 
     # --- outer inclusion: gauge of inner at outer's extreme points <= gamma
     if isinstance(outer, VPolytope):
-        worst_out = None
-        worst_out_val = None
-        for w in outer.vertices:
-            mu = gauge_eval(w, inner)
-            if worst_out_val is None or mu > worst_out_val:
-                worst_out_val, worst_out = mu, w
+        worst_out_val, worst_out = max(((gauge_eval(w, inner), w) for w in outer.vertices),
+                                       key=operator.itemgetter(0))
     elif isinstance(outer, PBall):
         rows = gauge_facets(inner.vertices).functionals()
-        worst_out = None
-        worst_out_val = None
-        for f in rows:
-            sup, point = _holder_max(f, outer.p, outer.radius)
-            if (worst_out_val is None or sup > worst_out_val
-                    or (sup == worst_out_val and point > worst_out)):
-                worst_out_val, worst_out = sup, point
+        worst_out_val, worst_out = max(_holder_max(f, outer.p, outer.radius) for f in rows)
         # second route: brute samples on the ball boundary must not beat it
-        F = [[to_float(c) for c in row] for row in rows]
+        F = [[float(c) for c in row] for row in rows]
         sampled = max(sum(map(operator.mul, f, x))
                       for x in _pball_boundary_samples(outer, SWEEP_SAMPLES) for f in F)
-        if sampled > to_float(worst_out_val) + 1e-7:
+        if sampled > float(worst_out_val) + 1e-7:
             raise VerificationError(
                 "sampled gauge %.17g exceeds the analytic maximum %.17g"
-                % (sampled, to_float(worst_out_val))
+                % (sampled, float(worst_out_val))
             )
     else:
         raise TypeError("outer body must be a VPolytope or a PBall")
     g, w = same_mode(gamma, worst_out_val)
     margin_outer = g - w
 
-    ok = all(m >= 0 if is_rational(m) else to_float(m) >= -SANDWICH_TOL
+    ok = all(m >= 0 if is_rational(m) else float(m) >= -SANDWICH_TOL
              for m in (margin_inner, margin_outer))
     return SandwichCertificate(
         inner=inner,
@@ -232,7 +218,7 @@ def sandwich_verify(inner: VPolytope, outer, gamma: Scalar) -> SandwichCertifica
         margin_inner=margin_inner,
         margin_outer=margin_outer,
         witness_inner=tuple(worst_in),
-        witness_outer=tuple(worst_out) if worst_out is not None else None,
+        witness_outer=tuple(worst_out),
     )
 
 
@@ -248,16 +234,16 @@ def lp_parallelepiped_bound(p: Scalar) -> BMBoundReport:
     where alpha = max_i |g_i|_q.  The resulting factor for the spanning
     vectors SPANNING_DEFAULT is |(1,1,4)|_p * |(3,1,3)|_q / 10.
     """
-    pf = to_float(p)
+    pf = float(p)
     if not 1 <= pf <= 2:
         raise ValueError("p must lie in [1, 2], got %r" % (p,))
     q = dual_exponent(p)
     Q = parallelepiped(SPANNING_DEFAULT)
-    R = max((pnorm_eval(v, p) for v in Q.vertices), key=to_float)
+    R = max((pnorm_eval(v, p) for v in Q.vertices), key=float)
 
     # the vertex maximum is the (-2,8,-2) orbit, never beaten by (4,4,4)
     special = pnorm_eval((-2, 8, -2), p)
-    if to_float(R) > to_float(special) * (1 + 1e-12) or (
+    if float(R) > float(special) * (1 + 1e-12) or (
             all_rational([special, R]) and R != special):
         raise VerificationError("vertex maximum %r is not the (-2,8,-2) orbit %r"
                                 % (R, special))
@@ -266,7 +252,7 @@ def lp_parallelepiped_bound(p: Scalar) -> BMBoundReport:
     # bound R * max_i |g_i|_q that the certificate measures
     gamma = _closed_form_gamma(p, q)
     cert = sandwich_verify(Q, PBall(p=p, dim=3, radius=R), gamma)
-    if abs(to_float(cert.margin_outer)) > 1e-10 * to_float(gamma):
+    if abs(float(cert.margin_outer)) > 1e-10 * float(gamma):
         raise VerificationError("gamma %r misses the closed form %r"
                                 % (gamma - cert.margin_outer, gamma))
     return BMBoundReport(
@@ -289,7 +275,7 @@ def f_eval(p: Scalar) -> Scalar:
     exactly.  The second factor is evaluated as 3*(2 + 3^-q)^(1/q) to
     stay finite as q = p/(p-1) blows up near p = 1.
     """
-    pf = to_float(p)
+    pf = float(p)
     if not 1 <= pf <= 2:
         raise ValueError("f is only used on [1, 2], got %r" % (p,))
     if pf == 1:
@@ -320,7 +306,7 @@ def f_scan(lo: float = 1.0, hi: float = 2.0, step: float = 1e-4):
     ps = [min(lo + k * step, hi) for k in range(count)]
     if ps[-1] < hi:
         ps.append(hi)
-    vals = [to_float(f_eval(p)) for p in ps]
+    vals = [float(f_eval(p)) for p in ps]
     rising = [vals[i + 1] >= vals[i] for i in range(len(vals) - 1)]
     if rising != sorted(rising):
         raise VerificationError("f is not decreasing-then-increasing at this step")
@@ -328,7 +314,7 @@ def f_scan(lo: float = 1.0, hi: float = 2.0, step: float = 1e-4):
         raise ValueError("no interior minimum between %g and %g" % (lo, hi))
     k = rising.index(True)  # vals[k] <= vals[k+1]; minimum in [k-1, k+1]
     a, b = ps[max(k - 1, 0)], ps[min(k + 1, len(ps) - 1)]
-    return golden_section_min(lambda p: to_float(f_eval(p)), a, b)
+    return golden_section_min(lambda p: float(f_eval(p)), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +329,7 @@ def bm_upper(p: Scalar) -> BMBoundReport:
     3^(1/p)*(3^(-1/p)*B_inf).  For p in [1,2) the parallelepiped bound
     applies; it stays below its value sqrt(342)/10 at p = 2.
     """
-    pf = to_float(p)
+    pf = float(p)
     if not pf >= 1:
         raise ValueError("p must be at least 1, got %s" % (p,))
     if pf >= 2:

@@ -29,7 +29,6 @@ from .numbers import (
     is_rational,
     same_mode,
     sqrt_exact,
-    to_float,
 )
 from .partitions import cube_partition
 
@@ -66,7 +65,7 @@ class BetaBound:
     provenance: Tuple[ProvenanceStep, ...]
 
     def __post_init__(self):
-        v = to_float(self.value)
+        v = float(self.value)
         if not 0 < v <= 1:
             raise ValueError("a diameter-partition bound lives in (0, 1]")
 
@@ -78,10 +77,10 @@ class EpsilonOptResult:
     branch_values: tuple  # (simplex-branch value, ball-branch value)
 
     def __post_init__(self):
-        e = to_float(self.eps_star)
+        e = float(self.eps_star)
         if not 0 < e < Fraction(1, 3):
             raise ValueError("eps_star must lie in (0, 1/3)")
-        if self.bound != max(self.branch_values, key=to_float):
+        if self.bound != max(self.branch_values, key=float):
             raise ValueError("bound must be the larger branch at eps_star")
 
 
@@ -92,9 +91,9 @@ class EpsilonOptResult:
 def stability_transfer(beta_Y: Scalar, gamma: Scalar, chain: Optional[list] = None) -> Scalar:
     """A Banach-Mazur factor gamma between spaces turns a bound for Y
     into min(1, gamma * bound) for X."""
-    if to_float(gamma) < 1:
+    if float(gamma) < 1:
         raise ValueError("a Banach-Mazur factor is never below 1")
-    if not 0 < to_float(beta_Y) <= 1:
+    if not 0 < float(beta_Y) <= 1:
         raise ValueError("beta_Y must lie in (0, 1]")
     b, g = same_mode(beta_Y, gamma)
     value = min(type(b)(1), b * g)
@@ -139,22 +138,22 @@ def minmax_epsilon(eta: Scalar, beta_ball: Scalar) -> EpsilonOptResult:
     A golden-section sweep cross-checks the closed form to a relative
     1e-10 (an absolute 1e-10 for a bound above 1).
     """
-    if not 0 < to_float(eta) <= 1:
+    if not 0 < float(eta) <= 1:
         raise ValueError("eta must lie in (0, 1]")
-    if not 0 < to_float(beta_ball) <= 1:
+    if not 0 < float(beta_ball) <= 1:
         raise ValueError("beta_ball must lie in (0, 1]")
     h, b, edge = same_mode(eta, beta_ball, Fraction(1, 10**12))
     eps = _crossing_eps(h, b) if 6 * b > 4 * h else edge
     b1, b2 = minmax_branches(h, b, eps)
-    bound = max(b1, b2, key=to_float)
+    bound = max(b1, b2, key=float)
 
-    h, b = to_float(eta), to_float(beta_ball)
+    h, b = float(eta), float(beta_ball)
     _, golden = golden_section_min(lambda e: max(minmax_branches(h, b, e)),
                                    _EDGE, 1.0 / 3.0 - _EDGE)
-    if abs(golden - to_float(bound)) > 1e-10 * min(1.0, to_float(bound)):
+    if abs(golden - float(bound)) > 1e-10 * min(1.0, float(bound)):
         raise VerificationError(
             "closed form %.17g disagrees with golden section %.17g"
-            % (to_float(bound), golden)
+            % (float(bound), golden)
         )
     return EpsilonOptResult(eps_star=eps, bound=bound, branch_values=(b1, b2))
 
@@ -249,9 +248,9 @@ def lp_beta8_table(p_values: Sequence[Scalar]) -> List[BetaBound]:
                 certificate=report.certificate,
             )
         )
-        if to_float(p) < 2:
+        if float(p) < 2:
             # the parallelepiped factor is uniform on [1,2): cap at p=2
-            if to_float(report.gamma_bound) > SQRT342_OVER_10 + 1e-9:
+            if float(report.gamma_bound) > SQRT342_OVER_10 + 1e-9:
                 raise VerificationError("parallelepiped factor exceeded its cap")
             chain.append(
                 ProvenanceStep(

@@ -54,12 +54,11 @@ from .geometry import (
     norm_facets,
     polytope_diameter,
 )
-from .numbers import INF, all_rational, as_fraction, float_or_inf, is_rational, same_mode, to_float
+from .numbers import INF, all_rational, as_fraction, float_or_inf, is_rational, same_mode
 from .partitions import (
     PartitionCertificate,
     PartitionPiece,
     SectorRegion,
-    piece_contains,
 )
 
 
@@ -68,7 +67,9 @@ class CoverageReport:
     mode: str  # "exact_grid" or "sampled"
     resolution: int
     covered: bool
-    worst_witness: Optional[tuple]  # (point, margin)
+    # (point, margin) of the first uncovered cell in search order: its exact
+    # point and distance to the nearest box, not the worst point of the gap
+    worst_witness: Optional[tuple]
     tolerance: object
 
 
@@ -226,7 +227,7 @@ def _box_coverage(parent, pieces, N: int) -> CoverageReport:
     if isinstance(parent, Simplex):
         point = tuple(sum(lv * v[i] for lv, v in zip(point, parent.vertices))
                       for i in range(parent.dim))
-    return CoverageReport("exact_grid", N, False, (point, to_float(violation)), 0)
+    return CoverageReport("exact_grid", N, False, (point, float(violation)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +286,16 @@ def _sampled_coverage(parent, pieces, N: int, seed: int) -> CoverageReport:
     if N + 2 * (N // 4) > MAX_GRID_POINTS:
         raise ValueError("%d disk samples test up to %d points, more than %d"
                          % (N, N + 2 * (N // 4), MAX_GRID_POINTS))
+    sectors = [p.description for p in pieces]
+    for s in sectors:
+        if not isinstance(s, SectorRegion):
+            raise ValueError("disk coverage tests sector pieces, not a %s piece"
+                             % (type(s).__name__,))
     pts = _disk_samples(N, N // 4, seed)
     uncovered = []
     for row in pts:
         x = (float(row[0]), float(row[1]))
-        if not any(piece_contains(p, x, parent, tol=SAMPLED_TOL) for p in pieces):
+        if not any(s.contains(x, tol=SAMPLED_TOL) for s in sectors):
             uncovered.append(x)
     if not uncovered:
         return CoverageReport("sampled", len(pts), True, None, SAMPLED_TOL)
@@ -309,11 +315,13 @@ def verify_covering(parent, pieces: Sequence[PartitionPiece], N: int = 64,
     A simplex (by the pieces' barycentric boxes) and an axis box (by its
     homothet pieces) get one exact check, _uncovered_point, cached per
     boxes: it holds for every N at once, so N is only echoed as the
-    report's resolution, and a gap comes with an exact rational witness
-    and its _box_violation.  The disk is checked on N boundary and N//4
-    interior low-discrepancy points plus random ones, to SAMPLED_TOL.  N
-    must be a positive int (not a bool) and the piece list must not be
-    empty, whatever the parent.
+    report's resolution, and a gap comes with the exact rational point of
+    the first uncovered cell in search order and its _box_violation, the
+    distance to the nearest box; it need not be the worst point of the
+    gap.  The disk is checked on N boundary and N//4 interior
+    low-discrepancy points plus random ones, to SAMPLED_TOL.  N must be a
+    positive int (not a bool) and the piece list must not be empty,
+    whatever the parent.
     """
     if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise ValueError("coverage needs a positive integer N, got %r" % (N,))
@@ -448,7 +456,7 @@ def _norm_kernel(norm: Norm):
             total = _fold_rows(np.add, diff * diff)
             return np.sqrt(total, out=total)
         return l2
-    pf = to_float(p)
+    pf = float(p)
     return lambda diff: _fold_rows(np.add, np.abs(diff) ** pf) ** (1.0 / pf)
 
 
@@ -476,7 +484,7 @@ def _seed_free_samples(body, n_boundary: int, n_interior: int):
     if isinstance(body, PBall) and body.dim in (2, 3):
         n = body.dim
         norm = _norm_kernel(Norm.lp(body.p))
-        scale = to_float(body.radius)
+        scale = float(body.radius)
         if n == 3 and body.p == 1:
             u = _halton(n_boundary, 2)
             a = u[:, 0]
@@ -509,8 +517,8 @@ def _seed_free_samples(body, n_boundary: int, n_interior: int):
     elif isinstance(body, VPolytope) and _axis_cube_intervals(body):
         n = body.dim
         los, his = _axis_cube_intervals(body)
-        los = np.array([to_float(v) for v in los])
-        his = np.array([to_float(v) for v in his])
+        los = np.array([float(v) for v in los])
+        his = np.array([float(v) for v in his])
         u = _halton(n_boundary, n)
         pts = los + u * (his - los)
         axis = np.arange(n_boundary) % n
@@ -699,15 +707,15 @@ def _body_vertices(body):
         for i in range(body.dim):
             for s in (1, -1):
                 v = [0.0] * body.dim
-                v[i] = s * to_float(body.radius)
+                v[i] = s * float(body.radius)
                 out.append(v)
         return np.asarray(out)
     if isinstance(body, VPolytope):
-        return np.asarray([[to_float(c) for c in v] for v in body.vertices])
+        return np.asarray([[float(c) for c in v] for v in body.vertices])
     if isinstance(body, PBall):
         k = 8
         th = np.linspace(0, 2 * math.pi, k, endpoint=False)
-        return np.stack([np.cos(th), np.sin(th)], axis=1) * to_float(body.radius)
+        return np.stack([np.cos(th), np.sin(th)], axis=1) * float(body.radius)
     raise ValueError("no vertex hint for body")
 
 
@@ -945,9 +953,9 @@ def verify_ball_covering(parent, centers, r, norm: Norm):
         return _exact_margin(_lattice_projections(parent, norm), den, centers, r, norm)
     import numpy as np
 
-    cs = np.asarray([[to_float(c) for c in row] for row in centers], dtype=float)
+    cs = np.asarray([[float(c) for c in row] for row in centers], dtype=float)
     arr = pts if den is None else (pts.astype(object) / den).astype(float)  # P/D rounded once
     rows, kernel = np.ascontiguousarray(arr.T), _norm_kernel(norm)
     # min is exact, so folding the centers' columns in any order gives the same margin
     near = functools.reduce(np.minimum, (kernel(rows - c[:, None]) for c in cs))
-    return float(near.max()) - to_float(r)
+    return float(near.max()) - float(r)

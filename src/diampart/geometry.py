@@ -13,8 +13,7 @@ denotes and round only the result, so float data takes the exact path
 too: this module holds no tolerance and imports no numpy.  Exact
 elimination is done one way, on integer rows and without fractions:
 _echelon gives the affine rank (affine_rank; a linear rank is the affine
-rank of the rows with the origin added) and, by back substitution, the
-solutions of solve_linear_system.
+rank of the rows with the origin added).
 Polytopes are enumerated one way too, by the integer double-description
 kernel _extreme_rays: the facets of a gauge body (gauge_facets) and the
 vertices of a barycentric box (partitions._bary_box_vertices) are both
@@ -46,7 +45,6 @@ from .numbers import (
     float_or_inf,
     is_rational,
     same_mode,
-    to_float,
 )
 
 Vector = Tuple[Scalar, ...]
@@ -258,7 +256,7 @@ def pnorm_eval(x: Sequence[Scalar], p: Scalar) -> Scalar:
     m = max(xs) if xs else 0.0
     if m == 0.0:
         return 0.0
-    pf = to_float(p)
+    pf = float(p)
     return m * sum((v / m) ** pf for v in xs) ** (1.0 / pf)
 
 
@@ -417,26 +415,6 @@ def _echelon(rows) -> list:
         if j is not None:
             basis.append((i, j, v))
     return basis
-
-
-def solve_linear_system(A: Sequence[Sequence], b: Sequence):
-    """Exact solution of a square system by _echelon on the integer-scaled
-    [A | b], as Fractions; None unless the n pivots fall in A's columns.
-
-    Each basis row is zero on the pivots of the rows before it, so in
-    reverse basis order every other column it touches is already solved.
-    """
-    n = len(A)
-    if len(b) != n or any(len(row) != n for row in A):
-        raise ValueError("solve_linear_system needs n equations in n unknowns")
-    _, M = _integer_points([[*row, rhs] for row, rhs in zip(A, b)])
-    basis = _echelon(M)
-    if len(basis) < n or any(j == n for _, j, _ in basis):
-        return None
-    x = [0] * n
-    for _, j, v in reversed(basis):
-        x[j] = Fraction(v[n] - sum(map(operator.mul, v, x)), v[j])
-    return x
 
 
 def _primitive(v) -> tuple:
@@ -660,25 +638,7 @@ def polytope_diameter(P: Union[VPolytope, Simplex], norm: Norm) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# barycentric coordinates and containment
-
-
-def barycentric_coords(S: Simplex, x: Vector) -> tuple:
-    """Affine coefficients lambda with sum 1 and sum lambda_i v_i = x.
-
-    May have negative entries when x lies outside S.  The solve is
-    exact; the coordinates are Fractions when the inputs are rational and
-    the floats of the exact solution otherwise (OverflowError beyond the
-    float range).
-    """
-    n = S.dim
-    verts = S.vertices
-    A = [[verts[j][i] for j in range(n + 1)] for i in range(n)]
-    A.append([1] * (n + 1))
-    sol = solve_linear_system(A, [*x, 1])
-    if sol is None:
-        raise ValueError("degenerate simplex")
-    return tuple(sol) if all_rational(x) and S.rational else tuple(map(to_float, sol))
+# polytope containment
 
 
 def point_in_vpolytope(P: VPolytope, x: Vector) -> bool:

@@ -36,10 +36,6 @@ def all_rational(values: Iterable) -> bool:
     return all(is_rational(v) for v in values)
 
 
-def to_float(x) -> float:
-    return float(x)
-
-
 def float_or_inf(x) -> float:
     """float(x), with a magnitude beyond the float range sent to +-inf."""
     try:

@@ -12,10 +12,10 @@ Schemes shipped here:
 Every simplex-scheme piece is, in barycentric coordinates, a box
 {lo_i <= lambda_i <= hi_i}: a vertex homothet (1-mu)v_i + mu*S is the
 set {lambda_i >= 1-mu}, and the residual pieces come out as boxes after
-inverting the reflected enclosure.  That makes membership and coverage
-checks exact interval arithmetic.  Each scheme is built once, as a
-template of integer barycentric rows, and a partition of any simplex is
-that template times the simplex's integer vertices.
+inverting the reflected enclosure.  That makes the coverage check exact
+on the boxes alone (coverings._uncovered_point).  Each scheme is built
+once, as a template of integer barycentric rows, and a partition of any
+simplex is that template times the simplex's integer vertices.
 
 Diameter ratios are certified through enclosing homothets — a homothet
 of ratio r scales every norm's diameters by |r| — so the certificates
@@ -42,14 +42,13 @@ from .geometry import (
     _integer_points,
     _rows_polytope,
     apply_homothet,
-    barycentric_coords,
     centroid,
     cube,
     vdot,
     vneg,
     vscale,
 )
-from .numbers import VerificationError, as_fraction, same_mode, to_float
+from .numbers import VerificationError, as_fraction, same_mode
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +63,12 @@ class SectorRegion:
     angle_hi: float
 
     def contains(self, x, tol: float = 1e-9) -> bool:
-        r = math.hypot(to_float(x[0]), to_float(x[1]))
+        r = math.hypot(float(x[0]), float(x[1]))
         if r > 1 + tol:
             return False
         if r <= tol:
             return True  # the centre belongs to every closed sector
-        ang = math.atan2(to_float(x[1]), to_float(x[0])) % (2 * math.pi)
+        ang = math.atan2(float(x[1]), float(x[0])) % (2 * math.pi)
         lo = self.angle_lo % (2 * math.pi)
         hi = lo + (self.angle_hi - self.angle_lo)
         atol = tol / max(r, tol)
@@ -130,9 +129,9 @@ class PartitionPiece:
     realized_hull, the vertices of that box, is set exactly for the last
     kind: a homothet's diameter is |ratio| times the parent's in every
     norm, and a sector's is known.  bary_bounds, when present, is the
-    barycentric box that exact membership and coverage are checked on; it
-    lies inside a homothet description, cut back to the residual region
-    where a reflected piece overhangs the parent.
+    barycentric box that exact coverage is checked on; it lies inside a
+    homothet description, cut back to the residual region where a
+    reflected piece overhangs the parent.
     """
 
     description: object
@@ -154,19 +153,6 @@ class PartitionCertificate:
     @property
     def m(self) -> int:
         return len(self.pieces)
-
-
-def piece_contains(piece: PartitionPiece, x, parent, tol=0) -> bool:
-    """Membership of a point in a piece: the barycentric-box test for a
-    simplex parent (exact when tol=0 and the data are rational), or the
-    sector test."""
-    if piece.bary_bounds is not None and isinstance(parent, Simplex):
-        lam = barycentric_coords(parent, x)
-        return all(lo - tol <= v <= hi + tol
-                   for v, (lo, hi) in zip(lam, piece.bary_bounds))
-    if isinstance(piece.description, SectorRegion):
-        return piece.description.contains(x, tol=max(tol, 1e-12))
-    raise ValueError("no membership test for a %s piece" % (type(piece.description).__name__,))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from diampart.coverings import (
     verify_covering,
 )
 from diampart.geometry import Norm, PBall, Simplex, VPolytope
-from diampart.numbers import INF, to_float
+from diampart.numbers import INF
 from diampart.oracle import beta_finite_exact
 from diampart.partitions import cube_partition, simplex_partition
 
@@ -84,15 +84,15 @@ def test_criterion_2_lp_table():
     rows = lp_beta8_table(ps)
     ok = True
     for p, row in zip(ps, rows):
-        expected = SQRT342 / 20 if (p != INF and p < 2) else 3 ** (1 / to_float(p)) / 2 if p != INF else 0.5
-        ok = ok and abs(to_float(row.value) - expected) <= 1e-9
+        expected = SQRT342 / 20 if (p != INF and p < 2) else 3 ** (1 / float(p)) / 2 if p != INF else 0.5
+        ok = ok and abs(float(row.value) - expected) <= 1e-9
         for step in row.provenance:
             cert = step.certificate
             if cert is None:
                 continue
             if hasattr(cert, "gamma"):
                 again = sandwich_verify(cert.inner, cert.outer, cert.gamma)
-                ok = ok and again.verified and min(map(to_float, again.margins)) >= -1e-9
+                ok = ok and again.verified and min(map(float, again.margins)) >= -1e-9
             else:
                 rep = verify_covering(cert.parent, cert.pieces, N=32)
                 ok = ok and rep.covered
@@ -108,9 +108,9 @@ def test_criterion_3_parallelepiped_certificates():
     for p in np.linspace(1.0, 2.0, 50):
         rep = lp_parallelepiped_bound(float(p))
         cert = rep.certificate
-        gamma = to_float(rep.gamma_bound)
+        gamma = float(rep.gamma_bound)
         ok = ok and cert.verified
-        ok = ok and min(map(to_float, cert.margins)) >= -1e-9
+        ok = ok and min(map(float, cert.margins)) >= -1e-9
         ok = ok and gamma <= SQRT342 / 10 + 1e-9
         if p <= 1.735:
             ok = ok and gamma <= 1.8 + 1e-12
@@ -147,7 +147,7 @@ def test_criterion_5_simplex_schemes_random_tetrahedra():
                 if isinstance(ratio, Fraction):
                     ok = ok and ratio == const  # homothet pieces are tight
                 else:
-                    ok = ok and abs(ratio - to_float(const)) <= 1e-9
+                    ok = ok and abs(ratio - float(const)) <= 1e-9
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     _report(5, ok, f"100 tetrahedra x 5 norms x 3 schemes, ratios tight + N=64 covered, {elapsed:.1f} s")
@@ -168,11 +168,11 @@ def test_criterion_6_cube_partition():
 def test_criterion_7_minmax_epsilon():
     t0 = time.perf_counter()
     res = minmax_epsilon(F(9, 16), F(2, 3))
-    ok = 0.988 <= to_float(res.bound) <= 0.990
+    ok = 0.988 <= float(res.bound) <= 0.990
     # closed form vs a fine probe grid around the reported minimizer
-    probes = [max(map(to_float, minmax_branches(F(9, 16), F(2, 3), F(k, 3000))))
+    probes = [max(map(float, minmax_branches(F(9, 16), F(2, 3), F(k, 3000))))
               for k in range(1, 1000)]
-    ok = ok and to_float(res.bound) <= min(probes) + 1e-9
+    ok = ok and float(res.bound) <= min(probes) + 1e-9
     sharp = True
     for k in range(1, 1000):
         below = minmax_epsilon(F(9, 16), F(k, 1000)).bound < 1
@@ -180,7 +180,7 @@ def test_criterion_7_minmax_epsilon():
     ok = ok and sharp
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
-    _report(7, ok, f"bound={to_float(res.bound):.5f} in [0.988,0.990], sharp at 221/328 on 10^3 grid, {elapsed:.2f} s")
+    _report(7, ok, f"bound={float(res.bound):.5f} in [0.988,0.990], sharp at 221/328 on 10^3 grid, {elapsed:.2f} s")
 
 
 def test_criterion_8_oracle_cross_checks():
@@ -204,7 +204,7 @@ def test_criterion_8_oracle_cross_checks():
             lam = tuple(F(int(x), total) for x in (w if w.sum() else [1, 0, 0, 0]))
             pts.append(_weighted_sum(lam, S.vertices))
         val = beta_finite_exact(pts, 8, norms[trial % 3]).value
-        ok = ok and to_float(val) <= 9 / 16 + 1e-12
+        ok = ok and float(val) <= 9 / 16 + 1e-12
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     _report(8, ok, f"triangle+midpoints m=4 exactly 1/2; 50 random subsets <= 9/16, {elapsed:.1f} s")
@@ -213,10 +213,10 @@ def test_criterion_8_oracle_cross_checks():
 def test_criterion_9_ball_covering_search():
     t0 = time.perf_counter()
     sol = search_ball_covering(PBall(1, 3, 1), 8, F(2, 3), Norm.lp(1), seed=0)
-    ok = sol.success and to_float(sol.residual_margin) <= 0
+    ok = sol.success and float(sol.residual_margin) <= 0
     control = search_ball_covering(PBall(2, 2, 1), 2, 0.9, Norm.lp(2), seed=0)
-    ok = ok and not control.success and to_float(control.residual_margin) > 0
+    ok = ok and not control.success and float(control.residual_margin) > 0
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
-    _report(9, ok, f"l1 ball m=8 r=2/3 covered (margin {to_float(sol.residual_margin):.3g}); "
-                   f"disk m=2 r=0.9 fails (margin {to_float(control.residual_margin):.3g}), {elapsed:.1f} s")
+    _report(9, ok, f"l1 ball m=8 r=2/3 covered (margin {float(sol.residual_margin):.3g}); "
+                   f"disk m=2 r=0.9 fails (margin {float(control.residual_margin):.3g}), {elapsed:.1f} s")

@@ -58,6 +58,8 @@ from diampart.partitions import (
     simplex_vertex_homothets,
     triangle_partition4,
 )
+from test_partitions import in_box
+from test_properties import fraction_barycentric
 
 F = Fraction
 
@@ -87,8 +89,6 @@ class TestSimplexGridCoverage:
     def test_vertex_pieces_alone_fail(self):
         # the m8 vertex pieces have mu = 9/16, below the 3/4 coverage
         # threshold: without the residual pieces the grid catches the gap
-        from diampart.partitions import piece_contains
-
         pieces = simplex_partition(STD_TETRA, "m8").pieces[:4]
         assert all(p.ratio_bound == F(9, 16) for p in pieces)
         rep = verify_covering(STD_TETRA, pieces, N=16)
@@ -96,8 +96,8 @@ class TestSimplexGridCoverage:
         assert rep.worst_witness is not None
         w, _margin = rep.worst_witness
         # soundness: the witness really avoids every piece
-        for p in pieces:
-            assert not piece_contains(p, w, STD_TETRA)
+        lam = fraction_barycentric(STD_TETRA.vertices, w)
+        assert not any(in_box(lam, p.bary_bounds) for p in pieces)
 
     def test_divisor_monotone(self):
         cert = simplex_partition(STD_TETRA, "m8")
@@ -110,9 +110,6 @@ class TestSimplexGridCoverage:
         # one exact check per boxes serves every tetrahedron of a scheme and
         # every N; each report maps the shared barycentric witness through
         # its parent
-        from diampart.geometry import barycentric_coords
-        from diampart.partitions import piece_contains
-
         _uncovered_point.cache_clear()
         for S in (STD_TETRA, SKEW_TETRA):
             cert = simplex_partition(S, "m9")
@@ -128,8 +125,8 @@ class TestSimplexGridCoverage:
             rep = verify_covering(S, pieces, N=16)
             assert not rep.covered
             point, _ = rep.worst_witness
-            assert not any(piece_contains(p, point, S) for p in pieces)
-            witnesses.append(barycentric_coords(S, point))
+            witnesses.append(fraction_barycentric(S.vertices, point))
+            assert not any(in_box(witnesses[-1], p.bary_bounds) for p in pieces)
         assert _uncovered_point.cache_info().misses == 1
         # the same barycentric witness, mapped through each parent
         assert witnesses[0] == witnesses[1]
@@ -190,10 +187,6 @@ def simplex_box_lists():
     {lambda_i >= t} added when t is drawn."""
     return st.integers(2, 5).flatmap(lambda k: st.tuples(
         st.just(k), st.lists(unit_boxes(k), min_size=1, max_size=6), st.none() | unit_fractions))
-
-
-def in_box(x, box):
-    return all(lo <= v <= hi for v, (lo, hi) in zip(x, box))
 
 
 class TestBoxCover:
@@ -339,6 +332,22 @@ class TestCubeCoverage:
         x, _ = rep.worst_witness
         assert min(x) > 0 and max(x) > F(1, 2)
 
+    def test_witness_is_the_first_uncovered_cell(self):
+        # the witness is the point of the first uncovered cell in search
+        # order with its distance to the nearest piece, not the worst
+        # point: the corner (1, 1) lies farther from every piece
+        parent = cube(2)
+        pieces = [PartitionPiece(Homothet(r, t, parent), r) for r, t in (
+            (F(3, 4), (F(-1, 4), F(-1, 4))), (F(1, 2), (F(1, 2), F(-1, 2))),
+            (F(1, 2), (F(-1, 2), F(1, 2))))]
+        boxes = [((-1, F(1, 2)),) * 2, ((0, 1), (-1, 0)), ((-1, 0), (0, 1))]
+        rep = verify_covering(parent, pieces)
+        assert rep.worst_witness == ((F(1, 4), F(3, 4)), 0.25)
+        x, _ = rep.worst_witness
+        assert not any(in_box(x, box) for box in boxes)
+        assert _box_violation(x, boxes) == F(1, 4)
+        assert _box_violation((1, 1), boxes) == F(1, 2)
+
 
 class TestTautologies:
     @pytest.mark.parametrize("scheme", ["m5", "m8", "m9"])
@@ -457,6 +466,13 @@ class TestSampledCoverage:
     def test_other_balls_are_refused(self):
         with pytest.raises(ValueError):
             verify_covering(PBall(1, 2), disk_partition4().pieces, N=256)
+
+    def test_a_non_sector_piece_is_refused(self):
+        # refused before any sample, even when the sectors cover the disk
+        disk = UnitDisk()
+        piece = PartitionPiece(Homothet(F(1, 2), (0, 0), disk), F(1, 2))
+        with pytest.raises(ValueError, match="not a Homothet piece"):
+            verify_covering(disk, disk_partition4().pieces + (piece,), N=16)
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     @pytest.mark.parametrize("N", [1, 3, 4, 7, 4097])

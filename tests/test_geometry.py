@@ -13,8 +13,6 @@ from diampart.geometry import (
     VPolytope,
     affine_rank,
     apply_homothet,
-    barycentric_coords,
-    centroid,
     cross_polytope,
     cube,
     diameter_finite,
@@ -24,7 +22,6 @@ from diampart.geometry import (
     pnorm_eval,
     point_in_vpolytope,
     polytope_diameter,
-    solve_linear_system,
     vneg,
     vsub,
 )
@@ -310,33 +307,7 @@ class TestDiameter:
 
 
 class TestBarycentric:
-    def setup_method(self):
-        self.T = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    def test_centroid(self):
-        g = centroid(self.T.vertices)
-        assert barycentric_coords(self.T, g) == (F(1, 4),) * 4
-
-    def test_vertex(self):
-        assert barycentric_coords(self.T, (1, 0, 0)) == (0, 1, 0, 0)
-
-    def test_roundtrip_exact(self):
-        lam = (F(1, 7), F(2, 7), F(3, 7), F(1, 7))
-        x = tuple(sum(l * v[k] for l, v in zip(lam, self.T.vertices)) for k in range(3))
-        assert barycentric_coords(self.T, x) == lam
-
-    def test_outside_gives_signed(self):
-        lam = barycentric_coords(self.T, (2, 0, 0))
-        assert min(lam) < 0
-        assert sum(lam) == 1
-
-    def test_tiny_float_simplex_is_read_exactly(self):
-        S = Simplex(((0, 0), (1e-12, 0), (0, 1e-12)))
-        lam = barycentric_coords(S, (2.5e-13, 5e-13))
-        assert all(type(v) is float for v in lam)
-        exact = barycentric_coords(Simplex(tuple(tuple(map(F, v)) for v in S.vertices)),
-                                   (F(2.5e-13), F(5e-13)))
-        assert lam == tuple(map(float, exact))
+    """A simplex, the frame of barycentric coordinates, is full-dimensional."""
 
     def test_degenerate_simplex_rejected(self):
         with pytest.raises(ValueError):
@@ -347,46 +318,6 @@ class TestBarycentric:
         # zip-truncated differences
         with pytest.raises(ValueError, match="vertices have mixed dimensions"):
             Simplex(((0, 0), (1, 0), (0, 1, 5)))
-
-
-def test_linear_system():
-    sol = solve_linear_system([[2, 1], [1, 3]], [5, 10])
-    assert sol == [F(1), F(3)]
-    assert solve_linear_system([[1, 2], [2, 4]], [1, 2]) is None
-
-
-@pytest.mark.parametrize("A, b, x", [
-    # the echelon pivots come out as columns 1, 2, 0: each value goes to
-    # its pivot column, not to its basis row's index
-    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [1, 2, 3], [3, 1, 2]),
-    # the first basis rows are nonzero on the later pivots, so they are
-    # solved only after those
-    ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [3, 5, 4], [1, 2, 3]),
-    # rank 1 for A, rank 2 for [A | b]: a pivot falls in the b column
-    ([[1, 2], [2, 4]], [1, 3], None),
-], ids=["permutation", "dense", "inconsistent"])
-def test_linear_system_back_substitution(A, b, x):
-    sol = solve_linear_system(A, b)
-    assert sol == x and (sol is None or all(type(v) is Fraction for v in sol))
-
-
-@pytest.mark.parametrize("A, b", [
-    ([[1, 0], [0, 1], [1, 1]], [1, 2, 3]),
-    ([[1, 0, 0], [0, 1, 0]], [1, 2]),
-    ([[1, 2], [3, 4]], [1]),
-], ids=["tall", "wide", "short-b"])
-def test_linear_system_must_be_square(A, b):
-    with pytest.raises(ValueError, match="n equations in n unknowns"):
-        solve_linear_system(A, b)
-
-
-def test_linear_system_reads_floats_exactly():
-    A, b = [[0.1, 0.2], [0.3, 0.7]], [0.5, 1.1]
-    exact = solve_linear_system([list(map(F, r)) for r in A], list(map(F, b)))
-    assert solve_linear_system(A, b) == exact
-    # 0.1, 0.2, ... are not the decimals they print as
-    assert exact != solve_linear_system([list(map(F, map(str, r))) for r in A],
-                                        list(map(F, map(str, b)))) == [13, -4]
 
 
 def test_matrix_rank():

@@ -18,8 +18,9 @@ import pytest
 import diampart
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(diampart.__file__))
-PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "pyproject.toml")
+REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PYPROJECT = os.path.join(REPO_DIR, "pyproject.toml")
+PERFBENCH_DIR = os.path.join(REPO_DIR, "perfbench")
 HEAVY = ("numpy", "scipy")
 
 
@@ -96,8 +97,8 @@ def test_no_unused_module_level_imports():
     assert not found, "unused imports: " + "; ".join(sorted(found))
 
 
-def _private_definitions(tree):
-    """(name, node) for each module-level _name function, class or constant."""
+def _definitions(tree):
+    """(name, node) for each module-level function, class or constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -108,8 +109,7 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
 
 
 def _references(node):
@@ -123,14 +123,37 @@ def _references(node):
             yield from (alias.name for alias in sub.names)
 
 
-def test_no_orphan_private_helpers():
+def _unread(keep, outside=frozenset()):
+    """'file:line defines name' for each package definition that keep(name,
+    node) selects and that neither another top-level package statement
+    nor the names in outside read."""
     trees = list(_package_trees())
     reads = [(top, set(_references(top))) for _, tree in trees for top in tree.body]
-    found = ["%s:%d defines %s" % (name, definition.lineno, helper)
-             for name, tree in trees
-             for helper, definition in _private_definitions(tree)
-             if not any(helper in names for top, names in reads if top is not definition)]
+    return ["%s:%d defines %s" % (name, definition.lineno, helper)
+            for name, tree in trees
+            for helper, definition in _definitions(tree)
+            if keep(helper, definition) and helper not in outside
+            and not any(helper in names for top, names in reads if top is not definition)]
+
+
+def test_no_orphan_private_helpers():
+    found = _unread(lambda name, _: name.startswith("_") and not name.startswith("__"))
     assert not found, "private helpers nothing uses: " + "; ".join(found)
+
+
+def test_no_orphan_public_names():
+    # a public function or class that the package does not export is read
+    # by the package itself or by the benchmark (perfbench/)
+    bench = set()
+    for root, _, files in os.walk(PERFBENCH_DIR):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as fh:
+                    bench.update(_references(ast.parse(fh.read(), name)))
+    found = _unread(lambda name, node: not name.startswith("_") and name not in diampart.__all__
+                    and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)),
+                    bench)
+    assert not found, "public names nothing uses: " + "; ".join(found)
 
 
 def test_no_bare_assert():

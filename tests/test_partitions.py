@@ -23,13 +23,13 @@ from diampart.partitions import (
     _bary_box_vertices,
     cube_partition,
     disk_partition4,
-    piece_contains,
     residual_enclosure,
     simplex_partition,
     simplex_vertex_homothets,
     triangle_partition4,
 )
 from test_integer_kernels import box_hull
+from test_properties import fraction_barycentric
 
 F = Fraction
 
@@ -49,6 +49,11 @@ def widened_m8_tails(scheme_pieces):
                 for p in out[4:]]
         return out
     return pieces
+
+
+def in_box(x, box):
+    """Is x in the box of (lo, hi) per coordinate?"""
+    return all(lo <= v <= hi for v, (lo, hi) in zip(x, box))
 
 
 def equilateral_triangle():
@@ -187,8 +192,6 @@ class TestSimplexSchemes:
     def test_pieces_inside_parent(self):
         # every realized piece vertex lies in the piece's barycentric box,
         # hence in the parent
-        from diampart.geometry import barycentric_coords
-
         for scheme in ("m5", "m8", "m9"):
             cert = simplex_partition(SKEW_TETRA, scheme)
             for p in cert.pieces:
@@ -200,8 +203,7 @@ class TestSimplexSchemes:
                 else:
                     hull = p.realized_hull
                 for v in hull.vertices:
-                    lam = barycentric_coords(SKEW_TETRA, v)
-                    assert all(lo <= c <= hi for c, (lo, hi) in zip(lam, p.bary_bounds))
+                    assert in_box(fraction_barycentric(SKEW_TETRA.vertices, v), p.bary_bounds)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -253,7 +255,7 @@ class TestDiskPartition:
     def test_center_in_every_sector(self):
         cert = disk_partition4()
         for p in cert.pieces:
-            assert piece_contains(p, (0.0, 0.0), cert.parent)
+            assert p.description.contains((0.0, 0.0))
 
     def test_sampled_sector_diameter(self):
         sector = SectorRegion(0.0, math.pi / 2)
@@ -271,29 +273,30 @@ class TestDiskPartition:
 
 
 class TestPieceMembership:
+    # a point of a simplex is in a piece when its barycentric coordinates
+    # are in the piece's barycentric box
     def test_triangle_pieces(self):
-        T = Simplex(((0, 0), (1, 0), (0, 1)))
-        cert = triangle_partition4(T)
-        g = centroid(T.vertices)
-        middle = cert.pieces[3]
-        assert piece_contains(middle, g, T)
+        cert = triangle_partition4(Simplex(((0, 0), (1, 0), (0, 1))))
+        g = (F(1, 3),) * 3
+        assert in_box(g, cert.pieces[3].bary_bounds)
         for p in cert.pieces[:3]:
-            assert not piece_contains(p, g, T)
+            assert not in_box(g, p.bary_bounds)
         for i, p in enumerate(cert.pieces[:3]):
-            assert piece_contains(p, T.vertices[i], T)
+            assert in_box(tuple(int(i == j) for j in range(3)), p.bary_bounds)
 
     def test_m8_clip_limits_pieces(self):
         cert = simplex_partition(STD_TETRA, "m8")
         # a point close to vertex 0 is in the vertex piece, not the tail ones
-        x = (F(1, 20), F(1, 20), F(1, 20))  # lambda = (17/20, ...)
-        assert piece_contains(cert.pieces[0], x, STD_TETRA)
+        x, lam = (F(1, 20),) * 3, (F(17, 20), F(1, 20), F(1, 20), F(1, 20))
+        assert fraction_barycentric(STD_TETRA.vertices, x) == list(lam)
+        assert in_box(lam, cert.pieces[0].bary_bounds)
         for p in cert.pieces[4:]:
-            assert not piece_contains(p, x, STD_TETRA)
+            assert not in_box(lam, p.bary_bounds)
 
-    def test_float_point_with_tolerance(self):
-        cert = simplex_partition(STD_TETRA, "m5")
-        g = (0.25, 0.25, 0.25)
-        assert any(piece_contains(p, g, STD_TETRA, tol=1e-9) for p in cert.pieces)
+    def test_m5_vertices_and_centroid(self):
+        pieces = simplex_partition(STD_TETRA, "m5").pieces
+        for lam in [(F(1, 4),) * 4] + [tuple(int(i == j) for j in range(4)) for i in range(4)]:
+            assert any(in_box(lam, p.bary_bounds) for p in pieces)
 
 
 def fraction_box_vertices(bounds):
