@@ -781,6 +781,17 @@ def _confirmation_points(body):
 
 
 @functools.lru_cache(maxsize=8)
+def _confirmation_floats(body):
+    """_confirmation_points(body) as floats, each P/D rounded once, with
+    one contiguous row per coordinate; cached per body and read-only,
+    like the points."""
+    P, D = _confirmation_points(body)
+    rows = (P if D is None else P.astype(object) / D).T.astype(float, order="C")
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=8)
 def _lattice_projections(body, norm: Norm):
     """_projections of the body's confirmation lattice under the norm.
 
@@ -948,14 +959,13 @@ def verify_ball_covering(parent, centers, r, norm: Norm):
     if any(len(c) != parent.dim for c in centers):
         raise ValueError("every center needs %d coordinates, the dimension of the body"
                          % parent.dim)
-    pts, den = _confirmation_points(parent)
+    den = _confirmation_points(parent)[1]
     if den is not None and norm.is_polyhedral and all(all_rational(c) for c in centers):
         return _exact_margin(_lattice_projections(parent, norm), den, centers, r, norm)
     import numpy as np
 
     cs = np.asarray([[float(c) for c in row] for row in centers], dtype=float)
-    arr = pts if den is None else (pts.astype(object) / den).astype(float)  # P/D rounded once
-    rows, kernel = np.ascontiguousarray(arr.T), _norm_kernel(norm)
+    rows, kernel = _confirmation_floats(parent), _norm_kernel(norm)
     # min is exact, so folding the centers' columns in any order gives the same margin
     near = functools.reduce(np.minimum, (kernel(rows - c[:, None]) for c in cs))
     return float(near.max()) - float(r)

@@ -607,11 +607,11 @@ def _distance_keys(pts: list, norm: Norm, scaled=None) -> dict:
     """{(i, j): key}, i < j, keys ordered as the distances, floats read
     exactly (``scaled`` as in diameter_finite).  A polyhedral norm keys a
     pair by the integer max(0, row differences) of the points' facet-row
-    values, computed once (a cone row raises gauge_eval's ValueError); l_p
-    with an integer p <= MAX_KEY_P by the integer sum |u - v|^p of the
-    scaled differences; any other p by the float distance of the exact
-    difference, refused (OverflowError) when one is beyond the float range.
-    Points of mixed dimension raise ValueError."""
+    values, computed once; l_p with an integer p <= MAX_KEY_P by the
+    integer sum |u - v|^p of the scaled differences; any other p by the
+    float distance of the exact difference, refused (OverflowError) when
+    one is beyond the float range.  Points of mixed dimension raise
+    ValueError."""
     dim, pairs = len(pts[0]), list(itertools.combinations(range(len(pts)), 2))
     if any(len(p) != dim for p in pts):
         raise ValueError("points differ in dimension")
@@ -626,9 +626,6 @@ def _distance_keys(pts: list, norm: Norm, scaled=None) -> dict:
         return {(i, j): sum(abs(d) ** e for d in map(operator.sub, X[i], X[j])) for i, j in pairs}
     form = norm_facets(norm, dim)
     V = [[vdot(w, x) for w in form.rows] for x in X]
-    C = [[vdot(c, x) for c in form.cone] for x in X]
-    if any(any(map(operator.gt, C[i], C[j])) for i, j in pairs):
-        raise ValueError("point is outside the span of the gauge body")
     return {(i, j): max(0, *map(operator.sub, V[i], V[j])) for i, j in pairs}
 
 

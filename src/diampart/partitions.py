@@ -10,9 +10,9 @@ Schemes shipped here:
 * disk quadrants (4 sectors, ratio sqrt(2)/2 under l_2).
 
 Every simplex-scheme piece is, in barycentric coordinates, a box
-{lo_i <= lambda_i <= hi_i}: a vertex homothet (1-mu)v_i + mu*S is the
-set {lambda_i >= 1-mu}, and the residual pieces come out as boxes after
-inverting the reflected enclosure.  That makes the coverage check exact
+{lo_i <= lambda_i <= hi_i} inside a homothet lambda -> ratio*lambda + c
+(a vertex homothet (1-mu)v_i + mu*S is the box {lambda_i >= 1-mu}); one
+rule, _encloses, certifies every piece, and the coverage check is exact
 on the boxes alone (coverings._uncovered_point).  Each scheme is built
 once, as a template of integer barycentric rows, and a partition of any
 simplex is that template times the simplex's integer vertices.
@@ -41,7 +41,6 @@ from .geometry import (
     _extreme_rays,
     _integer_points,
     _rows_polytope,
-    apply_homothet,
     centroid,
     cube,
     vdot,
@@ -159,16 +158,9 @@ class PartitionCertificate:
 # scheme constructors
 
 
-def _vertex_piece(S: Simplex, i: int, mu: Fraction) -> PartitionPiece:
-    """The homothet (1-mu)v_i + mu*S, equivalently {lambda_i >= 1-mu}."""
-    bounds = [(Fraction(0), Fraction(1))] * (S.dim + 1)
-    bounds[i] = (1 - mu, Fraction(1))
-    return PartitionPiece(description=Homothet(mu, vscale(1 - mu, S.vertices[i]), S),
-                          ratio_bound=mu, bary_bounds=tuple(bounds))
-
-
 def simplex_vertex_homothets(S: Simplex, mu) -> Tuple[PartitionPiece, ...]:
-    """The n+1 pieces (1-mu)v_i + mu*S; their union covers S.
+    """The n+1 pieces (1-mu)v_i + mu*S, equivalently {lambda_i >= 1-mu};
+    their union covers S.
 
     Coverage needs mu >= n/(n+1): every barycentric point has some
     lambda_i >= 1/(n+1), so lambda_i >= 1-mu puts it in piece i.  Below
@@ -183,120 +175,98 @@ def simplex_vertex_homothets(S: Simplex, mu) -> Tuple[PartitionPiece, ...]:
             "mu=%s < %d/%d leaves the centroid uncovered (all lambda_i = 1/%d > 1-mu)"
             % (mu, n, n + 1, n + 1)
         )
-    return tuple(_vertex_piece(S, i, mu) for i in range(n + 1))
+    return tuple(PartitionPiece(Homothet(mu, vscale(1 - mu, v), S), mu, bary_bounds=tuple(
+        (1 - mu if i == j else Fraction(0), Fraction(1)) for j in range(n + 1)))
+        for i, v in enumerate(S.vertices))
 
 
 def residual_enclosure(S: Simplex, t) -> Homothet:
     """Homothet -((n+1)t - 1)*S + c containing {sum lambda_i v_i : lambda <= t}.
 
-    The centre of the enclosure is forced by centroid normalization:
-    c = (1 + gamma) * centroid(S).  The enclosure is verified on the
-    residual region's vertex set in rational arithmetic, once per (n, t),
-    before being returned.
+    In barycentric coordinates it is lambda -> -gamma*lambda + (t, ..., t)
+    with gamma = (n+1)t - 1, so c = (1 + gamma) * centroid(S); _encloses
+    certifies that it contains the residual box [0, t]^(n+1) before it
+    is returned.
     """
     n = S.dim
     t = as_fraction(t)
     if not Fraction(1, n + 1) < t <= Fraction(1, 2):
         raise ValueError("t must lie in (1/%d, 1/2]" % (n + 1,))
-    gamma = _enclosure_ratio(n, t)
+    gamma = (n + 1) * t - 1
+    if not _encloses(-gamma, (t,) * (n + 1), ((Fraction(0), t),) * (n + 1)):
+        raise VerificationError("residual enclosure verification failed")
     return Homothet(-gamma, vscale(1 + gamma, centroid(S.vertices)), S)
 
 
-@functools.lru_cache(maxsize=32)
-def _enclosure_ratio(n: int, t: Fraction) -> Fraction:
-    """gamma = (n+1)t - 1, verified: every vertex lambda of the residual
-    box [0, t]^(n+1) maps into the simplex under the enclosure's inverse,
-    (t - lambda_i)/gamma >= 0 with sum 1.  Depends on (n, t) only."""
-    gamma = (n + 1) * t - 1
-    L, lams = _bary_box_vertices(((Fraction(0), t),) * (n + 1))
-    for lam in lams:
-        pre = [(t - Fraction(li, L)) / gamma for li in lam]
-        if any(v < 0 for v in pre) or sum(pre) != 1:
-            raise VerificationError("residual enclosure verification failed")
-    return gamma
+def _encloses(ratio, c, box) -> bool:
+    """Does the barycentric homothet lambda -> ratio*lambda + c of the
+    simplex contain the box {lo <= lambda <= hi, sum lambda = 1}?
+
+    A box point's preimage (lambda - c)/ratio sums to 1 when sum c is
+    1 - ratio, and is nonnegative when lo_j >= c_j for every j (ratio > 0)
+    or hi_j <= c_j for every j (ratio < 0): then it lies in the simplex.
+    """
+    return sum(c) == 1 - ratio and all(lo >= cj if ratio > 0 else hi <= cj
+                                       for (lo, hi), cj in zip(box, c))
 
 
 _SCHEME_T = {"m5": Fraction(2, 5), "m8": Fraction(7, 16), "m9": Fraction(8, 17)}
 _SCHEME_RATIO = {"m5": Fraction(3, 5), "m8": Fraction(9, 16), "m9": Fraction(9, 17)}
 
 
-def _scheme_pieces(S: Simplex, scheme: str) -> list:
-    """The pieces of a simplex scheme on S, built from homothets; a box
-    piece is its bary_bounds alone (_scheme_template realizes it).
+def _scheme_pieces(scheme: str) -> list:
+    """The pieces of a simplex scheme in barycentric coordinates, as
+    (ratio, c, box, alone): the homothet lambda -> ratio*lambda + c that
+    encloses the piece, the piece's box, and whether the piece is its box
+    alone (the m5 clip box and the m9 core box).
 
-    triangle4 is the midpoint subdivision: three vertex homothets of ratio
-    1/2 and the point reflection -(1/2)S + c, the residual enclosure at
-    t = 1/2.  The tetrahedron schemes follow one pattern with threshold t:
-    the four vertex homothets of ratio 1-t catch every point with some
-    lambda_i >= t; what remains ({all lambda_i <= t}) sits inside the
-    reflected copy -(4t-1)S + 4t*g, which is handled whole (m5), split by
-    four vertex homothets of ratio 3/4 (m8, t=7/16), or split by the m5
-    pattern again (m9, t=8/17).
+    With k coordinates and threshold t (1/2 for triangle4), the k vertex
+    homothets of ratio 1 - t catch every point with some lambda_i >= t.
+    The residual box [0, t]^k lies in the reflection of ratio
+    -g = -(kt - 1) about (t, ..., t).  triangle4 keeps that reflection
+    whole; m5 keeps its box.  m8 (t2 = 1/4) and m9 (t2 = 2/5) split the
+    reflection by its k vertex homothets of ratio 1 - t2, the tails, each
+    clipped to the residual box with its own coordinate capped at
+    cap = t - g*t2; m9's core, lambda >= cap, lies in the homothet of
+    ratio g(k*t2 - 1) about (cap, ..., cap).
     """
-    if scheme == "triangle4":
-        half = Fraction(1, 2)
-        box = ((Fraction(0), half),) * 3
-        return [*(_vertex_piece(S, i, half) for i in range(3)),
-                PartitionPiece(residual_enclosure(S, half), half, bary_bounds=box)]
-    t = _SCHEME_T[scheme]
-    pieces = [_vertex_piece(S, i, 1 - t) for i in range(4)]
-    refl = residual_enclosure(S, t)  # -(4t-1)S + 4t*g
-    gamma = -refl.ratio
-
-    if scheme == "m5":
-        clip = ((Fraction(0), t),) * 4
-        pieces.append(PartitionPiece(None, gamma, bary_bounds=clip))
-        return pieces
-    # vertex homothets of ratio 1-t2 of the reflected copy: 3/4 (m8),
-    # or the m5 pattern again (m9)
-    refl_sx = Simplex(apply_homothet(refl).vertices)
+    k, t = (3, Fraction(1, 2)) if scheme == "triangle4" else (4, _SCHEME_T[scheme])
+    g = k * t - 1
+    pieces = [(1 - t, tuple(t * (i == j) for j in range(k)),
+               tuple((t if i == j else Fraction(0), Fraction(1)) for j in range(k)), False)
+              for i in range(k)]
+    if scheme in ("triangle4", "m5"):
+        return pieces + [(-g, (t,) * k, ((Fraction(0), t),) * k, scheme == "m5")]
     t2 = Fraction(1, 4) if scheme == "m8" else Fraction(2, 5)
-    cap = t - gamma * t2  # lambda_i <= cap inside piece i
-    for i in range(4):
-        outer = Homothet(1 - t2, vscale(t2, refl_sx.vertices[i]), refl_sx)
-        comp = outer.compose(refl)
-        bounds = [(Fraction(0), t)] * 4
-        bounds[i] = (Fraction(0), cap)
-        pieces.append(PartitionPiece(comp, abs(comp.ratio), bary_bounds=tuple(bounds)))
+    cap = t - g * t2
+    pieces += [(-(1 - t2) * g, tuple(cap if i == j else t for j in range(k)),
+                tuple((Fraction(0), cap if i == j else t) for j in range(k)), False)
+               for i in range(k)]
     if scheme == "m9":
-        # lambda_i >= cap on the residual of the residual
-        core = ((cap, t),) * 4
-        enc = residual_enclosure(refl_sx, t2).compose(refl)
-        pieces.append(PartitionPiece(None, abs(enc.ratio), bary_bounds=core))
+        pieces.append((g * (k * t2 - 1), (cap,) * k, ((cap, t),) * k, True))
     return pieces
 
 
 @functools.lru_cache(maxsize=None)
 def _scheme_template(scheme: str) -> tuple:
-    """The scheme's pieces in barycentric terms, built once per scheme.
+    """The scheme's pieces as integer barycentric rows, built once per
+    scheme from _scheme_pieces.
 
-    _scheme_pieces runs on the reference simplex (e_1, ..., e_n, 0),
-    where a point x has barycentric coordinates (x, 1 - sum x).  Each
-    piece becomes (ratio, L, rows, ratio_bound, bary_bounds) with integer
-    barycentric rows over L.  A homothet piece keeps its ratio and its
-    translation as one row, whose coefficients sum to L(1 - ratio), and
-    no hull: its diameter is |ratio| times the parent's in every norm.  A
-    box piece has ratio None and the vertices of its box as rows (see
-    _bary_box_vertices).
-
-    A homothet piece's |ratio| bounds it only if its box lies in the image
-    {ratio*mu + c/L : mu in the simplex}, checked here: lambda_j >= c_j/L
-    for every j when the ratio is positive, lambda_j <= c_j/L when negative.
+    Each piece becomes (ratio, L, rows, ratio_bound, bary_bounds) with
+    integer rows over L and ratio_bound = |ratio|.  A homothet piece keeps
+    its ratio and its c as one row, whose coefficients sum to L(1 - ratio),
+    and no hull: its diameter is |ratio| times the parent's in every norm.
+    A box piece has ratio None and the vertices of its box as rows (see
+    _bary_box_vertices).  Every piece's box, a box piece's too, must lie in
+    its homothet (_encloses), or its |ratio| would not bound it.
     """
-    n = 2 if scheme == "triangle4" else 3
-    ref = Simplex((*(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n))
     out = []
-    for piece in _scheme_pieces(ref, scheme):
-        h, box = piece.description, piece.bary_bounds
-        if h is None:
-            L, rows = _bary_box_vertices(box)
-        else:
-            L, rows = _integer_points(((*h.translation, 1 - h.ratio - sum(h.translation)),))
-            if not all(lo * L >= c if h.ratio > 0 else hi * L <= c
-                       for (lo, hi), c in zip(box, rows[0])):
-                raise VerificationError("%s pieces: a box leaves its homothet of ratio %s"
-                                        % (scheme, h.ratio))
-        out.append((None if h is None else h.ratio, L, rows, piece.ratio_bound, box))
+    for ratio, c, box, alone in _scheme_pieces(scheme):
+        if not _encloses(ratio, c, box):
+            raise VerificationError("%s pieces: a box leaves its homothet of ratio %s"
+                                    % (scheme, ratio))
+        L, rows = _bary_box_vertices(box) if alone else _integer_points((c,))
+        out.append((None if alone else ratio, L, rows, abs(ratio), box))
     return tuple(out)
 
 
@@ -332,12 +302,12 @@ def simplex_partition(S: Simplex, scheme: str) -> PartitionCertificate:
     """Tetrahedron scheme m5, m8, or m9; ratio holds in every norm.
 
     Every piece is the affine image of one barycentric point set, so each
-    scheme is built once, on the reference simplex, as integer
-    barycentric rows (_scheme_template; see _scheme_pieces for the
-    construction).  Each call maps those rows through S's integer
-    vertices, one integer product per piece: the box hulls are integer
-    rows over one denominator, a float S read as the rationals it
-    denotes, and a float S's homothet translations are rounded once.
+    scheme is built once, in barycentric coordinates, as integer rows
+    (_scheme_template; see _scheme_pieces for the construction).  Each
+    call maps those rows through S's integer vertices, one integer
+    product per piece: the box hulls are integer rows over one
+    denominator, a float S read as the rationals it denotes, and a float
+    S's homothet translations are rounded once.
     The pieces' ratio bounds are checked against the scheme ratio on
     every call.
     """

@@ -31,6 +31,7 @@ from diampart.coverings import (
     _body_samples,
     _body_vertices,
     _box_violation,
+    _confirmation_floats,
     _confirmation_points,
     _exact_margin,
     _halton,
@@ -686,6 +687,20 @@ class TestConfirmationLattice:
         assert info.misses == 1 and info.hits >= 1
         P, _ = _confirmation_points(PBall(1, 3))
         assert not P.flags.writeable
+
+    @pytest.mark.parametrize("body", [PBall(1, 3), cube(3, half=F(2, 3))])
+    def test_float_rows_rounded_once_per_body(self, body):
+        # the float confirmation reads each lattice point's correctly
+        # rounded float, built on the first call and shared by later ones
+        _confirmation_floats.cache_clear()
+        for _ in range(2):
+            verify_ball_covering(body, [(0.25, 0, 0), (-0.25, 0, 0)], 0.9, Norm.lp(2))
+        info = _confirmation_floats.cache_info()
+        assert info.misses == 1 and info.hits == 1
+        rows = _confirmation_floats(body)
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert sorted(map(tuple, rows.T.tolist())) == [
+            tuple(map(float, pt)) for pt in _lattice_fractions(body)]
 
 
 class TestBodySamples:

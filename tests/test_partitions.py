@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from diampart.partitions import (
     SectorRegion,
     UnitDisk,
     _bary_box_vertices,
+    _encloses,
     cube_partition,
     disk_partition4,
     residual_enclosure,
@@ -37,18 +37,24 @@ STD_TETRA = Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
 SKEW_TETRA = Simplex(((0, 0, 0), (3, 1, 0), (-1, 4, 1), (F(1, 2), 1, 5)))
 
 
+def edited_boxes(scheme_pieces, target, bound):
+    """scheme_pieces with every box bound (lo, hi) of the target scheme's
+    pieces replaced by bound(lo, hi)."""
+    def pieces(scheme):
+        out = scheme_pieces(scheme)
+        if scheme == target:
+            out = [(ratio, c, tuple(bound(*b) for b in box), alone)
+                   for ratio, c, box, alone in out]
+        return out
+    return pieces
+
+
 def widened_m8_tails(scheme_pieces):
     """scheme_pieces with each m8 tail's own cap widened from 1/4 to 13/50:
     the boxes still cover the simplex, at ratio 9/16, but leave the
     reflected homothets whose |ratio| is their diameter bound."""
-    def pieces(S, scheme):
-        out = scheme_pieces(S, scheme)
-        if scheme == "m8":
-            out[4:] = [dataclasses.replace(p, bary_bounds=tuple(
-                (lo, F(13, 50) if hi == F(1, 4) else hi) for lo, hi in p.bary_bounds))
-                for p in out[4:]]
-        return out
-    return pieces
+    return edited_boxes(scheme_pieces, "m8",
+                        lambda lo, hi: (lo, F(13, 50) if hi == F(1, 4) else hi))
 
 
 def in_box(x, box):
@@ -143,6 +149,22 @@ class TestResidualEnclosure:
             assert point_in_vpolytope(img, v)
 
 
+class TestEncloses:
+    def test_vertex_piece_and_residual(self):
+        assert _encloses(F(3, 4), (F(1, 4), 0, 0, 0), ((F(1, 4), 1),) + ((0, 1),) * 3)
+        assert _encloses(F(-3, 4), (F(7, 16),) * 4, ((0, F(7, 16)),) * 4)
+
+    def test_a_bound_on_the_wrong_side_of_c_is_refused(self):
+        # ratio > 0 needs lo_j >= c_j; ratio < 0 needs hi_j <= c_j
+        assert not _encloses(F(3, 4), (F(1, 4), 0, 0, 0), ((F(1, 5), 1),) + ((0, 1),) * 3)
+        assert not _encloses(F(-3, 4), (F(7, 16),) * 4, ((0, F(7, 16)),) * 3 + ((0, F(1, 2)),))
+
+    def test_sum_c_other_than_one_minus_ratio_is_refused(self):
+        # every hi_j <= c_j holds, but the image of the simplex lies off
+        # sum lambda = 1 (sum c = 2, not 7/4)
+        assert not _encloses(F(-3, 4), (F(1, 2),) * 4, ((0, F(7, 16)),) * 4)
+
+
 class TestSimplexSchemes:
     @pytest.mark.parametrize(
         "scheme,m,ratio",
@@ -182,6 +204,36 @@ class TestSimplexSchemes:
                 simplex_partition(STD_TETRA, "m8")
         finally:
             partitions._scheme_template.cache_clear()
+
+    @pytest.mark.parametrize("scheme,bound,message", [
+        # the m5 clip box widened past the reflection's c = 2/5
+        ("m5", lambda lo, hi: (lo, F(21, 50) if hi == F(2, 5) else hi),
+         "m5 pieces: a box leaves its homothet of ratio -3/5"),
+        # the m9 core lowered below its homothet's c = cap = 2/17
+        ("m9", lambda lo, hi: (F(1, 17) if lo == F(2, 17) else lo, hi),
+         "m9 pieces: a box leaves its homothet of ratio 9/17"),
+    ], ids=["m5-clip", "m9-core"])
+    def test_box_piece_outside_its_homothet_is_refused(self, monkeypatch, scheme, bound,
+                                                        message):
+        monkeypatch.setattr(partitions, "_scheme_pieces",
+                            edited_boxes(partitions._scheme_pieces, scheme, bound))
+        partitions._scheme_template.cache_clear()
+        try:
+            with pytest.raises(VerificationError, match=message):
+                simplex_partition(STD_TETRA, scheme)
+        finally:
+            partitions._scheme_template.cache_clear()
+
+    @pytest.mark.parametrize("scheme", ["triangle4", "m5", "m8", "m9"])
+    def test_every_box_vertex_has_its_preimage_in_the_simplex(self, scheme):
+        # the box's vertices, mapped back through the enclosing homothet,
+        # are barycentric points of the simplex
+        for ratio, c, box, _ in partitions._scheme_pieces(scheme):
+            L, rows = _bary_box_vertices(box)
+            assert rows
+            for lam in rows:
+                pre = [(F(v, L) - cj) / ratio for v, cj in zip(lam, c)]
+                assert min(pre) >= 0 and sum(pre) == 1
 
     def test_m9_core_enclosure(self):
         cert = simplex_partition(STD_TETRA, "m9")
