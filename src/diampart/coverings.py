@@ -28,12 +28,15 @@ not a heuristic: a sample's distance depends neither on the other samples
 nor on the batch layout, min and max are exact and float subtraction of
 r is monotone, and every trial not rejected is evaluated on all samples,
 so the search takes the same steps, bit for bit, as one without
-witnesses.  The pool state (the pool samples' coordinates, and each
-move's nearest-other distances there) is rebuilt only when the pool
-grows or a center moves, not once per batch.  The multistart builds each
-start only when it reaches it.  The exact confirmation caches the
-lattice's facet projections per lattice and norm; they depend on neither
-the centers nor their denominators.
+witnesses.  Under l2 the search and the float confirmation compare
+squared distances and take one root per reduced value (_norm_keys).  The
+pool state (the pool samples' coordinates, and each move's nearest-other
+distances there) is rebuilt only when the pool grows or a center moves,
+not once per batch.  The multistart builds each start only when it
+reaches it.  The exact confirmation caches the lattice's facet
+projections per lattice and norm; they depend on neither the centers nor
+their denominators.  Its integer arithmetic runs in the narrowest type
+that holds a bound on every value it forms (_int_dtype).
 """
 from __future__ import annotations
 
@@ -431,33 +434,49 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
 
 def _norm_kernel(norm: Norm):
     """The norm as a numpy map from an (n, S) array of difference vectors,
-    one coordinate per row, to their S distances.
+    one coordinate per row, to their S distances: the root of each key of
+    _norm_keys.  The samplers and the k-center starts take distances."""
+    key, root = _norm_keys(norm)
+    return lambda diff: root(key(diff))
 
+
+def _norm_keys(norm: Norm):
+    """(key, root): key maps an (n, S) array of difference vectors, one
+    coordinate per row, to S keys, and root maps keys, an array or one
+    value, to their distances.
+
+    For l2 the key is the sum of squares and the root np.sqrt; for every
+    other norm the key is the distance and the root the identity.  np.sqrt
+    is correctly rounded, hence monotone, so sqrt(max a) = max sqrt(a) and
+    sqrt(min a) = min sqrt(a) bit for bit: the pattern search and the
+    float confirmation compare keys and take one root per reduced value.
+    Other p keep their distances, since ** need not be correctly rounded.
     The rows are combined in coordinate order, d0 then d1 then d2, the
     order in which numpy reduces a short trailing axis, so the distances
     are bit for bit those of the (S, n) row-vector form.  Norm set-up (the
     gauge's functionals as a float array) is done here, once, not once
-    per distance evaluation.
+    per evaluation.
     """
     import numpy as np
+
+    def identity(keys):
+        return keys
 
     if norm.kind == "gauge":
         F = np.asarray(gauge_facets(norm.body.vertices).functionals(), dtype=float)
         # einsum contracts row-major (S, n) vectors; given the (n, S) rows
         # it rounds differently in the last bit when n = 3
-        return lambda diff: np.einsum("fk,sk->fs", F, np.ascontiguousarray(diff.T)).max(axis=0)
+        return (lambda diff: np.einsum("fk,sk->fs", F, np.ascontiguousarray(diff.T))
+                .max(axis=0)), identity
     p = norm.p
     if p == INF:
-        return lambda diff: _fold_rows(np.maximum, np.abs(diff))
+        return (lambda diff: _fold_rows(np.maximum, np.abs(diff))), identity
     if p == 1:
-        return lambda diff: _fold_rows(np.add, np.abs(diff))
+        return (lambda diff: _fold_rows(np.add, np.abs(diff))), identity
     if p == 2:
-        def l2(diff):
-            total = _fold_rows(np.add, diff * diff)
-            return np.sqrt(total, out=total)
-        return l2
+        return (lambda diff: _fold_rows(np.add, diff * diff)), np.sqrt
     pf = float(p)
-    return lambda diff: _fold_rows(np.add, np.abs(diff) ** pf) ** (1.0 / pf)
+    return (lambda diff: _fold_rows(np.add, np.abs(diff) ** pf) ** (1.0 / pf)), identity
 
 
 def _fold_rows(ufunc, a):
@@ -568,7 +587,7 @@ def _sweep_moves(m: int, n: int, step: float):
     return moves
 
 
-def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
+def _pattern_search(samples, centers0, keys, r, rng, max_sweeps=60):
     """Coordinate pattern search with occasional random kicks.
 
     A sweep tries each center j along each coordinate d in both
@@ -590,10 +609,10 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
     an accepted move are batched again.  A kick is tested at the pool in
     one call too.  A trial whose pool samples alone give
     min(others, col) - r >= best - 1e-12  is rejected without its full
-    column.  This is exact: the kernel's distance at one sample depends
-    neither on the other samples nor on the batch layout, min and max are
-    exact, and float subtraction of r is monotone, so the full margin
-    would be rejected too.  A trial the pool does not reject is evaluated
+    column.  This is exact: a sample's key depends neither on the other
+    samples nor on the batch layout, min and max are exact, and float
+    subtraction of r is monotone, so the full margin would be rejected
+    too.  A trial the pool does not reject is evaluated
     in full, so accepted moves, dist and best are the ones the plain
     search computes, bit for bit.
 
@@ -603,9 +622,17 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
     a dist row changes or the pool grows.  The moves are built once per
     (m, n) and step, and a batch's trials are the centers plus the moves'
     offsets (see _sweep_moves).
+
+    keys is _norm_keys(norm): every array above holds keys, squared
+    distances under l2, and root is taken only of a reduced value (a
+    batch's per-trial pool maxima, the argmax entry of a full near row, a
+    kick's pool maximum).  root is monotone, so each margin and each
+    comparison is the one the distances give, bit for bit; the pool
+    argmax may pick another of the samples whose distances are equal.
     """
     import numpy as np
 
+    key, root = keys
     centers = centers0.copy()
     m, n = centers.shape
     S = len(samples)
@@ -613,27 +640,27 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
     diff_buf, near_buf = np.empty((n, S)), np.empty(S)  # one full column's scratch
 
     def columns(cs):
-        """The distances from each center of cs (one per row) to every sample."""
-        return np.stack([kernel(np.subtract(rows, c[:, None], out=diff_buf)) for c in cs])
+        """The keys from each center of cs (one per row) to every sample."""
+        return np.stack([key(np.subtract(rows, c[:, None], out=diff_buf)) for c in cs])
 
     def at_pool(points):
-        """Distances from each point (one per row) to each pool sample."""
+        """The keys from each point (one per row) to each pool sample."""
         diff = pool_rows[:, None, :] - points.T[:, :, None]
-        return kernel(diff.reshape(n, -1)).reshape(len(points), -1)
+        return key(diff.reshape(n, -1)).reshape(len(points), -1)
 
     def evaluate(near):
-        """The margin of a full near row; its worst sample joins the pool."""
+        """The margin of a full near row of keys; its worst sample joins the pool."""
         nonlocal pool_rows, pool_others
         w = int(near.argmax())
         if w not in pool:
             pool_coords[:, len(pool)] = rows[:, w]
             pool.append(w)
             pool_rows, pool_others = pool_coords[:, :len(pool)], None
-        return float(near[w]) - r
+        return float(root(near[w])) - r
 
     pool, pool_coords = [], np.empty((n, S))  # the pool samples and their coordinates
     pool_rows = None  # the live columns of pool_coords
-    pool_others = None  # per move, its center's nearest-other distances at the pool
+    pool_others = None  # per move, its center's nearest-other keys at the pool
     others = {}  # center -> its full nearest-other row
     dist = columns(centers)
     best = evaluate(dist.min(axis=0))
@@ -651,13 +678,13 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
             trials = centers[move_j[k:]] + offsets[k:]
             worst = np.minimum(pool_others[k:], at_pool(trials)).max(axis=1)
             start, k = k, M
-            for t, v in enumerate(worst.tolist()):
+            for t, v in enumerate(root(worst).tolist()):
                 if v - r >= best - 1e-12:
                     continue  # rejected at the pool
                 j = int(move_j[start + t])
                 if j not in others:
                     others[j] = dist[np.arange(m) != j].min(axis=0, initial=np.inf)
-                col = kernel(np.subtract(rows, trials[t][:, None], out=diff_buf))
+                col = key(np.subtract(rows, trials[t][:, None], out=diff_buf))
                 val = evaluate(np.minimum(others[j], col, out=near_buf))
                 if val < best - 1e-12:
                     centers[j], dist[j], best = trials[t], col, val
@@ -671,7 +698,7 @@ def _pattern_search(samples, centers0, kernel, r, rng, max_sweeps=60):
         if not improved:
             # annealing-style kick: one random center jitter before shrinking
             trial = centers + rng.normal(scale=step / 3, size=centers.shape)
-            if float(at_pool(trial).min(axis=0).max()) - r >= best - 1e-12:
+            if float(root(at_pool(trial).min(axis=0).max())) - r >= best - 1e-12:
                 step *= 0.5  # rejected at the pool
                 continue
             trial_dist = columns(trial)
@@ -719,15 +746,18 @@ def _body_vertices(body):
     raise ValueError("no vertex hint for body")
 
 
-# Lattice magnitudes below this keep int64 arithmetic; sums of a few such
-# terms still fit.  Above it the lattice kernels switch to Python ints.
+# Lattice magnitudes below this keep numpy integers; sums of a few such
+# terms still fit int64.  Above it the lattice kernels switch to Python ints.
 _INT64_SAFE = 2 ** 62
 
 
 def _int_dtype(bound: int):
+    """The narrowest numpy integer type holding every value of
+    [-bound - 1, bound] when bound < 2^62, and object (Python ints) from
+    there on."""
     import numpy as np
 
-    return np.int64 if bound < _INT64_SAFE else object
+    return np.min_scalar_type(-bound - 1) if bound < _INT64_SAFE else object
 
 
 def _lattice_body(body) -> bool:
@@ -743,8 +773,8 @@ def _confirmation_points(body):
     """A deterministic point set denser than the search samples.
 
     Returns (P, D).  For a lattice body (_lattice_body), P is an integer
-    array and the points are exactly P/D (int64, or Python ints when the
-    magnitudes near the int64 range).  For other bodies D is None and P
+    array and the points are exactly P/D, in the narrowest integer type
+    that holds them (_int_dtype).  For other bodies D is None and P
     holds float samples at 4x the default sampling density.  Cached per
     body and shared by every caller, hence read-only.
     """
@@ -806,16 +836,15 @@ def _projections(P, norm: Norm):
     """The integer lattice rows P through the norm's facet rows W (see
     norm_facets): (WP, bound), where WP = W.P^T holds one contiguous
     row per facet, read-only, and bound = max_w sum|w| * max|P| bounds
-    its entries.  WP is kept in the narrowest integer type that holds
-    bound, Python ints beyond the int64 range."""
+    its entries and every partial sum of them.  The product is formed
+    once in int64 below 2^62 and in Python ints from there on; WP is kept
+    in _int_dtype(bound), the narrowest integer type that holds bound."""
     import numpy as np
 
     rows = norm_facets(norm, P.shape[1]).rows
     bound = max(sum(map(abs, w)) for w in rows) * int(np.abs(P).max())
-    dtype = _int_dtype(bound)
-    WP = np.asarray(rows, dtype=dtype) @ P.T.astype(dtype)
-    if dtype is not object:
-        WP = WP.astype(np.min_scalar_type(-bound - 1))
+    wide = np.int64 if bound < _INT64_SAFE else object
+    WP = (np.asarray(rows, dtype=wide) @ P.T.astype(wide)).astype(_int_dtype(bound))
     WP.flags.writeable = False
     return WP, bound
 
@@ -826,13 +855,22 @@ def _exact_margin(projections, D, centers, r, norm: Norm):
 
     Exact, for polyhedral norms only (l1, l_inf and gauges): one rescale
     to the common denominator L of the lattice and the centers turns it
-    into integer arithmetic, in int64 when the magnitudes allow and in
-    Python ints otherwise.  With the norm's facet form (integer rows W
+    into integer arithmetic.  With the norm's facet form (integer rows W
     over den at scale s, see norm_facets) the distance from P/D to C/L
     is max_w (k*w.P - w.C) * s/(den*L), where k = L/D.  The projections
     are scaled by k once per call, and each distinct center costs one
     subtraction, into one scratch array, and one reduction over the
     facet rows.
+
+    The arithmetic runs in _int_dtype(total), the narrowest integer type
+    holding total = max(bound*k + wsum*max|C|, k, max|w|, max|C|), with
+    wsum = max_w sum|w|, and in Python ints from 2^62 on.  Every value
+    formed lies in [-total, total]: a scaled projection k*w.P by
+    k*bound; a product w_i*C_i, and each partial sum of w.C in the
+    matrix product C.W^T, by wsum*max|C|; each difference k*w.P - w.C,
+    and so each maximum and minimum of them, by the sum of both; and k,
+    the entries of W and those of C, cast to the type themselves, by
+    their own maxima.
     """
     import numpy as np
 
@@ -842,9 +880,10 @@ def _exact_margin(projections, D, centers, r, norm: Norm):
     k = L // D
     form = norm_facets(norm, len(C[0]))
     W = form.rows
-    # |k*w.P - w.C| <= sum|w| * (k*max|P| + max|C|)
     wsum = max(sum(map(abs, w)) for w in W)
-    dtype = _int_dtype(bound * k + wsum * max(abs(v) for c in C for v in c))
+    wmax = max(abs(v) for w in W for v in w)
+    cmax = max(abs(v) for c in C for v in c)
+    dtype = _int_dtype(max(bound * k + wsum * cmax, k, wmax, cmax))
     scaled = np.multiply(WP, k, dtype=dtype)
     scratch = np.empty_like(scaled)
     CW = np.asarray(C, dtype=dtype) @ np.asarray(W, dtype=dtype).T
@@ -901,7 +940,7 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
 
     samples = _body_samples(parent, n_boundary, n_interior, seed)
     dim = samples.shape[1]
-    kernel = _norm_kernel(norm)
+    keys = _norm_keys(norm)
 
     seeds = np.random.SeedSequence(seed)
 
@@ -917,7 +956,7 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
             if i == 0:
                 yield base, rng
             elif i == 1:
-                yield _greedy_kcenter(samples, m, kernel), rng
+                yield _greedy_kcenter(samples, m, _norm_kernel(norm)), rng
             elif i % 2 == 0:
                 yield base + rng.normal(scale=0.15, size=(m, dim)), rng
             else:
@@ -925,7 +964,7 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
 
     best_centers, best_margin = None, math.inf
     for c0, rng in starts():
-        centers, val = _pattern_search(samples, c0, kernel, rf, rng)
+        centers, val = _pattern_search(samples, c0, keys, rf, rng)
         if val < best_margin:
             best_centers, best_margin = centers, val
         if best_margin <= 1e-12:
@@ -949,9 +988,11 @@ def verify_ball_covering(parent, centers, r, norm: Norm):
     Returns the residual margin (worst distance to the nearest center
     minus r): exact Fraction arithmetic for rational centers under a
     polyhedral norm on a lattice body, where a float r is read as the
-    rational it denotes; float otherwise.  Nonpositive means covered at
-    the checked resolution.  The centers must be a nonempty sequence of
-    points of the body's dimension.
+    rational it denotes; float otherwise, where the nearest-center keys
+    of _norm_keys are reduced and only their maximum is rooted, so an l2
+    margin is bit for bit the one its distances give.  Nonpositive means
+    covered at the checked resolution.  The centers must be a nonempty
+    sequence of points of the body's dimension.
     """
     centers = tuple(centers)
     if not centers:
@@ -965,7 +1006,7 @@ def verify_ball_covering(parent, centers, r, norm: Norm):
     import numpy as np
 
     cs = np.asarray([[float(c) for c in row] for row in centers], dtype=float)
-    rows, kernel = _confirmation_floats(parent), _norm_kernel(norm)
+    rows, (key, root) = _confirmation_floats(parent), _norm_keys(norm)
     # min is exact, so folding the centers' columns in any order gives the same margin
-    near = functools.reduce(np.minimum, (kernel(rows - c[:, None]) for c in cs))
-    return float(near.max()) - float(r)
+    near = functools.reduce(np.minimum, (key(rows - c[:, None]) for c in cs))
+    return float(root(near.max())) - float(r)

@@ -165,14 +165,6 @@ class Homothet:
     def apply_point(self, x: Vector) -> Vector:
         return vadd(vscale(self.ratio, x), self.translation)
 
-    def compose(self, inner: "Homothet") -> "Homothet":
-        """Homothet equal to self applied after inner (same base as inner)."""
-        return Homothet(
-            ratio=self.ratio * inner.ratio,
-            translation=vadd(vscale(self.ratio, inner.translation), self.translation),
-            base=inner.base,
-        )
-
 
 def apply_homothet(h: Homothet) -> VPolytope:
     """The image of h.base, as integer rows for a Fraction ratio and rational data."""

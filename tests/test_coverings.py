@@ -20,6 +20,7 @@ from diampart.geometry import (
     cube,
     gauge_facets,
     norm_eval,
+    norm_facets,
     vsub,
 )
 from diampart.cli import _coverage_payload, main
@@ -35,8 +36,10 @@ from diampart.coverings import (
     _confirmation_points,
     _exact_margin,
     _halton,
+    _int_dtype,
     _lattice_projections,
     _norm_kernel,
+    _norm_keys,
     _pattern_search,
     _projections,
     _seed_free_samples,
@@ -901,15 +904,31 @@ class TestPatternSearchKernel:
         got = float(np.minimum(others, col).max())
         assert got == float(_dist_matrix(samples, trial, kernel).min(1).max())
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=0, allow_nan=False), min_size=1, max_size=12),
+           st.randoms(use_true_random=False))
+    def test_one_root_per_reduced_value(self, keys, rnd):
+        # the l2 search reduces squared distances and roots the result:
+        # np.sqrt is correctly rounded, hence monotone, so the root of the
+        # max (min) is the max (min) of the roots, also where adjacent keys
+        # one ulp apart share a root
+        with np.errstate(over="ignore"):  # the float after the largest is inf
+            a = np.concatenate([keys, np.nextafter(keys, np.inf), np.nextafter(keys, 0)])
+        rnd.shuffle(a)
+        assert np.sqrt(a.max()).tobytes() == np.sqrt(a).max().tobytes()
+        assert np.sqrt(a.min()).tobytes() == np.sqrt(a).min().tobytes()
+
     @pytest.mark.parametrize("which", range(len(SEARCH_NORMS)))
     @pytest.mark.parametrize("dim, m", [(2, 1), (2, 4), (3, 5)])
     def test_matches_full_recompute_search(self, which, dim, m):
-        kernel = _norm_kernel(_norm_for(SEARCH_NORMS[which], dim))
+        # the search runs on keys, the reference on distances
+        norm = _norm_for(SEARCH_NORMS[which], dim)
         rng = np.random.default_rng(100 * dim + m)
         samples = rng.uniform(-1, 1, size=(150, dim))
         c0 = rng.uniform(-0.5, 0.5, size=(m, dim))
-        got = _pattern_search(samples, c0, kernel, 0.4, np.random.default_rng(3), max_sweeps=12)
-        want = _reference_pattern_search(samples, c0, kernel, 0.4,
+        got = _pattern_search(samples, c0, _norm_keys(norm), 0.4, np.random.default_rng(3),
+                              max_sweeps=12)
+        want = _reference_pattern_search(samples, c0, _norm_kernel(norm), 0.4,
                                          np.random.default_rng(3), max_sweeps=12)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
@@ -929,19 +948,27 @@ WITNESS_BODIES = {
 DISK_SAMPLES = 6144
 
 
+def _plain_search_on_keys(samples, centers0, keys, r, rng):
+    """_plain_pattern_search on the distances of a _norm_keys pair."""
+    key, root = keys
+    return _plain_pattern_search(samples, centers0, lambda diff: root(key(diff)), r, rng)
+
+
 def _counted_disk_search(monkeypatch, search):
     """The README's failing disk search at seed 0 run through `search`, and
-    the width of each kernel call it made, in order."""
+    the width of each kernel call it made, in order: every key evaluation,
+    the distances of the k-center start included.  The samples are drawn
+    before counting, so a cold sample cache adds no sampler calls."""
     calls = []
 
     def counting(norm):
-        kernel = _norm_kernel(norm)
-        return lambda diff: calls.append(diff.shape[1]) or kernel(diff)
+        key, root = _norm_keys(norm)
+        return (lambda diff: calls.append(diff.shape[1]) or key(diff)), root
 
-    monkeypatch.setattr(coverings, "_norm_kernel", counting)
+    assert len(_body_samples(UnitDisk(), 4096, 1024, 0)) == DISK_SAMPLES
+    monkeypatch.setattr(coverings, "_norm_keys", counting)
     monkeypatch.setattr(coverings, "_pattern_search", search)
     sol = search_ball_covering(UnitDisk(), 2, 0.9, Norm.lp(2), seed=0)
-    assert len(_body_samples(UnitDisk(), 4096, 1024, 0)) == DISK_SAMPLES
     return sol, calls
 
 
@@ -951,15 +978,16 @@ class TestWitnessPruning:
     def test_matches_plain_search(self, kind, seed):
         # up to 16 centers: pool batches span many centers, and moves
         # accepted mid-sweep make the rest of the sweep be batched again
+        # the search runs on keys, the plain search on distances
         body, norm = WITNESS_BODIES[kind]
-        kernel = _norm_kernel(norm)
         rng = np.random.default_rng(seed)
         samples = _body_samples(body, 512, 128, seed)
         for m in (1 + seed, 5 + 2 * seed, 12 + 2 * seed):
             r = float(rng.uniform(0.3, 1.0))
             c0 = samples[rng.integers(0, len(samples), size=m)] * 0.5
-            got = _pattern_search(samples, c0, kernel, r, np.random.default_rng(seed))
-            want = _plain_pattern_search(samples, c0, kernel, r, np.random.default_rng(seed))
+            got = _pattern_search(samples, c0, _norm_keys(norm), r, np.random.default_rng(seed))
+            want = _plain_pattern_search(samples, c0, _norm_kernel(norm), r,
+                                         np.random.default_rng(seed))
             assert repr(got[0].tolist()) == repr(want[0].tolist()), m
             assert repr(got[1]) == repr(want[1]), m
 
@@ -968,7 +996,7 @@ class TestWitnessPruning:
         # of the sweep batch leaves the result unchanged, so it is caught
         # by counting kernel calls
         sol, calls = _counted_disk_search(monkeypatch, _pattern_search)
-        want, plain = _counted_disk_search(monkeypatch, _plain_pattern_search)
+        want, plain = _counted_disk_search(monkeypatch, _plain_search_on_keys)
         trials = plain.count(DISK_SAMPLES)
         assert (sol.centers, sol.search_margin) == (want.centers, want.search_margin)
         assert len(calls) < trials / 2
@@ -1025,7 +1053,58 @@ Q = int(0.95 * 2 ** 60) | 1
 FACET_NORMS = [GAUGE3, SKEW_GAUGE3, Norm.lp(1), Norm.lp(INF)]
 
 
+def _margin_total(projections, D, centers, norm):
+    """The bound _exact_margin's docstring gives for every value it forms:
+    max(bound*k + wsum*max|C|, k, max|w|, max|C|)."""
+    L = math.lcm(D, *(F(v).denominator for c in centers for v in c))
+    C = [[int(F(v) * L) for v in c] for c in centers]
+    W = norm_facets(norm, len(C[0])).rows
+    cmax = max(abs(v) for c in C for v in c)
+    return max(projections[1] * (L // D) + max(sum(map(abs, w)) for w in W) * cmax,
+               L // D, max(abs(v) for w in W for v in w), cmax)
+
+
 class TestExactGaugeMargin:
+    @pytest.mark.parametrize("bound, want", [
+        (0, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+        (2 ** 31 - 1, np.int32), (2 ** 31, np.int64), (2 ** 62 - 1, np.int64), (2 ** 62, object),
+    ])
+    def test_narrowest_type_at_its_boundaries(self, bound, want):
+        # the type holds [-bound - 1, bound]; Python ints from 2^62 on
+        assert _int_dtype(bound) == want
+
+    @pytest.mark.parametrize("body, norm, centers, want", [
+        # k = 3: total 96 of 127
+        pytest.param(cube(2), Norm.lp(1), ((F(-1), F(-1)), (F(1, 3), F(2, 3)), (F(1), F(-1, 3))),
+                     np.int8, id="int8"),
+        # k = 5: k*bound = 80 fits int8, but the center term takes the
+        # total to 160, and the distance from (1, 1) to the center is 128/40
+        pytest.param(cube(2), Norm.lp(1), ((F(-1), F(-1, 5)),), np.int16, id="int16-by-centers"),
+        # k = 75: total 28,800 of 32,767
+        pytest.param(PBall(1, 3), Norm.lp(1),
+                     ((F(-1), 0, 0), (F(1, 3), F(-2, 25), F(1, 2)), (0, F(24, 25), F(-1, 3))),
+                     np.int16, id="int16"),
+        # k = 3 * 999,983: totals 1.15e9 and 1.92e9 of 2.15e9
+        pytest.param(PBall(1, 3), Norm.lp(1),
+                     ((F(1, 999983), 0, 0), (F(-1), F(1, 3), 0), (0, 0, F(1))),
+                     np.int32, id="int32"),
+        pytest.param(PBall(1, 3), GAUGE3,
+                     ((F(1, 999983), 0, 0), (F(-1), F(1, 3), 0), (0, 0, F(1))),
+                     np.int32, id="int32-gauge"),
+        pytest.param(PBall(1, 3), Norm.lp(1),
+                     ((F(1, 2 ** 31 - 1), 0, 0), (F(-1), F(1, 3), 0), (0, 0, F(1))),
+                     np.int64, id="int64"),
+    ])
+    def test_each_width_matches_reference(self, body, norm, centers, want):
+        # the margin runs in the narrowest type holding its bound, and a
+        # type one step too narrow would wrap near the bound
+        P, D = _confirmation_points(body)
+        P = P if len(P) < 1000 else P[::23]
+        projections = _projections(P, norm)
+        assert _int_dtype(_margin_total(projections, D, centers, norm)) == want
+        got = _exact_margin(projections, D, centers, F(1, 2), norm)
+        assert got == _reference_margin(P, D, centers, F(1, 2), norm)
+
     @pytest.mark.parametrize("norm", FACET_NORMS)
     @pytest.mark.parametrize("body", [PBall(1, 3), cube(3), PBall(1, 3, radius=F(3, 2))])
     @pytest.mark.parametrize("seed", range(3))

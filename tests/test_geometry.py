@@ -26,6 +26,7 @@ from diampart.geometry import (
     vsub,
 )
 from diampart.numbers import INF
+from test_integer_kernels import compose
 
 F = Fraction
 
@@ -381,10 +382,11 @@ class TestHomothet:
         assert polytope_diameter(apply_homothet(H), Norm.lp(INF)) == F(3, 2)
 
     def test_compose(self):
+        # the composition the reference scheme of test_integer_kernels builds on
         P = cube(2)
         H1 = Homothet(F(1, 2), (1, 0), P)
         H2 = Homothet(F(-3, 4), (0, 1), P)
-        both = H2.compose(H1)
+        both = compose(H2, H1)
         direct = [H2.apply_point(H1.apply_point(v)) for v in P.vertices]
         assert apply_homothet(both).vertices == tuple(direct)
 

@@ -29,6 +29,8 @@ from diampart.geometry import (
     norm_eval,
     pnorm_eval,
     polytope_diameter,
+    vadd,
+    vscale,
     vsub,
 )
 from diampart.numbers import INF, same_mode
@@ -50,6 +52,12 @@ def box_hull(S, bounds):
     """The vertices of the barycentric box {lo <= lambda <= hi} of S, as
     the scheme template realizes a box piece."""
     return _bary_polytope(S, *_bary_box_vertices(bounds))
+
+
+def compose(outer, inner):
+    """The Homothet of outer applied after inner, on inner's base."""
+    return Homothet(outer.ratio * inner.ratio,
+                    vadd(vscale(outer.ratio, inner.translation), outer.translation), inner.base)
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 floats = st.floats(min_value=-6, max_value=6)
@@ -348,13 +356,13 @@ def reference_scheme(S, scheme):
     t2 = F(1, 4) if scheme == "m8" else F(2, 5)
     cap = t - gamma * t2
     for i in range(4):
-        comp = Homothet(1 - t2, tuple(t2 * c for c in refl_sx.vertices[i]), refl_sx).compose(refl)
+        comp = compose(Homothet(1 - t2, tuple(t2 * c for c in refl_sx.vertices[i]), refl_sx), refl)
         bounds = [(F(0), t)] * 4
         bounds[i] = (F(0), cap)
         pieces.append(PartitionPiece(comp, abs(comp.ratio), hull(comp), tuple(bounds)))
     if scheme == "m9":
         core = ((cap, t),) * 4
-        enc = residual_enclosure(refl_sx, t2).compose(refl)
+        enc = compose(residual_enclosure(refl_sx, t2), refl)
         pieces.append(PartitionPiece(None, abs(enc.ratio), box(core), core))
     return pieces
 
