@@ -40,14 +40,12 @@ from .geometry import (
     PBall,
     Simplex,
     VPolytope,
-    apply_homothet,
     cube,
     cross_polytope,
     diameter_finite,
     dual_exponent,
     norm_eval,
     pnorm_eval,
-    point_in_vpolytope,
     polytope_diameter,
 )
 from .numbers import INF, VerificationError
@@ -56,9 +54,7 @@ from .partitions import (
     PartitionCertificate,
     cube_partition,
     disk_partition4,
-    residual_enclosure,
     simplex_partition,
-    simplex_vertex_homothets,
     triangle_partition4,
 )
 
@@ -79,7 +75,6 @@ __all__ = [
     "Simplex",
     "VPolytope",
     "VerificationError",
-    "apply_homothet",
     "beta_finite_exact",
     "bm_upper",
     "corollary_threshold_check",
@@ -98,13 +93,10 @@ __all__ = [
     "norm_eval",
     "partition_diameter_ratio",
     "pnorm_eval",
-    "point_in_vpolytope",
     "polytope_diameter",
-    "residual_enclosure",
     "sandwich_verify",
     "search_ball_covering",
     "simplex_partition",
-    "simplex_vertex_homothets",
     "stability_transfer",
     "triangle_partition4",
     "verify_ball_covering",

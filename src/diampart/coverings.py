@@ -219,6 +219,8 @@ def _box_coverage(parent, pieces, N: int) -> CoverageReport:
             h = p.description
             if not isinstance(h, Homothet):
                 raise ValueError("cube scheme pieces must be homothets")
+            if h.base != parent:
+                raise ValueError("a homothet piece must scale the parent itself")
             r = as_fraction(h.ratio)
             ends = [(r * lo + t, r * hi + t)
                     for (lo, hi), t in zip(ranges, map(as_fraction, h.translation))]
@@ -407,6 +409,8 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
     so that a box that ties with a homothet is not rounded above it.
     """
     parent, parent_diam, terms = cert.parent, None, []
+    if norm.kind == "gauge" and norm.body.dim != parent.dim:
+        raise ValueError("points and gauge body differ in dimension")
     for piece in cert.pieces:
         desc = piece.description
         if isinstance(desc, Homothet):
@@ -760,29 +764,21 @@ def _int_dtype(bound: int):
     return np.min_scalar_type(-bound - 1) if bound < _INT64_SAFE else object
 
 
-def _lattice_body(body) -> bool:
-    """Is the body's confirmation set an exact lattice: the 3-D l1 ball
-    or an axis box?"""
-    if isinstance(body, PBall):
-        return body.p == 1 and body.dim == 3
-    return isinstance(body, VPolytope) and _axis_cube_intervals(body) is not None
-
-
 @functools.lru_cache(maxsize=8)
 def _confirmation_points(body):
     """A deterministic point set denser than the search samples.
 
-    Returns (P, D).  For a lattice body (_lattice_body), P is an integer
-    array and the points are exactly P/D, in the narrowest integer type
-    that holds them (_int_dtype).  For other bodies D is None and P
-    holds float samples at 4x the default sampling density.  Cached per
-    body and shared by every caller, hence read-only.
+    Returns (P, D).  For a lattice body, the 3-D l1 ball or an axis box
+    given by its vertices, P is an integer array and the points are
+    exactly P/D, in the narrowest integer type that holds them
+    (_int_dtype).  For other bodies D is None and P holds float samples
+    at 4x the default sampling density.  Cached per body and shared by
+    every caller, hence read-only.
     """
     import numpy as np
 
-    if not _lattice_body(body):
-        P, D = _body_samples(body, 4 * 4096, 4 * 1024, seed=10**6 + 7), None
-    elif isinstance(body, PBall):
+    ranges = _axis_cube_intervals(body) if isinstance(body, VPolytope) else None
+    if isinstance(body, PBall) and body.p == 1 and body.dim == 3:
         # each facet at barycentric granularity 1/K (8*C(K+2,2) > 4*4096
         # points), plus the 1/8 grid inside the ball
         K = 64
@@ -796,8 +792,8 @@ def _confirmation_points(body):
         P = np.concatenate([(signs[:, None, :] * facet).reshape(-1, 3), grid])
         rad = as_fraction(body.radius)
         P, D = P.astype(_int_dtype(K * rad.numerator)) * rad.numerator, K * rad.denominator
-    else:
-        los, his = _axis_cube_intervals(body)
+    elif ranges is not None:
+        los, his = ranges
         K = 16
         axes = [[lo + Fraction(i, K) * (hi - lo) for i in range(K + 1)]
                 for lo, hi in zip(map(as_fraction, los), map(as_fraction, his))]
@@ -806,6 +802,8 @@ def _confirmation_points(body):
         dtype = _int_dtype(max(abs(v) for ax in ints for v in ax))
         mesh = np.meshgrid(*(np.asarray(ax, dtype=dtype) for ax in ints), indexing="ij")
         P = np.stack(mesh, axis=-1).reshape(-1, body.dim)
+    else:
+        P, D = _body_samples(body, 4 * 4096, 4 * 1024, seed=10**6 + 7), None
     P.flags.writeable = False
     return P, D
 
@@ -971,7 +969,7 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
             break  # a covering is a covering; later starts add nothing
 
     (r_given,) = same_mode(r)
-    if best_margin <= 1e-9 and norm.is_polyhedral and _lattice_body(parent):
+    if best_margin <= 1e-9 and norm.is_polyhedral and _confirmation_points(parent)[1] is not None:
         # the snapped centers are rational: verify_ball_covering's margin is exact
         for snapped in _snap_centers(best_centers):
             margin = verify_ball_covering(parent, snapped, r, norm)

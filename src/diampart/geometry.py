@@ -17,11 +17,8 @@ rank of the rows with the origin added).
 Polytopes are enumerated one way too, by the integer double-description
 kernel _extreme_rays: the facets of a gauge body (gauge_facets) and the
 vertices of a barycentric box (partitions._bary_box_vertices) are both
-extreme rays of a cone given by integer rows.  Polytope membership lives
-here too: a point lies in a V-polytope exactly when it satisfies the
-integer facet form of the translated vertices (see gauge_facets and
-point_in_vpolytope).  Rational hulls are
-integer rows over one denominator (apply_homothet), a width takes one
+extreme rays of a cone given by integer rows.  Rational hulls are
+integer rows over one denominator (_rows_polytope), a width takes one
 facet row of each +-pair (_width), and _distance_keys is the one table of
 finite-set distance keys, shared by the oracle and the l_p branch of
 diameter_finite: integers for a polyhedral norm and for l_p with an
@@ -54,10 +51,6 @@ Vector = Tuple[Scalar, ...]
 # vector helpers
 
 
-def vadd(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def vsub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
 
@@ -72,18 +65,6 @@ def vdot(x: Vector, y: Vector) -> Scalar:
 
 def vneg(x: Vector) -> Vector:
     return tuple(-a for a in x)
-
-
-def centroid(points: Sequence[Vector]) -> Vector:
-    k = len(points)
-    if all(all_rational(p) for p in points):
-        w = Fraction(1, k)
-    else:
-        w = 1.0 / k
-    acc = points[0]
-    for p in points[1:]:
-        acc = vadd(acc, p)
-    return vscale(w, acc)
 
 
 def affine_rank(points: Sequence[Vector]) -> int:
@@ -161,17 +142,6 @@ class Homothet:
         if self.ratio == 0:
             raise ValueError("homothety ratio must be nonzero")
         object.__setattr__(self, "translation", tuple(self.translation))
-
-    def apply_point(self, x: Vector) -> Vector:
-        return vadd(vscale(self.ratio, x), self.translation)
-
-
-def apply_homothet(h: Homothet) -> VPolytope:
-    """The image of h.base, as integer rows for a Fraction ratio and rational data."""
-    if not (isinstance(h.ratio, Fraction) and h.base.rational and all_rational(h.translation)):
-        return VPolytope(tuple(h.apply_point(v) for v in h.base.vertices))
-    (D, P), (E, ((a, *T),)) = h.base.integer_vertices, _integer_points(((h.ratio, *h.translation),))
-    return _rows_polytope(E * D, [[a * x + D * y for x, y in zip(p, T)] for p in P])
 
 
 def _rows_polytope(L: int, rows) -> VPolytope:
@@ -624,29 +594,3 @@ def _distance_keys(pts: list, norm: Norm, scaled=None) -> dict:
 def polytope_diameter(P: Union[VPolytope, Simplex], norm: Norm) -> Scalar:
     """Diameter of a polytope = diameter of its vertex set."""
     return diameter_finite(P.vertices, norm, P.integer_vertices)
-
-
-# ---------------------------------------------------------------------------
-# polytope containment
-
-
-def point_in_vpolytope(P: VPolytope, x: Vector) -> bool:
-    """Is x a convex combination of P's vertices?  Exact; a float
-    coordinate is read as the rational it denotes.
-
-    Every coordinate is read exactly before the translation by the first
-    vertex, which puts the origin among the vertices: x is then inside
-    exactly when it satisfies every row of the facet form of the
-    translated vertices (see gauge_facets).
-    """
-    if len(x) != P.dim:
-        raise ValueError("dimension mismatch")
-    base = [as_fraction(c) for c in P.vertices[0]]
-
-    def shift(p):
-        return tuple(as_fraction(c) - b for c, b in zip(p, base))
-
-    form = gauge_facets(tuple(map(shift, P.vertices)))
-    D, (X,) = _integer_points((shift(x),))
-    return (all(vdot(c, X) <= 0 for c in form.cone)
-            and all(vdot(w, X) * form.scale <= form.den * D for w in form.rows))

@@ -31,7 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from .geometry import (
     Homothet,
@@ -41,13 +41,12 @@ from .geometry import (
     _extreme_rays,
     _integer_points,
     _rows_polytope,
-    centroid,
     cube,
     vdot,
     vneg,
     vscale,
 )
-from .numbers import VerificationError, as_fraction, same_mode
+from .numbers import VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -156,46 +155,6 @@ class PartitionCertificate:
 
 # ---------------------------------------------------------------------------
 # scheme constructors
-
-
-def simplex_vertex_homothets(S: Simplex, mu) -> Tuple[PartitionPiece, ...]:
-    """The n+1 pieces (1-mu)v_i + mu*S, equivalently {lambda_i >= 1-mu};
-    their union covers S.
-
-    Coverage needs mu >= n/(n+1): every barycentric point has some
-    lambda_i >= 1/(n+1), so lambda_i >= 1-mu puts it in piece i.  Below
-    that threshold the centroid (all lambda_i = 1/(n+1)) is uncovered.
-    """
-    n = S.dim
-    (mu,) = same_mode(mu)
-    if mu > 1:
-        raise ValueError("mu must be at most 1")
-    if mu < Fraction(n, n + 1):
-        raise ValueError(
-            "mu=%s < %d/%d leaves the centroid uncovered (all lambda_i = 1/%d > 1-mu)"
-            % (mu, n, n + 1, n + 1)
-        )
-    return tuple(PartitionPiece(Homothet(mu, vscale(1 - mu, v), S), mu, bary_bounds=tuple(
-        (1 - mu if i == j else Fraction(0), Fraction(1)) for j in range(n + 1)))
-        for i, v in enumerate(S.vertices))
-
-
-def residual_enclosure(S: Simplex, t) -> Homothet:
-    """Homothet -((n+1)t - 1)*S + c containing {sum lambda_i v_i : lambda <= t}.
-
-    In barycentric coordinates it is lambda -> -gamma*lambda + (t, ..., t)
-    with gamma = (n+1)t - 1, so c = (1 + gamma) * centroid(S); _encloses
-    certifies that it contains the residual box [0, t]^(n+1) before it
-    is returned.
-    """
-    n = S.dim
-    t = as_fraction(t)
-    if not Fraction(1, n + 1) < t <= Fraction(1, 2):
-        raise ValueError("t must lie in (1/%d, 1/2]" % (n + 1,))
-    gamma = (n + 1) * t - 1
-    if not _encloses(-gamma, (t,) * (n + 1), ((Fraction(0), t),) * (n + 1)):
-        raise VerificationError("residual enclosure verification failed")
-    return Homothet(-gamma, vscale(1 + gamma, centroid(S.vertices)), S)
 
 
 def _encloses(ratio, c, box) -> bool:

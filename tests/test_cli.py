@@ -48,8 +48,12 @@ IGNORED_BODIES = [
 # spec files that lack a key their kind needs, or nest too deeply, and
 # what the error must name
 DEEP_JSON = "[" * 100000 + "]" * 100000
+# a square's gauge for a tetrahedron scheme whose pieces are all homothets
+SQUARE_GAUGE = '{"kind": "gauge", "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}'
+
 NAMED_CAUSE = {
     DEEP_JSON: "JSON nested too deeply",
+    SQUARE_GAUGE: "points and gauge body differ in dimension",
     '{"kind": "p"}': 'a "p" norm spec needs "p"',
     '{"points": [[0, 0], [1, 0]], "norm": {"kind": "gauge"}}':
         'a "gauge" norm spec needs "vertices"',
@@ -227,6 +231,7 @@ class TestExitCodes:
         ('{"points": [[0, 0], [1, 0]], "norm": {"kind": "gauge", "vertices": 5}}',
          ["oracle", "--points", "FILE", "--m", "2"]),
         ('{"kind": "p", "p": null}', ["partition", "simplex", "--m", "8", "--norm", "FILE"]),
+        (SQUARE_GAUGE, ["partition", "simplex", "--m", "8", "--norm", "FILE"]),
     ] + [
         # nesting too deep for the JSON parser, as a problem and as a norm file
         pytest.param(DEEP_JSON, ["oracle", "--points", "FILE", "--m", "2"], id="deep-points"),

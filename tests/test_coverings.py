@@ -59,9 +59,9 @@ from diampart.partitions import (
     cube_partition,
     disk_partition4,
     simplex_partition,
-    simplex_vertex_homothets,
     triangle_partition4,
 )
+from test_integer_kernels import vertex_piece
 from test_partitions import in_box
 from test_properties import fraction_barycentric
 
@@ -86,7 +86,7 @@ class TestSimplexGridCoverage:
         assert rep.covered, rep.worst_witness
 
     def test_raw_homothets_cover_at_three_quarters(self):
-        hs = simplex_vertex_homothets(STD_TETRA, F(3, 4))
+        hs = [vertex_piece(STD_TETRA, i, F(3, 4)) for i in range(4)]
         rep = verify_covering(STD_TETRA, hs, N=32)
         assert rep.covered
 
@@ -312,6 +312,13 @@ class TestCubeCoverage:
         rep = verify_covering(parent, pieces)
         assert rep.covered and rep.worst_witness is None
 
+    def test_a_homothet_of_another_box_is_refused(self):
+        # ratio 1 and no translation, but of [-1/2, 1/2]^2: the piece is not
+        # the square, and its box must not be computed from the square's
+        piece = PartitionPiece(Homothet(1, (0, 0), cube(2, half=F(1, 2))), 1)
+        with pytest.raises(ValueError, match="a homothet piece must scale the parent itself"):
+            verify_covering(cube(2), [piece])
+
     def test_missing_piece_detected(self):
         cert = cube_partition(2)
         rep = verify_covering(cert.parent, cert.pieces[:-1], N=8)
@@ -423,9 +430,15 @@ class TestDiameterRatio:
                 ratio = partition_diameter_ratio(simplex_partition(S, "m8"), norm)
                 assert ratio == F(9, 16) and any(ratio is r for r in template)
 
+    def test_a_gauge_of_another_dimension_is_refused(self):
+        # every piece a homothet, so no diameter would otherwise be taken
+        for cert in (cube_partition(3), simplex_partition(STD_TETRA, "m8")):
+            with pytest.raises(ValueError, match="points and gauge body differ in dimension"):
+                partition_diameter_ratio(cert, Norm.gauge(cube(2)))
+
     def test_homothets_of_another_body_are_refused(self):
         cert = simplex_partition(STD_TETRA, "m8")
-        pieces = simplex_vertex_homothets(SKEW_TETRA, F(3, 4))
+        pieces = [vertex_piece(SKEW_TETRA, i, F(3, 4)) for i in range(4)]
         with pytest.raises(ValueError, match="homothet of a polytope parent"):
             partition_diameter_ratio(PartitionCertificate(STD_TETRA, pieces, cert.ratio, "m8"),
                                      Norm.lp(1))

@@ -10,8 +10,7 @@ from diampart.geometry import (
     Norm,
     PBall,
     Simplex,
-    apply_homothet,
-    centroid,
+    VPolytope,
     diameter_finite,
     polytope_diameter,
 )
@@ -23,12 +22,10 @@ from diampart.partitions import (
     _encloses,
     cube_partition,
     disk_partition4,
-    residual_enclosure,
     simplex_partition,
-    simplex_vertex_homothets,
     triangle_partition4,
 )
-from test_integer_kernels import box_hull
+from test_integer_kernels import box_hull, fraction_image
 from test_properties import fraction_barycentric
 
 F = Fraction
@@ -77,8 +74,8 @@ class TestTrianglePartition:
         cert = triangle_partition4(equilateral_triangle())
         for p in cert.pieces:
             assert p.realized_hull is None
-            hull = apply_homothet(p.description)
-            assert diameter_finite(hull.vertices, Norm.lp(2)) == pytest.approx(0.5)
+            hull = fraction_image(p.description)
+            assert diameter_finite(hull, Norm.lp(2)) == pytest.approx(0.5)
 
     def test_middle_piece_is_point_reflection(self):
         T = Simplex(((0, 0), (4, 0), (1, 3)))
@@ -87,66 +84,13 @@ class TestTrianglePartition:
         assert isinstance(mid.description, Homothet)
         assert mid.description.ratio == F(-1, 2)
         assert mid.realized_hull is None
-        reflected = apply_homothet(mid.description)
+        reflected = fraction_image(mid.description)
         # the reflection is exactly the piece's barycentric box
-        assert set(reflected.vertices) == set(box_hull(T, mid.bary_bounds).vertices)
+        assert set(reflected) == set(box_hull(T, mid.bary_bounds).vertices)
 
     def test_rejects_higher_dimension(self):
         with pytest.raises(ValueError):
             triangle_partition4(STD_TETRA)
-
-
-class TestVertexHomothets:
-    def test_four_pieces_at_three_quarters(self):
-        pieces = simplex_vertex_homothets(STD_TETRA, F(3, 4))
-        assert len(pieces) == 4
-        for i, (piece, v) in enumerate(zip(pieces, STD_TETRA.vertices)):
-            h = piece.description
-            assert h.ratio == piece.ratio_bound == F(3, 4)
-            assert piece.bary_bounds[i] == (F(1, 4), 1)
-            assert piece.realized_hull is None
-            assert apply_homothet(h).vertices != STD_TETRA.vertices
-            # the marked vertex is a fixed point
-            assert h.apply_point(v) == v
-
-    def test_mu_one_is_identity(self):
-        for piece in simplex_vertex_homothets(STD_TETRA, 1):
-            assert apply_homothet(piece.description).vertices == STD_TETRA.vertices
-
-    def test_rejects_below_threshold_with_centroid_witness(self):
-        with pytest.raises(ValueError, match="centroid"):
-            simplex_vertex_homothets(STD_TETRA, 0.74)
-
-    def test_rejects_above_one(self):
-        with pytest.raises(ValueError):
-            simplex_vertex_homothets(STD_TETRA, F(9, 8))
-
-
-class TestResidualEnclosure:
-    @pytest.mark.parametrize(
-        "t,ratio",
-        [(F(7, 16), F(-3, 4)), (F(8, 17), F(-15, 17)), (F(2, 5), F(-3, 5))],
-    )
-    def test_ratio_formula(self, t, ratio):
-        h = residual_enclosure(SKEW_TETRA, t)
-        assert h.ratio == ratio
-        g = centroid(SKEW_TETRA.vertices)
-        assert h.translation == tuple(4 * t * c for c in g)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            residual_enclosure(STD_TETRA, F(1, 4))
-        with pytest.raises(ValueError):
-            residual_enclosure(STD_TETRA, F(3, 5))
-
-    def test_residual_vertices_inside_enclosure(self):
-        t = F(7, 16)
-        h = residual_enclosure(STD_TETRA, t)
-        img = apply_homothet(h)
-        from diampart.geometry import point_in_vpolytope
-
-        for v in box_hull(STD_TETRA, ((F(0), t),) * 4).vertices:
-            assert point_in_vpolytope(img, v)
 
 
 class TestEncloses:
@@ -251,10 +195,10 @@ class TestSimplexSchemes:
                     continue  # a reflected tail overhangs; its box clips it
                 if isinstance(p.description, Homothet):
                     assert p.realized_hull is None
-                    hull = apply_homothet(p.description)
+                    verts = fraction_image(p.description)
                 else:
-                    hull = p.realized_hull
-                for v in hull.vertices:
+                    verts = p.realized_hull.vertices
+                for v in verts:
                     assert in_box(fraction_barycentric(SKEW_TETRA.vertices, v), p.bary_bounds)
 
     def test_unknown_scheme(self):
@@ -276,7 +220,7 @@ class TestCubePartition:
     def test_segment(self):
         cert = cube_partition(1)
         assert all(p.realized_hull is None for p in cert.pieces)
-        hulls = sorted(apply_homothet(p.description).vertices for p in cert.pieces)
+        hulls = sorted(fraction_image(p.description) for p in cert.pieces)
         assert hulls == [((-1,), (0,)), ((0,), (1,))]
 
     def test_subcube_diameters(self):
@@ -285,7 +229,7 @@ class TestCubePartition:
         assert polytope_diameter(cert.parent, norm) == 2
         for p in cert.pieces:
             assert p.realized_hull is None
-            assert polytope_diameter(apply_homothet(p.description), norm) == 1
+            assert polytope_diameter(VPolytope(fraction_image(p.description)), norm) == 1
 
     def test_range(self):
         with pytest.raises(ValueError):

@@ -26,8 +26,6 @@ from diampart.geometry import (
     gauge_eval,
     norm_eval,
     pnorm_eval,
-    point_in_vpolytope,
-    vadd,
     vdot,
     vneg,
     vscale,
@@ -35,7 +33,7 @@ from diampart.geometry import (
 )
 from diampart.numbers import INF, as_fraction
 from diampart.oracle import beta_finite_exact
-from diampart.partitions import residual_enclosure, simplex_partition
+from diampart.partitions import simplex_partition
 from diampart.coverings import _norm_kernel, partition_diameter_ratio
 
 F = Fraction
@@ -47,6 +45,10 @@ small_rationals = st.fractions(min_value=F(1, 100), max_value=1,
 
 def vec(dim):
     return st.tuples(*([rationals] * dim))
+
+
+def vadd(x, y):
+    return tuple(a + b for a, b in zip(x, y))
 
 
 SKEW_TETRA = Simplex(((0, 0, 0), (3, 1, 0), (-1, 4, 1), (F(1, 2), 1, 5)))
@@ -387,43 +389,6 @@ class TestFloatsReadExactly:
         assert affine_rank(pts) == affine_rank(exact) == want
 
 
-def simplex_queries(dim):
-    """(vertices, x): a random rational simplex and a point that is
-    random or an affine combination of the vertices with small integer
-    weights, which puts many points on the boundary."""
-    def with_point(verts):
-        weights = st.tuples(*[st.integers(-1, 3)] * (dim + 1))
-        combos = weights.filter(lambda w: sum(w) != 0).map(
-            lambda w: _weighted_sum([F(wi, sum(w)) for wi in w], verts))
-        return st.tuples(st.just(verts), st.one_of(vec(dim), combos))
-    return st.lists(vec(dim), min_size=dim + 1, max_size=dim + 1).flatmap(with_point)
-
-
-def cube_queries():
-    """(n, half, x) with coordinates random, float or on a cube face."""
-    def with_point(n, half):
-        coord = st.one_of(rationals, st.floats(-5, 5), st.sampled_from([half, -half]))
-        return st.tuples(st.just(n), st.just(half), st.tuples(*[coord] * n))
-    halves = st.fractions(min_value=F(1, 8), max_value=4, max_denominator=12)
-    return st.tuples(st.integers(1, 4), halves).flatmap(lambda nh: with_point(*nh))
-
-
-class TestPolytopeMembership:
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([2, 3]).flatmap(simplex_queries))
-    def test_simplex_matches_barycentric(self, case):
-        verts, x = case
-        assume(affine_rank(verts) == len(x))
-        inside = min(fraction_barycentric(verts, x)) >= 0
-        assert point_in_vpolytope(VPolytope(verts), x) == inside
-
-    @settings(max_examples=60, deadline=None)
-    @given(cube_queries())
-    def test_cube_matches_coordinate_bounds(self, case):
-        n, half, x = case
-        assert point_in_vpolytope(cube(n, half), x) == all(abs(c) <= half for c in x)
-
-
 class TestOracleAgainstConstruction:
     @settings(max_examples=12, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
@@ -461,13 +426,6 @@ class TestOracleAgainstConstruction:
 
 
 class TestPartitionLaws:
-    @settings(max_examples=15, deadline=None)
-    @given(st.fractions(min_value=F(26, 100), max_value=F(1, 2),
-                        max_denominator=64))
-    def test_residual_enclosure_ratio(self, t):
-        h = residual_enclosure(SKEW_TETRA, t)
-        assert h.ratio == -(4 * t - 1)
-
     @settings(max_examples=8, deadline=None)
     @given(st.tuples(*(st.integers(-4, 4) for _ in range(12))))
     def test_m8_ratio_under_l1_random_tetra(self, flat):
