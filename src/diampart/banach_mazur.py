@@ -15,7 +15,6 @@ gamma(p) = |(1,1,4)|_p * |(3,1,3)|_q / 10 for p in [1,2].
 import math
 import operator
 import random
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
@@ -35,6 +34,7 @@ from .numbers import (
     all_rational,
     golden_section_min,
     is_rational,
+    record,
     same_mode,
 )
 
@@ -53,7 +53,7 @@ SWEEP_SAMPLES = 512
 # certificate types
 
 
-@dataclass(frozen=True)
+@record
 class SandwichCertificate:
     """Witness for inner <= outer <= gamma*inner.
 
@@ -78,7 +78,7 @@ class SandwichCertificate:
         return (self.margin_inner, self.margin_outer)
 
 
-@dataclass(frozen=True)
+@record
 class BMBoundReport:
     p: Scalar
     q: Scalar

@@ -13,7 +13,6 @@ being informative (equals 1) when the simplex constant is 9/16.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,6 +26,7 @@ from .numbers import (
     as_fraction,
     golden_section_min,
     is_rational,
+    record,
     same_mode,
     sqrt_exact,
 )
@@ -42,7 +42,7 @@ _KINDS = ("verified", "cited", "exact")
 # provenance plumbing
 
 
-@dataclass(frozen=True)
+@record
 class ProvenanceStep:
     formula: str
     inputs: tuple  # pairs (name, value)
@@ -57,7 +57,7 @@ class ProvenanceStep:
             raise ValueError("a verified step must carry its certificate")
 
 
-@dataclass(frozen=True)
+@record
 class BetaBound:
     space: tuple  # e.g. ("lp", p, 3)
     m: int
@@ -70,7 +70,7 @@ class BetaBound:
             raise ValueError("a diameter-partition bound lives in (0, 1]")
 
 
-@dataclass(frozen=True)
+@record
 class EpsilonOptResult:
     eps_star: Scalar
     bound: Scalar

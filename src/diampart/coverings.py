@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -57,7 +56,7 @@ from .geometry import (
     norm_facets,
     polytope_diameter,
 )
-from .numbers import INF, all_rational, as_fraction, float_or_inf, is_rational, same_mode
+from .numbers import INF, all_rational, as_fraction, float_or_inf, is_rational, record, same_mode
 from .partitions import (
     PartitionCertificate,
     PartitionPiece,
@@ -65,7 +64,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class CoverageReport:
     mode: str  # "exact_grid" or "sampled"
     resolution: int
@@ -76,7 +75,7 @@ class CoverageReport:
     tolerance: object
 
 
-@dataclass(frozen=True)
+@record
 class BallCoveringSolution:
     centers: tuple
     radius: object

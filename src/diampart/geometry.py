@@ -30,7 +30,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
@@ -41,6 +40,7 @@ from .numbers import (
     as_fraction,
     float_or_inf,
     is_rational,
+    record,
     same_mode,
 )
 
@@ -76,7 +76,7 @@ def affine_rank(points: Sequence[Vector]) -> int:
 # bodies
 
 
-@dataclass(frozen=True)
+@record
 class VPolytope:
     """Convex hull of an explicit (not necessarily minimal) vertex list."""
 
@@ -107,7 +107,7 @@ class VPolytope:
     integer_vertices = functools.cached_property(lambda self: _integer_points(self.vertices))
 
 
-@dataclass(frozen=True)
+@record
 class Simplex:
     """n+1 affinely independent vertices in R^n."""
 
@@ -130,7 +130,7 @@ class Simplex:
     rational = VPolytope.rational
 
 
-@dataclass(frozen=True)
+@record
 class Homothet:
     """The map x -> ratio*x + translation applied to a base body."""
 
@@ -153,7 +153,7 @@ def _rows_polytope(L: int, rows) -> VPolytope:
     return P
 
 
-@dataclass(frozen=True)
+@record
 class PBall:
     """The ball {x : ||x||_p <= radius} in R^dim."""
 
@@ -234,7 +234,7 @@ def dual_exponent(p: Scalar) -> Scalar:
     return p / (p - 1)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@record(slots=True)
 class Norm:
     """A norm on R^n: either an l_p norm or the gauge of a polytope.
 
@@ -310,7 +310,7 @@ def _validate_gauge_body(body: VPolytope):
         raise ValueError("gauge body must be symmetric about the origin")
 
 
-@dataclass(frozen=True)
+@record
 class FacetForm:
     """Exact H-form of a polyhedral norm's unit ball, all rows over one
     denominator (see norm_facets).

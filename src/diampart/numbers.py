@@ -7,7 +7,7 @@ same_mode: a result is exact when every input is rational, and a float
 otherwise.  Helpers here classify values, convert between modes, and
 parse the "num/den" encoding used by the file formats.  The exponent
 p = infinity is always the distinguished value math.inf, never a large
-float.
+float.  record makes the value classes; dataclasses would import inspect.
 """
 from __future__ import annotations
 
@@ -25,6 +25,49 @@ class VerificationError(AssertionError):
     property it was built to have.  Raised explicitly, so the checks run
     under ``python -O`` too; an AssertionError, so callers that catch
     those still see it.  The CLI reports it with exit status 2."""
+
+
+def record(cls=None, *, slots: bool = False):
+    """Freeze cls as dataclass(frozen=True) would: its own annotations are
+    its fields, in order, class attributes their defaults, and __init__ ends
+    with __post_init__.  A __repr__ of cls's stays; slots=True sets __slots__."""
+    if cls is None:
+        return lambda c: record(c, slots=slots)
+    names = tuple(vars(cls).get("__annotations__", ()))
+    defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
+    set_, post_init = object.__setattr__, getattr(cls, "__post_init__", lambda self: None)
+    if slots:
+        ns = {k: v for k, v in vars(cls).items() if k not in (*names, "__dict__", "__weakref__")}
+        cls = type(cls)(cls.__name__, cls.__bases__, dict(ns, __slots__=names))
+
+    def __init__(self, *args, **kwargs):
+        for name, value in zip(names, args):
+            set_(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs and name not in defaults:
+                raise TypeError("%s() missing argument %r" % (cls.__qualname__, name))
+            set_(self, name, kwargs.pop(name) if name in kwargs else defaults[name])
+        if kwargs or len(args) > len(names):
+            raise TypeError("%s%r got an unknown or repeated argument" % (cls.__qualname__, names))
+        post_init(self)
+
+    def values(self) -> tuple:
+        return tuple(map(self.__getattribute__, names))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or values(self) == values(other)
+
+    def frozen(self, name, *value):
+        raise AttributeError("%s is frozen: cannot set or delete %r" % (cls.__qualname__, name))
+
+    cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, lambda self: hash(values(self))
+    cls.__setattr__ = cls.__delattr__ = frozen
+    if "__repr__" not in vars(cls):
+        cls.__repr__ = lambda self: "%s(%s)" % (
+            cls.__qualname__, ", ".join("%s=%r" % pair for pair in zip(names, values(self))))
+    return cls
 
 
 def is_rational(x) -> bool:

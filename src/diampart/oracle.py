@@ -19,18 +19,17 @@ coordinates, else Fractions), else floats, inf beyond their range.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .geometry import Norm, _distance_keys, _key_exponent, norm_eval, vsub
-from .numbers import all_rational, as_fraction, float_or_inf, root_float
+from .numbers import all_rational, as_fraction, float_or_inf, record, root_float
 
 MAX_POINTS = 14
 MAX_PARTS = 9
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class ExactBetaResult:
     value: object
     witness_partition: tuple  # m tuples of point indices (some may be empty)

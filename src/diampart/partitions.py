@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -46,14 +45,14 @@ from .geometry import (
     vneg,
     vscale,
 )
-from .numbers import VerificationError
+from .numbers import VerificationError, record
 
 
 # ---------------------------------------------------------------------------
 # piece descriptions
 
 
-@dataclass(frozen=True)
+@record
 class SectorRegion:
     """Closed angular sector of the unit disk, angles in radians."""
 
@@ -118,7 +117,7 @@ def _bary_polytope(S: Simplex, L: int, rows) -> VPolytope:
 # pieces and certificates
 
 
-@dataclass(frozen=True)
+@record
 class PartitionPiece:
     """One piece of a partition, with a certified diameter-ratio bound.
 
@@ -138,7 +137,7 @@ class PartitionPiece:
     bary_bounds: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
+@record
 class PartitionCertificate:
     parent: object
     pieces: tuple

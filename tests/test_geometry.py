@@ -1,11 +1,19 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from diampart.banach_mazur import BMBoundReport, SandwichCertificate, bm_upper
+from diampart.bounds import BetaBound, EpsilonOptResult, ProvenanceStep, lp_beta8_table, minmax_epsilon
+from diampart.coverings import (
+    BallCoveringSolution,
+    CoverageReport,
+    search_ball_covering,
+    verify_covering,
+)
 from diampart.geometry import (
+    FacetForm,
     Homothet,
     Norm,
     PBall,
@@ -23,7 +31,15 @@ from diampart.geometry import (
     vneg,
     vsub,
 )
-from diampart.numbers import INF
+from diampart.numbers import INF, record
+from diampart.oracle import ExactBetaResult, beta_finite_exact
+from diampart.partitions import (
+    PartitionCertificate,
+    PartitionPiece,
+    SectorRegion,
+    disk_partition4,
+    triangle_partition4,
+)
 from test_integer_kernels import compose, fraction_image
 
 F = Fraction
@@ -201,9 +217,9 @@ class TestGauge:
 class TestNormValue:
     def test_frozen(self):
         # a hashed norm keys norm_facets' cache, so it must not change
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             Norm.lp(2).p = 3
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             Norm.gauge(cube(2)).body = cube(2, half=2)
 
     def test_lp_equal_across_scalar_types(self):
@@ -234,6 +250,80 @@ class TestNormValue:
         for kind, p, body in (("p", None, None), ("gauge", None, None), ("ball", 2, None)):
             with pytest.raises(ValueError):
                 Norm(kind, p=p, body=body)
+
+
+TRIANGLE = Simplex(((0, 0), (1, 0), (0, 1)))
+
+# every value class, built as the package builds it: its fields in order
+# and the defaults that this instance may omit
+VALUE_TYPES = [
+    (VPolytope, lambda: cube(2), ("vertices",), {}),
+    (Simplex, lambda: Simplex(TRIANGLE.vertices), ("vertices",), {}),
+    (Homothet, lambda: triangle_partition4(TRIANGLE).pieces[3].description,
+     ("ratio", "translation", "base"), {}),
+    (PBall, lambda: PBall(2, 3), ("p", "dim", "radius"), {"radius": 1}),
+    (Norm, lambda: Norm.lp(2), ("kind", "p", "body"), {"body": None}),
+    (FacetForm, lambda: gauge_facets(cube(2).vertices), ("scale", "den", "rows", "cone"), {}),
+    (SectorRegion, lambda: disk_partition4().pieces[0].description, ("angle_lo", "angle_hi"), {}),
+    (PartitionPiece, lambda: triangle_partition4(TRIANGLE).pieces[0],
+     ("description", "ratio_bound", "realized_hull", "bary_bounds"),
+     {"realized_hull": None, "bary_bounds": None}),
+    (PartitionCertificate, lambda: triangle_partition4(TRIANGLE),
+     ("parent", "pieces", "ratio", "scheme"), {}),
+    (CoverageReport, lambda: verify_covering(TRIANGLE, triangle_partition4(TRIANGLE).pieces, N=8),
+     ("mode", "resolution", "covered", "worst_witness", "tolerance"), {}),
+    (BallCoveringSolution, lambda: search_ball_covering(cube(2), 4, 1, Norm.lp(INF), seed=0),
+     ("centers", "radius", "norm", "residual_margin", "seed", "search_margin"), {}),
+    (ExactBetaResult, lambda: beta_finite_exact(((0, 0), (1, 0), (0, 1), (1, 1)), 2, Norm.lp(1)),
+     ("value", "witness_partition", "threshold", "diameter"), {}),
+    (ProvenanceStep, lambda: lp_beta8_table([INF])[0].provenance[-1],
+     ("formula", "inputs", "value", "kind", "certificate"), {"certificate": None}),
+    (BetaBound, lambda: lp_beta8_table([INF])[0], ("space", "m", "value", "provenance"), {}),
+    (EpsilonOptResult, lambda: minmax_epsilon(F(9, 16), F(2, 3)),
+     ("eps_star", "bound", "branch_values"), {}),
+    (SandwichCertificate, lambda: bm_upper(INF).certificate,
+     ("inner", "outer", "gamma", "verified", "margin_inner", "margin_outer",
+      "witness_inner", "witness_outer"),
+     {"verified": False, "margin_inner": 0, "margin_outer": 0,
+      "witness_inner": None, "witness_outer": None}),
+    (BMBoundReport, lambda: bm_upper(INF), ("p", "q", "gamma_bound", "method", "certificate"),
+     {"certificate": None}),
+]
+
+
+@pytest.mark.parametrize("cls, build, fields, defaults", VALUE_TYPES,
+                         ids=[row[0].__name__ for row in VALUE_TYPES])
+def test_value_type_contract(cls, build, fields, defaults):
+    a, b = build(), build()  # b is a itself where the package caches it
+    values = [getattr(a, f) for f in fields]
+    c = cls(*values)
+    assert type(a) is cls and c is not a
+    assert a == b == c == cls(**dict(zip(fields, values))) and not a != c
+    assert hash(a) == hash(b) == hash(c)
+    # another class with the same field values is another value
+    twin = record(type(cls.__name__, (), {"__annotations__": dict.fromkeys(fields, object)}))
+    assert a != twin(*values) and twin(*values) != a
+    with pytest.raises(AttributeError):
+        setattr(a, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        delattr(a, fields[0])
+    assert getattr(a, fields[0]) is values[0]
+    if cls is Norm:
+        assert repr(a) == "Norm.lp(2)"
+    else:
+        assert repr(a) == "%s(%s)" % (cls.__name__, ", ".join(map("%s=%r".__mod__, zip(fields, values))))
+    for name, default in defaults.items():
+        assert getattr(cls(**{f: v for f, v in zip(fields, values) if f != name}), name) is default
+    for bad_args, bad_kwargs in (((), {}), (values, {"unknown": 1}), (values, {fields[0]: values[0]}),
+                                 (values + [None], {})):
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+    assert hasattr(a, "__dict__") is (cls not in (Norm, ExactBetaResult))
+
+
+def test_value_types_differ_by_class():
+    assert Simplex(TRIANGLE.vertices) != VPolytope(TRIANGLE.vertices)
+    assert Simplex(TRIANGLE.vertices).vertices == VPolytope(TRIANGLE.vertices).vertices
 
 
 class TestDiameter:

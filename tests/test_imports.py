@@ -4,7 +4,9 @@ is no import of the package at all.
 `import diampart`, the commands that do exact or Hoelder work and the
 library's exact path (scheme partitions, grid coverage, diameter ratios,
 the oracle) do not load numpy, so a fresh CLI process does not pay for it.  scipy is a
-test-only reference (the Halton sampler is checked against it).
+test-only reference (the Halton sampler is checked against it).  Nor do
+the numpy-free commands load dataclasses or inspect: the value classes
+are numbers.record classes.
 """
 import ast
 import json
@@ -195,6 +197,8 @@ codes = [diampart.cli.main(argv) for argv in json.loads(sys.argv[1])]
 sys.stderr.write(json.dumps({
     "codes": codes,
     "numpy": "numpy" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+    "inspect": "inspect" in sys.modules,
     "modules": sorted(m for m in sys.modules if m.split(".")[0] == "diampart"),
 }))
 """
@@ -218,6 +222,8 @@ def test_exact_commands_never_import_numpy(tmp_path):
     seen = json.loads(proc.stderr)
     assert seen["codes"] == [0] * len(commands)
     assert seen["numpy"] is False
+    # nor the modules a value class would cost: the classes are records
+    assert seen["dataclasses"] is False and seen["inspect"] is False
     # every module stays loaded, so tracing from outside still finds each layer
     want = sorted(["diampart"] + ["diampart." + name[:-3] for name in os.listdir(PACKAGE_DIR)
                                   if name.endswith(".py") and name != "__init__.py"])
