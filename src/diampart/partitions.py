@@ -59,21 +59,6 @@ class SectorRegion:
     angle_lo: float
     angle_hi: float
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        r = math.hypot(float(x[0]), float(x[1]))
-        if r > 1 + tol:
-            return False
-        if r <= tol:
-            return True  # the centre belongs to every closed sector
-        ang = math.atan2(float(x[1]), float(x[0])) % (2 * math.pi)
-        lo = self.angle_lo % (2 * math.pi)
-        hi = lo + (self.angle_hi - self.angle_lo)
-        atol = tol / max(r, tol)
-        for shift in (0.0, 2 * math.pi):
-            if lo - atol <= ang + shift <= hi + atol:
-                return True
-        return False
-
 
 def UnitDisk() -> PBall:
     """The Euclidean unit disk, the parent of the quadrant scheme."""

@@ -28,6 +28,7 @@ from diampart.numbers import INF
 from diampart.serialization import canonical_json
 from diampart import coverings
 from diampart.coverings import (
+    SAMPLED_TOL,
     BallCoveringSolution,
     _body_samples,
     _body_vertices,
@@ -42,6 +43,7 @@ from diampart.coverings import (
     _norm_keys,
     _pattern_search,
     _projections,
+    _sector_distances,
     _seed_free_samples,
     _sweep_moves,
     _uncovered_point,
@@ -468,6 +470,51 @@ class TestDiameterRatio:
         assert reports[0].covered and all(r is reports[0] for r in reports)
 
 
+def reference_contains(sector, x, tol=SAMPLED_TOL):
+    """The per-point sector test that the disk check ran before the distance
+    rule: a point is in a closed sector when r <= 1 + tol and, unless it is
+    within tol of the centre, its angle is in the sector's range with the
+    angular slack tol / max(r, tol)."""
+    r = math.hypot(x[0], x[1])
+    if r > 1 + tol:
+        return False
+    if r <= tol:
+        return True
+    ang = math.atan2(x[1], x[0]) % (2 * math.pi)
+    lo = sector.angle_lo % (2 * math.pi)
+    hi = lo + (sector.angle_hi - sector.angle_lo)
+    atol = tol / max(r, tol)
+    return any(lo - atol <= ang + shift <= hi + atol for shift in (0.0, 2 * math.pi))
+
+
+def math_sector_distance(x, sectors):
+    """x's Euclidean distance to the nearest closed sector, in math alone:
+    the radial excess when x's angle is in a sector's range, else the
+    distance to the nearer edge segment [0, u(edge)]."""
+    def segment(u):
+        t = min(max(x[0] * u[0] + x[1] * u[1], 0.0), 1.0)
+        return math.dist(x, (t * u[0], t * u[1]))
+
+    def one(s):
+        if (math.atan2(x[1], x[0]) - s.angle_lo) % (2 * math.pi) <= s.angle_hi - s.angle_lo:
+            return max(0.0, math.hypot(*x) - 1.0)
+        return min(segment((math.cos(a), math.sin(a))) for a in (s.angle_lo, s.angle_hi))
+
+    return min(one(s) for s in sectors)
+
+
+def disk_points(N, seed):
+    """The disk check's samples in draw order: the p-ball base, then the
+    seeded draws from the square that fall in the disk."""
+    base, _ = _seed_free_samples(PBall(2, 2), N, N // 4)
+    extra = np.random.default_rng(seed).uniform(-1, 1, size=(N // 4, 2))
+    return base, extra[np.hypot(extra[:, 0], extra[:, 1]) <= 1]
+
+
+QUADRANT_SETS = {"all": slice(0, 4), "first": slice(0, 1), "first-two": slice(0, 2),
+                 "middle-two": slice(1, 3), "first-three": slice(0, 3)}
+
+
 class TestSampledCoverage:
     def test_disk_quadrants_sampled(self):
         cert = disk_partition4()
@@ -491,22 +538,87 @@ class TestSampledCoverage:
         with pytest.raises(ValueError, match="not a Homothet piece"):
             verify_covering(disk, disk_partition4().pieces + (piece,), N=16)
 
+    @pytest.mark.parametrize("pieces", QUADRANT_SETS)
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("N", [1, 3, 4, 7, 256, 4096, 4097, 100000])
+    def test_distance_rule_agrees_with_the_per_point_test(self, N, seed, pieces):
+        pieces = disk_partition4().pieces[QUADRANT_SETS[pieces]]
+        sectors = [p.description for p in pieces]
+        base, extra = disk_points(N, seed)
+        points = base.tolist() + extra.tolist()
+        rep = verify_covering(UnitDisk(), pieces, N=N, seed=seed)
+        assert rep.resolution == len(points)
+        assert rep.covered == all(any(reference_contains(s, x) for s in sectors)
+                                  for x in points)
+
+    @pytest.mark.parametrize("pieces", QUADRANT_SETS)
+    def test_distance_rule_agrees_at_the_centre_edges_and_rim(self, pieces):
+        sectors = [p.description for p in disk_partition4().pieces[QUADRANT_SETS[pieces]]]
+        probes, below_zero = [(0.0, 0.0)], [False]
+        for k in range(8):
+            a = k * math.pi / 4  # the four edges and the four mid-angles
+            for da, r in [(-1e-10, 1.0), (1e-10, 1.0), (-1e-10, 0.5), (1e-10, 0.5),
+                          (0.0, 1 - 1e-10), (0.0, 1 + 1e-10)]:
+                probes.append((r * math.cos(a + da), r * math.sin(a + da)))
+                below_zero.append(k == 0 and da < 0 and sectors[0].angle_lo == 0)
+        got = (_sector_distances(np.array(probes), sectors) <= SAMPLED_TOL).tolist()
+        assert got == [math_sector_distance(x, sectors) <= SAMPLED_TOL for x in probes]
+        assert got[0]  # the centre belongs to every closed sector
+        assert all(got) == (pieces == "all")
+        for x, below, g in zip(probes, below_zero, got):
+            if below:
+                # the per-point test's angular slack wrapped modulo 2*pi on
+                # the upper side only, so it missed points just below a
+                # sector starting at angle 0, which lie within 1e-10 of it
+                assert g
+            else:
+                assert g == any(reference_contains(s, x) for s in sectors)
+
+    @pytest.mark.parametrize("k, margin, near", [
+        (2, 1.0, (0.0, -1.0)),
+        (3, math.sqrt(2) / 2, (math.sqrt(2) / 2, -math.sqrt(2) / 2)),
+    ], ids=["first-two", "first-three"])
+    def test_witness_is_the_farthest_sample(self, k, margin, near):
+        # the margin is the witness's distance to the nearest sector, not
+        # its radius minus 1
+        pieces = disk_partition4().pieces[:k]
+        rep = verify_covering(UnitDisk(), pieces, N=256)
+        point, got = rep.worst_witness
+        assert not rep.covered
+        assert math.dist(point, near) < 1e-12
+        assert got == pytest.approx(margin, abs=1e-12)
+        assert got == math_sector_distance(point, [p.description for p in pieces])
+        assert got > SAMPLED_TOL
+
+    def test_witness_is_the_first_farthest_sample_in_draw_order(self):
+        pieces = disk_partition4().pieces[:1]
+        sectors = [p.description for p in pieces]
+        base, extra = disk_points(256, 0)
+        points = np.concatenate([base, extra])
+        d = [math_sector_distance(x, sectors) for x in points.tolist()]
+        rep = verify_covering(UnitDisk(), pieces, N=256)
+        i = int(np.argmax(_sector_distances(points, sectors)))
+        assert rep.worst_witness == (tuple(points[i].tolist()), max(d))
+
     @pytest.mark.parametrize("seed", [0, 3, 11])
     @pytest.mark.parametrize("N", [1, 3, 4, 7, 4097])
-    def test_disk_samples_extend_the_pball_base(self, capsys, N, seed):
+    def test_disk_samples_extend_the_pball_base(self, capsys, monkeypatch, N, seed):
         # the disk has one low-discrepancy sampler, the p-ball one, and
-        # adds only its own seeded points
-        base, _ = _seed_free_samples(PBall(2, 2), N, N // 4)
+        # adds only its own seeded points; both are tested as drawn, in
+        # slices of at most _SLICE points
+        base, extra = disk_points(N, seed)
         assert len(base) == N + N // 4
-        pts = coverings._disk_samples(N, N // 4, seed)
-        assert pts[:len(base)].tobytes() == base.tobytes()
-        extra = np.random.default_rng(seed).uniform(-1, 1, size=(N // 4, 2))
-        inside = int((np.hypot(extra[:, 0], extra[:, 1]) <= 1).sum())
-        assert len(pts) == len(base) + inside
+        tested = []
+        distances = coverings._sector_distances
+        monkeypatch.setattr(coverings, "_sector_distances",
+                            lambda pts, sectors: tested.append(pts) or distances(pts, sectors))
         code = main(["partition", "disk", "--samples", str(N), "--seed", str(seed)])
         coverage = json.loads(capsys.readouterr().out)["results"]["coverage"]
         assert code == 0
-        assert coverage["resolution"] == N + N // 4 + inside
+        assert tested[0].base is base  # the cached base, not a copy
+        assert np.concatenate(tested).tobytes() == np.concatenate([base, extra]).tobytes()
+        assert max(len(t) for t in tested) <= coverings._SLICE
+        assert coverage["resolution"] == N + N // 4 + len(extra)
         assert coverage["covered"] and coverage["worst_witness"] is None
 
 

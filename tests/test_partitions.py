@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diampart import partitions
+from diampart.coverings import SAMPLED_TOL, _sector_distances
 from diampart.geometry import (
     Homothet,
     Norm,
@@ -251,7 +253,7 @@ class TestDiskPartition:
     def test_center_in_every_sector(self):
         cert = disk_partition4()
         for p in cert.pieces:
-            assert p.description.contains((0.0, 0.0))
+            assert _sector_distances(np.zeros((1, 2)), [p.description])[0] == 0
 
     def test_sampled_sector_diameter(self):
         sector = SectorRegion(0.0, math.pi / 2)
@@ -260,7 +262,8 @@ class TestDiskPartition:
         pts += [(0.5 * math.cos(t), 0.5 * math.sin(t)) for t in
                 [math.pi / 2 * k / 13 for k in range(14)]]
         pts.append((0.0, 0.0))
-        assert all(sector.contains(p) for p in pts)
+        assert len(pts) == 56
+        assert _sector_distances(np.array(pts), [sector]).max() <= SAMPLED_TOL
         worst = max(
             math.dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1:]
         )
