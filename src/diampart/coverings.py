@@ -16,11 +16,19 @@ Two evidence levels, stated honestly in every report:
 
 The ball-covering search places m centers to cover a body with balls of
 radius r, by multistart coordinate pattern search over a fixed sample
-set, then snaps the winning centers to small rationals and re-confirms
-the margin through verify_ball_covering on a 4x finer point set
-(exactly, when the data allows).  Each search keeps a witness pool: the
-sample that sets the starting margin and every sample that has come out
-as the argmax of a fully evaluated trial.  All remaining trial moves of a
+set, then re-confirms the margin on a 4x finer point set.  On a lattice
+body under a polyhedral norm the winning centers are snapped to the
+grids 1/q, q = 3, ..., 48, as int rows round(q*c) over q (_snap_centers),
+and each snap's margin is computed exactly on those rows and the cached
+lattice projections (_exact_margin); Fractions are built only for the
+centers returned.  verify_ball_covering scales its rational centers to
+int rows with the same helper as the rest of the package
+(_integer_points), so a recheck returns the same Fraction.  Otherwise the
+float centers are confirmed in floats.
+
+Each search keeps a witness pool: the sample that sets the starting
+margin and every sample that has come out as the argmax of a fully
+evaluated trial.  All remaining trial moves of a
 sweep are tested at the pool in one kernel call, and a trial is rejected
 there when min(others, col) - r >= best - 1e-12 already holds; only the
 trials after an accepted move are tested again.  The rejection is exact,
@@ -51,6 +59,7 @@ from .geometry import (
     PBall,
     Simplex,
     VPolytope,
+    _integer_points,
     _rows_polytope,
     gauge_facets,
     norm_facets,
@@ -265,13 +274,16 @@ def _halton(n: int, d: int):
         raise ValueError("Halton points are limited to dimension <= %d"
                          % len(_HALTON_BASES))
     out = np.zeros((n, d))
+    index = np.min_scalar_type(n - 1)  # the narrowest type holding every index
+    digit, term = np.empty(n, dtype=index), np.empty(n)
     for k, base in enumerate(_HALTON_BASES[:d]):
-        q = np.arange(n)
-        scale = 1.0 / base
-        while q.any():
-            out[:, k] += (q % base) * scale
+        q = np.arange(n, dtype=index)
+        scale, top = 1.0 / base, n - 1
+        while top > 0:  # one step per base-b digit of the largest index
+            np.divmod(q, base, out=(q, digit))
+            out[:, k] += np.multiply(digit, scale, out=term)
             scale /= base
-            q //= base
+            top //= base
     return out
 
 
@@ -422,8 +434,7 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
     so that a box that ties with a homothet is not rounded above it.
     """
     parent, parent_diam, terms = cert.parent, None, []
-    if norm.kind == "gauge" and norm.body.dim != parent.dim:
-        raise ValueError("points and gauge body differ in dimension")
+    _check_gauge_dimension(norm, parent.dim)
     for piece in cert.pieces:
         desc = piece.description
         if isinstance(desc, Homothet):
@@ -447,6 +458,11 @@ def partition_diameter_ratio(cert: PartitionCertificate, norm: Norm):
 
 # ---------------------------------------------------------------------------
 # ball covering search
+
+
+def _check_gauge_dimension(norm: Norm, dim: int):
+    if norm.kind == "gauge" and norm.body.dim != dim:
+        raise ValueError("points and gauge body differ in dimension")
 
 
 def _norm_kernel(norm: Norm):
@@ -741,9 +757,11 @@ def _greedy_kcenter(samples, m: int, kernel):
     return np.asarray(centers)
 
 
+@functools.lru_cache(maxsize=8)
 def _body_vertices(body):
     """Start hints: the 2n points +-radius*e_i for the l1 ball and any 3-D
-    p-ball, the vertex list for a polytope, 8 circle points otherwise."""
+    p-ball, the vertex list for a polytope, 8 circle points otherwise.
+    Cached per body, hence read-only."""
     import numpy as np
 
     if isinstance(body, PBall) and (body.p == 1 or body.dim == 3):
@@ -753,14 +771,16 @@ def _body_vertices(body):
                 v = [0.0] * body.dim
                 v[i] = s * float(body.radius)
                 out.append(v)
-        return np.asarray(out)
-    if isinstance(body, VPolytope):
-        return np.asarray([[float(c) for c in v] for v in body.vertices])
-    if isinstance(body, PBall):
-        k = 8
-        th = np.linspace(0, 2 * math.pi, k, endpoint=False)
-        return np.stack([np.cos(th), np.sin(th)], axis=1) * float(body.radius)
-    raise ValueError("no vertex hint for body")
+        out = np.asarray(out)
+    elif isinstance(body, VPolytope):
+        out = np.asarray([[float(c) for c in v] for v in body.vertices])
+    elif isinstance(body, PBall):
+        th = np.linspace(0, 2 * math.pi, 8, endpoint=False)
+        out = np.stack([np.cos(th), np.sin(th)], axis=1) * float(body.radius)
+    else:
+        raise ValueError("no vertex hint for body")
+    out.flags.writeable = False
+    return out
 
 
 # Lattice magnitudes below this keep numpy integers; sums of a few such
@@ -806,12 +826,10 @@ def _confirmation_points(body):
         rad = as_fraction(body.radius)
         P, D = P.astype(_int_dtype(K * rad.numerator)) * rad.numerator, K * rad.denominator
     elif ranges is not None:
-        los, his = ranges
+        los, his = (map(as_fraction, ends) for ends in ranges)
         K = 16
-        axes = [[lo + Fraction(i, K) * (hi - lo) for i in range(K + 1)]
-                for lo, hi in zip(map(as_fraction, los), map(as_fraction, his))]
-        D = math.lcm(*(v.denominator for ax in axes for v in ax))
-        ints = [[v.numerator * (D // v.denominator) for v in ax] for ax in axes]
+        D, ints = _integer_points([[lo + Fraction(i, K) * (hi - lo) for i in range(K + 1)]
+                                   for lo, hi in zip(los, his)])
         dtype = _int_dtype(max(abs(v) for ax in ints for v in ax))
         mesh = np.meshgrid(*(np.asarray(ax, dtype=dtype) for ax in ints), indexing="ij")
         P = np.stack(mesh, axis=-1).reshape(-1, body.dim)
@@ -860,18 +878,20 @@ def _projections(P, norm: Norm):
     return WP, bound
 
 
-def _exact_margin(projections, D, centers, r, norm: Norm):
+def _exact_margin(projections, D, scaled, r, norm: Norm):
     """max over the lattice points P/D of min over centers of ||x-c|| - r,
-    given projections = _projections(P, norm).
+    given projections = _projections(P, norm) and the centers as
+    scaled = (q, rows): each center c is the int row q*c, as
+    _integer_points gives them (q need not be the least denominator).
 
     Exact, for polyhedral norms only (l1, l_inf and gauges): one rescale
-    to the common denominator L of the lattice and the centers turns it
-    into integer arithmetic.  With the norm's facet form (integer rows W
-    over den at scale s, see norm_facets) the distance from P/D to C/L
-    is max_w (k*w.P - w.C) * s/(den*L), where k = L/D.  The projections
-    are scaled by k once per call, and each distinct center costs one
-    subtraction, into one scratch array, and one reduction over the
-    facet rows.
+    to the common denominator L = lcm(D, q) turns it into integer
+    arithmetic.  With the norm's facet form (integer rows W over den at
+    scale s, see norm_facets) the distance from P/D to C/L is
+    max_w (k*w.P - w.C) * s/(den*L), where k = L/D and C = (L/q)*row.
+    The projections are scaled by k once per call, and each distinct
+    center costs one subtraction, into one scratch array, one reduction
+    over the facet rows and one minimum, folded in place.
 
     The arithmetic runs in _int_dtype(total), the narrowest integer type
     holding total = max(bound*k + wsum*max|C|, k, max|w|, max|C|), with
@@ -886,8 +906,9 @@ def _exact_margin(projections, D, centers, r, norm: Norm):
     import numpy as np
 
     WP, bound = projections
-    L = math.lcm(D, *(as_fraction(v).denominator for c in centers for v in c))
-    C = list(dict.fromkeys(tuple(int(as_fraction(v) * L) for v in c) for c in centers))
+    q, rows = scaled
+    L = math.lcm(D, q)
+    C = list(dict.fromkeys(tuple(v * (L // q) for v in c) for c in rows))
     k = L // D
     form = norm_facets(norm, len(C[0]))
     W = form.rows
@@ -895,39 +916,50 @@ def _exact_margin(projections, D, centers, r, norm: Norm):
     wmax = max(abs(v) for w in W for v in w)
     cmax = max(abs(v) for c in C for v in c)
     dtype = _int_dtype(max(bound * k + wsum * cmax, k, wmax, cmax))
-    scaled = np.multiply(WP, k, dtype=dtype)
-    scratch = np.empty_like(scaled)
+    kWP = np.multiply(WP, k, dtype=dtype)
+    scratch = np.empty_like(kWP)
     CW = np.asarray(C, dtype=dtype) @ np.asarray(W, dtype=dtype).T
-    dist = functools.reduce(np.minimum, (np.subtract(scaled, cw[:, None], out=scratch).max(axis=0)
-                                         for cw in CW))
-    value = Fraction(int(dist.max()) * form.scale, form.den * L)
+    near = None
+    for cw in CW:
+        col = np.subtract(kWP, cw[:, None], out=scratch).max(axis=0)
+        near = col if near is None else np.minimum(near, col, out=near)
+    value = Fraction(int(near.max()) * form.scale, form.den * L)
     if not norm.exact:
         value = float_or_inf(value)  # as gauge_eval rounds for a float body
     return value - as_fraction(r)
 
 
+_SNAP_GRIDS = (3, 6, 12, 24, 48)  # each divides the last
+
+
 def _snap_centers(centers):
-    """Rational snaps of the center coordinates on ever finer grids, each
-    distinct snap once, built only as the caller asks for it."""
+    """(q, rows) for the (m, n) float centers snapped to each grid 1/q of
+    _SNAP_GRIDS in turn, finest last: rows holds the ints round(q*c), as
+    round takes them (np.rint also rounds ties to even).  A snap equal in
+    value to an earlier one is skipped: scaled to the last grid, equal
+    values are equal rows.  Each snap is built only as the caller asks."""
+    import numpy as np
+
     seen = set()
-    for den in (3, 6, 12, 24, 48):
-        snapped = tuple(
-            tuple(Fraction(int(round(float(v) * den)), den) for v in row)
-            for row in centers
-        )
-        if snapped not in seen:
-            seen.add(snapped)
-            yield snapped
+    for q in _SNAP_GRIDS:
+        rows = tuple(tuple(map(int, row)) for row in np.rint(centers * q).tolist())
+        key = tuple(v * (_SNAP_GRIDS[-1] // q) for row in rows for v in row)
+        if key not in seen:
+            seen.add(key)
+            yield q, rows
 
 
 def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
                          n_boundary: int = 4096, n_interior: int = 1024):
     """Try to cover the parent body with m norm-balls of radius r.
 
-    Multistart pattern search over a fixed sample set; the winning
-    centers are snapped to small rationals and the margin is confirmed
-    by verify_ball_covering on a 4x denser point set (exact arithmetic
-    when data permits).
+    Multistart pattern search over a fixed sample set; the margin of the
+    winning centers is confirmed on a 4x denser point set.  On a lattice
+    body under a polyhedral norm the centers are first snapped to small
+    rationals, and the first snap whose exact margin is nonpositive is
+    returned, as Fractions, with that margin, the one verify_ball_covering
+    gives them; otherwise the float centers and their float margin are.
+    The gauge of a gauge norm must have the body's dimension.
     Failure (positive residual margin) is a legitimate outcome and does
     not prove impossibility.  Either way the solution's radius is r as
     given, a Fraction when r is rational.  n_boundary and n_interior are
@@ -942,6 +974,7 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
         raise ValueError("r must be finite and positive, got %s" % (r,))
     if parent.dim > 3:
         raise ValueError("search is limited to dimension <= 3")
+    _check_gauge_dimension(norm, parent.dim)
     counts = (n_boundary, n_interior)
     if not (all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in counts)
             and sum(counts) > 0):
@@ -982,11 +1015,15 @@ def search_ball_covering(parent, m: int, r, norm: Norm, seed: int = 0,
             break  # a covering is a covering; later starts add nothing
 
     (r_given,) = same_mode(r)
-    if best_margin <= 1e-9 and norm.is_polyhedral and _confirmation_points(parent)[1] is not None:
-        # the snapped centers are rational: verify_ball_covering's margin is exact
-        for snapped in _snap_centers(best_centers):
-            margin = verify_ball_covering(parent, snapped, r, norm)
+    D = _confirmation_points(parent)[1]
+    if best_margin <= 1e-9 and norm.is_polyhedral and D is not None:
+        # the snapped centers are rational, so their margin is exact, and it
+        # is the one verify_ball_covering gives the Fractions returned
+        projections = _lattice_projections(parent, norm)
+        for q, rows in _snap_centers(best_centers):
+            margin = _exact_margin(projections, D, (q, rows), r, norm)
             if margin <= 0:
+                snapped = tuple(tuple(Fraction(v, q) for v in row) for row in rows)
                 return BallCoveringSolution(snapped, r_given, norm, margin, seed, best_margin)
     centers_t = tuple(tuple(float(v) for v in row) for row in best_centers)
     conf_margin = verify_ball_covering(parent, centers_t, r, norm)
@@ -1003,7 +1040,8 @@ def verify_ball_covering(parent, centers, r, norm: Norm):
     of _norm_keys are reduced and only their maximum is rooted, so an l2
     margin is bit for bit the one its distances give.  Nonpositive means
     covered at the checked resolution.  The centers must be a nonempty
-    sequence of points of the body's dimension.
+    sequence of points of the body's dimension, and so must the gauge of
+    a gauge norm.
     """
     centers = tuple(centers)
     if not centers:
@@ -1011,13 +1049,20 @@ def verify_ball_covering(parent, centers, r, norm: Norm):
     if any(len(c) != parent.dim for c in centers):
         raise ValueError("every center needs %d coordinates, the dimension of the body"
                          % parent.dim)
-    den = _confirmation_points(parent)[1]
-    if den is not None and norm.is_polyhedral and all(all_rational(c) for c in centers):
-        return _exact_margin(_lattice_projections(parent, norm), den, centers, r, norm)
+    _check_gauge_dimension(norm, parent.dim)
+    D = _confirmation_points(parent)[1]
+    if D is not None and norm.is_polyhedral and all(all_rational(c) for c in centers):
+        return _exact_margin(_lattice_projections(parent, norm), D, _integer_points(centers),
+                             r, norm)
     import numpy as np
 
     cs = np.asarray([[float(c) for c in row] for row in centers], dtype=float)
     rows, (key, root) = _confirmation_floats(parent), _norm_keys(norm)
-    # min is exact, so folding the centers' columns in any order gives the same margin
-    near = functools.reduce(np.minimum, (key(rows - c[:, None]) for c in cs))
+    # one scratch difference array for every center, and the nearest keys
+    # folded in place into the first center's (a fresh array key returns);
+    # min is exact, so folding the centers in any order gives the same margin
+    diff, near = np.empty_like(rows), None
+    for c in cs:
+        col = key(np.subtract(rows, c[:, None], out=diff))
+        near = col if near is None else np.minimum(near, col, out=near)
     return float(root(near.max())) - float(r)

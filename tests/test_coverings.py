@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import diampart
 from diampart import geometry
@@ -17,6 +18,7 @@ from diampart.geometry import (
     PBall,
     Simplex,
     VPolytope,
+    _integer_points,
     cube,
     gauge_facets,
     norm_eval,
@@ -45,6 +47,7 @@ from diampart.coverings import (
     _projections,
     _sector_distances,
     _seed_free_samples,
+    _snap_centers,
     _sweep_moves,
     _uncovered_point,
     partition_diameter_ratio,
@@ -622,6 +625,15 @@ class TestSampledCoverage:
         assert coverage["covered"] and coverage["worst_witness"] is None
 
 
+# a gauge of another dimension than the body, in both entry points
+GAUGE_DIMENSION_CALLS = {
+    "3d-gauge-search-on-disk": lambda: search_ball_covering(PBall(2, 2), 2, 0.9, GAUGE3),
+    "3d-gauge-on-disk": lambda: verify_ball_covering(PBall(2, 2), [(0, 0)], 0.9, GAUGE3),
+    "2d-gauge-search-on-cube": lambda: search_ball_covering(cube(3), 2, 1, GAUGE2),
+    "2d-gauge-on-cube": lambda: verify_ball_covering(cube(3), [(0.5, 0, 0)], 1, GAUGE2),
+}
+
+
 class TestBallCoveringSearch:
     def test_cube_eight_half_balls(self):
         body = cube(3)
@@ -646,10 +658,23 @@ class TestBallCoveringSearch:
          "integers >= 0"),
         (lambda: search_ball_covering(PBall(2, 2), 2, 1, Norm.lp(2), n_interior=1.5),
          "integers >= 0"),
+        *((call, "points and gauge body differ in dimension")
+          for call in GAUGE_DIMENSION_CALLS.values()),
     ], ids=["no-centers", "3d-centers-on-square", "3d-center-on-disk", "no-samples",
-            "negative-count", "float-count"])
+            "negative-count", "float-count", *GAUGE_DIMENSION_CALLS])
     def test_malformed_input_is_named(self, call, message):
         with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("call", GAUGE_DIMENSION_CALLS.values(),
+                             ids=list(GAUGE_DIMENSION_CALLS))
+    def test_gauge_dimension_is_checked_before_sampling(self, monkeypatch, call):
+        def refuse(*args, **kwargs):
+            raise AssertionError("points sampled before the gauge's dimension was checked")
+
+        monkeypatch.setattr(coverings, "_body_samples", refuse)
+        monkeypatch.setattr(coverings, "_confirmation_points", refuse)
+        with pytest.raises(ValueError, match="points and gauge body differ in dimension"):
             call()
 
     def test_disk_two_balls_fails(self):
@@ -1227,7 +1252,7 @@ class TestExactGaugeMargin:
         P = P if len(P) < 1000 else P[::23]
         projections = _projections(P, norm)
         assert _int_dtype(_margin_total(projections, D, centers, norm)) == want
-        got = _exact_margin(projections, D, centers, F(1, 2), norm)
+        got = _exact_margin(projections, D, _integer_points(centers), F(1, 2), norm)
         assert got == _reference_margin(P, D, centers, F(1, 2), norm)
 
     @pytest.mark.parametrize("norm", FACET_NORMS)
@@ -1240,7 +1265,7 @@ class TestExactGaugeMargin:
         m = int(rng.integers(1, 5))
         centers = tuple(tuple(F(int(rng.integers(-12, 13)), int(rng.integers(1, 13)))
                               for _ in range(3)) for _ in range(m))
-        got = _exact_margin(_projections(P, norm), D, centers, F(1, 2), norm)
+        got = _exact_margin(_projections(P, norm), D, _integer_points(centers), F(1, 2), norm)
         assert isinstance(got, Fraction)
         assert got == _reference_margin(P, D, centers, F(1, 2), norm)
 
@@ -1251,7 +1276,7 @@ class TestExactGaugeMargin:
         P, D = _confirmation_points(PBall(1, 3))
         P = P[::97]
         centers = ((F(q - 1, q), F(1, 3), 0), (F(-1, 7), F(-q + 2, q), F(1, q)))
-        got = _exact_margin(_projections(P, norm), D, centers, 1, norm)
+        got = _exact_margin(_projections(P, norm), D, _integer_points(centers), 1, norm)
         assert got == _reference_margin(P, D, centers, 1, norm)
 
     @pytest.mark.parametrize("norm", [Norm.lp(1), Norm.lp(INF), GAUGE2])
@@ -1270,7 +1295,8 @@ class TestExactGaugeMargin:
         P, D = _confirmation_points(body)
         k = math.lcm(D, *(F(v).denominator for c in centers for v in c)) // D
         assert (k == 1) == k_is_one
-        got = _exact_margin(_lattice_projections(body, norm), D, centers, F(1, 2), norm)
+        got = _exact_margin(_lattice_projections(body, norm), D, _integer_points(centers),
+                            F(1, 2), norm)
         assert got == _reference_margin(P, D, centers, F(1, 2), norm)
         assert verify_ball_covering(body, centers, F(1, 2), norm) == got
 
@@ -1290,7 +1316,7 @@ class TestExactGaugeMargin:
         P, D = _confirmation_points(cube(3))
         P = P[::41]
         centers = ((F(1, 3), 0, F(-1, 4)),)
-        got = _exact_margin(_projections(P, norm), D, centers, F(1, 3), norm)
+        got = _exact_margin(_projections(P, norm), D, _integer_points(centers), F(1, 3), norm)
         assert isinstance(got, float)
         assert got == _reference_margin(P, D, centers, F(1, 3), norm)
 
@@ -1332,3 +1358,66 @@ class TestExactGaugeMargin:
                                    n_boundary=256, n_interior=64)
         assert sol.success
         assert isinstance(sol.residual_margin, float)
+
+
+def _fraction_snaps(centers):
+    """Each grid's snap as Fraction tuples, each distinct value once."""
+    return list(dict.fromkeys(
+        tuple(tuple(F(int(round(float(v) * q)), q) for v in row) for row in centers)
+        for q in (3, 6, 12, 24, 48)))
+
+
+# (2k+1)/2^e times q = 3*2^(e-1) is a tie k' + 1/2, so each grid meets ties;
+# near 2^53/3 the products reach the edge of the exact float integers
+snap_coordinates = st.one_of(
+    st.floats(-2 ** 53 / 3, 2 ** 53 / 3),
+    st.builds(lambda k, e: (2 * k + 1) / 2 ** e, st.integers(-2 ** 20, 2 ** 20),
+              st.integers(1, 5)),
+    st.sampled_from([0.0, -0.0, *(s * 2 ** 53 / q for q in (3, 6, 12, 24, 48) for s in (1, -1))]),
+)
+
+
+class TestSnappedCenters:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(snap_coordinates, min_size=n, max_size=n), min_size=1, max_size=4)))
+    @example([[0.5, -0.5, -0.0], [1.5, -2.5, 0.25], [0.125, 1 / 48, -1 / 96]])
+    def test_rows_round_like_round(self, centers):
+        # one np.rint per grid gives round's ints, ties to even, and the
+        # snaps are the distinct values the Fraction snaps were
+        snaps = list(_snap_centers(np.asarray(centers, dtype=float)))
+        for q, rows in snaps:
+            assert rows == tuple(tuple(int(round(float(v) * q)) for v in row) for row in centers)
+            assert all(type(v) is int for row in rows for v in row)
+        assert [tuple(tuple(F(v, q) for v in row) for row in rows)
+                for q, rows in snaps] == _fraction_snaps(centers)
+
+    def test_value_equal_snaps_are_yielded_once(self):
+        # on thirds every finer grid gives the thirds' values again; on
+        # sixths the thirds round the ties to even and the finer grids
+        # repeat the sixths
+        thirds = np.array([[1 / 3, -2 / 3, 0.0], [0.0, 1 / 3, 1.0]])
+        assert list(_snap_centers(thirds)) == [(3, ((1, -2, 0), (0, 1, 3)))]
+        sixths = np.array([[1 / 6, -5 / 6]])
+        assert list(_snap_centers(sixths)) == [(3, ((0, -2),)), (6, ((1, -5),))]
+
+    @pytest.mark.parametrize("body, m, r, norm, centers, margin", [
+        # the thirds miss by 1/6; the sixths' snap is the first to cover
+        (cube(3), 8, F(1, 2), Norm.lp(INF),
+         tuple(itertools.product((F(-1, 2), F(1, 2)), repeat=3)), F(0)),
+        (PBall(1, 3), 6, F(3, 4), Norm.lp(1),
+         tuple(tuple(s * F(int(i == j), 3) for j in range(3)) for i in range(3) for s in (1, -1)),
+         F(-1, 12)),
+    ], ids=["cube-m8", "l1-m6"])
+    def test_search_confirms_on_the_snapped_rows(self, monkeypatch, body, m, r, norm, centers,
+                                                 margin):
+        # each snap is confirmed on its int rows and the cached lattice
+        # projections, never through verify_ball_covering
+        def refuse(*args):
+            raise AssertionError("a snap went back through verify_ball_covering")
+
+        monkeypatch.setattr(coverings, "verify_ball_covering", refuse)
+        sol = search_ball_covering(body, m, r, norm, n_boundary=256, n_interior=64)
+        assert sol.centers == centers
+        assert all(type(v) is Fraction for c in sol.centers for v in c)
+        assert type(sol.residual_margin) is Fraction and sol.residual_margin == margin
