@@ -58,7 +58,7 @@ from .partitions import (
     triangle_partition4,
 )
 
-__version__ = "0.1.0"  # kept equal to pyproject.toml by a test
+__version__ = "0.1.0"  # the only copy: pyproject.toml reads it
 
 __all__ = [
     "BMBoundReport",

@@ -462,14 +462,19 @@ def gauge_facets(vertices: tuple) -> FacetForm:
     return FacetForm(scale, den, rows, tuple(sorted(cone)))
 
 
+def check_gauge_dimension(norm: Norm, n: int):
+    """Refuse a gauge norm whose body is not n-dimensional."""
+    if norm.kind == "gauge" and norm.body.dim != n:
+        raise ValueError("points and gauge body differ in dimension")
+
+
 @functools.lru_cache(maxsize=64)
 def norm_facets(norm: Norm, n: int) -> FacetForm:
     """The facet form of a polyhedral norm on R^n: a gauge's cached
     gauge_facets, the 2^n sign vectors for l1, the 2n signed axes for
     l_inf."""
+    check_gauge_dimension(norm, n)
     if norm.kind == "gauge":
-        if n != norm.body.dim:
-            raise ValueError("points and gauge body differ in dimension")
         return gauge_facets(norm.body.vertices)
     if norm.p == 1:
         rows = itertools.product((1, -1), repeat=n)

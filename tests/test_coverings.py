@@ -877,6 +877,51 @@ class TestBodySamples:
         _seed_free_samples(body, 256, 128)
         assert _seed_free_samples.cache_info().misses == 2
 
+    @staticmethod
+    def out_of_place_pball_base(body, n_boundary, n_interior):
+        # the p-ball base as a fresh array per step, then one concatenated
+        # and scaled copy
+        n, norm = body.dim, _norm_kernel(Norm.lp(body.p))
+        if n == 3 and body.p == 1:
+            u = _halton(n_boundary, 2)
+            a, b = u[:, 0], u[:, 1]
+            flip = a + b > 1
+            a[flip], b[flip] = 1 - a[flip], 1 - b[flip]
+            signs = np.array(list(itertools.product((1, -1), repeat=3)), dtype=float)
+            boundary = np.stack([a, b, 1 - a - b], axis=1) * signs[np.arange(n_boundary) % 8]
+        else:
+            if n == 2:
+                th = 2 * math.pi * _halton(n_boundary, 1)[:, 0]
+                d = np.stack([np.cos(th), np.sin(th)], axis=1)
+            else:
+                d = _halton(2 * n_boundary, 3) * 2 - 1
+                d = d[_norm_kernel(Norm.lp(2))(d.T) > 1e-9][:n_boundary]
+            boundary = d / norm(d.T)[:, None]
+        ui = _halton((4 if n == 2 else 10) * n_interior, n) * 2 - 1
+        ui = ui[norm(ui.T) <= 1][:n_interior]
+        return np.concatenate([boundary, ui]) * float(body.radius)
+
+    @pytest.mark.parametrize("radius", [1, F(3, 2)])
+    @pytest.mark.parametrize("p", [1, F(3, 2), 2, 3, INF])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pball_base_built_in_place_is_the_out_of_place_one(self, dim, p, radius):
+        body = PBall(p, dim, radius=radius)
+        for sizes in ((256, 64), (1000, 333)):
+            want = self.out_of_place_pball_base(body, *sizes)
+            assert _seed_free_samples(body, *sizes)[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("body", [cube(3), cube(3, half=F(2, 3)),
+                                      VPolytope(((0, -1), (0, 3), (F(1, 2), -1), (F(1, 2), 3)))])
+    def test_box_tail_is_numpy_uniform(self, body):
+        # los + (his - los) * random() is how numpy's uniform computes its
+        # draws, so the tail takes the same bytes at about half the cost
+        _, tail = _seed_free_samples(body, 256, 64)
+        los = np.array([float(min(v[i] for v in body.vertices)) for i in range(body.dim)])
+        his = np.array([float(max(v[i] for v in body.vertices)) for i in range(body.dim)])
+        for seed in range(100):
+            want = np.random.default_rng(seed).uniform(los, his, size=(64, body.dim))
+            assert tail(np.random.default_rng(seed)).tobytes() == want.tobytes()
+
 
 class TestHaltonSampler:
     @pytest.mark.parametrize("d", [1, 2, 3])

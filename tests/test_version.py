@@ -1,17 +1,18 @@
-"""The package version has one value: pyproject.toml's."""
+"""The package version has one copy, diampart.__version__, which
+pyproject.toml reads as setuptools' dynamic version."""
 
 import os
-import re
 
-import diampart
+import pytest
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "pyproject.toml")
 
 
-def test_version_matches_pyproject():
-    with open(PYPROJECT) as fh:
-        text = fh.read()
-    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
-    declared = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE).group(1)
-    assert diampart.__version__ == declared
+def test_version_is_read_from_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" in config["project"]["dynamic"]
+    assert "version" not in config["project"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"]["attr"] == "diampart.__version__"
